@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Find the three bundled telescoping certificates and print the identities.
+"""Find the four bundled telescoping certificates and print the identities.
 
 Also reports, for each certificate, which polynomial factors q(k) split off
 every g entry (the strict antidifference shape), and cross-checks the partial

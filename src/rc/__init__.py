@@ -7,7 +7,6 @@ from .exactmath import (
     PolyParseError,
     RatFunc,
     legendre,
-    modpow,
     nullspace,
     parse_poly,
     poly_divmod,

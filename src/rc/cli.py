@@ -88,6 +88,19 @@ def _parse_p(text: str) -> Poly:
         raise UsageError(str(e)) from None
 
 
+def _solver_args(args) -> tuple:
+    """Parse what `telescope` and `discover` share: (seq_b, target shifts,
+    window a, window b). A negative --deg is rejected."""
+    if args.deg < 0:
+        raise UsageError(f"--deg must be non-negative, got {args.deg}")
+    return (
+        args.seq_b if args.seq_b else args.seq,
+        _parse_shifts(args.target_shifts),
+        _parse_range(args.window),
+        _parse_range(args.window_b) if args.window_b else None,
+    )
+
+
 def _emit(doc, out_path: str | None) -> None:
     blob = json.dumps(doc, indent=2) + "\n"
     if out_path:
@@ -108,16 +121,12 @@ def _jobs_default() -> int:
 
 
 def _cmd_telescope(args) -> int:
-    seq_b = args.seq_b if args.seq_b else args.seq
-    cert = find_telescoper(
-        args.seq,
-        seq_b,
-        _parse_p(args.p),
-        _parse_shifts(args.target_shifts),
-        _parse_range(args.window),
-        _parse_range(args.window_b) if args.window_b else None,
-        deg_bound=args.deg,
-    )
+    seq_b, target, window_a, window_b = _solver_args(args)
+    p = _parse_p(args.p)
+    try:
+        cert = find_telescoper(args.seq, seq_b, p, target, window_a, window_b, deg_bound=args.deg)
+    except ValueError as e:  # a window, weight or mode that defines no system
+        raise UsageError(str(e)) from None
     if cert is None:
         print("no certificate up to the degree bound", file=sys.stderr)
         return 1
@@ -131,16 +140,16 @@ def _cmd_telescope(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    result = discover_weights(
-        args.seq,
-        args.seq_b if args.seq_b else args.seq,
-        _parse_p(args.p) if args.p else ONE,
-        args.p_degree,
-        _parse_shifts(args.target_shifts),
-        _parse_range(args.window),
-        _parse_range(args.window_b) if args.window_b else None,
-        deg_bound=args.deg,
-    )
+    seq_b, target, window_a, window_b = _solver_args(args)
+    p_fixed = _parse_p(args.p) if args.p else ONE
+    if args.p_degree < 0:
+        raise UsageError(f"--p-degree must be non-negative, got {args.p_degree}")
+    try:
+        result = discover_weights(
+            args.seq, seq_b, p_fixed, args.p_degree, target, window_a, window_b, deg_bound=args.deg
+        )
+    except ValueError as e:  # a window or mode that defines no system
+        raise UsageError(str(e)) from None
     doc = {
         "p_basis": [p.to_json() for p in result.p_basis],
         "solutions": [cert_to_json(c) for c in result.solutions],

@@ -1,8 +1,10 @@
 """Exact arithmetic kernel: dense rational polynomials, rational functions,
-exact nullspaces, and modular / quadratic-residue helpers.
+nullspaces of rational matrices, and modular / quadratic-residue helpers.
 
 Rationals are plain ``fractions.Fraction`` (always normalized, denominator
-positive, which is exactly the invariant we need). Every object in this
+positive, which is exactly the invariant we need). The nullspace is the
+exception: it clears each row to integers and eliminates fraction-free, so
+no ``Fraction`` arithmetic runs in its inner loop. Every object in this
 module is immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.
 
@@ -31,9 +33,7 @@ __all__ = [
     "nullspace",
     "legendre",
     "rat_mod",
-    "modpow",
     "frac_to_str",
-    "frac_from_str",
 ]
 
 
@@ -43,14 +43,6 @@ def frac_to_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def _ilcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 class Poly:
@@ -171,7 +163,7 @@ class Poly:
         den = 1
         for c in self.coeffs:
             num = math.gcd(num, c.numerator)
-            den = _ilcm(den, c.denominator)
+            den = math.lcm(den, c.denominator)
         return Fraction(num, den)
 
     def primitive(self) -> "Poly":
@@ -375,14 +367,8 @@ RF_ONE = RatFunc(ONE)
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _normalize_int_vector(v: list[Fraction]) -> list[int]:
-    den = 1
-    for x in v:
-        den = _ilcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+def _normalize_int_vector(ints: list[int]) -> list[int]:
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:
@@ -396,46 +382,65 @@ def _normalize_int_vector(v: list[Fraction]) -> list[int]:
 def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[int]]:
     """Basis of the right nullspace of an exact rational matrix.
 
-    Uses rational Gauss-Jordan elimination. Each basis vector is scaled to
-    coprime integer entries with a positive leading nonzero entry, so the
-    returned basis is deterministic. Empty list when the nullspace is trivial.
+    Uses fraction-free Gauss-Jordan elimination over the integers: each row
+    is first scaled by the lcm of its denominators, a row is cleared against
+    a pivot row as (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f), and
+    every new row is divided by its content. The basis has one vector per
+    free column of the reduced row echelon form, which is unique, each
+    scaled to coprime integer entries with a positive leading nonzero entry,
+    so the returned basis is deterministic. Empty list when the nullspace is
+    trivial.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
     if ncols is None:
-        if not mat:
+        if not rows:
             raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(mat[0])
-    for row in mat:
+        ncols = len(rows[0])
+    mat: list[list[int]] = []
+    for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
+        fracs = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in fracs))
+        ints = [x.numerator * (den // x.denominator) for x in fracs]
+        g = math.gcd(*ints)
+        if g:
+            mat.append([x // g for x in ints] if g > 1 else ints)
 
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(mat):
             break
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_row = mat[r]
+        pv = pivot_row[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            row = [a * x - b * y for x, y in zip(row, pivot_row)]
+            g = math.gcd(*row)
+            mat[i] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
 
+    # row i reads pv_i * x[pivot_cols[i]] + sum over free f of mat[i][f] * x[f] = 0
     in_pivot = set(pivot_cols)
     basis: list[list[int]] = []
     for f in range(ncols):
         if f in in_pivot:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            v[c] = -mat[i][f]
+        used = [(row[c], row[f], c) for row, c in zip(mat, pivot_cols) if row[f]]
+        scale = math.lcm(*(pv for pv, _, _ in used))
+        v = [0] * ncols
+        v[f] = scale
+        for pv, x, c in used:
+            v[c] = -x * (scale // pv)
         basis.append(_normalize_int_vector(v))
     return basis
 
@@ -483,15 +488,6 @@ def rat_mod(x: Fraction | int, modulus: int) -> int:
     except ValueError:
         raise DenominatorNotInvertible(x, modulus) from None
     return (x.numerator % modulus) * inv % modulus
-
-
-def modpow(base: int, exponent: int, modulus: int) -> int:
-    """base^exponent mod modulus (square-and-multiply via built-in pow)."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exponent, modulus)
 
 
 # -- polynomial parsing --------------------------------------------------------

@@ -9,8 +9,8 @@ g_{i,j}(k) with
 Delta_k F(k) = F(k+1) - F(k), where i and j run over the windows. Shifts
 outside a window are rewritten into it through the recurrence, the defining
 equation is cleared of denominators and read off coefficient-by-coefficient
-in powers of k, and the resulting exact linear system is solved by rational
-elimination.
+in powers of k, and the resulting exact linear system is solved by
+fraction-free integer elimination (`exactmath.nullspace`).
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -92,6 +92,36 @@ def _resolve(seq) -> SequenceDef:
     if isinstance(seq, SequenceDef):
         return seq
     return get_sequence(str(seq))
+
+
+def _search_setup(
+    seq_a, seq_b, target_shifts, window_a, window_b, symmetric: bool | None
+) -> tuple[SequenceDef, SequenceDef, tuple[int, int], ShiftWindow, ShiftWindow, bool]:
+    """Resolve the factors, target shifts, windows and symmetric mode of a
+    search. A missing window defaults to the `order` shifts ending at 0;
+    symmetric mode (the default for a square) needs one sequence and one
+    window for both factors."""
+    a = _resolve(seq_a)
+    b = ONE_SEQ if seq_b is None else _resolve(seq_b)
+    if isinstance(target_shifts, int):
+        target_shifts = (target_shifts, 0)
+    target = (int(target_shifts[0]), int(target_shifts[1]))
+    wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
+    if symmetric is None:
+        symmetric = a.name == b.name
+    if symmetric:
+        if a.name != b.name:
+            raise ValueError("symmetric mode needs both factors to be the same sequence")
+        if window_b is not None and _as_window(window_b) != wa:
+            raise ValueError("symmetric mode uses a single window for both factors")
+        wb = wa
+    elif window_b is not None:
+        wb = _as_window(window_b)
+    elif b is ONE_SEQ:
+        wb = ShiftWindow(0, 0)
+    else:
+        wb = ShiftWindow(1 - b.recurrence.order, 0)
+    return a, b, target, wa, wb, symmetric
 
 
 # -- shift reduction -----------------------------------------------------------
@@ -400,63 +430,59 @@ def find_telescoper(
     deg_bound: int = 6,
     symmetric: bool | None = None,
 ) -> TelescoperCertificate | None:
-    """Search for a certificate with deg g <= deg_bound, deepening from degree 0.
+    """Search for a certificate with deg g <= deg_bound.
 
-    Returns None when no certificate exists up to the bound. Among the
-    solutions at the smallest feasible degree, the one with minimal total
-    degree of g (then lexicographically smallest coefficient vector) is
-    returned, so the output is deterministic.
+    A certificate of degree d padded with zeros is one of degree d + 1, so
+    feasibility only grows with the degree. The system is solved once at
+    deg_bound; if it has no certificate the result is None (also for a
+    negative bound). Otherwise the smallest feasible degree is found by
+    bisection, O(log deg_bound) solves in all. Among the solutions at that
+    degree, the one with minimal total degree of g (then lexicographically
+    smallest coefficient vector) is returned, so the output is deterministic.
     """
-    a = _resolve(seq_a)
-    b = ONE_SEQ if seq_b is None else _resolve(seq_b)
+    a, b, target, wa, wb, symmetric = _search_setup(
+        seq_a, seq_b, target_shifts, window_a, window_b, symmetric
+    )
     if p.is_zero:
         raise ValueError("the weight p must be nonzero; use discover_weights for a free p")
-    if isinstance(target_shifts, int):
-        target_shifts = (target_shifts, 0)
-    target = (int(target_shifts[0]), int(target_shifts[1]))
-    wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
-    if symmetric is None:
-        symmetric = a.name == b.name
-    if symmetric:
-        if a.name != b.name:
-            raise ValueError("symmetric mode needs both factors to be the same sequence")
-        if window_b is not None and _as_window(window_b) != wa:
-            raise ValueError("symmetric mode uses a single window for both factors")
-        wb = wa
-    elif window_b is not None:
-        wb = _as_window(window_b)
-    elif b is ONE_SEQ:
-        wb = ShiftWindow(0, 0)
-    else:
-        wb = ShiftWindow(1 - b.recurrence.order, 0)
+    if deg_bound < 0:
+        return None
 
-    for deg in range(0, deg_bound + 1):
+    def solve(deg: int) -> tuple[ReducedSystem, list[list[int]]]:
         system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
         basis = nullspace(system.matrix, ncols=len(system.columns))
-        lam_idx = len(system.columns) - 1
-        candidates = []
-        for vec in basis:
-            if vec[lam_idx] == 0:
-                continue
-            scale = Fraction(1, vec[lam_idx])
-            scaled = [Fraction(x) * scale for x in vec]
-            g, _ = _split_vector(scaled, system, deg)
-            total_degree = sum(poly.degree for poly in g.values())
-            candidates.append((total_degree, tuple(scaled), g))
-        if candidates:
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            g = candidates[0][2]
-            return TelescoperCertificate(
-                seq_a=a.name,
-                seq_b=b.name,
-                window_a=wa,
-                window_b=wb,
-                target_shifts=target,
-                p=p,
-                g=g,
-                symmetric=symmetric,
-            )
-    return None
+        return system, [vec for vec in basis if vec[-1] != 0]
+
+    system, solutions = solve(deg_bound)
+    if not solutions:
+        return None
+    lo, deg = 0, deg_bound  # no certificate below degree lo, one at deg
+    while lo < deg:
+        mid = (lo + deg) // 2
+        attempt = solve(mid)
+        if attempt[1]:
+            deg, (system, solutions) = mid, attempt
+        else:
+            lo = mid + 1
+
+    candidates = []
+    for vec in solutions:
+        scale = Fraction(1, vec[-1])
+        scaled = [Fraction(x) * scale for x in vec]
+        g, _ = _split_vector(scaled, system, deg)
+        total_degree = sum(poly.degree for poly in g.values())
+        candidates.append((total_degree, tuple(scaled), g))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    return TelescoperCertificate(
+        seq_a=a.name,
+        seq_b=b.name,
+        window_a=wa,
+        window_b=wb,
+        target_shifts=target,
+        p=p,
+        g=candidates[0][2],
+        symmetric=symmetric,
+    )
 
 
 @dataclass
@@ -484,22 +510,9 @@ def discover_weights(
     """Solve with the weight free: p(k) = p_fixed(k) * (x_0 + x_1 k + ... +
     x_D k^D). Returns a basis of the joint solution space, with pure-kernel
     vectors (p identically zero) reported separately."""
-    a = _resolve(seq_a)
-    b = ONE_SEQ if seq_b is None else _resolve(seq_b)
-    if isinstance(target_shifts, int):
-        target_shifts = (target_shifts, 0)
-    target = (int(target_shifts[0]), int(target_shifts[1]))
-    wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
-    if symmetric is None:
-        symmetric = a.name == b.name
-    if symmetric:
-        wb = wa
-    elif window_b is not None:
-        wb = _as_window(window_b)
-    elif b is ONE_SEQ:
-        wb = ShiftWindow(0, 0)
-    else:
-        wb = ShiftWindow(1 - b.recurrence.order, 0)
+    a, b, target, wa, wb, symmetric = _search_setup(
+        seq_a, seq_b, target_shifts, window_a, window_b, symmetric
+    )
 
     p_basis = [p_fixed * (K**u) for u in range(p_degree + 1)]
     system = _build_system(a, b, wa, wb, target, p_basis, deg_bound, symmetric)

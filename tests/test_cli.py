@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rc.cli import main
 
 
@@ -140,6 +142,29 @@ def test_malformed_polynomial_is_usage_error(capsys):
     )
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the window does not match the recurrence order of W
+        ("telescope", "--seq", "W", "--window=-3..0", "--p", "8*k+9"),
+        ("telescope", "--seq", "W", "--window=-2..0", "--p", "0"),
+        ("telescope", "--seq", "W", "--window=0..-1", "--p", "8*k+9"),
+        # symmetric mode takes one window for both factors
+        ("telescope", "--seq", "T", "--window=-1..0", "--window-b=0..1", "--p", "k+1"),
+        ("discover", "--seq", "T", "--window=-1..0", "--window-b=0..1", "--p", "k+1"),
+        ("discover", "--seq", "W", "--window=-3..0"),
+        ("telescope", "--seq", "W", "--window=-2..0", "--p", "8*k+9", "--deg", "-1"),
+        ("discover", "--seq", "W", "--window=-2..0", "--deg", "-1"),
+        ("discover", "--seq", "W", "--window=-2..0", "--p-degree", "-1"),
+    ],
+)
+def test_bad_solver_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_malformed_range_is_usage_error(capsys):

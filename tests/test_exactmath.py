@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rc.exactmath import (
     DenominatorNotInvertible,
@@ -14,7 +14,6 @@ from rc.exactmath import (
     ZERO,
     frac_to_str,
     legendre,
-    modpow,
     nullspace,
     parse_poly,
     poly,
@@ -140,6 +139,69 @@ def test_nullspace_examples():
     assert nullspace([[2, 4], [1, 2]]) == [[2, -1]]  # (-2, 1) up to sign
 
 
+def _sympy_nullspace(rows, ncols):
+    """sympy's nullspace basis, scaled like ours: coprime integer entries with
+    a positive leading nonzero entry."""
+    sympy = pytest.importorskip("sympy")
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in rows for x in map(F, row)]
+    basis = []
+    for vec in sympy.Matrix(len(rows), ncols, flat).nullspace():
+        den = math.lcm(*(x.q for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = math.gcd(*ints)
+        lead = next(x for x in ints if x)
+        basis.append([x // g if lead > 0 else -x // g for x in ints])
+    return basis
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols) with zero entries and zero rows, rows that are rational
+    combinations of earlier rows (rank-deficient), and sometimes no rows."""
+    ncols = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=7))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows:
+        coeffs = st.lists(st.fractions(-5, 5, max_denominator=4), min_size=len(rows), max_size=len(rows))
+        for cs in draw(st.lists(coeffs, max_size=2)):
+            rows.append([sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(ncols)])
+    rows += [[F(0)] * ncols] * draw(st.integers(0, 1))
+    return draw(st.permutations(rows)), ncols
+
+
+@given(rational_matrices())
+@example(([], 3))
+@example(([[F(0), F(0)], [F(1, 2), F(-3, 4)], [F(0), F(0)]], 2))
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_sympy(case):
+    rows, ncols = case
+    assert nullspace(rows, ncols=ncols) == _sympy_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize(
+    "seq, window, target, weights, deg, shape, dim",
+    [
+        # a W-square search with no certificate, at degree 12
+        ("W", (-2, 0), (0, 0), ["2*k^3+3*k^2+k+4"], 12, (91, 79), 0),
+        # the (k+1)(x0 + x1 k) T(k)T(k+1) discovery system
+        ("T", (-1, 0), (0, 1), ["k+1", "k^2+k"], 3, (18, 14), 1),
+    ],
+)
+def test_nullspace_matches_sympy_on_search_systems(seq, window, target, weights, deg, shape, dim):
+    from rc.sequences import get_sequence
+    from rc.telescoper import ShiftWindow, _build_system
+
+    a = get_sequence(seq)
+    w = ShiftWindow(*window)
+    system = _build_system(a, a, w, w, target, [parse_poly(x) for x in weights], deg, True)
+    ncols = len(system.columns)
+    assert (len(system.matrix), ncols) == shape
+    basis = nullspace(system.matrix, ncols=ncols)
+    assert len(basis) == dim
+    assert basis == _sympy_nullspace(system.matrix, ncols)
+
+
 # -- legendre / jacobi ---------------------------------------------------------
 
 
@@ -206,17 +268,6 @@ def test_rat_mod_examples():
     assert rat_mod(F(-1421, 3), 343) == 98
     with pytest.raises(DenominatorNotInvertible):
         rat_mod(F(1, 2), 4)
-
-
-@given(st.integers(-50, 50), st.integers(0, 40), st.integers(1, 10**6))
-def test_modpow_matches_naive(b, e, m):
-    assert modpow(b, e, m) == (b**e) % m
-
-
-def test_modpow_examples():
-    assert modpow(3, 4, 25) == 6
-    assert modpow(123, 0, 7) == 1
-    assert modpow(3, 6, 125) == 104
 
 
 # -- serialization and parsing ---------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
+import rc.telescoper
 from rc.exactmath import ONE, Poly, RatFunc, ZERO, parse_poly
 from rc.sequences import T, W, recurrence
 from rc.telescoper import (
@@ -216,6 +218,71 @@ def test_not_found_below_required_degree():
 def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         find_telescoper("W", "W", ZERO, (0, 0), (-2, 0))
+
+
+# (sequence, weight, target shifts, window, smallest feasible degree)
+REFERENCE_SEARCHES = [
+    ("W", P_W, (0, 0), (-2, 0), 2),
+    ("T", P_T1, (0, 1), (-1, 0), 4),
+    ("T", P_T1, (0, 1), (0, 1), 4),
+    ("T", P_T2, (0, 1), (-1, 0), 3),
+]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the systems find_telescoper solves."""
+    count = [0]
+    inner = rc.telescoper.nullspace
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(rc.telescoper, "nullspace", counting)
+    return count
+
+
+@pytest.mark.parametrize("seq, p, target, window, d_min", REFERENCE_SEARCHES)
+def test_degree_search_result_does_not_depend_on_the_bound(seq, p, target, window, d_min):
+    assert find_telescoper(seq, seq, p, target, window, deg_bound=d_min - 1) is None
+    at_min = find_telescoper(seq, seq, p, target, window, deg_bound=d_min)
+    assert at_min is not None
+    assert max(g.degree for g in at_min.g.values()) == d_min
+    for bound in range(d_min + 1, d_min + 4):
+        cert = find_telescoper(seq, seq, p, target, window, deg_bound=bound)
+        assert cert_to_json(cert) == cert_to_json(at_min)
+
+
+@pytest.mark.parametrize("seq, p, target, window, d_min", REFERENCE_SEARCHES)
+def test_degree_search_solves_logarithmically_many_systems(solves, seq, p, target, window, d_min):
+    bound = 12
+    assert find_telescoper(seq, seq, p, target, window, deg_bound=bound) is not None
+    assert solves[0] <= 1 + math.ceil(math.log2(bound + 1))
+
+
+def test_degree_search_without_certificate_solves_once(solves):
+    cubic = parse_poly("2*k^3+3*k^2+k+4")
+    assert find_telescoper("W", "W", cubic, (0, 0), (-2, 0), deg_bound=12) is None
+    assert solves[0] == 1
+
+
+def test_degree_search_small_and_negative_bounds(solves):
+    assert find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=0) is None
+    assert solves[0] == 1
+    assert find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=-1) is None
+    assert solves[0] == 1
+    assert find_telescoper("one", None, ONE, (0, 0), (0, 0), deg_bound=0) is None
+    assert find_telescoper("one", None, parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
+
+
+def test_symmetric_mode_rejects_a_second_window_in_both_solvers():
+    with pytest.raises(ValueError, match="single window"):
+        find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), window_b=(0, 1), deg_bound=3)
+    with pytest.raises(ValueError, match="single window"):
+        discover_weights("T", "T", parse_poly("k+1"), 1, (0, 1), (-1, 0), window_b=(0, 1), deg_bound=3)
+    with pytest.raises(ValueError, match="same sequence"):
+        discover_weights("T", "W", ONE, 1, (0, 0), (-1, 0), deg_bound=1, symmetric=True)
 
 
 # -- certify ---------------------------------------------------------------------
