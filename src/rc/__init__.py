@@ -21,7 +21,6 @@ from .sequences import (
     check_parity_odd,
     check_recurrence_consistency,
     eval_direct,
-    eval_terms,
     get_sequence,
     register_sequence,
 )

@@ -39,7 +39,6 @@ from .sequences import (
     check_parity_odd,
     check_recurrence_consistency,
     eval_direct,
-    eval_terms,
     get_sequence,
     recurrence,
     trinomial_middle,
@@ -217,7 +216,10 @@ def _cmd_verify(args) -> int:
             lo, hi = _parse_range(args.range)
         else:
             lo, hi = suite_range(claim.claim_id)
-        reports.append(verify_claim_range(claim, lo, hi, evaluator, jobs=jobs))
+        try:
+            reports.append(verify_claim_range(claim, lo, hi, evaluator, jobs=jobs))
+        except ValueError as e:  # a range the domain cannot enumerate
+            raise UsageError(str(e)) from None
 
     _emit([report_to_json(r) for r in reports], args.out)
     print(format_report_table(reports), file=sys.stderr)
@@ -227,7 +229,10 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     seq = get_sequence(args.seq)
     lo, hi = _parse_range(args.range) if args.range else (0, 20)
-    terms = eval_terms(seq, lo, hi)
+    try:
+        terms = seq.terms(lo, hi)
+    except ValueError as e:  # an index below the initial data
+        raise UsageError(str(e)) from None
     _emit({"seq": seq.name, "lo": lo, "hi": hi, "terms": [str(t) for t in terms]}, args.out)
     return 0
 

@@ -9,24 +9,35 @@ equality, which also covers degenerate domain points such as a modulus
 expression vanishing at n = 1.
 
 Everything is verified by exact big-integer evaluation of the sums via the
-memoized sequence prefixes; no modular shortcuts, no rounding.
+memoized sequence prefixes; no modular shortcuts, no rounding. Values are
+`int` wherever they are integral by construction (sequence terms, binomials,
+integer constants, and sums, products and differences of these) and
+`Fraction` only where a value is really rational, such as a quotient that is
+not an integer or a prefix of a sum of 1/k terms.
+
+An evaluation error at one point (a vanishing divisor, a non-integral
+exponent or Legendre argument, a sequence index below its initial data)
+fails that point and leaves the rest of the range to be checked.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactmath import ONE, Poly, RatFunc, frac_to_str, legendre
+from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner, legendre
 from .sequences import (
     Affine,
     BinomFactor,
     Bound,
     GeomFactor,
+    LeadingCoefficientVanishes,
+    NonIntegerTerm,
     binom,
     get_sequence,
     register_sequence,
@@ -140,12 +151,31 @@ class SeqFactor:
 
 @dataclass(frozen=True)
 class SumSpec:
-    """sum over k from lo to upper(n) of coeff(k) * product(factors)."""
+    """sum over k from lo to upper(n) of coeff(k) * product(factors).
+
+    A spec is hashed once, at construction: it keys the prefix cache of
+    `SumEvaluator`, and a fresh hash would reach every `Fraction` coefficient
+    of `coeff`. The coefficient is also kept as two integer polynomials
+    (numerator and denominator scaled by the lcm of their coefficient
+    denominators, highest degree first) for `term_parts`.
+    """
 
     coeff: RatFunc = RatFunc(ONE)
     factors: tuple = ()
     lo: int = 0
     upper: Bound = Bound(1, -1, 1)  # k = lo .. n-1
+    _hash: int = field(init=False, repr=False, compare=False)
+    _int_coeff: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeff, self.factors, self.lo, self.upper)))
+        num, den = self.coeff.num.coeffs, self.coeff.den.coeffs
+        scale = math.lcm(*(c.denominator for c in num + den))
+        ints = tuple(tuple((c * scale).numerator for c in reversed(p)) for p in (num, den))
+        object.__setattr__(self, "_int_coeff", ints)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_free(self) -> bool:
@@ -157,6 +187,7 @@ class SumSpec:
         return True
 
     def term(self, n: int, k: int) -> Fraction:
+        """The summand at (n, k) as a `Fraction`; the reference for `term_parts`."""
         v = self.coeff(k)
         for f in self.factors:
             if v == 0:
@@ -166,6 +197,34 @@ class SumSpec:
             else:
                 v = v * f.value(n, k)
         return v
+
+    def term_parts(self, n: int, k: int) -> tuple[int, int]:
+        """The summand at (n, k) as an integer numerator and a nonzero integer
+        denominator of either sign, not necessarily coprime. Like `term`, it
+        stops at the first zero factor, so later factors are not evaluated."""
+        cnum, cden = self._int_coeff
+        num, den = horner(cnum, k), horner(cden, k)
+        if den == 0:
+            raise ZeroDivisionError(f"denominator vanishes at {k}")
+        if num == 0:
+            return 0, 1
+        for f in self.factors:
+            if isinstance(f, SeqFactor):
+                v = get_sequence(f.name).term(k + f.shift)
+            elif isinstance(f, GeomFactor):
+                e = f.exp.at(n, k)
+                if e < 0:
+                    if f.base == 0:
+                        raise ZeroDivisionError("0 raised to a negative power")
+                    den *= f.base**-e
+                    continue
+                v = f.base**e
+            else:
+                v = f.value(n, k)
+            if v == 0:
+                return 0, 1
+            num *= v
+        return num, den
 
 
 @dataclass(frozen=True)
@@ -209,71 +268,107 @@ def seq(name: str, shift: int = 0) -> SeqRef:
     return SeqRef(name, shift)
 
 
+def _running_sums(spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int):
+    """Yield (num, den) after adding each term k = k_lo..k_hi to num/den.
+
+    den is the lcm (up to sign) of the term denominators so far and num is
+    not reduced against it, so an integer summand keeps den = 1 and runs no
+    gcd."""
+    for k in range(k_lo, k_hi + 1):
+        a, b = spec.term_parts(n, k)
+        if b != 1:
+            if den % b:
+                scale = b // math.gcd(den, b)
+                num *= scale
+                den *= scale
+            a *= den // b
+        elif den != 1:
+            a *= den
+        num += a
+        yield num, den
+
+
+def _reduced(num: int, den: int) -> int | Fraction:
+    return num if den == 1 else Fraction(num, den)
+
+
 class SumEvaluator:
     """Exact sum evaluation with shared prefix caching.
 
     When the summand does not mention n (all theorem sums are like that), the
-    cumulative sums over k are cached, so verifying a claim over a whole range
-    of n costs one pass over k. The cache is guarded by a lock; claim checking
-    across points may run in threads.
+    prefix sums over k are cached, so verifying a claim over a whole range of
+    n costs one pass over k. Prefix j is stored as an integer numerator
+    nums[j] over dens[j], the lcm (up to sign) of the denominators of the
+    first j + 1 terms. For an integer summand every dens[j] is 1 and the
+    prefix is read as an int; otherwise it is reduced to a `Fraction` only
+    when read. The cache is guarded by a lock; claim checking across points
+    may run in threads.
     """
 
     def __init__(self):
-        self._cache: dict[SumSpec, list[Fraction]] = {}
+        self._cache: dict[SumSpec, tuple[list[int], list[int]]] = {}
         self._lock = threading.Lock()
 
-    def eval_sum(self, spec: SumSpec, n: int) -> Fraction:
+    def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
         hi = spec.upper.at(n)
         if hi < spec.lo:
-            return Fraction(0)
+            return 0
         if not spec.n_free:
-            total = Fraction(0)
-            for k in range(spec.lo, hi + 1):
-                total += spec.term(n, k)
-            return total
+            num, den = 0, 1
+            for num, den in _running_sums(spec, n, spec.lo, hi, num, den):
+                pass
+            return _reduced(num, den)
+        j = hi - spec.lo
         with self._lock:
-            cum = self._cache.setdefault(spec, [])
-            while len(cum) <= hi - spec.lo:
-                k = spec.lo + len(cum)
-                prev = cum[-1] if cum else Fraction(0)
-                cum.append(prev + spec.term(n, k))
-            return cum[hi - spec.lo]
+            prefixes = self._cache.get(spec)
+            if prefixes is None:
+                prefixes = self._cache[spec] = ([], [])
+            nums, dens = prefixes
+            if j >= len(nums):
+                num, den = (nums[-1], dens[-1]) if nums else (0, 1)
+                for num, den in _running_sums(spec, n, spec.lo + len(nums), hi, num, den):
+                    nums.append(num)
+                    dens.append(den)
+            return _reduced(nums[j], dens[j])
 
 
 _SHARED_EVALUATOR = SumEvaluator()
 
 
-def eval_sum(spec: SumSpec, n: int, evaluator: SumEvaluator | None = None) -> Fraction:
+def eval_sum(spec: SumSpec, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
     return (evaluator or _SHARED_EVALUATOR).eval_sum(spec, n)
 
 
-def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> Fraction:
+def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
+    """Exact value of e at n: an int when the value is integral by
+    construction, else a Fraction (see the module docstring)."""
     ev = evaluator or _SHARED_EVALUATOR
     if isinstance(e, Const):
-        return e.value
+        v = e.value
+        return v.numerator if v.denominator == 1 else v
     if isinstance(e, VarN):
-        return Fraction(n)
+        return n
     if isinstance(e, SeqRef):
-        return Fraction(get_sequence(e.name).term(n + e.shift))
+        return get_sequence(e.name).term(n + e.shift)
     if isinstance(e, Legendre):
         top = eval_expr(e.top, n, ev)
         bottom = eval_expr(e.bottom, n, ev)
         if top.denominator != 1 or bottom.denominator != 1:
             raise ValueError("Legendre symbol arguments must be integers")
-        return Fraction(legendre(int(top), int(bottom)))
+        return legendre(int(top), int(bottom))
     if isinstance(e, PowInt):
         exp = e.exp.exact_at(n)
         if exp >= 0:
-            return Fraction(e.base**exp)
+            return e.base**exp
         if e.base == 0:
             raise ZeroDivisionError("0 raised to a negative power")
         return Fraction(1, e.base**-exp)
     if isinstance(e, BinomExpr):
-        return Fraction(binom(e.top.exact_at(n), e.bottom.exact_at(n)))
+        return binom(e.top.exact_at(n), e.bottom.exact_at(n))
     if isinstance(e, Add):
-        return sum((eval_expr(t, n, ev) for t in e.terms), Fraction(0))
+        return sum(eval_expr(t, n, ev) for t in e.terms)
     if isinstance(e, Mul):
-        out = Fraction(1)
+        out = 1
         for f in e.factors:
             out *= eval_expr(f, n, ev)
         return out
@@ -283,7 +378,8 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> Fractio
         d = eval_expr(e.b, n, ev)
         if d == 0:
             raise ZeroDivisionError("division by zero in expression")
-        return eval_expr(e.a, n, ev) / d
+        q = Fraction(eval_expr(e.a, n, ev), d)
+        return q.numerator if q.denominator == 1 else q
     if isinstance(e, SumNode):
         return ev.eval_sum(e.spec, n)
     raise TypeError(f"not an expression: {e!r}")
@@ -412,16 +508,25 @@ class CheckResult:
     claim_id: str
     n: int
     status: str  # "pass" | "fail" | "out_of_domain"
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-    modulus: Fraction | None = None
+    lhs: int | Fraction | None = None
+    rhs: int | Fraction | None = None
+    modulus: int | Fraction | None = None
     reason: str = ""
 
 
+# what evaluating a claim at one point may raise on a well-formed claim: a
+# vanishing divisor, a non-integral exponent, binomial or Legendre argument, an
+# index below a sequence's initial data, or a recurrence step that fails
+_POINT_ERRORS = (ArithmeticError, ValueError, LeadingCoefficientVanishes, NonIntegerTerm)
+
+
 def _check_raw(claim: CongruenceClaim, n: int, ev: SumEvaluator) -> CheckResult:
-    lhs = eval_expr(claim.lhs, n, ev)
-    rhs = eval_expr(claim.rhs, n, ev)
-    modulus = eval_expr(claim.modulus, n, ev)
+    try:
+        lhs = eval_expr(claim.lhs, n, ev)
+        rhs = eval_expr(claim.rhs, n, ev)
+        modulus = eval_expr(claim.modulus, n, ev)
+    except _POINT_ERRORS as e:
+        return CheckResult(claim.claim_id, n, "fail", reason=f"{type(e).__name__}: {e}")
     if modulus.denominator != 1:
         return CheckResult(
             claim.claim_id, n, "fail", lhs, rhs, modulus, "modulus is not an integer"
@@ -434,9 +539,7 @@ def _check_raw(claim: CongruenceClaim, n: int, ev: SumEvaluator) -> CheckResult:
         return CheckResult(
             claim.claim_id, n, "fail", lhs, rhs, modulus, "sides differ (exact equality required)"
         )
-    from math import gcd
-
-    if gcd(d.denominator, m) != 1:
+    if math.gcd(d.denominator, m) != 1:
         return CheckResult(
             claim.claim_id,
             n,

@@ -26,6 +26,7 @@ __all__ = [
     "ONE",
     "K",
     "poly",
+    "horner",
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
@@ -230,6 +231,15 @@ K = Poly([0, 1])
 def poly(*coeffs) -> Poly:
     """Poly from ascending coefficients: poly(9, 8) is 8k+9."""
     return Poly(coeffs)
+
+
+def horner(desc: Sequence[int], x: int) -> int:
+    """Value at x of the polynomial whose coefficients, highest degree first,
+    are `desc`, by Horner's rule; integer in, integer out."""
+    acc = 0
+    for c in desc:
+        acc = acc * x + c
+    return acc
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

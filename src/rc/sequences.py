@@ -2,9 +2,12 @@
 
 A sequence is a linear recurrence with polynomial coefficients plus enough
 initial values (negative indices allowed), optionally cross-checked against a
-direct binomial-sum formula. Terms are memoized integers; the memo fill is a
-single forward pass and is guarded by a lock, after which concurrent reads
-are safe.
+direct binomial-sum formula. Terms are memoized integers. The memo is filled
+by a single forward pass in integer arithmetic: the recurrence coefficients
+are integer polynomials evaluated by Horner's rule, and each new term is one
+exact division of an integer combination of the previous terms by the leading
+coefficient, with a nonzero remainder reported as `NonIntegerTerm`. The fill
+is guarded by a lock, after which concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactmath import ONE, Poly, RatFunc, frac_to_str
+from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner
 
 __all__ = [
     "Affine",
@@ -35,7 +38,6 @@ __all__ = [
     "ConsistencyReport",
     "binom",
     "recurrence",
-    "eval_terms",
     "eval_direct",
     "check_recurrence_consistency",
     "check_parity_odd",
@@ -222,14 +224,27 @@ def eval_direct(formula: SumFormula, n: int) -> Fraction:
 class Recurrence:
     """sum_{i=0}^{d} coeffs[i](n) * a(n+i) = 0 with coeffs[d] nonzero.
 
-    Coefficients are normalized to integer polynomials with overall content 1.
+    Coefficients are normalized to integer polynomials with overall content 1;
+    `int_coeffs` holds them as integer tuples, highest degree first, for
+    evaluation by Horner's rule.
     """
 
     coeffs: tuple[Poly, ...]
+    int_coeffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if any(c.denominator != 1 for p in self.coeffs for c in p.coeffs):
+            raise ValueError("recurrence coefficients must be integer polynomials")
+        ints = tuple(tuple(c.numerator for c in reversed(p.coeffs)) for p in self.coeffs)
+        object.__setattr__(self, "int_coeffs", ints)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    def coeffs_at(self, n: int) -> list[int]:
+        """The coefficient values c_0(n), ..., c_d(n)."""
+        return [horner(cs, n) for cs in self.int_coeffs]
 
     def to_json(self) -> dict:
         return {"coeffs": [c.to_json() for c in self.coeffs]}
@@ -300,23 +315,25 @@ class SequenceDef:
         return self.max_initial - self.recurrence.order + 1
 
     def _fill_to(self, hi: int) -> None:
-        d = self.recurrence.order
-        cs = self.recurrence.coeffs
+        rec = self.recurrence
+        d = rec.order
+        memo = self._memo
         with self._lock:
-            while self.min_index + len(self._memo) <= hi:
-                idx = self.min_index + len(self._memo)
+            while self.min_index + len(memo) <= hi:
+                idx = self.min_index + len(memo)
                 n = idx - d
-                den = cs[d](n)
+                cs = rec.coeffs_at(n)
+                den = cs[d]
                 if den == 0:
                     raise LeadingCoefficientVanishes(self.name, n)
-                num = Fraction(0)
                 base = n - self.min_index
+                num = 0
                 for i in range(d):
-                    num -= cs[i](n) * self._memo[base + i]
-                val = num / den
-                if val.denominator != 1:
-                    raise NonIntegerTerm(self.name, idx, val)
-                self._memo.append(int(val))
+                    num -= cs[i] * memo[base + i]
+                val, rem = divmod(num, den)
+                if rem:
+                    raise NonIntegerTerm(self.name, idx, Fraction(num, den))
+                memo.append(val)
 
     def term(self, i: int) -> int:
         if i < self.min_index:
@@ -334,10 +351,10 @@ class SequenceDef:
         self.term(lo)
         return self._memo[lo - self.min_index : hi - self.min_index + 1]
 
-    def residual(self, n: int) -> Fraction:
+    def residual(self, n: int) -> int:
         """Exact value of sum_i c_i(n) a(n+i); zero iff the instance at n holds."""
-        cs = self.recurrence.coeffs
-        return sum((cs[i](n) * self.term(n + i) for i in range(len(cs))), Fraction(0))
+        cs = self.recurrence.coeffs_at(n)
+        return sum(c * self.term(n + i) for i, c in enumerate(cs))
 
     def instance_holds(self, n: int) -> bool:
         """Whether the recurrence instance at n holds numerically; instances that
@@ -351,10 +368,6 @@ class SequenceDef:
 
     def __repr__(self) -> str:
         return f"SequenceDef({self.name!r}, order={self.recurrence.order})"
-
-
-def eval_terms(seq: SequenceDef, lo: int, hi: int) -> list[int]:
-    return seq.terms(lo, hi)
 
 
 # -- consistency checking ---------------------------------------------------------

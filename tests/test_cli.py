@@ -167,6 +167,43 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # W starts at index -2
+        ("eval", "--seq", "W", "--range=-5..3"),
+        # prime enumeration stops at 10^6
+        ("verify", "--claim", "t-prime", "--primes", "5..2000000"),
+    ],
+)
+def test_bad_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_point_error_fails_only_that_point(capsys, tmp_path):
+    n_minus_3 = {"sub": [{"var": "n"}, {"const": "3"}]}
+    claim = {
+        "id": "vanishing-divisor",
+        "lhs": {"div": [{"mul": [{"var": "n"}, n_minus_3]}, n_minus_3]},
+        "rhs": {"var": "n"},
+        "modulus": {"const": "0"},
+        "domain": {"kind": "integers", "start": 1},
+    }
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": [claim]}))
+    code, out, err = run_cli(capsys, "verify", "--claims-file", str(path), "--range", "1..10")
+    assert code == 1
+    (doc,) = json.loads(out)
+    assert doc["points_checked"] == 10
+    assert doc["failures"] == [
+        {"n": 3, "status": "fail", "reason": "ZeroDivisionError: division by zero in expression"}
+    ]
+    assert "Traceback" not in err and "failed at n=3" in err
+
+
 def test_malformed_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--seq", "W", "--range", "abc")
     assert code == 2

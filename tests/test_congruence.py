@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from rc.exactmath import parse_poly, rat_mod
+from rc.exactmath import Poly, RatFunc, parse_poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
     BinomExpr,
@@ -11,8 +12,12 @@ from rc.congruence import (
     C,
     CongruenceClaim,
     Domain,
+    Legendre,
     N,
+    PowInt,
+    SumEvaluator,
     SumNode,
+    SumSpec,
     SUM_T_PRODUCTS_8K9,
     SUM_T_PRODUCTS_16K21,
     SUM_W_SQUARES,
@@ -27,6 +32,7 @@ from rc.congruence import (
     expr_to_json,
     format_report_table,
     get_claim,
+    leg,
     load_claims_document,
     mul,
     primes_in,
@@ -36,7 +42,7 @@ from rc.congruence import (
     suite_range,
     verify_claim_range,
 )
-from rc.sequences import T, W, binom
+from rc.sequences import Affine, GeomFactor, SequenceDef, T, W, binom, recurrence, register_sequence
 from rc.telescoper import find_telescoper, partial_sum
 
 
@@ -51,6 +57,44 @@ def test_eval_sum_examples():
     assert eval_sum(SUM_W_SQUARES, 5) == 7805
     assert eval_sum(SUM_T_PRODUCTS_8K9, 7) == 144079992
     assert eval_sum(SUM_T_PRODUCTS_8K9, 0) == 0  # empty range
+
+
+def _sum_specs(e):
+    if isinstance(e, SumNode):
+        yield e.spec
+        return
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(x):
+                yield from _sum_specs(x)
+
+
+def test_cached_sums_equal_the_fraction_oracle():
+    specs = {
+        spec
+        for claim in builtin_claims()
+        for side in (claim.lhs, claim.rhs, claim.modulus)
+        for spec in _sum_specs(side)
+        if spec.n_free
+    }
+    # the three certificate-backed sums, binom(2k,k) and its /k and /(2k-1) sums
+    assert len(specs) == 7
+    # and term denominators of either sign: 1/(2k-5) and (-3)^(-k)
+    specs.add(SumSpec(RatFunc(Poly([1]), Poly([-5, 2])), (GeomFactor(-3, Affine(0, -1, 0)),)))
+    for spec in specs:
+        # running[i] = sum of F(spec.term(n, k)) over k = lo .. lo+i-1; the
+        # summand does not depend on n
+        running = [F(0)]
+        for k in range(spec.lo, spec.upper.at(300) + 1):
+            running.append(running[-1] + F(spec.term(300, k)))
+        want = [running[max(0, spec.upper.at(n) - spec.lo + 1)] for n in range(301)]
+        ascending, top_first = SumEvaluator(), SumEvaluator()
+        top_first.eval_sum(spec, 300)
+        for n in range(301):
+            for ev in (ascending, top_first):
+                got = ev.eval_sum(spec, n)
+                assert (got.numerator, got.denominator) == (want[n].numerator, want[n].denominator)
 
 
 def test_eval_expr_examples():
@@ -235,6 +279,55 @@ def test_load_claims_document_with_custom_sequence():
     (claim,) = load_claims_document(doc)
     rep = verify_claim_range(claim, 0, 30)
     assert rep.ok and rep.points_checked == 31
+
+
+def test_theorem_13ii_report_is_unchanged():
+    claim = get_claim("theorem-1.3ii")
+    doc = report_to_json(verify_claim_range(claim, *suite_range(claim.claim_id)))
+    doc.pop("wall_time_s")
+    assert doc == {
+        "claim": "theorem-1.3ii",
+        "description": claim.description,
+        "range": [2, 300],
+        "points_checked": 60,
+        "verdict": "pass",
+        "failures": [],
+        "flagged": [
+            {
+                "n": 2,
+                "status": "fail",
+                "lhs": "243",
+                "rhs": "-67",
+                "modulus": "8",
+                "reason": "difference 310 != 0 mod 8",
+            }
+        ],
+        "notes": list(claim.notes),
+    }
+
+
+@pytest.mark.parametrize(
+    "expr, bad, error",
+    [
+        (div(C(1), sub(N, C(3))), [3], "ZeroDivisionError"),
+        (PowInt(2, Bound(1, 0, 2)), [1, 3, 5, 7], "ValueError"),
+        (Legendre(div(N, C(2)), C(3)), [1, 3, 5, 7], "ValueError"),
+        (leg(N, C(4)), list(range(9)), "ValueError"),
+        (seq("W", -5), [0, 1, 2], "ValueError"),
+        (seq("stuck-at-5"), [5, 6, 7, 8], "LeadingCoefficientVanishes"),
+    ],
+)
+def test_an_evaluation_error_fails_only_its_point(expr, bad, error):
+    # (n-4) a(n+1) = 2 (n-4) a(n): the step to a(5) divides by zero
+    stuck = SequenceDef("stuck-at-5", recurrence([Poly([8, -2]), Poly([-4, 1])]), {0: 1})
+    register_sequence(stuck, replace=True)
+    claim = CongruenceClaim("errors", "", expr, expr, C(0), Domain("integers", 0))
+    rep = verify_claim_range(claim, 0, 8)
+    assert rep.points_checked == 9
+    assert [r.n for r in rep.failures] == bad
+    for r in rep.failures:
+        assert r.status == "fail" and r.lhs is None
+        assert r.reason.startswith(error + ": ")
 
 
 def test_report_rendering():

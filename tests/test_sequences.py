@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rc.exactmath import Poly, RatFunc
 from rc.sequences import (
@@ -24,7 +25,6 @@ from rc.sequences import (
     check_recurrence_consistency,
     derived_terms,
     eval_direct,
-    eval_terms,
     get_sequence,
     recurrence,
     sequence_from_json,
@@ -41,19 +41,19 @@ def t_seq():
 
 
 def test_w_terms():
-    assert eval_terms(W, 0, 4) == [-1, -1, 1, 5, 13]
-    assert eval_terms(W, -2, -1) == [0, -1]
+    assert W.terms(0, 4) == [-1, -1, 1, 5, 13]
+    assert W.terms(-2, -1) == [0, -1]
     assert W.term(5) == 29
 
 
 def test_t_terms():
-    assert eval_terms(T, 0, 8) == [1, 1, 3, 7, 19, 51, 141, 393, 1107]
+    assert T.terms(0, 8) == [1, 1, 3, 7, 19, 51, 141, 393, 1107]
 
 
 def test_terms_below_initial_data_raise():
     with pytest.raises(ValueError):
         W.term(-3)
-    assert eval_terms(W, 3, 2) == []
+    assert W.terms(3, 2) == []
 
 
 def test_direct_formula_values():
@@ -152,6 +152,57 @@ def test_non_integer_step_is_an_error():
         seq.term(1)
 
 
+def _fraction_forward(coeffs, initial, hi):
+    """Terms up to index hi by the plain Fraction step, and the failure that
+    stopped it: ("lead", n), ("nonint", index, value) or None."""
+    d = len(coeffs) - 1
+    memo = dict(initial)
+    for idx in range(max(initial) + 1, hi + 1):
+        n = idx - d
+        den = coeffs[d](n)
+        if den == 0:
+            return memo, ("lead", n)
+        val = -sum((coeffs[i](n) * memo[n + i] for i in range(d)), F(0)) / den
+        if val.denominator != 1:
+            return memo, ("nonint", idx, val)
+        memo[idx] = int(val)
+    return memo, None
+
+
+@st.composite
+def _random_recurrences(draw):
+    order = draw(st.integers(1, 3))
+    polys = st.lists(st.integers(-6, 6), max_size=3).map(Poly)
+    coeffs = draw(st.lists(polys, min_size=order, max_size=order))
+    coeffs.append(draw(polys.filter(lambda p: not p.is_zero)))
+    lo = draw(st.integers(-2, 1))
+    values = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order + 1))
+    return coeffs, {lo + i: v for i, v in enumerate(values)}
+
+
+@given(_random_recurrences())
+@settings(max_examples=300, deadline=None)
+def test_integer_fill_matches_fraction_step(case):
+    coeffs, initial = case
+    seq = SequenceDef("r", recurrence(coeffs), initial)
+    hi = max(initial) + 15
+    want, failure = _fraction_forward(coeffs, initial, hi)
+    if failure is None:
+        assert seq.terms(seq.min_index, hi) == [want[i] for i in range(seq.min_index, hi + 1)]
+        return
+    if failure[0] == "lead":
+        with pytest.raises(LeadingCoefficientVanishes) as info:
+            seq.term(hi)
+        assert info.value.n == failure[1]
+    else:
+        with pytest.raises(NonIntegerTerm) as info:
+            seq.term(hi)
+        assert (info.value.n, info.value.value) == failure[1:]
+    # the terms before the failing step are kept
+    top = max(want)
+    assert seq.terms(seq.min_index, top) == [want[i] for i in range(seq.min_index, top + 1)]
+
+
 def test_registry():
     assert get_sequence("W") is W
     assert get_sequence("one") is ONE_SEQ
@@ -164,7 +215,7 @@ def test_sequence_json_round_trip():
         data = sequence_to_json(seq)
         back = sequence_from_json(data)
         assert sequence_to_json(back) == data
-        assert eval_terms(back, back.min_index, 12) == eval_terms(seq, seq.min_index, 12)
+        assert back.terms(back.min_index, 12) == seq.terms(seq.min_index, 12)
 
 
 def test_geometric_factor():
