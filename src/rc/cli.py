@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -68,6 +67,24 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"expected a range like 1..500, got {text!r}") from None
 
 
+def _parse_points(text: str) -> frozenset[int]:
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"expected comma-separated points like 7,11, got {text!r}") from None
+
+
+def _decode(what: str, decode, doc):
+    """decode(doc) for a JSON document from outside; a missing field or a
+    malformed value is bad input."""
+    try:
+        return decode(doc)
+    except KeyError as e:
+        raise UsageError(f"{what} lacks the field {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise UsageError(f"malformed {what}: {e}") from None
+
+
 def _parse_shifts(text: str) -> tuple[int, int]:
     parts = text.split(",")
     try:
@@ -107,13 +124,6 @@ def _emit(doc, out_path: str | None) -> None:
             fh.write(blob)
     else:
         sys.stdout.write(blob)
-
-
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("RC_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -170,7 +180,7 @@ def _cmd_certify(args) -> int:
     else:
         with open(args.certificate) as fh:
             doc = json.load(fh)
-    cert = cert_from_json(doc)
+    cert = _decode("certificate", cert_from_json, doc)
     n_max = _parse_range(args.range)[1] if args.range else 200
     report = certify(cert, n_max)
     _emit(
@@ -192,17 +202,19 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs or _jobs_default()
     claims = []
     if args.claims_file:
         with open(args.claims_file) as fh:
-            claims.extend(load_claims_document(json.load(fh)))
+            claims.extend(_decode("claims file", load_claims_document, json.load(fh)))
     if args.claim:
-        claims.append(get_claim(args.claim))
+        try:
+            claims.append(get_claim(args.claim))
+        except KeyError as e:
+            raise UsageError(e.args[0]) from None
     if not claims:
         claims = builtin_claims()
 
-    exclude = frozenset(int(x) for x in args.exclude.split(",")) if args.exclude else frozenset()
+    exclude = _parse_points(args.exclude) if args.exclude else frozenset()
     reports = []
     evaluator = SumEvaluator()
     for claim in claims:
@@ -215,9 +227,14 @@ def _cmd_verify(args) -> int:
         elif args.range:
             lo, hi = _parse_range(args.range)
         else:
-            lo, hi = suite_range(claim.claim_id)
+            try:
+                lo, hi = suite_range(claim.claim_id)
+            except KeyError:
+                raise UsageError(
+                    f"claim {claim.claim_id!r} has no default range; give --range or --primes"
+                ) from None
         try:
-            reports.append(verify_claim_range(claim, lo, hi, evaluator, jobs=jobs))
+            reports.append(verify_claim_range(claim, lo, hi, evaluator))
         except ValueError as e:  # a range the domain cannot enumerate
             raise UsageError(str(e)) from None
 
@@ -267,7 +284,7 @@ def _span_contains(coords, direction) -> bool:
     return rank == rank_aug
 
 
-def _suite_rows(jobs: int) -> list[SuiteRow]:
+def _suite_rows() -> list[SuiteRow]:
     rows: list[SuiteRow] = []
     evaluator = SumEvaluator()
 
@@ -374,7 +391,7 @@ def _suite_rows(jobs: int) -> list[SuiteRow]:
         lo, hi = suite_range(claim.claim_id)
 
         def run_claim(notes, claim=claim, lo=lo, hi=hi):
-            rep = verify_claim_range(claim, lo, hi, evaluator, jobs=jobs)
+            rep = verify_claim_range(claim, lo, hi, evaluator)
             for r in rep.failures[:3]:
                 notes.append(f"failed at n={r.n}: {r.reason}")
             for r in rep.flagged:
@@ -387,9 +404,8 @@ def _suite_rows(jobs: int) -> list[SuiteRow]:
 
 
 def _cmd_paper_suite(args) -> int:
-    jobs = args.jobs or _jobs_default()
     t0 = time.perf_counter()
-    rows = _suite_rows(jobs)
+    rows = _suite_rows()
     total = time.perf_counter() - t0
     width = max(len(r.name) for r in rows)
     print(f"{'check':<{width}}  {'result':<6}  {'time':>8}")
@@ -465,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", help="integer range, e.g. 1..500")
     p.add_argument("--primes", help="prime range, e.g. 5..300")
     p.add_argument("--exclude", help="comma-separated points to skip")
-    p.add_argument("--jobs", type=int, help="parallel point checks (default RC_JOBS or 1)")
+    p.add_argument("--jobs", type=int, help="accepted and ignored; points are checked in order")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(fn=_cmd_verify)
 
@@ -476,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("paper-suite", help="run the full bundled verification suite")
-    p.add_argument("--jobs", type=int, help="parallel point checks")
+    p.add_argument("--jobs", type=int, help="accepted and ignored; points are checked in order")
     p.add_argument("--out", help="write the suite summary JSON here")
     p.set_defaults(fn=_cmd_paper_suite)
 
@@ -493,9 +509,6 @@ def main(argv=None) -> int:
         return 2
     except UnknownSequence as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,11 +9,16 @@ equality, which also covers degenerate domain points such as a modulus
 expression vanishing at n = 1.
 
 Everything is verified by exact big-integer evaluation of the sums via the
-memoized sequence prefixes; no modular shortcuts, no rounding. Values are
-`int` wherever they are integral by construction (sequence terms, binomials,
-integer constants, and sums, products and differences of these) and
-`Fraction` only where a value is really rational, such as a quotient that is
-not an integer or a prefix of a sum of 1/k terms.
+memoized sequence terms; no modular shortcuts, no rounding. A sum whose
+summand does not mention n is kept as one running sum per summand, a cursor
+at the furthest k read so far: points are checked in ascending order, so each
+point adds only its new terms, and a read below the cursor starts again from
+the sum's lower limit. A range check keeps only the points that do not pass,
+so the live state does not grow with the range beyond the sequence memo.
+Values are `int` wherever they are integral by construction (sequence terms,
+binomials, integer constants, and sums, products and differences of these)
+and `Fraction` only where a value is really rational, such as a quotient that
+is not an integer or a prefix of a sum of 1/k terms.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -23,9 +28,7 @@ fails that point and leaves the rest of the range to be checked.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
@@ -153,7 +156,7 @@ class SeqFactor:
 class SumSpec:
     """sum over k from lo to upper(n) of coeff(k) * product(factors).
 
-    A spec is hashed once, at construction: it keys the prefix cache of
+    A spec is hashed once, at construction: it keys the running sums of
     `SumEvaluator`, and a fresh hash would reach every `Fraction` coefficient
     of `coeff`. The coefficient is also kept as two integer polynomials
     (numerator and denominator scaled by the lcm of their coefficient
@@ -293,43 +296,40 @@ def _reduced(num: int, den: int) -> int | Fraction:
 
 
 class SumEvaluator:
-    """Exact sum evaluation with shared prefix caching.
+    """Exact sum evaluation with one running sum per n-free summand.
 
     When the summand does not mention n (all theorem sums are like that), the
-    prefix sums over k are cached, so verifying a claim over a whole range of
-    n costs one pass over k. Prefix j is stored as an integer numerator
-    nums[j] over dens[j], the lcm (up to sign) of the denominators of the
-    first j + 1 terms. For an integer summand every dens[j] is 1 and the
-    prefix is read as an int; otherwise it is reduced to a `Fraction` only
-    when read. The cache is guarded by a lock; claim checking across points
-    may run in threads.
+    evaluator keeps a cursor (k, num, den) per spec: the sum over lo..k as an
+    integer numerator num over den, the lcm (up to sign) of the denominators
+    of its terms. For an integer summand den stays 1 and the sum is read as an
+    int; otherwise it is reduced to a `Fraction` only when read.
+
+    Cost model: a read at or above the cursor adds only the terms between the
+    cursor and the read and moves the cursor there, so ascending reads add
+    each term once, O(1) per point when n steps by one. A read below the
+    cursor starts again from the spec's lower limit and leaves the cursor at
+    the read. A summand that mentions n is summed from the lower limit at
+    every read, and nothing is kept.
     """
 
     def __init__(self):
-        self._cache: dict[SumSpec, tuple[list[int], list[int]]] = {}
-        self._lock = threading.Lock()
+        self._cursors: dict[SumSpec, tuple[int, int, int]] = {}
 
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
         hi = spec.upper.at(n)
         if hi < spec.lo:
             return 0
-        if not spec.n_free:
-            num, den = 0, 1
-            for num, den in _running_sums(spec, n, spec.lo, hi, num, den):
-                pass
-            return _reduced(num, den)
-        j = hi - spec.lo
-        with self._lock:
-            prefixes = self._cache.get(spec)
-            if prefixes is None:
-                prefixes = self._cache[spec] = ([], [])
-            nums, dens = prefixes
-            if j >= len(nums):
-                num, den = (nums[-1], dens[-1]) if nums else (0, 1)
-                for num, den in _running_sums(spec, n, spec.lo + len(nums), hi, num, den):
-                    nums.append(num)
-                    dens.append(den)
-            return _reduced(nums[j], dens[j])
+        n_free = spec.n_free
+        k, num, den = spec.lo - 1, 0, 1
+        if n_free:
+            cursor = self._cursors.get(spec)
+            if cursor is not None and cursor[0] <= hi:
+                k, num, den = cursor
+        for num, den in _running_sums(spec, n, k + 1, hi, num, den):
+            pass
+        if n_free:
+            self._cursors[spec] = (hi, num, den)
+        return _reduced(num, den)
 
 
 _SHARED_EVALUATOR = SumEvaluator()
@@ -589,17 +589,16 @@ def verify_claim_range(
     evaluator: SumEvaluator | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Check every in-domain point of [lo, hi]; failures are collected, not
-    raised, and the report is ordered by point regardless of parallelism."""
+    """Check every in-domain point of [lo, hi] in ascending order; failures
+    are collected, not raised. Only the results that do not pass are kept, so
+    the values of passing points are freed as soon as they are checked.
+    `jobs` is accepted for compatibility and ignored: points are checked one
+    after another, in order, because the running sums are read in order."""
     ev = evaluator or _SHARED_EVALUATOR
     t0 = time.perf_counter()
     points = claim.domain.points(lo, hi)
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda n: _check_raw(claim, n, ev), points))
-    else:
-        results = [_check_raw(claim, n, ev) for n in points]
-    failures = tuple(r for r in results if r.status != "pass")
+    checked = (_check_raw(claim, n, ev) for n in points)
+    failures = tuple(r for r in checked if r.status != "pass")
     flagged = tuple(_check_raw(claim, n, ev) for n in claim.flag_points)
     return VerificationReport(
         claim_id=claim.claim_id,
@@ -1092,7 +1091,6 @@ def report_to_json(rep: VerificationReport) -> dict:
         "failures": [_result_to_json(r) for r in rep.failures],
         "flagged": [_result_to_json(r) for r in rep.flagged],
         "notes": list(rep.notes),
-        "wall_time_s": round(rep.wall_time, 4),
     }
 
 

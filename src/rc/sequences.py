@@ -6,15 +6,13 @@ direct binomial-sum formula. Terms are memoized integers. The memo is filled
 by a single forward pass in integer arithmetic: the recurrence coefficients
 are integer polynomials evaluated by Horner's rule, and each new term is one
 exact division of an integer combination of the previous terms by the leading
-coefficient, with a nonzero remainder reported as `NonIntegerTerm`. The fill
-is guarded by a lock, after which concurrent reads are safe.
+coefficient, with a nonzero remainder reported as `NonIntegerTerm`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
@@ -303,7 +301,6 @@ class SequenceDef:
         self.direct = direct
         self.min_index = lo
         self._memo: list[int] = [initial[i] for i in range(lo, hi + 1)]
-        self._lock = threading.Lock()
 
     @property
     def max_initial(self) -> int:
@@ -318,22 +315,21 @@ class SequenceDef:
         rec = self.recurrence
         d = rec.order
         memo = self._memo
-        with self._lock:
-            while self.min_index + len(memo) <= hi:
-                idx = self.min_index + len(memo)
-                n = idx - d
-                cs = rec.coeffs_at(n)
-                den = cs[d]
-                if den == 0:
-                    raise LeadingCoefficientVanishes(self.name, n)
-                base = n - self.min_index
-                num = 0
-                for i in range(d):
-                    num -= cs[i] * memo[base + i]
-                val, rem = divmod(num, den)
-                if rem:
-                    raise NonIntegerTerm(self.name, idx, Fraction(num, den))
-                memo.append(val)
+        while self.min_index + len(memo) <= hi:
+            idx = self.min_index + len(memo)
+            n = idx - d
+            cs = rec.coeffs_at(n)
+            den = cs[d]
+            if den == 0:
+                raise LeadingCoefficientVanishes(self.name, n)
+            base = n - self.min_index
+            num = 0
+            for i in range(d):
+                num -= cs[i] * memo[base + i]
+            val, rem = divmod(num, den)
+            if rem:
+                raise NonIntegerTerm(self.name, idx, Fraction(num, den))
+            memo.append(val)
 
     def term(self, i: int) -> int:
         if i < self.min_index:

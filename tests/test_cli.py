@@ -174,6 +174,7 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
         ("eval", "--seq", "W", "--range=-5..3"),
         # prime enumeration stops at 10^6
         ("verify", "--claim", "t-prime", "--primes", "5..2000000"),
+        ("verify", "--claim", "t-prime", "--exclude", "foo"),
     ],
 )
 def test_bad_range_is_usage_error(capsys, argv):
@@ -233,8 +234,46 @@ def test_jobs_flag_gives_same_report(capsys):
         capsys, "verify", "--claim", "theorem-1.3i", "--range", "1..200", "--jobs", "4"
     )
     a, b = json.loads(seq_out)[0], json.loads(par_out)[0]
-    a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def test_verify_output_is_byte_identical(capsys):
+    args = ("verify", "--claim", "theorem-1.3ii", "--range", "2..1000")
+    _, out1, _ = run_cli(capsys, *args)
+    _, out2, _ = run_cli(capsys, *args)
+    assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("certify", {"seq_a": "W"}, "certificate lacks the field 'windows'"),
+        ("verify", {"claims": [{"id": "x"}]}, "claims file lacks the field 'lhs'"),
+        ("verify", {"claims": [{"id": "x", "lhs": {"bogus": 1}}]}, "malformed claims file: "),
+        (
+            "verify",
+            {"claims": [{"id": "x", "lhs": {"var": "n"}, "rhs": {"var": "n"}, "modulus": {"const": "0"}}]},
+            "claim 'x' has no default range; give --range or --primes",
+        ),
+    ],
+)
+def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (command, str(path)) if command == "certify" else (command, "--claims-file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_internal_key_error_is_not_bad_input(monkeypatch):
+    def broken(name):
+        raise KeyError(name)
+
+    monkeypatch.setattr("rc.cli.get_sequence", broken)
+    with pytest.raises(KeyError):
+        main(["eval", "--seq", "W"])
 
 
 def test_module_entry_point_subprocess():
