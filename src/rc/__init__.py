@@ -17,7 +17,7 @@ from .sequences import (
     DerivedSequence,
     Recurrence,
     SequenceDef,
-    SumFormula,
+    SumSpec,
     check_parity_odd,
     check_recurrence_consistency,
     eval_direct,

@@ -182,7 +182,10 @@ def _cmd_certify(args) -> int:
             doc = json.load(fh)
     cert = _decode("certificate", cert_from_json, doc)
     n_max = _parse_range(args.range)[1] if args.range else 200
-    report = certify(cert, n_max)
+    try:
+        report = certify(cert, n_max)
+    except ValueError as e:  # windows, pairs or terms the sequences do not define
+        raise UsageError(str(e)) from None
     _emit(
         {
             "certificate": cert_to_json(cert),

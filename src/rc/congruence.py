@@ -9,7 +9,8 @@ equality, which also covers degenerate domain points such as a modulus
 expression vanishing at n = 1.
 
 Everything is verified by exact big-integer evaluation of the sums via the
-memoized sequence terms; no modular shortcuts, no rounding. A sum whose
+memoized sequence terms; no modular shortcuts, no rounding. Sums are
+`sequences.SumSpec` values (re-exported here with `SeqFactor`). A sum whose
 summand does not mention n is kept as one running sum per summand, a cursor
 at the furthest k read so far: points are checked in ascending order, so each
 point adds only its new terms, and a read below the cursor starts again from
@@ -23,17 +24,20 @@ is not an integer or a prefix of a sum of 1/k terms.
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
 fails that point and leaves the rest of the range to be checked.
+
+A claims file registers its own sequences; it may repeat the definition of a
+built-in sequence (W, T, one) but not change it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner, legendre
+from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre
 from .sequences import (
     Affine,
     BinomFactor,
@@ -41,6 +45,9 @@ from .sequences import (
     GeomFactor,
     LeadingCoefficientVanishes,
     NonIntegerTerm,
+    SeqFactor,
+    SumSpec,
+    _running_sums,
     binom,
     get_sequence,
     register_sequence,
@@ -143,93 +150,6 @@ class Div:
     b: "Expr"
 
 
-# -- finite sums ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeqFactor:
-    name: str
-    shift: int = 0
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """sum over k from lo to upper(n) of coeff(k) * product(factors).
-
-    A spec is hashed once, at construction: it keys the running sums of
-    `SumEvaluator`, and a fresh hash would reach every `Fraction` coefficient
-    of `coeff`. The coefficient is also kept as two integer polynomials
-    (numerator and denominator scaled by the lcm of their coefficient
-    denominators, highest degree first) for `term_parts`.
-    """
-
-    coeff: RatFunc = RatFunc(ONE)
-    factors: tuple = ()
-    lo: int = 0
-    upper: Bound = Bound(1, -1, 1)  # k = lo .. n-1
-    _hash: int = field(init=False, repr=False, compare=False)
-    _int_coeff: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.coeff, self.factors, self.lo, self.upper)))
-        num, den = self.coeff.num.coeffs, self.coeff.den.coeffs
-        scale = math.lcm(*(c.denominator for c in num + den))
-        ints = tuple(tuple((c * scale).numerator for c in reversed(p)) for p in (num, den))
-        object.__setattr__(self, "_int_coeff", ints)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def n_free(self) -> bool:
-        for f in self.factors:
-            if isinstance(f, BinomFactor) and (f.top.cn or f.bottom.cn):
-                return False
-            if isinstance(f, GeomFactor) and f.exp.cn:
-                return False
-        return True
-
-    def term(self, n: int, k: int) -> Fraction:
-        """The summand at (n, k) as a `Fraction`; the reference for `term_parts`."""
-        v = self.coeff(k)
-        for f in self.factors:
-            if v == 0:
-                return v
-            if isinstance(f, SeqFactor):
-                v = v * get_sequence(f.name).term(k + f.shift)
-            else:
-                v = v * f.value(n, k)
-        return v
-
-    def term_parts(self, n: int, k: int) -> tuple[int, int]:
-        """The summand at (n, k) as an integer numerator and a nonzero integer
-        denominator of either sign, not necessarily coprime. Like `term`, it
-        stops at the first zero factor, so later factors are not evaluated."""
-        cnum, cden = self._int_coeff
-        num, den = horner(cnum, k), horner(cden, k)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {k}")
-        if num == 0:
-            return 0, 1
-        for f in self.factors:
-            if isinstance(f, SeqFactor):
-                v = get_sequence(f.name).term(k + f.shift)
-            elif isinstance(f, GeomFactor):
-                e = f.exp.at(n, k)
-                if e < 0:
-                    if f.base == 0:
-                        raise ZeroDivisionError("0 raised to a negative power")
-                    den *= f.base**-e
-                    continue
-                v = f.base**e
-            else:
-                v = f.value(n, k)
-            if v == 0:
-                return 0, 1
-            num *= v
-        return num, den
-
-
 @dataclass(frozen=True)
 class SumNode:
     spec: SumSpec
@@ -271,24 +191,7 @@ def seq(name: str, shift: int = 0) -> SeqRef:
     return SeqRef(name, shift)
 
 
-def _running_sums(spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int):
-    """Yield (num, den) after adding each term k = k_lo..k_hi to num/den.
-
-    den is the lcm (up to sign) of the term denominators so far and num is
-    not reduced against it, so an integer summand keeps den = 1 and runs no
-    gcd."""
-    for k in range(k_lo, k_hi + 1):
-        a, b = spec.term_parts(n, k)
-        if b != 1:
-            if den % b:
-                scale = b // math.gcd(den, b)
-                num *= scale
-                den *= scale
-            a *= den // b
-        elif den != 1:
-            a *= den
-        num += a
-        yield num, den
+# -- finite sums ----------------------------------------------------------------
 
 
 def _reduced(num: int, den: int) -> int | Fraction:
@@ -325,8 +228,7 @@ class SumEvaluator:
             cursor = self._cursors.get(spec)
             if cursor is not None and cursor[0] <= hi:
                 k, num, den = cursor
-        for num, den in _running_sums(spec, n, k + 1, hi, num, den):
-            pass
+        num, den = _running_sums(spec, n, k + 1, hi, num, den)
         if n_free:
             self._cursors[spec] = (hi, num, den)
         return _reduced(num, den)
@@ -383,33 +285,6 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
     if isinstance(e, SumNode):
         return ev.eval_sum(e.spec, n)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def expr_str(e: Expr) -> str:
-    if isinstance(e, Const):
-        return frac_to_str(e.value)
-    if isinstance(e, VarN):
-        return "n"
-    if isinstance(e, SeqRef):
-        return f"{e.name}(n{e.shift:+d})" if e.shift else f"{e.name}(n)"
-    if isinstance(e, Legendre):
-        return f"({expr_str(e.top)}|{expr_str(e.bottom)})"
-    if isinstance(e, PowInt):
-        return f"{e.base}^({e.exp.to_str()})"
-    if isinstance(e, BinomExpr):
-        return f"binom({e.top.to_str()},{e.bottom.to_str()})"
-    if isinstance(e, Add):
-        return "(" + " + ".join(expr_str(t) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "*".join(expr_str(f) for f in e.factors)
-    if isinstance(e, Sub):
-        return f"({expr_str(e.a)} - {expr_str(e.b)})"
-    if isinstance(e, Div):
-        return f"({expr_str(e.a)})/({expr_str(e.b)})"
-    if isinstance(e, SumNode):
-        s = e.spec
-        return f"sum(k={s.lo}..{s.upper.to_str()})"
-    return repr(e)
 
 
 # -- primes ------------------------------------------------------------------------
@@ -616,23 +491,17 @@ def verify_claim_range(
 # -- the built-in catalogue ------------------------------------------------------------
 
 
-def _rf(num: Poly, den: Poly = ONE) -> RatFunc:
-    return RatFunc(num, den)
-
-
-_K = Poly([0, 1])
-
 # summands shared by several claims
 SUM_W_SQUARES = SumSpec(
-    coeff=_rf(Poly([9, 8])),
+    coeff=RatFunc(Poly([9, 8])),
     factors=(SeqFactor("W", 0), SeqFactor("W", 0)),
 )
 SUM_T_PRODUCTS_8K9 = SumSpec(
-    coeff=_rf(Poly([0, 9, 17, 8])),  # k(k+1)(8k+9)
+    coeff=RatFunc(Poly([0, 9, 17, 8])),  # k(k+1)(8k+9)
     factors=(SeqFactor("T", 0), SeqFactor("T", 1)),
 )
 SUM_T_PRODUCTS_16K21 = SumSpec(
-    coeff=_rf(Poly([21, 37, 16])),  # (k+1)(16k+21)
+    coeff=RatFunc(Poly([21, 37, 16])),  # (k+1)(16k+21)
     factors=(SeqFactor("T", 0), SeqFactor("T", 1)),
 )
 
@@ -771,7 +640,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
             claim_id="central-binom-over-k-half",
             description="sum binom(2k,k)/k for 1<=k<=(p-1)/2 vanishes mod p",
             lhs=SumNode(
-                SumSpec(coeff=_rf(ONE, _K), factors=(_CENTRAL_BINOM,), lo=1, upper=Bound(1, -1, 2))
+                SumSpec(coeff=RatFunc(ONE, K), factors=(_CENTRAL_BINOM,), lo=1, upper=Bound(1, -1, 2))
             ),
             rhs=C(0),
             modulus=N,
@@ -781,7 +650,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
             claim_id="central-binom-over-k-full",
             description="sum binom(2k,k)/k for 1<=k<=p-1 vanishes mod p",
             lhs=SumNode(
-                SumSpec(coeff=_rf(ONE, _K), factors=(_CENTRAL_BINOM,), lo=1, upper=Bound(1, -1, 1))
+                SumSpec(coeff=RatFunc(ONE, K), factors=(_CENTRAL_BINOM,), lo=1, upper=Bound(1, -1, 1))
             ),
             rhs=C(0),
             modulus=N,
@@ -808,7 +677,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
             description="sum binom(2k,k)/(2k-1) for 0<=k<=(p-1)/2 is 3(-3|p) - 4(-1|p) mod p",
             lhs=SumNode(
                 SumSpec(
-                    coeff=_rf(ONE, Poly([-1, 2])),
+                    coeff=RatFunc(ONE, Poly([-1, 2])),
                     factors=(_CENTRAL_BINOM,),
                     upper=Bound(1, -1, 2),
                 )
@@ -952,44 +821,8 @@ def expr_to_json(e: Expr) -> dict:
     if isinstance(e, Div):
         return {"div": [expr_to_json(e.a), expr_to_json(e.b)]}
     if isinstance(e, SumNode):
-        return {"sum": _sumspec_to_json(e.spec)}
+        return {"sum": e.spec.to_json()}
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _sum_factor_to_json(f) -> dict:
-    if isinstance(f, SeqFactor):
-        return {"seq": {"name": f.name, "shift": f.shift}}
-    return f.to_json()
-
-
-def _sumspec_to_json(s: SumSpec) -> dict:
-    return {
-        "coeff": {"num": s.coeff.num.to_json(), "den": s.coeff.den.to_json()},
-        "factors": [_sum_factor_to_json(f) for f in s.factors],
-        "lo": s.lo,
-        "upper": s.upper.to_str(),
-    }
-
-
-def _sum_factor_from_json(d: dict):
-    if "seq" in d:
-        return SeqFactor(d["seq"]["name"], int(d["seq"].get("shift", 0)))
-    if "binom" in d:
-        b = d["binom"]
-        return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
-    if "geom" in d:
-        g = d["geom"]
-        return GeomFactor(int(g["base"]), Affine.from_json(g["exp"]))
-    raise ValueError(f"unknown sum factor {d!r}")
-
-
-def _sumspec_from_json(d: dict) -> SumSpec:
-    return SumSpec(
-        coeff=RatFunc(Poly.from_json(d["coeff"]["num"]), Poly.from_json(d["coeff"]["den"])),
-        factors=tuple(_sum_factor_from_json(f) for f in d.get("factors", [])),
-        lo=int(d.get("lo", 0)),
-        upper=Bound.from_str(d["upper"]),
-    )
 
 
 def expr_from_json(d: dict) -> Expr:
@@ -1018,7 +851,7 @@ def expr_from_json(d: dict) -> Expr:
         a, b = d["div"]
         return Div(expr_from_json(a), expr_from_json(b))
     if "sum" in d:
-        return SumNode(_sumspec_from_json(d["sum"]))
+        return SumNode(SumSpec.from_json(d["sum"]))
     raise ValueError(f"unknown expression node {d!r}")
 
 
@@ -1061,7 +894,9 @@ def claim_from_json(d: dict) -> CongruenceClaim:
 
 def load_claims_document(doc: dict) -> list[CongruenceClaim]:
     """Claims file: {"sequences": [...], "claims": [...]}; sequences are
-    registered so the claims can reference them."""
+    registered so the claims can reference them. A file may repeat the
+    definition of a built-in sequence (an exported catalogue does) but not
+    change it (see `register_sequence`)."""
     for seq_doc in doc.get("sequences", []):
         register_sequence(sequence_from_json(seq_doc), replace=True)
     return [claim_from_json(c) for c in doc.get("claims", [])]

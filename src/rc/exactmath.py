@@ -25,6 +25,8 @@ __all__ = [
     "ZERO",
     "ONE",
     "K",
+    "RF_ZERO",
+    "RF_ONE",
     "poly",
     "horner",
     "parse_poly",

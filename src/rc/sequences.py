@@ -2,11 +2,17 @@
 
 A sequence is a linear recurrence with polynomial coefficients plus enough
 initial values (negative indices allowed), optionally cross-checked against a
-direct binomial-sum formula. Terms are memoized integers. The memo is filled
-by a single forward pass in integer arithmetic: the recurrence coefficients
-are integer polynomials evaluated by Horner's rule, and each new term is one
-exact division of an integer combination of the previous terms by the leading
+direct formula. Terms are memoized integers. The memo is filled by a single
+forward pass in integer arithmetic: the recurrence coefficients are integer
+polynomials evaluated by Horner's rule, and each new term is one exact
+division of an integer combination of the previous terms by the leading
 coefficient, with a nonzero remainder reported as `NonIntegerTerm`.
+
+`SumSpec` is the one finite sum over k: a rational coefficient in k times
+binomial, geometric and sequence-term factors. It serves as a sequence's
+direct formula (which takes no sequence-term factors) and as the sum node of
+a congruence claim, with one JSON codec and one accumulation loop
+(`_running_sums`) for both.
 """
 
 from __future__ import annotations
@@ -15,16 +21,17 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner
+from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner, poly
 
 __all__ = [
     "Affine",
     "Bound",
     "BinomFactor",
     "GeomFactor",
-    "SumFormula",
+    "SeqFactor",
+    "SumSpec",
     "Recurrence",
     "SequenceDef",
     "DerivedSequence",
@@ -152,7 +159,7 @@ class Bound:
         return cls(cn, c, den)
 
 
-# -- direct binomial-sum formulas ----------------------------------------------
+# -- finite sums ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -184,35 +191,152 @@ class GeomFactor:
         return {"geom": {"base": self.base, "exp": self.exp.to_json()}}
 
 
-Factor = Union[BinomFactor, GeomFactor]
+@dataclass(frozen=True)
+class SeqFactor:
+    """The sequence term name(k + shift); a summand of a claim may hold it,
+    the direct formula of a sequence may not."""
+
+    name: str
+    shift: int = 0
+
+    def to_json(self) -> dict:
+        return {"seq": {"name": self.name, "shift": self.shift}}
+
+
+def _factor_of(d: dict):
+    if "seq" in d:
+        return SeqFactor(d["seq"]["name"], int(d["seq"].get("shift", 0)))
+    if "binom" in d:
+        b = d["binom"]
+        return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
+    if "geom" in d:
+        g = d["geom"]
+        return GeomFactor(int(g["base"]), Affine.from_json(g["exp"]))
+    raise ValueError(f"unknown sum factor {d!r}")
 
 
 @dataclass(frozen=True)
-class SumFormula:
-    """sum over k of coeff(k) * product(factors) with k from lo to upper(n)."""
+class SumSpec:
+    """sum over k from lo to upper(n) of coeff(k) * product(factors).
 
-    factors: tuple[Factor, ...]
+    A spec is hashed once, at construction: it keys the running sums of
+    `congruence.SumEvaluator`, and a fresh hash would reach every `Fraction`
+    coefficient of `coeff`. The coefficient is also kept as two integer
+    polynomials (numerator and denominator scaled by the lcm of their
+    coefficient denominators, highest degree first) for `term_parts`.
+    """
+
     coeff: RatFunc = RatFunc(ONE)
+    factors: tuple = ()
     lo: int = 0
-    upper: Bound = Bound(1, 0, 1)
+    upper: Bound = Bound(1, -1, 1)  # k = lo .. n-1
+    _hash: int = field(init=False, repr=False, compare=False)
+    _int_coeff: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeff, self.factors, self.lo, self.upper)))
+        num, den = self.coeff.num.coeffs, self.coeff.den.coeffs
+        scale = math.lcm(*(c.denominator for c in num + den))
+        ints = tuple(tuple((c * scale).numerator for c in reversed(p)) for p in (num, den))
+        object.__setattr__(self, "_int_coeff", ints)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def n_free(self) -> bool:
+        for f in self.factors:
+            if isinstance(f, BinomFactor) and (f.top.cn or f.bottom.cn):
+                return False
+            if isinstance(f, GeomFactor) and f.exp.cn:
+                return False
+        return True
 
     def term(self, n: int, k: int) -> Fraction:
+        """The summand at (n, k) as a `Fraction`; the reference for `term_parts`."""
         v = self.coeff(k)
         for f in self.factors:
             if v == 0:
                 return v
-            v = v * f.value(n, k)
+            if isinstance(f, SeqFactor):
+                v = v * get_sequence(f.name).term(k + f.shift)
+            else:
+                v = v * f.value(n, k)
         return v
 
+    def term_parts(self, n: int, k: int) -> tuple[int, int]:
+        """The summand at (n, k) as an integer numerator and a nonzero integer
+        denominator of either sign, not necessarily coprime. Like `term`, it
+        stops at the first zero factor, so later factors are not evaluated."""
+        cnum, cden = self._int_coeff
+        num, den = horner(cnum, k), horner(cden, k)
+        if den == 0:
+            raise ZeroDivisionError(f"denominator vanishes at {k}")
+        if num == 0:
+            return 0, 1
+        for f in self.factors:
+            if isinstance(f, SeqFactor):
+                v = get_sequence(f.name).term(k + f.shift)
+            elif isinstance(f, GeomFactor):
+                e = f.exp.at(n, k)
+                if e < 0:
+                    if f.base == 0:
+                        raise ZeroDivisionError("0 raised to a negative power")
+                    den *= f.base**-e
+                    continue
+                v = f.base**e
+            else:
+                v = f.value(n, k)
+            if v == 0:
+                return 0, 1
+            num *= v
+        return num, den
 
-def eval_direct(formula: SumFormula, n: int) -> Fraction:
+    def to_json(self) -> dict:
+        return {
+            "coeff": {"num": self.coeff.num.to_json(), "den": self.coeff.den.to_json()},
+            "factors": [f.to_json() for f in self.factors],
+            "lo": self.lo,
+            "upper": self.upper.to_str(),
+        }
+
+    @classmethod
+    def from_json(cls, d: dict) -> "SumSpec":
+        return cls(
+            coeff=RatFunc(Poly.from_json(d["coeff"]["num"]), Poly.from_json(d["coeff"]["den"])),
+            factors=tuple(_factor_of(f) for f in d.get("factors", [])),
+            lo=int(d.get("lo", 0)),
+            upper=Bound.from_str(d["upper"]),
+        )
+
+
+def _running_sums(
+    spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int
+) -> tuple[int, int]:
+    """(num, den) after adding each term k = k_lo..k_hi to num/den.
+
+    den is the lcm (up to sign) of the term denominators so far and num is
+    not reduced against it, so an integer summand keeps den = 1 and runs no
+    gcd."""
+    for k in range(k_lo, k_hi + 1):
+        a, b = spec.term_parts(n, k)
+        if b != 1:
+            if den % b:
+                scale = b // math.gcd(den, b)
+                num *= scale
+                den *= scale
+            a *= den // b
+        elif den != 1:
+            a *= den
+        num += a
+    return num, den
+
+
+def eval_direct(spec: SumSpec, n: int) -> Fraction:
     """Exact value of the sum at integer n >= 0."""
     if n < 0:
         raise ValueError("direct formulas are defined for n >= 0")
-    total = Fraction(0)
-    for k in range(formula.lo, formula.upper.at(n) + 1):
-        total += formula.term(n, k)
-    return total
+    return Fraction(*_running_sums(spec, n, spec.lo, spec.upper.at(n), 0, 1))
 
 
 # -- recurrences ------------------------------------------------------------------
@@ -283,7 +407,7 @@ class SequenceDef:
         name: str,
         rec: Recurrence,
         initial: dict[int, int],
-        direct: SumFormula | None = None,
+        direct: SumSpec | None = None,
     ):
         if not initial:
             raise ValueError("initial data must not be empty")
@@ -295,6 +419,8 @@ class SequenceDef:
         for v in initial.values():
             if not isinstance(v, int):
                 raise ValueError("initial values must be integers")
+        if direct is not None and any(isinstance(f, SeqFactor) for f in direct.factors):
+            raise ValueError("a direct formula takes no seq factors")
         self.name = name
         self.recurrence = rec
         self.initial = dict(initial)
@@ -470,21 +596,17 @@ def trinomial_middle(n: int) -> int:
 # -- registry and builtins -------------------------------------------------------------
 
 
-def _poly(*coeffs) -> Poly:
-    return Poly(coeffs)
-
-
 W = SequenceDef(
     "W",
     # (n+3) a(n+3) = -3(n+1) a(n) + (n-5) a(n+1) + (3n+7) a(n+2)
-    recurrence([_poly(3, 3), _poly(5, -1), _poly(-7, -3), _poly(3, 1)]),
+    recurrence([poly(3, 3), poly(5, -1), poly(-7, -3), poly(3, 1)]),
     {-2: 0, -1: -1, 0: -1, 1: -1},
-    SumFormula(
+    SumSpec(
         factors=(
             BinomFactor(Affine(1, 0, 0), Affine(0, 2, 0)),
             BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0)),
         ),
-        coeff=RatFunc(ONE, _poly(-1, 2)),
+        coeff=RatFunc(ONE, poly(-1, 2)),
         upper=Bound(1, 0, 2),
     ),
 )
@@ -492,11 +614,11 @@ W = SequenceDef(
 T = SequenceDef(
     "T",
     # (n+2) a(n+2) = (2n+3) a(n+1) + 3(n+1) a(n)
-    recurrence([_poly(3, 3), _poly(3, 2), _poly(-2, -1)]),
+    recurrence([poly(3, 3), poly(3, 2), poly(-2, -1)]),
     # a(-1) is a free choice: its recurrence coefficient 3(n+1) vanishes at
     # n=-1; zero keeps window values defined at the summation boundary.
     {-1: 0, 0: 1, 1: 1},
-    SumFormula(
+    SumSpec(
         factors=(
             BinomFactor(Affine(1, 0, 0), Affine(0, 2, 0)),
             BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0)),
@@ -505,7 +627,7 @@ T = SequenceDef(
     ),
 )
 
-T_PAIR_FORMULA = SumFormula(
+T_PAIR_FORMULA = SumSpec(
     factors=(
         BinomFactor(Affine(1, 0, 0), Affine(0, 1, 0)),
         BinomFactor(Affine(1, -1, 0), Affine(0, 1, 0)),
@@ -515,15 +637,24 @@ T_PAIR_FORMULA = SumFormula(
 
 ONE_SEQ = SequenceDef(
     "one",
-    recurrence([_poly(-1), _poly(1)]),
+    recurrence([poly(-1), poly(1)]),
     {0: 1},
-    SumFormula(factors=(), upper=Bound(0, 0, 1)),
+    SumSpec(factors=(), upper=Bound(0, 0, 1)),
 )
 
-_REGISTRY: dict[str, SequenceDef] = {}
+_BUILTINS = {seq.name: seq for seq in (W, T, ONE_SEQ)}
+_REGISTRY: dict[str, SequenceDef] = dict(_BUILTINS)
 
 
 def register_sequence(seq: SequenceDef, replace: bool = False) -> SequenceDef:
+    """Register seq under its name and return the registered sequence. A
+    built-in is never replaced: a sequence with its definition leaves the
+    built-in and its memo in place, and any other definition is an error."""
+    builtin = _BUILTINS.get(seq.name)
+    if builtin is not None:
+        if sequence_to_json(seq) != sequence_to_json(builtin):
+            raise ValueError(f"the built-in sequence {seq.name!r} may not be redefined")
+        return builtin
     if seq.name in _REGISTRY and not replace:
         raise ValueError(f"sequence {seq.name!r} is already registered")
     _REGISTRY[seq.name] = seq
@@ -541,43 +672,7 @@ def builtin_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-for _seq in (W, T, ONE_SEQ):
-    register_sequence(_seq)
-
-
 # -- JSON ------------------------------------------------------------------------------
-
-
-def _factor_to_json(f: Factor) -> dict:
-    return f.to_json()
-
-
-def _factor_from_json(d: dict) -> Factor:
-    if "binom" in d:
-        b = d["binom"]
-        return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
-    if "geom" in d:
-        g = d["geom"]
-        return GeomFactor(int(g["base"]), Affine.from_json(g["exp"]))
-    raise ValueError(f"unknown factor {d!r}")
-
-
-def formula_to_json(f: SumFormula) -> dict:
-    return {
-        "factors": [_factor_to_json(x) for x in f.factors],
-        "coeff": {"num": f.coeff.num.to_json(), "den": f.coeff.den.to_json()},
-        "lo": f.lo,
-        "upper": f.upper.to_str(),
-    }
-
-
-def formula_from_json(d: dict) -> SumFormula:
-    return SumFormula(
-        factors=tuple(_factor_from_json(x) for x in d.get("factors", [])),
-        coeff=RatFunc(Poly.from_json(d["coeff"]["num"]), Poly.from_json(d["coeff"]["den"])),
-        lo=int(d.get("lo", 0)),
-        upper=Bound.from_str(d["upper"]),
-    )
 
 
 def sequence_to_json(seq: SequenceDef) -> dict:
@@ -587,7 +682,7 @@ def sequence_to_json(seq: SequenceDef) -> dict:
         "initial": {str(i): str(v) for i, v in sorted(seq.initial.items())},
     }
     if seq.direct is not None:
-        out["direct"] = formula_to_json(seq.direct)
+        out["direct"] = seq.direct.to_json()
     return out
 
 
@@ -596,5 +691,5 @@ def sequence_from_json(d: dict) -> SequenceDef:
         name=d["name"],
         rec=Recurrence.from_json(d["recurrence"]),
         initial={int(i): int(v) for i, v in d["initial"].items()},
-        direct=formula_from_json(d["direct"]) if d.get("direct") else None,
+        direct=SumSpec.from_json(d["direct"]) if d.get("direct") else None,
     )

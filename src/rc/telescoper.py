@@ -10,7 +10,9 @@ Delta_k F(k) = F(k+1) - F(k), where i and j run over the windows. Shifts
 outside a window are rewritten into it through the recurrence, the defining
 equation is cleared of denominators and read off coefficient-by-coefficient
 in powers of k, and the resulting exact linear system is solved by
-fraction-free integer elimination (`exactmath.nullspace`).
+fraction-free integer elimination (`exactmath.nullspace`). The pair list and
+the reductions of the shifted and target pairs are computed by one helper,
+`_pair_setup`, for both the solver's system and `certify`'s recheck.
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -29,6 +31,8 @@ from typing import Iterable, Mapping, Sequence
 from .exactmath import (
     K,
     ONE,
+    RF_ONE,
+    RF_ZERO,
     Poly,
     RatFunc,
     ZERO,
@@ -55,9 +59,6 @@ __all__ = [
     "cert_to_json",
     "cert_from_json",
 ]
-
-_RF_ZERO = RatFunc(ZERO)
-
 
 @dataclass(frozen=True)
 class ShiftWindow:
@@ -98,9 +99,8 @@ def _search_setup(
     seq_a, seq_b, target_shifts, window_a, window_b, symmetric: bool | None
 ) -> tuple[SequenceDef, SequenceDef, tuple[int, int], ShiftWindow, ShiftWindow, bool]:
     """Resolve the factors, target shifts, windows and symmetric mode of a
-    search. A missing window defaults to the `order` shifts ending at 0;
-    symmetric mode (the default for a square) needs one sequence and one
-    window for both factors."""
+    search. A missing window defaults to the `order` shifts ending at 0, or
+    in symmetric mode (the default for a square) to the first window."""
     a = _resolve(seq_a)
     b = ONE_SEQ if seq_b is None else _resolve(seq_b)
     if isinstance(target_shifts, int):
@@ -109,14 +109,10 @@ def _search_setup(
     wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
     if symmetric is None:
         symmetric = a.name == b.name
-    if symmetric:
-        if a.name != b.name:
-            raise ValueError("symmetric mode needs both factors to be the same sequence")
-        if window_b is not None and _as_window(window_b) != wa:
-            raise ValueError("symmetric mode uses a single window for both factors")
-        wb = wa
-    elif window_b is not None:
+    if window_b is not None:
         wb = _as_window(window_b)
+    elif symmetric:
+        wb = wa
     elif b is ONE_SEQ:
         wb = ShiftWindow(0, 0)
     else:
@@ -140,8 +136,8 @@ def _reduction_table(
     cs = rec.coeffs
     vecs: dict[int, list[RatFunc]] = {}
     for s in window.shifts():
-        unit = [_RF_ZERO] * d
-        unit[s - window.lo] = RatFunc(ONE)
+        unit = [RF_ZERO] * d
+        unit[s - window.lo] = RF_ONE
         vecs[s] = unit
 
     need = list(shifts)
@@ -150,7 +146,7 @@ def _reduction_table(
     while top < hi_m:
         m = top + 1
         den = cs[d].shift(m - d)
-        vec = [_RF_ZERO] * d
+        vec = [RF_ZERO] * d
         for i in range(d):
             coef = RatFunc(-cs[i].shift(m - d), den)
             prev = vecs[m - d + i]
@@ -168,7 +164,7 @@ def _reduction_table(
                 "coefficient is the zero polynomial"
             )
         den = cs[0].shift(m)
-        vec = [_RF_ZERO] * d
+        vec = [RF_ZERO] * d
         for i in range(1, d + 1):
             coef = RatFunc(-cs[i].shift(m), den)
             prev = vecs[m + i]
@@ -205,6 +201,44 @@ def _pair_reduction(
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
+def _pair_setup(
+    seq_a: SequenceDef,
+    seq_b: SequenceDef,
+    wa: ShiftWindow,
+    wb: ShiftWindow,
+    target: tuple[int, int],
+    symmetric: bool,
+) -> tuple[list, dict, dict, tuple[list[int], list[int]]]:
+    """The setup shared by `_build_system` and `certify`: the pairs (i, j) of
+    the window basis; the reductions into that basis of each shifted pair
+    a(k+1+i) b(k+1+j), keyed by (i, j), and of the target pair
+    a(k+sa) b(k+sb); and the shifts of a and of b that were reduced.
+
+    Symmetric mode, which reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair,
+    needs the same sequence and a single window for both factors."""
+    if symmetric and (seq_a.name != seq_b.name or wa != wb):
+        raise ValueError(
+            "symmetric mode needs the same sequence and a single window for both factors"
+        )
+    sa, sb = target
+    shifts_a = sorted({i + 1 for i in wa.shifts()} | {sa})
+    shifts_b = sorted({j + 1 for j in wb.shifts()} | {sb})
+    vecs_a, vecs_b = (
+        _reduction_table(seq.recurrence, w, ms)
+        for seq, w, ms in ((seq_a, wa, shifts_a), (seq_b, wb, shifts_b))
+    )
+    if symmetric:
+        pairs = [(i, j) for i in wa.shifts() for j in wa.shifts() if i <= j]
+    else:
+        pairs = [(i, j) for i in wa.shifts() for j in wb.shifts()]
+    shifted = {
+        (i, j): _pair_reduction(vecs_a[i + 1], vecs_b[j + 1], wa, wb, symmetric)
+        for (i, j) in pairs
+    }
+    target_red = _pair_reduction(vecs_a[sa], vecs_b[sb], wa, wb, symmetric)
+    return pairs, shifted, target_red, (shifts_a, shifts_b)
+
+
 # -- certificates ----------------------------------------------------------------
 
 
@@ -220,11 +254,6 @@ class TelescoperCertificate:
     p: Poly
     g: dict[tuple[int, int], Poly]
     symmetric: bool
-
-    def pairs(self) -> list[tuple[int, int]]:
-        if self.symmetric:
-            return [(i, j) for i in self.window_a.shifts() for j in self.window_a.shifts() if i <= j]
-        return [(i, j) for i in self.window_a.shifts() for j in self.window_b.shifts()]
 
     def g_at(self, i: int, j: int) -> Poly:
         return self.g.get((i, j), ZERO)
@@ -309,22 +338,7 @@ def _build_system(
     deg: int,
     symmetric: bool,
 ) -> ReducedSystem:
-    sa, sb = target
-    shifted_a = sorted({i + 1 for i in wa.shifts()} | {sa})
-    shifted_b = sorted({j + 1 for j in wb.shifts()} | {sb})
-    vecs_a = _reduction_table(seq_a.recurrence, wa, shifted_a)
-    vecs_b = _reduction_table(seq_b.recurrence, wb, shifted_b)
-
-    if symmetric:
-        pairs = [(i, j) for i in wa.shifts() for j in wa.shifts() if i <= j]
-    else:
-        pairs = [(i, j) for i in wa.shifts() for j in wb.shifts()]
-
-    shifted = {
-        (i, j): _pair_reduction(vecs_a[i + 1], vecs_b[j + 1], wa, wb, symmetric)
-        for (i, j) in pairs
-    }
-    target_red = _pair_reduction(vecs_a[sa], vecs_b[sb], wa, wb, symmetric)
+    pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
 
     columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
     columns += [("p", u) for u in range(len(p_basis))]
@@ -383,7 +397,8 @@ def _build_system(
                 rows.append(("coeff", st[0], st[1], e))
                 matrix.append(row)
 
-    for k0 in _boundary_points(seq_a, seq_b, wa, wb, shifted_a, shifted_b):
+    sa, sb = target
+    for k0 in _boundary_points(seq_a, seq_b, wa, wb, *shifts):
         row = [Fraction(0)] * len(columns)
         for (i, j) in pairs:
             m0 = seq_a.term(k0 + i) * seq_b.term(k0 + j)
@@ -568,36 +583,28 @@ def certify(cert: TelescoperCertificate, n_max: int = 200) -> CertifyReport:
     Numeric half: compare S(n) - S(0) with the directly accumulated sum of
     p(k) a(k+sa) b(k+sb) for 1 <= n <= n_max, exactly.
     """
-    a = _resolve(cert.seq_a)
-    b = _resolve(cert.seq_b)
-    wa, wb = cert.window_a, cert.window_b
-    sa, sb = cert.target_shifts
-
-    shifted_a = sorted({i + 1 for i in wa.shifts()} | {sa})
-    shifted_b = sorted({j + 1 for j in wb.shifts()} | {sb})
-    vecs_a = _reduction_table(a.recurrence, wa, shifted_a)
-    vecs_b = _reduction_table(b.recurrence, wb, shifted_b)
-
-    if cert.symmetric:
-        pairs = [(i, j) for i in wa.shifts() for j in wa.shifts() if i <= j]
-    else:
-        pairs = [(i, j) for i in wa.shifts() for j in wb.shifts()]
+    pairs, shifted, target_red, _ = _pair_setup(
+        _resolve(cert.seq_a),
+        _resolve(cert.seq_b),
+        cert.window_a,
+        cert.window_b,
+        cert.target_shifts,
+        cert.symmetric,
+    )
     stray = set(cert.g) - set(pairs)
     if stray:
         raise ValueError(f"certificate has g entries outside its windows: {sorted(stray)}")
 
-    balance: dict[tuple[int, int], RatFunc] = {st: _RF_ZERO for st in pairs}
+    balance: dict[tuple[int, int], RatFunc] = {st: RF_ZERO for st in pairs}
     for (i, j) in pairs:
         g = cert.g_at(i, j)
         if g.is_zero:
             continue
         g_shift = RatFunc(g.shift(1))
-        for st, coef in _pair_reduction(
-            vecs_a[i + 1], vecs_b[j + 1], wa, wb, cert.symmetric
-        ).items():
+        for st, coef in shifted[(i, j)].items():
             balance[st] = balance[st] + g_shift * coef
         balance[(i, j)] = balance[(i, j)] - RatFunc(g)
-    for st, coef in _pair_reduction(vecs_a[sa], vecs_b[sb], wa, wb, cert.symmetric).items():
+    for st, coef in target_red.items():
         balance[st] = balance[st] - RatFunc(cert.p) * coef
 
     residuals = tuple(
@@ -760,12 +767,15 @@ def cert_from_json(data: Mapping) -> TelescoperCertificate:
         (int(e["i"]), int(e["j"])): Poly.from_json(e["poly"])
         for e in data["g"]
     }
+    target = tuple(int(x) for x in data["target_shifts"])
+    if len(target) != 2:
+        raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
     return TelescoperCertificate(
         seq_a=data["seqA"],
         seq_b=data["seqB"],
         window_a=wa,
         window_b=wb,
-        target_shifts=tuple(int(x) for x in data["target_shifts"]),
+        target_shifts=target,
         p=Poly.from_json(data["p"]),
         g=g,
         symmetric=bool(data.get("symmetric", data["seqA"] == data["seqB"])),

@@ -1,10 +1,16 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rc.cli import main
+from rc.sequences import get_sequence, sequence_to_json
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +250,30 @@ def test_verify_output_is_byte_identical(capsys):
     assert out1 == out2
 
 
+# the (8k+9) W(k)^2 certificate over the window -2..0
+W_CERT = {
+    "seqA": "W",
+    "seqB": "W",
+    "windows": {"a": [-2, 0], "b": [-2, 0]},
+    "target_shifts": [0, 0],
+    "symmetric": True,
+    "p": ["9", "8"],
+    "g": [
+        {"i": -2, "j": -1, "poly": ["0", "-9/2", "9/2"]},
+        {"i": -2, "j": 0, "poly": ["0", "3/2", "-3/2"]},
+        {"i": -1, "j": -1, "poly": ["0", "21/2", "-3/2"]},
+        {"i": -1, "j": 0, "poly": ["0", "-1/2", "1/2"]},
+    ],
+}
+
+
+def _with_seq_factor_in_direct():
+    seq = sequence_to_json(get_sequence("T"))
+    seq["name"] = "T2"
+    seq["direct"]["factors"].append({"seq": {"name": "W", "shift": 0}})
+    return {"sequences": [seq], "claims": []}
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -255,6 +285,26 @@ def test_verify_output_is_byte_identical(capsys):
             {"claims": [{"id": "x", "lhs": {"var": "n"}, "rhs": {"var": "n"}, "modulus": {"const": "0"}}]},
             "claim 'x' has no default range; give --range or --primes",
         ),
+        (
+            "certify",
+            {**W_CERT, "windows": {"a": [-1, 0], "b": [-1, 0]}, "g": []},
+            "window -1..0 does not match recurrence order 3",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": W_CERT["g"] + [{"i": 0, "j": 1, "poly": ["1"]}]},
+            "certificate has g entries outside its windows: [(0, 1)]",
+        ),
+        (
+            "certify",
+            {**W_CERT, "target_shifts": [0, 0, 0]},
+            "malformed certificate: target_shifts must hold two shifts, got 3",
+        ),
+        (
+            "verify",
+            _with_seq_factor_in_direct(),
+            "malformed claims file: a direct formula takes no seq factors",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
@@ -265,6 +315,63 @@ def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_claims_file_may_not_redefine_a_builtin_sequence(capsys, tmp_path):
+    w = sequence_to_json(get_sequence("W"))
+    w.pop("direct")
+    w["recurrence"] = {"coeffs": [["-2"], ["1"]]}  # W(n+1) = 2 W(n)
+    w["initial"] = {"0": "1"}
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"sequences": [w], "claims": []}))
+    argv = ("verify", "--claims-file", str(path), "--claim", "theorem-1.1i", "--range", "1..20")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: malformed claims file: the built-in sequence 'W' may not be redefined\n"
+    code, out, _ = run_cli(capsys, "verify", "--claim", "theorem-1.1i", "--range", "1..20")
+    assert code == 0
+    assert json.loads(out)[0]["verdict"] == "pass"
+
+
+_SHIFT = st.integers(-3, 3)
+_SEQ = st.sampled_from(["W", "T", "one"])
+_POLY = st.lists(st.integers(-9, 9).map(str), max_size=3)
+_WINDOW = st.tuples(_SHIFT, _SHIFT).map(sorted)
+_G_ENTRY = st.fixed_dictionaries({"i": _SHIFT, "j": _SHIFT, "poly": _POLY})
+_CERT_MUTATIONS = {
+    "seqA": _SEQ,
+    "seqB": _SEQ,
+    "windows": st.fixed_dictionaries({"a": _WINDOW, "b": _WINDOW}),
+    "target_shifts": st.lists(_SHIFT, min_size=1, max_size=3),
+    "symmetric": st.booleans(),
+    "p": _POLY,
+    "g": st.lists(_G_ENTRY, max_size=4),
+}
+
+
+@st.composite
+def _mutated_certificate(draw):
+    """The W certificate with some of its fields replaced."""
+    doc = dict(W_CERT)
+    for key, values in _CERT_MUTATIONS.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_certificate())
+def test_certify_fuzz_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["certify", str(path), "--range", "1..20"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
 def test_internal_key_error_is_not_bad_input(monkeypatch):

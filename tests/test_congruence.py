@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import runpy
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,18 @@ from rc.congruence import (
     suite_range,
     verify_claim_range,
 )
-from rc.sequences import Affine, BinomFactor, GeomFactor, SequenceDef, T, W, binom, recurrence, register_sequence
+from rc.sequences import (
+    Affine,
+    BinomFactor,
+    GeomFactor,
+    SequenceDef,
+    T,
+    W,
+    binom,
+    get_sequence,
+    recurrence,
+    register_sequence,
+)
 from rc.telescoper import find_telescoper, partial_sum
 
 
@@ -315,6 +328,22 @@ def test_load_claims_document_with_custom_sequence():
     (claim,) = load_claims_document(doc)
     rep = verify_claim_range(claim, 0, 30)
     assert rep.ok and rep.points_checked == 31
+
+
+def test_exported_catalogue_loads_back_with_the_same_verdicts(capsys):
+    script = Path(__file__).parent.parent / "scripts" / "export_claims.py"
+    runpy.run_path(str(script), run_name="__main__")
+    doc = json.loads(capsys.readouterr().out)
+    w = get_sequence("W")
+    claims = load_claims_document(doc)
+    assert get_sequence("W") is w
+    assert [c.claim_id for c in claims] == [c.claim_id for c in builtin_claims()]
+    assert len(claims) == 30
+    for claim in claims:
+        lo, hi = suite_range(claim.claim_id)
+        got = report_to_json(verify_claim_range(claim, lo, hi))
+        want = report_to_json(verify_claim_range(get_claim(claim.claim_id), lo, hi))
+        assert got == want and got["verdict"] == "pass"
 
 
 def test_theorem_13ii_report_is_unchanged():

@@ -14,7 +14,7 @@ from rc.sequences import (
     NonIntegerTerm,
     ONE_SEQ,
     SequenceDef,
-    SumFormula,
+    SumSpec,
     T,
     T_PAIR_FORMULA,
     UnknownSequence,
@@ -244,13 +244,13 @@ def test_bound_parsing_and_printing():
 
 def test_formula_with_coefficient_pole_outside_range():
     # 1/k with summation starting at 1 is fine; starting at 0 blows up
-    f = SumFormula(
+    f = SumSpec(
         factors=(BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0)),),
         coeff=RatFunc(Poly([1]), Poly([0, 1])),
         lo=1,
         upper=Bound(1, 0, 1),
     )
     assert eval_direct(f, 3) == 2 + 3 + F(20, 3)
-    bad = SumFormula(factors=f.factors, coeff=f.coeff, lo=0, upper=f.upper)
+    bad = SumSpec(factors=f.factors, coeff=f.coeff, lo=0, upper=f.upper)
     with pytest.raises(ZeroDivisionError):
         eval_direct(bad, 3)
