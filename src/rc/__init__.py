@@ -22,7 +22,6 @@ from .sequences import (
     check_recurrence_consistency,
     eval_direct,
     get_sequence,
-    register_sequence,
 )
 from .telescoper import (
     ShiftWindow,

@@ -60,11 +60,14 @@ class UsageError(Exception):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """lo..hi with lo <= hi; a reversed range is bad input."""
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
         raise UsageError(f"expected a range like 1..500, got {text!r}") from None
+    if hi < lo:
+        raise UsageError(f"the range {text} is reversed")
+    return lo, hi
 
 
 def _parse_points(text: str) -> frozenset[int]:

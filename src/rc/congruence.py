@@ -25,8 +25,9 @@ An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
 fails that point and leaves the rest of the range to be checked.
 
-A claims file registers its own sequences; it may repeat the definition of a
-built-in sequence (W, T, one) but not change it.
+Sequence references hold their `SequenceDef`: the built-in catalogue is
+built from `W` and `T`, and a claims file is decoded against the built-ins
+plus its own sequences, so loading one changes nothing else.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
-from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre
+from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre, prime_factors
 from .sequences import (
+    BUILTINS,
     Affine,
     BinomFactor,
     Bound,
@@ -46,12 +48,15 @@ from .sequences import (
     LeadingCoefficientVanishes,
     NonIntegerTerm,
     SeqFactor,
+    SequenceDef,
     SumSpec,
+    T,
+    W,
     _running_sums,
     binom,
     get_sequence,
-    register_sequence,
     sequence_from_json,
+    sequence_to_json,
 )
 
 __all__ = [
@@ -106,8 +111,12 @@ class VarN:
 
 @dataclass(frozen=True)
 class SeqRef:
-    name: str
+    seq: SequenceDef
     shift: int = 0
+
+    @property
+    def name(self) -> str:
+        return self.seq.name
 
 
 @dataclass(frozen=True)
@@ -187,10 +196,6 @@ def leg(top: Expr, bottom: Expr) -> Legendre:
     return Legendre(top, bottom)
 
 
-def seq(name: str, shift: int = 0) -> SeqRef:
-    return SeqRef(name, shift)
-
-
 # -- finite sums ----------------------------------------------------------------
 
 
@@ -234,24 +239,22 @@ class SumEvaluator:
         return _reduced(num, den)
 
 
-_SHARED_EVALUATOR = SumEvaluator()
-
-
 def eval_sum(spec: SumSpec, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
-    return (evaluator or _SHARED_EVALUATOR).eval_sum(spec, n)
+    return (evaluator or SumEvaluator()).eval_sum(spec, n)
 
 
 def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
     """Exact value of e at n: an int when the value is integral by
-    construction, else a Fraction (see the module docstring)."""
-    ev = evaluator or _SHARED_EVALUATOR
+    construction, else a Fraction (see the module docstring). Without an
+    evaluator, the sums are read through a fresh one."""
+    ev = evaluator or SumEvaluator()
     if isinstance(e, Const):
         v = e.value
         return v.numerator if v.denominator == 1 else v
     if isinstance(e, VarN):
         return n
     if isinstance(e, SeqRef):
-        return get_sequence(e.name).term(n + e.shift)
+        return e.seq.term(n + e.shift)
     if isinstance(e, Legendre):
         top = eval_expr(e.top, n, ev)
         bottom = eval_expr(e.bottom, n, ev)
@@ -288,21 +291,6 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
 
 
 # -- primes ------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def primes_in(
@@ -346,7 +334,7 @@ class Domain:
             return False
         if self.parity == "odd" and n % 2 == 0:
             return False
-        if self.kind == "primes" and not _is_prime(n):
+        if self.kind == "primes" and prime_factors(n) != [n]:
             return False
         return True
 
@@ -437,7 +425,7 @@ def check_claim_at(
     """pass / fail / out_of_domain for a single point, exactly."""
     if not claim.domain.contains(n):
         return CheckResult(claim.claim_id, n, "out_of_domain")
-    return _check_raw(claim, n, evaluator or _SHARED_EVALUATOR)
+    return _check_raw(claim, n, evaluator or SumEvaluator())
 
 
 @dataclass(frozen=True)
@@ -462,14 +450,11 @@ def verify_claim_range(
     lo: int,
     hi: int,
     evaluator: SumEvaluator | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check every in-domain point of [lo, hi] in ascending order; failures
     are collected, not raised. Only the results that do not pass are kept, so
-    the values of passing points are freed as soon as they are checked.
-    `jobs` is accepted for compatibility and ignored: points are checked one
-    after another, in order, because the running sums are read in order."""
-    ev = evaluator or _SHARED_EVALUATOR
+    the values of passing points are freed as soon as they are checked."""
+    ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.points(lo, hi)
     checked = (_check_raw(claim, n, ev) for n in points)
@@ -494,15 +479,15 @@ def verify_claim_range(
 # summands shared by several claims
 SUM_W_SQUARES = SumSpec(
     coeff=RatFunc(Poly([9, 8])),
-    factors=(SeqFactor("W", 0), SeqFactor("W", 0)),
+    factors=(SeqFactor(W, 0), SeqFactor(W, 0)),
 )
 SUM_T_PRODUCTS_8K9 = SumSpec(
     coeff=RatFunc(Poly([0, 9, 17, 8])),  # k(k+1)(8k+9)
-    factors=(SeqFactor("T", 0), SeqFactor("T", 1)),
+    factors=(SeqFactor(T, 0), SeqFactor(T, 1)),
 )
 SUM_T_PRODUCTS_16K21 = SumSpec(
     coeff=RatFunc(Poly([21, 37, 16])),  # (k+1)(16k+21)
-    factors=(SeqFactor("T", 0), SeqFactor("T", 1)),
+    factors=(SeqFactor(T, 0), SeqFactor(T, 1)),
 )
 
 _CENTRAL_BINOM = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
@@ -589,7 +574,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
             claim_id="theorem-1.3i",
             description="2 sum (k+1)(16k+21) T(k) T(k+1) is 9n T(n-1) T(n) mod n^2",
             lhs=mul(C(2), SumNode(SUM_T_PRODUCTS_16K21)),
-            rhs=mul(C(9), N, seq("T", -1), seq("T", 0)),
+            rhs=mul(C(9), N, SeqRef(T, -1), SeqRef(T, 0)),
             modulus=n2,
             domain=Domain("integers", 1),
         ),
@@ -612,7 +597,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="lemma-2.1-wp",
             description="W(p) is -1 - p(1 + 3(-3|p) - 4(-1|p)) mod p^2",
-            lhs=seq("W", 0),
+            lhs=SeqRef(W, 0),
             rhs=sub(
                 C(-1),
                 mul(N, add(C(1), mul(C(3), _LEG_M3P), mul(C(-4), _LEG_M1P))),
@@ -623,7 +608,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="lemma-2.1-wp1",
             description="W(p-1) is 3(-3|p) - 4(-1|p) mod p",
-            lhs=seq("W", -1),
+            lhs=SeqRef(W, -1),
             rhs=add(mul(C(3), _LEG_M3P), mul(C(-4), _LEG_M1P)),
             modulus=N,
             domain=Domain("primes", 5),
@@ -631,7 +616,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="lemma-2.1-wp2",
             description="W(p-2) is 7(-3|p) - 8(-1|p) mod p",
-            lhs=seq("W", -2),
+            lhs=SeqRef(W, -2),
             rhs=add(mul(C(7), _LEG_M3P), mul(C(-8), _LEG_M1P)),
             modulus=N,
             domain=Domain("primes", 5),
@@ -689,7 +674,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="t-prime",
             description="T(p) is 1 mod p^2",
-            lhs=seq("T", 0),
+            lhs=SeqRef(T, 0),
             rhs=C(1),
             modulus=n2,
             domain=Domain("primes", 5),
@@ -697,7 +682,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="t-prime-prev",
             description="T(p-1) is 3^(p-1) (p|3) mod p^2",
-            lhs=seq("T", -1),
+            lhs=SeqRef(T, -1),
             rhs=mul(PowInt(3, Bound(1, -1, 1)), _LEG_P3),
             modulus=n2,
             domain=Domain("primes", 5),
@@ -705,7 +690,7 @@ def _build_claims() -> dict[str, CongruenceClaim]:
         CongruenceClaim(
             claim_id="t-difference",
             description="T(n+1) - 3T(n) vanishes mod n-1",
-            lhs=sub(seq("T", 1), mul(C(3), seq("T", 0))),
+            lhs=sub(SeqRef(T, 1), mul(C(3), SeqRef(T, 0))),
             rhs=C(0),
             modulus=sub(N, C(1)),
             domain=Domain("integers", 2),
@@ -714,8 +699,8 @@ def _build_claims() -> dict[str, CongruenceClaim]:
             claim_id="w-adjacent-products",
             description="(W(n-1)+W(n)) (W(n-2)+W(n-1)) vanishes mod 4",
             lhs=mul(
-                add(seq("W", -1), seq("W", 0)),
-                add(seq("W", -2), seq("W", -1)),
+                add(SeqRef(W, -1), SeqRef(W, 0)),
+                add(SeqRef(W, -2), SeqRef(W, -1)),
             ),
             rhs=C(0),
             modulus=C(4),
@@ -746,21 +731,16 @@ def _build_claims() -> dict[str, CongruenceClaim]:
     return {c.claim_id: c for c in claims}
 
 
-_BUILTIN: dict[str, CongruenceClaim] | None = None
+_BUILTIN_CLAIMS = _build_claims()
 
 
 def builtin_claims() -> list[CongruenceClaim]:
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = _build_claims()
-    return list(_BUILTIN.values())
+    return list(_BUILTIN_CLAIMS.values())
 
 
 def get_claim(claim_id: str) -> CongruenceClaim:
-    builtin_claims()
-    assert _BUILTIN is not None
     try:
-        return _BUILTIN[claim_id]
+        return _BUILTIN_CLAIMS[claim_id]
     except KeyError:
         raise KeyError(f"unknown claim {claim_id!r}") from None
 
@@ -825,33 +805,36 @@ def expr_to_json(e: Expr) -> dict:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_from_json(d: dict) -> Expr:
+def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> Expr:
+    """Decode an expression. Its `seq` nodes and factors name sequences of
+    `sequences` (default: the built-ins); an unknown name raises
+    `UnknownSequence` here, not when the expression is evaluated."""
     if "const" in d:
         return Const(Fraction(d["const"]))
     if "var" in d:
         return N
     if "seq" in d:
-        return SeqRef(d["seq"], int(d.get("shift", 0)))
+        return SeqRef(get_sequence(d["seq"], sequences), int(d.get("shift", 0)))
     if "legendre" in d:
         t, b = d["legendre"]
-        return Legendre(expr_from_json(t), expr_from_json(b))
+        return Legendre(expr_from_json(t, sequences), expr_from_json(b, sequences))
     if "pow" in d:
         return PowInt(int(d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
     if "binom" in d:
         t, b = d["binom"]
         return BinomExpr(Bound.from_str(t), Bound.from_str(b))
     if "add" in d:
-        return Add(tuple(expr_from_json(t) for t in d["add"]))
+        return Add(tuple(expr_from_json(t, sequences) for t in d["add"]))
     if "mul" in d:
-        return Mul(tuple(expr_from_json(f) for f in d["mul"]))
+        return Mul(tuple(expr_from_json(f, sequences) for f in d["mul"]))
     if "sub" in d:
         a, b = d["sub"]
-        return Sub(expr_from_json(a), expr_from_json(b))
+        return Sub(expr_from_json(a, sequences), expr_from_json(b, sequences))
     if "div" in d:
         a, b = d["div"]
-        return Div(expr_from_json(a), expr_from_json(b))
+        return Div(expr_from_json(a, sequences), expr_from_json(b, sequences))
     if "sum" in d:
-        return SumNode(SumSpec.from_json(d["sum"]))
+        return SumNode(SumSpec.from_json(d["sum"], sequences))
     raise ValueError(f"unknown expression node {d!r}")
 
 
@@ -873,14 +856,14 @@ def claim_to_json(c: CongruenceClaim) -> dict:
     }
 
 
-def claim_from_json(d: dict) -> CongruenceClaim:
+def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
     dom = d.get("domain", {})
     return CongruenceClaim(
         claim_id=d["id"],
         description=d.get("description", d["id"]),
-        lhs=expr_from_json(d["lhs"]),
-        rhs=expr_from_json(d["rhs"]),
-        modulus=expr_from_json(d["modulus"]),
+        lhs=expr_from_json(d["lhs"], sequences),
+        rhs=expr_from_json(d["rhs"], sequences),
+        modulus=expr_from_json(d["modulus"], sequences),
         domain=Domain(
             kind=dom.get("kind", "integers"),
             start=int(dom.get("start", 1)),
@@ -893,13 +876,24 @@ def claim_from_json(d: dict) -> CongruenceClaim:
 
 
 def load_claims_document(doc: dict) -> list[CongruenceClaim]:
-    """Claims file: {"sequences": [...], "claims": [...]}; sequences are
-    registered so the claims can reference them. A file may repeat the
-    definition of a built-in sequence (an exported catalogue does) but not
-    change it (see `register_sequence`)."""
+    """Claims file: {"sequences": [...], "claims": [...]}. The claims are
+    decoded against the built-in sequences plus the file's own, so loading
+    a file changes nothing outside its claims. A file may repeat the
+    definition of a built-in sequence (an exported catalogue does), and its
+    claims then use the built-in itself; changing a built-in's definition or
+    defining one name twice is an error."""
+    sequences = dict(BUILTINS)
+    defined = set()
     for seq_doc in doc.get("sequences", []):
-        register_sequence(sequence_from_json(seq_doc), replace=True)
-    return [claim_from_json(c) for c in doc.get("claims", [])]
+        seq = sequence_from_json(seq_doc)
+        if seq.name in defined:
+            raise ValueError(f"the sequence {seq.name!r} is defined twice")
+        defined.add(seq.name)
+        if seq.name not in BUILTINS:
+            sequences[seq.name] = seq
+        elif sequence_to_json(seq) != sequence_to_json(BUILTINS[seq.name]):
+            raise ValueError(f"the built-in sequence {seq.name!r} may not be redefined")
+    return [claim_from_json(c, sequences) for c in doc.get("claims", [])]
 
 
 # -- reports ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "poly_lcm",
     "nullspace",
     "legendre",
+    "prime_factors",
     "rat_mod",
     "frac_to_str",
 ]
@@ -460,6 +461,23 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
 # -- number theory -----------------------------------------------------------
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; [] for
+    0 and +-1, and [n] exactly when n is prime."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def legendre(a: int, m: int) -> int:
     """Jacobi symbol (a/m) for odd m >= 3; equals the Legendre symbol when m is
     prime. Computed by quadratic reciprocity."""
@@ -531,10 +549,6 @@ class _PolyParser:
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, s: str) -> bool:
         self.skip_ws()

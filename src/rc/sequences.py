@@ -13,6 +13,10 @@ binomial, geometric and sequence-term factors. It serves as a sequence's
 direct formula (which takes no sequence-term factors) and as the sum node of
 a congruence claim, with one JSON codec and one accumulation loop
 (`_running_sums`) for both.
+
+A `SeqFactor` holds its `SequenceDef`. Names are resolved once, when a sum
+is decoded, against a name-to-sequence mapping; the default is `BUILTINS`,
+the fixed table of W, T and one.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .exactmath import ONE, Poly, RatFunc, frac_to_str, horner, poly
 
@@ -49,8 +54,8 @@ __all__ = [
     "derived_terms",
     "check_derived_recurrence",
     "trinomial_middle",
+    "BUILTINS",
     "get_sequence",
-    "register_sequence",
     "builtin_names",
     "sequence_to_json",
     "sequence_from_json",
@@ -193,19 +198,24 @@ class GeomFactor:
 
 @dataclass(frozen=True)
 class SeqFactor:
-    """The sequence term name(k + shift); a summand of a claim may hold it,
+    """The sequence term seq(k + shift); a summand of a claim may hold it,
     the direct formula of a sequence may not."""
 
-    name: str
+    seq: "SequenceDef"
     shift: int = 0
+
+    @property
+    def name(self) -> str:
+        return self.seq.name
 
     def to_json(self) -> dict:
         return {"seq": {"name": self.name, "shift": self.shift}}
 
 
-def _factor_of(d: dict):
+def _factor_of(d: dict, sequences: Mapping[str, "SequenceDef"] | None = None):
     if "seq" in d:
-        return SeqFactor(d["seq"]["name"], int(d["seq"].get("shift", 0)))
+        s = d["seq"]
+        return SeqFactor(get_sequence(s["name"], sequences), int(s.get("shift", 0)))
     if "binom" in d:
         b = d["binom"]
         return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
@@ -259,7 +269,7 @@ class SumSpec:
             if v == 0:
                 return v
             if isinstance(f, SeqFactor):
-                v = v * get_sequence(f.name).term(k + f.shift)
+                v = v * f.seq.term(k + f.shift)
             else:
                 v = v * f.value(n, k)
         return v
@@ -276,7 +286,7 @@ class SumSpec:
             return 0, 1
         for f in self.factors:
             if isinstance(f, SeqFactor):
-                v = get_sequence(f.name).term(k + f.shift)
+                v = f.seq.term(k + f.shift)
             elif isinstance(f, GeomFactor):
                 e = f.exp.at(n, k)
                 if e < 0:
@@ -301,10 +311,12 @@ class SumSpec:
         }
 
     @classmethod
-    def from_json(cls, d: dict) -> "SumSpec":
+    def from_json(cls, d: dict, sequences: Mapping[str, "SequenceDef"] | None = None) -> "SumSpec":
+        """Decode a sum; `seq` factors name sequences of `sequences` (default:
+        the built-ins)."""
         return cls(
             coeff=RatFunc(Poly.from_json(d["coeff"]["num"]), Poly.from_json(d["coeff"]["den"])),
-            factors=tuple(_factor_of(f) for f in d.get("factors", [])),
+            factors=tuple(_factor_of(f, sequences) for f in d.get("factors", [])),
             lo=int(d.get("lo", 0)),
             upper=Bound.from_str(d["upper"]),
         )
@@ -593,7 +605,7 @@ def trinomial_middle(n: int) -> int:
     return coeffs[n]
 
 
-# -- registry and builtins -------------------------------------------------------------
+# -- builtins -------------------------------------------------------------
 
 
 W = SequenceDef(
@@ -642,34 +654,23 @@ ONE_SEQ = SequenceDef(
     SumSpec(factors=(), upper=Bound(0, 0, 1)),
 )
 
-_BUILTINS = {seq.name: seq for seq in (W, T, ONE_SEQ)}
-_REGISTRY: dict[str, SequenceDef] = dict(_BUILTINS)
+# the fixed table of built-in sequences; a claims file adds its own sequences
+# to a copy of it (`congruence.load_claims_document`)
+BUILTINS: Mapping[str, SequenceDef] = MappingProxyType({s.name: s for s in (W, T, ONE_SEQ)})
 
 
-def register_sequence(seq: SequenceDef, replace: bool = False) -> SequenceDef:
-    """Register seq under its name and return the registered sequence. A
-    built-in is never replaced: a sequence with its definition leaves the
-    built-in and its memo in place, and any other definition is an error."""
-    builtin = _BUILTINS.get(seq.name)
-    if builtin is not None:
-        if sequence_to_json(seq) != sequence_to_json(builtin):
-            raise ValueError(f"the built-in sequence {seq.name!r} may not be redefined")
-        return builtin
-    if seq.name in _REGISTRY and not replace:
-        raise ValueError(f"sequence {seq.name!r} is already registered")
-    _REGISTRY[seq.name] = seq
-    return seq
-
-
-def get_sequence(name: str) -> SequenceDef:
+def get_sequence(name, sequences: Mapping[str, SequenceDef] | None = None) -> SequenceDef:
+    """The sequence called name in `sequences` (default: the built-ins)."""
+    if not isinstance(name, str):
+        raise ValueError(f"a sequence name must be a string, got {name!r}")
     try:
-        return _REGISTRY[name]
+        return (BUILTINS if sequences is None else sequences)[name]
     except KeyError:
         raise UnknownSequence(name) from None
 
 
 def builtin_names() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(BUILTINS)
 
 
 # -- JSON ------------------------------------------------------------------------------

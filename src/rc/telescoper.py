@@ -39,6 +39,7 @@ from .exactmath import (
     nullspace,
     poly_divmod,
     poly_lcm,
+    prime_factors,
 )
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
 
@@ -630,21 +631,6 @@ def certify(cert: TelescoperCertificate, n_max: int = 200) -> CertifyReport:
 # -- strict-mode check and modular reduction ---------------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _padic(x: Fraction, p: int) -> int:
     v = 0
     num = x.numerator
@@ -666,7 +652,7 @@ def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
         raise ValueError("q must be nonzero")
     q_prim = q.primitive()
     q_content = q.content()
-    content_primes = _prime_factors(q_content.numerator)
+    content_primes = prime_factors(q_content.numerator)
     for g in cert.g.values():
         if g.is_zero:
             continue

@@ -181,6 +181,9 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
         # prime enumeration stops at 10^6
         ("verify", "--claim", "t-prime", "--primes", "5..2000000"),
         ("verify", "--claim", "t-prime", "--exclude", "foo"),
+        # a reversed range is bad input; a range without domain points is not
+        ("verify", "--claim", "t-prime", "--range", "5..1"),
+        ("verify", "--claim", "t-prime", "--primes", "1..-5"),
     ],
 )
 def test_bad_range_is_usage_error(capsys, argv):
@@ -274,6 +277,10 @@ def _with_seq_factor_in_direct():
     return {"sequences": [seq], "claims": []}
 
 
+_N_EQUALS_N = {"id": "x", "lhs": {"var": "n"}, "rhs": {"var": "n"}, "modulus": {"const": "0"}}
+_ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -304,6 +311,21 @@ def _with_seq_factor_in_direct():
             "verify",
             _with_seq_factor_in_direct(),
             "malformed claims file: a direct formula takes no seq factors",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"seq": {"name": "Q", "shift": 0}}}]},
+            "malformed claims file: a sequence name must be a string, got {'name': 'Q', 'shift': 0}",
+        ),
+        (
+            "verify",
+            {"sequences": [_ONE_AS_Q, _ONE_AS_Q], "claims": []},
+            "malformed claims file: the sequence 'Q' is defined twice",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"seq": "Q"}}]},
+            "unknown sequence 'Q'",
         ),
     ],
 )

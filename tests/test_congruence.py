@@ -18,6 +18,8 @@ from rc.congruence import (
     Legendre,
     N,
     PowInt,
+    SeqFactor,
+    SeqRef,
     SumEvaluator,
     SumNode,
     SumSpec,
@@ -40,7 +42,6 @@ from rc.congruence import (
     mul,
     primes_in,
     report_to_json,
-    seq,
     sub,
     suite_range,
     verify_claim_range,
@@ -52,10 +53,11 @@ from rc.sequences import (
     SequenceDef,
     T,
     W,
+    UnknownSequence,
     binom,
+    builtin_names,
     get_sequence,
     recurrence,
-    register_sequence,
 )
 from rc.telescoper import find_telescoper, partial_sum
 
@@ -220,14 +222,6 @@ def test_flagged_point_for_theorem_13ii():
     assert rat_mod(note.rhs, 8) == 5
 
 
-def test_parallel_verification_is_deterministic():
-    claim = get_claim("theorem-1.1i")
-    a = verify_claim_range(claim, 1, 200, jobs=1)
-    b = verify_claim_range(claim, 1, 200, jobs=4)
-    assert a.points_checked == b.points_checked
-    assert a.failures == b.failures == ()
-
-
 def test_primes_in():
     assert primes_in(2, 20, exclude={3}) == [2, 5, 7, 11, 13, 17, 19]
     assert primes_in(3, 10, parity="odd") == [3, 5, 7]
@@ -297,7 +291,7 @@ def test_expression_json_round_trip():
         get_claim("theorem-1.3ii").rhs,
         get_claim("central-binom-telescope").lhs,
         div(SumNode(SUM_W_SQUARES), N),
-        mul(C(F(9, 2)), seq("W", -1), BinomExpr(Bound(2, 0, 1), Bound(1, 0, 1))),
+        mul(C(F(9, 2)), SeqRef(W, -1), BinomExpr(Bound(2, 0, 1), Bound(1, 0, 1))),
     ]
     for e in exprs:
         doc = expr_to_json(e)
@@ -328,6 +322,85 @@ def test_load_claims_document_with_custom_sequence():
     (claim,) = load_claims_document(doc)
     rep = verify_claim_range(claim, 0, 30)
     assert rep.ok and rep.points_checked == 31
+
+
+def _geometric_claims_file(ratio):
+    """Q(n+1) = ratio Q(n), Q(0) = 1, and the claims Q(n+1) = ratio Q(n) and
+    sum_{k<n} Q(k) = (Q(n) - 1)/(ratio - 1); both files write the same sum."""
+    def q(shift):
+        return {"seq": "Q", "shift": shift}
+
+    q_sum = {
+        "coeff": {"num": ["1"], "den": ["1"]},
+        "factors": [{"seq": {"name": "Q", "shift": 0}}],
+        "lo": 0,
+        "upper": "n-1",
+    }
+    return {
+        "sequences": [
+            {"name": "Q", "recurrence": {"coeffs": [[str(-ratio)], ["1"]]}, "initial": {"0": "1"}}
+        ],
+        "claims": [
+            {
+                "id": f"step-{ratio}",
+                "lhs": q(1),
+                "rhs": {"mul": [{"const": str(ratio)}, q(0)]},
+                "modulus": {"const": "0"},
+                "domain": {"kind": "integers", "start": 0},
+            },
+            {
+                "id": f"sum-{ratio}",
+                "lhs": {"sum": q_sum},
+                "rhs": {"div": [{"sub": [q(0), {"const": "1"}]}, {"const": str(ratio - 1)}]},
+                "modulus": {"const": "0"},
+                "domain": {"kind": "integers", "start": 0},
+            },
+        ],
+    }
+
+
+def test_claims_files_keep_their_own_sequences():
+    first = load_claims_document(_geometric_claims_file(2))
+    second = load_claims_document(_geometric_claims_file(3))
+    ev = SumEvaluator()  # one evaluator for both files, as `rc verify` has
+    for claim in first + second + first:
+        rep = verify_claim_range(claim, 0, 10, ev)
+        assert rep.ok and rep.points_checked == 11, (claim.claim_id, rep.failures[:1])
+    assert first[0].lhs.seq is not second[0].lhs.seq
+    assert first[1].lhs.spec != second[1].lhs.spec
+
+
+def test_loading_a_claims_file_leaves_the_builtins_alone():
+    (claim, _) = load_claims_document(_geometric_claims_file(2))
+    assert claim.lhs.name == "Q"
+    assert builtin_names() == ["T", "W", "one"]
+    with pytest.raises(UnknownSequence):
+        get_sequence("Q")
+
+
+def _seq_nodes(e):
+    """Every SeqRef and SeqFactor in e, sums included."""
+    if isinstance(e, (SeqRef, SeqFactor)):
+        yield e
+        return
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(x):
+                yield from _seq_nodes(x)
+
+
+def test_builtin_claims_hold_the_builtin_sequences():
+    nodes = [
+        x
+        for claim in builtin_claims()
+        for side in (claim.lhs, claim.rhs, claim.modulus)
+        for x in _seq_nodes(side)
+    ]
+    assert {type(x) for x in nodes} == {SeqRef, SeqFactor}
+    assert {x.name for x in nodes} == {"W", "T"}
+    for x in nodes:
+        assert x.seq is get_sequence(x.name)
 
 
 def test_exported_catalogue_loads_back_with_the_same_verdicts(capsys):
@@ -370,6 +443,10 @@ def test_theorem_13ii_report_is_unchanged():
     }
 
 
+# (n-4) a(n+1) = 2 (n-4) a(n): the step to a(5) divides by zero
+STUCK_AT_5 = SequenceDef("stuck-at-5", recurrence([Poly([8, -2]), Poly([-4, 1])]), {0: 1})
+
+
 @pytest.mark.parametrize(
     "expr, bad, error",
     [
@@ -377,14 +454,11 @@ def test_theorem_13ii_report_is_unchanged():
         (PowInt(2, Bound(1, 0, 2)), [1, 3, 5, 7], "ValueError"),
         (Legendre(div(N, C(2)), C(3)), [1, 3, 5, 7], "ValueError"),
         (leg(N, C(4)), list(range(9)), "ValueError"),
-        (seq("W", -5), [0, 1, 2], "ValueError"),
-        (seq("stuck-at-5"), [5, 6, 7, 8], "LeadingCoefficientVanishes"),
+        (SeqRef(W, -5), [0, 1, 2], "ValueError"),
+        (SeqRef(STUCK_AT_5), [5, 6, 7, 8], "LeadingCoefficientVanishes"),
     ],
 )
 def test_an_evaluation_error_fails_only_its_point(expr, bad, error):
-    # (n-4) a(n+1) = 2 (n-4) a(n): the step to a(5) divides by zero
-    stuck = SequenceDef("stuck-at-5", recurrence([Poly([8, -2]), Poly([-4, 1])]), {0: 1})
-    register_sequence(stuck, replace=True)
     claim = CongruenceClaim("errors", "", expr, expr, C(0), Domain("integers", 0))
     rep = verify_claim_range(claim, 0, 8)
     assert rep.points_checked == 9

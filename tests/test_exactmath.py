@@ -19,6 +19,7 @@ from rc.exactmath import (
     poly,
     poly_divmod,
     poly_gcd,
+    prime_factors,
     rat_mod,
 )
 
@@ -212,6 +213,16 @@ def _primes_below(n):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(n) if sieve[i]]
+
+
+def test_prime_factors_against_a_sieve():
+    primes = _primes_below(2000)
+    for n in range(-50, 2000):
+        want = [p for p in primes if n % p == 0] if abs(n) > 1 else []
+        assert prime_factors(n) == want
+        assert (prime_factors(n) == [n]) == (n in primes)
+    assert prime_factors(1000003) == [1000003]
+    assert prime_factors(2**5 * 3**4 * 1009**2) == [2, 3, 1009]
 
 
 def test_legendre_brute_force_agreement():
