@@ -44,6 +44,7 @@ from .sequences import (
     T_PAIR_FORMULA,
 )
 from .telescoper import (
+    MAX_DEGREE,
     cert_from_json,
     cert_to_json,
     certify,
@@ -84,7 +85,7 @@ def _decode(what: str, decode, doc):
         return decode(doc)
     except KeyError as e:
         raise UsageError(f"{what} lacks the field {e.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as e:
         raise UsageError(f"malformed {what}: {e}") from None
 
 
@@ -465,14 +466,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("telescope", help="find a telescoping certificate")
     add_common_solver_flags(p)
     p.add_argument("--p", required=True, help='weight polynomial, e.g. "8*k+9"')
-    p.add_argument("--deg", type=int, default=6, help="degree bound for g (default 6)")
+    p.add_argument(
+        "--deg", type=int, default=6, help=f"degree bound for g, at most {MAX_DEGREE} (default 6)"
+    )
     p.set_defaults(fn=_cmd_telescope)
 
     p = sub.add_parser("discover", help="solve with a free weight ansatz")
     add_common_solver_flags(p)
     p.add_argument("--p", help="fixed polynomial factor of the ansatz (default 1)")
-    p.add_argument("--p-degree", type=int, default=1, help="degree of the free ansatz part")
-    p.add_argument("--deg", type=int, default=6, help="degree bound for g")
+    p.add_argument(
+        "--p-degree", type=int, default=1, help=f"degree of the free ansatz part, at most {MAX_DEGREE}"
+    )
+    p.add_argument("--deg", type=int, default=6, help=f"degree bound for g, at most {MAX_DEGREE}")
     p.set_defaults(fn=_cmd_discover)
 
     p = sub.add_parser("certify", help="recheck a certificate JSON file")
@@ -506,6 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results are printed in full, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

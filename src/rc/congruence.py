@@ -8,18 +8,30 @@ the modulus and numerator divisible by it. A zero modulus means exact
 equality, which also covers degenerate domain points such as a modulus
 expression vanishing at n = 1.
 
-Everything is verified by exact big-integer evaluation of the sums via the
-memoized sequence terms; no modular shortcuts, no rounding. Sums are
-`sequences.SumSpec` values (re-exported here with `SeqFactor`). A sum whose
-summand does not mention n is kept as one running sum per summand, a cursor
-at the furthest k read so far: points are checked in ascending order, so each
-point adds only its new terms, and a read below the cursor starts again from
-the sum's lower limit. A range check keeps only the points that do not pass,
-so the live state does not grow with the range beyond the sequence memo.
+Sums are `sequences.SumSpec` values (re-exported here with `SeqFactor`),
+read through a `SumEvaluator`. A sum whose summand has a certified
+telescoping certificate (by default the reference certificates of the W and
+T theorem sums) is read from the certificate's closed form,
+(D S(u+1) - D S(lo)) / D. Any other sum whose summand does not mention n is
+kept as one running sum per summand, a cursor at the furthest k read so far:
+points are checked in ascending order, so each point adds only its new
+terms, and a read below the cursor starts again from the sum's lower limit.
 Values are `int` wherever they are integral by construction (sequence terms,
 binomials, integer constants, and sums, products and differences of these)
 and `Fraction` only where a value is really rational, such as a quotient that
 is not an integer or a prefix of a sum of 1/k terms.
+
+How a point is decided. The modulus m is evaluated exactly first. When m is
+a nonzero integer and the claim's sides hold sums, all of them certified,
+lhs - rhs is evaluated modulo m alone: a certified sum from the window terms of its
+closed form reduced modulo D m, a quotient by d from its numerator modulo
+m |d|, and a rational only through the inverse of a unit. A zero residue
+passes the point and keeps nothing. Every other point (a nonzero residue, a
+non-unit, an evaluation error, an uncertified sum), every flagged point and
+every `check_claim_at` is computed exactly, so every report reads as the
+exact path alone would write it. A range check keeps only the points that do
+not pass, so the live state does not grow with the range beyond the
+sequence memo.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre, prime_factors
+from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre, prime_factors, rat_mod
 from .sequences import (
     BUILTINS,
     Affine,
@@ -49,6 +61,7 @@ from .sequences import (
     NonIntegerTerm,
     SeqFactor,
     SequenceDef,
+    SequenceError,
     SumSpec,
     T,
     W,
@@ -58,6 +71,7 @@ from .sequences import (
     sequence_from_json,
     sequence_to_json,
 )
+from .telescoper import ClosedForm, cert_from_json, certify, reductions_defined_from
 
 __all__ = [
     "Const",
@@ -74,6 +88,7 @@ __all__ = [
     "SeqFactor",
     "SumSpec",
     "SumEvaluator",
+    "REFERENCE_CERTIFICATES",
     "Domain",
     "CongruenceClaim",
     "CheckResult",
@@ -204,29 +219,86 @@ def _reduced(num: int, den: int) -> int | Fraction:
 
 
 class SumEvaluator:
-    """Exact sum evaluation with one running sum per n-free summand.
+    """Exact sum evaluation: a certified closed form where one applies, else
+    one running sum per n-free summand.
 
-    When the summand does not mention n (all theorem sums are like that), the
-    evaluator keeps a cursor (k, num, den) per spec: the sum over lo..k as an
-    integer numerator num over den, the lcm (up to sign) of the denominators
-    of its terms. For an integer summand den stays 1 and the sum is read as an
-    int; otherwise it is reduced to a `Fraction` only when read.
+    `certificates` holds `cert_to_json` data, by default the reference
+    certificates of the theorem sums. A certificate applies to an n-free spec
+    with lo >= 0 whose two factors are seq_a(k + sa) and seq_b(k + sb) of the
+    same `SequenceDef` objects, target shifts and weight p. It is decoded at
+    the first spec that asks, and used only if it passes both halves of
+    `certify` and `reductions_defined_from`; a certificate that fails leaves
+    its specs on the running sums. The verdict is kept per certificate, and
+    the closed form (or None) per spec.
 
-    Cost model: a read at or above the cursor adds only the terms between the
-    cursor and the read and moves the cursor there, so ascending reads add
-    each term once, O(1) per point when n steps by one. A read below the
-    cursor starts again from the spec's lower limit and leaves the cursor at
-    the read. A summand that mentions n is summed from the lower limit at
-    every read, and nothing is kept.
+    Cost model. A certified sum over lo..u is (D S(u+1) - D S(lo)) / D (see
+    `telescoper.ClosedForm`): a few products of window terms, whatever u is,
+    and modulo an integer M only linear-time reductions of those terms
+    (`_residue`). Otherwise, when the summand does not mention n (all
+    theorem sums are like that), the evaluator keeps a cursor (k, num, den)
+    per spec: the sum over lo..k as an integer numerator num over den, the
+    lcm (up to sign) of the denominators of its terms. For an integer summand
+    den stays 1 and the sum is read as an int; otherwise it is reduced to a
+    `Fraction` only when read. A read at or above the cursor adds only the
+    terms between the cursor and the read and moves the cursor there, so
+    ascending reads add each term once, O(1) per point when n steps by one.
+    A read below the cursor starts again from the spec's lower limit and
+    leaves the cursor at the read. A summand that mentions n is summed from
+    the lower limit at every read, and nothing is kept.
     """
 
-    def __init__(self):
+    def __init__(self, certificates: Iterable[Mapping] | None = None):
         self._cursors: dict[SumSpec, tuple[int, int, int]] = {}
+        self._certificates = tuple(
+            REFERENCE_CERTIFICATES if certificates is None else certificates
+        )
+        self._decoded: list | None = None
+        self._verdicts: dict[int, ClosedForm | None] = {}
+        self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
+
+    def closed_sum(self, spec: SumSpec) -> tuple[ClosedForm, int] | None:
+        """(the certified closed form of spec's summand, D S(lo)), or None."""
+        try:
+            return self._closed[spec]
+        except KeyError:
+            pass
+        found = None
+        factors = spec.factors
+        if (
+            spec.n_free
+            and spec.lo >= 0
+            and len(factors) == 2
+            and all(isinstance(f, SeqFactor) for f in factors)
+        ):
+            if self._decoded is None:
+                self._decoded = [cert_from_json(d) for d in self._certificates]
+            fa, fb = factors
+            for idx, cert in enumerate(self._decoded):
+                if (
+                    cert.seq_a is fa.seq
+                    and cert.seq_b is fb.seq
+                    and cert.target_shifts == (fa.shift, fb.shift)
+                    and RatFunc(cert.p) == spec.coeff
+                ):
+                    if idx not in self._verdicts:
+                        self._verdicts[idx] = _checked_closed_form(cert)
+                    closed = self._verdicts[idx]
+                    if closed is not None:
+                        found = (closed, closed.scaled(spec.lo))
+                        break
+        self._closed[spec] = found
+        return found
 
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
         hi = spec.upper.at(n)
         if hi < spec.lo:
             return 0
+        found = self.closed_sum(spec)
+        if found is not None:
+            closed, base = found
+            num = closed.scaled(hi + 1) - base
+            q, r = divmod(num, closed.scale)
+            return q if r == 0 else Fraction(num, closed.scale)
         n_free = spec.n_free
         k, num, den = spec.lo - 1, 0, 1
         if n_free:
@@ -239,15 +311,33 @@ class SumEvaluator:
         return _reduced(num, den)
 
 
+def _checked_closed_form(cert) -> ClosedForm | None:
+    """The closed form of a certificate that passes both halves of `certify`
+    and `reductions_defined_from`, else None."""
+    try:
+        if certify(cert).ok and reductions_defined_from(cert):
+            return cert.closed_form()
+    except (ValueError, ArithmeticError, SequenceError):  # windows or terms that do not exist
+        pass
+    return None
+
+
+def _one_read() -> SumEvaluator:
+    """The evaluator of a call that reads its sums at one n: certifying a
+    certificate costs more than summing a few hundred terms, so it sums."""
+    return SumEvaluator(certificates=())
+
+
 def eval_sum(spec: SumSpec, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
-    return (evaluator or SumEvaluator()).eval_sum(spec, n)
+    """The sum at n, through `evaluator`, or summed term by term without one."""
+    return (evaluator or _one_read()).eval_sum(spec, n)
 
 
 def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
     """Exact value of e at n: an int when the value is integral by
     construction, else a Fraction (see the module docstring). Without an
-    evaluator, the sums are read through a fresh one."""
-    ev = evaluator or SumEvaluator()
+    evaluator, the sums are summed term by term."""
+    ev = evaluator or _one_read()
     if isinstance(e, Const):
         v = e.value
         return v.numerator if v.denominator == 1 else v
@@ -288,6 +378,56 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
     if isinstance(e, SumNode):
         return ev.eval_sum(e.spec, n)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _divide_residue(r: int, d: int, m: int) -> int:
+    """x / d modulo m, from r = x modulo m|d| for a nonzero integer d: an
+    exact division when d divides r, else a product with the inverse of d,
+    which raises ValueError when d is not a unit modulo m."""
+    q, rem = divmod(r % (m * abs(d)), abs(d))
+    if rem:
+        return r * pow(d, -1, m) % m
+    return (q if d > 0 else -q) % m
+
+
+def _residue(e: Expr, n: int, m: int, ev: SumEvaluator) -> int:
+    """The value of e at n modulo m >= 1, for a value whose denominator is a
+    unit modulo m; every sum of e must have a closed form in ev. Only units
+    are inverted; anything else raises, and so does whatever `eval_expr`
+    raises at n, so a point that passes here passes exactly."""
+    if isinstance(e, SumNode):
+        spec = e.spec
+        hi = spec.upper.at(n)
+        if hi < spec.lo:
+            return 0
+        closed, base = ev.closed_sum(spec)
+        scale = closed.scale
+        return _divide_residue(closed.scaled(hi + 1, m * scale) - base, scale, m)
+    if isinstance(e, SeqRef):
+        return e.seq.term(n + e.shift) % m
+    if isinstance(e, Mul):
+        out = 1
+        for f in e.factors:
+            out = out * _residue(f, n, m, ev) % m
+        return out % m
+    if isinstance(e, Add):
+        return sum(_residue(t, n, m, ev) for t in e.terms) % m
+    if isinstance(e, Sub):
+        return (_residue(e.a, n, m, ev) - _residue(e.b, n, m, ev)) % m
+    if isinstance(e, Div):
+        d = eval_expr(e.b, n, ev)
+        if d == 0:
+            raise ZeroDivisionError("division by zero in expression")
+        num = d.numerator
+        r = _residue(e.a, n, m * abs(num), ev)
+        return _divide_residue(r, num, m) * d.denominator % m
+    if isinstance(e, PowInt):
+        exp = e.exp.exact_at(n)
+        if exp < 0 and e.base == 0:
+            raise ZeroDivisionError("0 raised to a negative power")
+        return pow(e.base, exp, m)
+    v = eval_expr(e, n, ev)
+    return v % m if isinstance(v, int) else rat_mod(v, m)
 
 
 # -- primes ------------------------------------------------------------------------
@@ -419,13 +559,47 @@ def _check_raw(claim: CongruenceClaim, n: int, ev: SumEvaluator) -> CheckResult:
     )
 
 
+def _sum_specs(e: Expr) -> Iterable[SumSpec]:
+    if isinstance(e, SumNode):
+        yield e.spec
+    elif isinstance(e, (Add, Mul)):
+        for x in e.terms if isinstance(e, Add) else e.factors:
+            yield from _sum_specs(x)
+    elif isinstance(e, (Sub, Div)):
+        yield from _sum_specs(e.a)
+        yield from _sum_specs(e.b)
+    elif isinstance(e, Legendre):
+        yield from _sum_specs(e.top)
+        yield from _sum_specs(e.bottom)
+
+
+def _decided_by_residues(claim: CongruenceClaim, ev: SumEvaluator) -> bool:
+    """Whether the claim's sides hold a sum and every sum has a closed form."""
+    specs = [*_sum_specs(claim.lhs), *_sum_specs(claim.rhs)]
+    return bool(specs) and all(ev.closed_sum(s) is not None for s in specs)
+
+
+def _passes_by_residue(claim: CongruenceClaim, n: int, ev: SumEvaluator) -> bool:
+    """True when lhs - rhs is 0 modulo a nonzero integer modulus m at n,
+    shown from residues modulo m; False leaves the point to `_check_raw`."""
+    try:
+        modulus = eval_expr(claim.modulus, n, ev)
+        if modulus == 0 or modulus.denominator != 1:
+            return False
+        m = abs(int(modulus))
+        return (_residue(claim.lhs, n, m, ev) - _residue(claim.rhs, n, m, ev)) % m == 0
+    except _POINT_ERRORS:  # a non-unit raises ValueError or ArithmeticError
+        return False
+
+
 def check_claim_at(
     claim: CongruenceClaim, n: int, evaluator: SumEvaluator | None = None
 ) -> CheckResult:
-    """pass / fail / out_of_domain for a single point, exactly."""
+    """pass / fail / out_of_domain for a single point, exactly; without an
+    evaluator, the sums are summed term by term."""
     if not claim.domain.contains(n):
         return CheckResult(claim.claim_id, n, "out_of_domain")
-    return _check_raw(claim, n, evaluator or SumEvaluator())
+    return _check_raw(claim, n, evaluator or _one_read())
 
 
 @dataclass(frozen=True)
@@ -453,11 +627,21 @@ def verify_claim_range(
 ) -> VerificationReport:
     """Check every in-domain point of [lo, hi] in ascending order; failures
     are collected, not raised. Only the results that do not pass are kept, so
-    the values of passing points are freed as soon as they are checked."""
+    the values of passing points are freed as soon as they are checked.
+
+    When every sum of the claim has a certified closed form, a point with a
+    nonzero integer modulus m passes on a zero residue of lhs - rhs modulo m
+    (`_residue`); every other point, and every flagged point, is computed
+    exactly by `_check_raw`, so a report reads the same either way."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.points(lo, hi)
-    checked = (_check_raw(claim, n, ev) for n in points)
+    by_residue = _decided_by_residues(claim, ev)
+    checked = (
+        _check_raw(claim, n, ev)
+        for n in points
+        if not (by_residue and _passes_by_residue(claim, n, ev))
+    )
     failures = tuple(r for r in checked if r.status != "pass")
     flagged = tuple(_check_raw(claim, n, ev) for n in claim.flag_points)
     return VerificationReport(
@@ -488,6 +672,57 @@ SUM_T_PRODUCTS_8K9 = SumSpec(
 SUM_T_PRODUCTS_16K21 = SumSpec(
     coeff=RatFunc(Poly([21, 37, 16])),  # (k+1)(16k+21)
     factors=(SeqFactor(T, 0), SeqFactor(T, 1)),
+)
+
+
+def _g(i: int, j: int, *poly: str) -> dict:
+    return {"i": i, "j": j, "poly": list(poly)}
+
+
+# `cert_to_json` data of the reference certificates of the three sums above,
+# as `scripts/reproduce_certificates.py` finds them; `SumEvaluator` decodes
+# and certifies each one at first use
+REFERENCE_CERTIFICATES: tuple[dict, ...] = (
+    {
+        "seqA": "W",
+        "seqB": "W",
+        "windows": {"a": [-2, 0], "b": [-2, 0]},
+        "target_shifts": [0, 0],
+        "symmetric": True,
+        "p": ["9", "8"],
+        "g": [
+            _g(-2, -1, "0", "-9/2", "9/2"),
+            _g(-2, 0, "0", "3/2", "-3/2"),
+            _g(-1, -1, "0", "21/2", "-3/2"),
+            _g(-1, 0, "0", "-1/2", "1/2"),
+        ],
+    },
+    {
+        "seqA": "T",
+        "seqB": "T",
+        "windows": {"a": [-1, 0], "b": [-1, 0]},
+        "target_shifts": [0, 1],
+        "symmetric": True,
+        "p": ["0", "9", "17", "8"],
+        "g": [
+            _g(-1, -1, "0", "0", "-27/8", "9/2", "-3/2"),
+            _g(-1, 0, "0", "0", "-21/4", "5", "1"),
+            _g(0, 0, "0", "0", "-25/24", "5/6", "-1/6"),
+        ],
+    },
+    {
+        "seqA": "T",
+        "seqB": "T",
+        "windows": {"a": [-1, 0], "b": [-1, 0]},
+        "target_shifts": [0, 1],
+        "symmetric": True,
+        "p": ["21", "37", "16"],
+        "g": [
+            _g(-1, -1, "0", "0", "27/8", "-9/2"),
+            _g(-1, 0, "0", "9/2", "57/4", "3"),
+            _g(0, 0, "0", "0", "7/8", "-1/2"),
+        ],
+    },
 )
 
 _CENTRAL_BINOM = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
@@ -857,6 +1092,8 @@ def claim_to_json(c: CongruenceClaim) -> dict:
 
 
 def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
+    if not isinstance(d["id"], str):
+        raise ValueError(f"a claim id must be a string, got {d['id']!r}")
     dom = d.get("domain", {})
     return CongruenceClaim(
         claim_id=d["id"],

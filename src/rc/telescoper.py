@@ -36,6 +36,7 @@ from .exactmath import (
     Poly,
     RatFunc,
     ZERO,
+    horner,
     nullspace,
     poly_divmod,
     poly_lcm,
@@ -44,8 +45,10 @@ from .exactmath import (
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
 
 __all__ = [
+    "MAX_DEGREE",
     "ShiftWindow",
     "TelescoperCertificate",
+    "ClosedForm",
     "CertifyReport",
     "DiscoveryResult",
     "ReduceModResult",
@@ -54,12 +57,21 @@ __all__ = [
     "discover_weights",
     "certify",
     "partial_sum",
+    "reductions_defined_from",
     "check_hl_mode",
     "reduce_mod",
     "pretty",
     "cert_to_json",
     "cert_from_json",
 ]
+
+# the largest degree bound of g and of a free weight that a search accepts: a
+# bound is rejected before any system is built, since the system grows with it
+MAX_DEGREE = 100
+
+# certify's default numeric range: S(n) - S(0) is compared with the sum for n <= this
+CERTIFY_N_MAX = 200
+
 
 @dataclass(frozen=True)
 class ShiftWindow:
@@ -109,7 +121,7 @@ def _search_setup(
     target = (int(target_shifts[0]), int(target_shifts[1]))
     wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
     if symmetric is None:
-        symmetric = a.name == b.name
+        symmetric = a is b
     if window_b is not None:
         wb = _as_window(window_b)
     elif symmetric:
@@ -217,7 +229,7 @@ def _pair_setup(
 
     Symmetric mode, which reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair,
     needs the same sequence and a single window for both factors."""
-    if symmetric and (seq_a.name != seq_b.name or wa != wb):
+    if symmetric and (seq_a is not seq_b or wa != wb):
         raise ValueError(
             "symmetric mode needs the same sequence and a single window for both factors"
         )
@@ -245,10 +257,14 @@ def _pair_setup(
 
 @dataclass
 class TelescoperCertificate:
-    """The data (p, g) of a telescoping identity, independently checkable."""
+    """The data (p, g) of a telescoping identity, independently checkable.
 
-    seq_a: str
-    seq_b: str
+    The factors are `SequenceDef` objects, so a certificate for a sequence
+    that is not built in rechecks as well; a name given instead is looked up
+    in the built-ins."""
+
+    seq_a: SequenceDef
+    seq_b: SequenceDef
     window_a: ShiftWindow
     window_b: ShiftWindow
     target_shifts: tuple[int, int]
@@ -256,25 +272,52 @@ class TelescoperCertificate:
     g: dict[tuple[int, int], Poly]
     symmetric: bool
 
+    def __post_init__(self):
+        self.seq_a = _resolve(self.seq_a)
+        self.seq_b = _resolve(self.seq_b)
+
     def g_at(self, i: int, j: int) -> Poly:
         return self.g.get((i, j), ZERO)
 
+    def closed_form(self) -> "ClosedForm":
+        """S in integer arithmetic; see `ClosedForm`."""
+        scale = math.lcm(*(c.denominator for g in self.g.values() for c in g.coeffs))
+        terms = tuple(
+            (i, j, tuple((c * scale).numerator for c in reversed(g.coeffs)))
+            for (i, j), g in sorted(self.g.items())
+            if not g.is_zero
+        )
+        return ClosedForm(self.seq_a, self.seq_b, scale, terms)
+
     def s_value(self, n: int) -> Fraction:
         """S(n) = sum of g_{i,j}(n) a(n+i) b(n+j), exactly."""
-        a = get_sequence(self.seq_a)
-        b = get_sequence(self.seq_b)
-        total = Fraction(0)
-        for (i, j), g in self.g.items():
-            if g.is_zero:
-                continue
-            total += g(n) * a.term(n + i) * b.term(n + j)
-        return total
+        cf = self.closed_form()
+        return Fraction(cf.scaled(n), cf.scale)
 
-    def summand(self, k: int) -> Fraction:
-        a = get_sequence(self.seq_a)
-        b = get_sequence(self.seq_b)
-        sa, sb = self.target_shifts
-        return self.p(k) * a.term(k + sa) * b.term(k + sb)
+
+class ClosedForm:
+    """S(n) of a certificate in integers: `scale` is the lcm D of the
+    denominators of the g coefficients, and `terms` holds (i, j, D g_{i,j})
+    with the integer coefficients highest degree first."""
+
+    __slots__ = ("seq_a", "seq_b", "scale", "terms")
+
+    def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, scale: int, terms: tuple):
+        self.seq_a, self.seq_b, self.scale, self.terms = seq_a, seq_b, scale, terms
+
+    def scaled(self, n: int, modulus: int | None = None) -> int:
+        """D S(n) exactly, or modulo `modulus` from the residues of the window
+        terms: one linear-time reduction per term read."""
+        a, b = self.seq_a, self.seq_b
+        values: dict[tuple[SequenceDef, int], int] = {}
+        total = 0
+        for i, j, coeffs in self.terms:
+            for seq, shift in ((a, i), (b, j)):
+                if (seq, shift) not in values:
+                    v = seq.term(n + shift)
+                    values[seq, shift] = v if modulus is None else v % modulus
+            total += horner(coeffs, n) * values[a, i] * values[b, j]
+        return total if modulus is None else total % modulus
 
 
 def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
@@ -436,6 +479,11 @@ def _split_vector(
 # -- solving ----------------------------------------------------------------------
 
 
+def _check_degree(what: str, value: int) -> None:
+    if value > MAX_DEGREE:
+        raise ValueError(f"{what} {value} exceeds the largest supported degree {MAX_DEGREE}")
+
+
 def find_telescoper(
     seq_a,
     seq_b=None,
@@ -448,7 +496,8 @@ def find_telescoper(
 ) -> TelescoperCertificate | None:
     """Search for a certificate with deg g <= deg_bound.
 
-    A certificate of degree d padded with zeros is one of degree d + 1, so
+    A bound above `MAX_DEGREE` raises ValueError before anything is built. A
+    certificate of degree d padded with zeros is one of degree d + 1, so
     feasibility only grows with the degree. The system is solved once at
     deg_bound; if it has no certificate the result is None (also for a
     negative bound). Otherwise the smallest feasible degree is found by
@@ -456,6 +505,7 @@ def find_telescoper(
     degree, the one with minimal total degree of g (then lexicographically
     smallest coefficient vector) is returned, so the output is deterministic.
     """
+    _check_degree("deg_bound", deg_bound)
     a, b, target, wa, wb, symmetric = _search_setup(
         seq_a, seq_b, target_shifts, window_a, window_b, symmetric
     )
@@ -490,8 +540,8 @@ def find_telescoper(
         candidates.append((total_degree, tuple(scaled), g))
     candidates.sort(key=lambda c: (c[0], c[1]))
     return TelescoperCertificate(
-        seq_a=a.name,
-        seq_b=b.name,
+        seq_a=a,
+        seq_b=b,
         window_a=wa,
         window_b=wb,
         target_shifts=target,
@@ -525,7 +575,10 @@ def discover_weights(
 ) -> DiscoveryResult:
     """Solve with the weight free: p(k) = p_fixed(k) * (x_0 + x_1 k + ... +
     x_D k^D). Returns a basis of the joint solution space, with pure-kernel
-    vectors (p identically zero) reported separately."""
+    vectors (p identically zero) reported separately. A degree above
+    `MAX_DEGREE` raises ValueError before anything is built."""
+    _check_degree("p_degree", p_degree)
+    _check_degree("deg_bound", deg_bound)
     a, b, target, wa, wb, symmetric = _search_setup(
         seq_a, seq_b, target_shifts, window_a, window_b, symmetric
     )
@@ -546,8 +599,8 @@ def discover_weights(
             continue
         solutions.append(
             TelescoperCertificate(
-                seq_a=a.name,
-                seq_b=b.name,
+                seq_a=a,
+                seq_b=b,
                 window_a=wa,
                 window_b=wb,
                 target_shifts=target,
@@ -576,7 +629,7 @@ class CertifyReport:
         return self.symbolic_ok and self.numeric_ok
 
 
-def certify(cert: TelescoperCertificate, n_max: int = 200) -> CertifyReport:
+def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyReport:
     """Recheck a certificate from scratch.
 
     Symbolic half: re-expand p(k) a(k+sa) b(k+sb) - Delta_k S(k) in the window
@@ -585,8 +638,8 @@ def certify(cert: TelescoperCertificate, n_max: int = 200) -> CertifyReport:
     p(k) a(k+sa) b(k+sb) for 1 <= n <= n_max, exactly.
     """
     pairs, shifted, target_red, _ = _pair_setup(
-        _resolve(cert.seq_a),
-        _resolve(cert.seq_b),
+        cert.seq_a,
+        cert.seq_b,
         cert.window_a,
         cert.window_b,
         cert.target_shifts,
@@ -615,17 +668,48 @@ def certify(cert: TelescoperCertificate, n_max: int = 200) -> CertifyReport:
 
     numeric_ok = True
     mismatch = None
-    s0 = cert.s_value(0)
-    running = Fraction(0)
+    closed = cert.closed_form()
+    p_scale = math.lcm(*(c.denominator for c in cert.p.coeffs))
+    p_int = tuple((c * p_scale).numerator for c in reversed(cert.p.coeffs))
+    a, b = cert.seq_a, cert.seq_b
+    sa, sb = cert.target_shifts
+    s0 = closed.scaled(0)
+    running = 0  # p_scale times the sum of the summands below n
     for n in range(1, n_max + 1):
-        running += cert.summand(n - 1)
-        got = cert.s_value(n) - s0
-        if got != running:
+        k = n - 1
+        running += horner(p_int, k) * a.term(k + sa) * b.term(k + sb)
+        got = closed.scaled(n) - s0  # D (S(n) - S(0))
+        if got * p_scale != running * closed.scale:
             numeric_ok = False
-            mismatch = (n, running, got)
+            mismatch = (n, Fraction(running, p_scale), Fraction(got, closed.scale))
             break
 
     return CertifyReport(symbolic_ok, numeric_ok, residuals, mismatch, n_max)
+
+
+def _has_integer_root_from(q: Poly, lo: int) -> bool:
+    """Whether q vanishes at an integer x >= lo. Every root of a nonzero q
+    lies within the Cauchy bound 1 + max |c_i / lead|, so only the integers
+    from lo up to that bound are tried."""
+    if q.degree < 1:
+        return q.is_zero
+    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.lead)
+    return any(q(x) == 0 for x in range(lo, math.floor(bound) + 1))
+
+
+def reductions_defined_from(cert: TelescoperCertificate, k_min: int = CERTIFY_N_MAX) -> bool:
+    """Whether no denominator of the certificate's pair reductions vanishes at
+    an integer k >= k_min.
+
+    `certify`'s symbolic half proves the identity as rational functions, and
+    its numeric half at k < n_max. At a larger k the identity holds wherever
+    those denominators do not vanish, so a certificate that passes both
+    halves and this check with k_min = n_max telescopes at every k >= 0."""
+    _, shifted, target_red, _ = _pair_setup(
+        cert.seq_a, cert.seq_b, cert.window_a, cert.window_b, cert.target_shifts, cert.symmetric
+    )
+    dens = {rf.den for red in (*shifted.values(), target_red) for rf in red.values()}
+    return not any(_has_integer_root_from(d, k_min) for d in dens)
 
 
 # -- strict-mode check and modular reduction ---------------------------------------
@@ -704,11 +788,11 @@ def _term_str(name: str, shift: int, var: str = "k") -> str:
 
 
 def _monomial_str(cert: TelescoperCertificate, i: int, j: int, var: str = "k") -> str:
-    a = _term_str(cert.seq_a, i, var)
-    if cert.seq_b == ONE_SEQ.name:
+    a = _term_str(cert.seq_a.name, i, var)
+    if cert.seq_b is ONE_SEQ:
         return a
-    b = _term_str(cert.seq_b, j, var)
-    if cert.seq_a == cert.seq_b and i == j:
+    b = _term_str(cert.seq_b.name, j, var)
+    if cert.seq_a is cert.seq_b and i == j:
         return f"{a}^2"
     return f"{a}*{b}"
 
@@ -729,8 +813,8 @@ def pretty(cert: TelescoperCertificate) -> str:
 
 def cert_to_json(cert: TelescoperCertificate) -> dict:
     return {
-        "seqA": cert.seq_a,
-        "seqB": cert.seq_b,
+        "seqA": cert.seq_a.name,
+        "seqB": cert.seq_b.name,
         "windows": {
             "a": [cert.window_a.lo, cert.window_a.hi],
             "b": [cert.window_b.lo, cert.window_b.hi],
@@ -746,7 +830,11 @@ def cert_to_json(cert: TelescoperCertificate) -> dict:
     }
 
 
-def cert_from_json(data: Mapping) -> TelescoperCertificate:
+def cert_from_json(
+    data: Mapping, sequences: Mapping[str, SequenceDef] | None = None
+) -> TelescoperCertificate:
+    """Decode a certificate; seqA and seqB name sequences of `sequences`
+    (default: the built-ins), and an unknown name raises `UnknownSequence`."""
     wa = ShiftWindow(*data["windows"]["a"])
     wb = ShiftWindow(*data["windows"]["b"])
     g = {
@@ -757,8 +845,8 @@ def cert_from_json(data: Mapping) -> TelescoperCertificate:
     if len(target) != 2:
         raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
     return TelescoperCertificate(
-        seq_a=data["seqA"],
-        seq_b=data["seqB"],
+        seq_a=get_sequence(data["seqA"], sequences),
+        seq_b=get_sequence(data["seqB"], sequences),
         window_a=wa,
         window_b=wb,
         target_shifts=target,

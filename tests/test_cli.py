@@ -1,5 +1,7 @@
+import functools
 import io
 import json
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from rc.cli import main
 from rc.sequences import get_sequence, sequence_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +134,40 @@ def test_eval_terms(capsys):
     assert doc["terms"] == ["0", "-1", "-1", "-1", "1", "5", "13"]
 
 
+def test_eval_prints_a_term_of_more_than_4300_digits_in_full(capsys):
+    code, out, err = run_cli(capsys, "eval", "--seq", "W", "--range", "10000..10000")
+    assert code == 0 and err == ""
+    (term,) = json.loads(out)["terms"]
+    assert len(term) > 4300 and term == str(get_sequence("W").term(10000))
+
+
+def test_a_failure_with_a_huge_difference_is_reported_in_full(capsys, tmp_path):
+    w = {"seq": "W", "shift": 0}
+    claim = {
+        "id": "seven-w-squared-plus-one",
+        "lhs": {"add": [{"mul": [{"const": "7"}, w, w]}, {"const": "1"}]},
+        "rhs": {"const": "0"},
+        "modulus": {"const": "7"},
+        "domain": {"kind": "integers", "start": 1},
+    }
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": [claim]}))
+    code, out, err = run_cli(capsys, "verify", "--claims-file", str(path), "--range", "9000..9000")
+    assert code == 1
+    (fail,) = json.loads(out)[0]["failures"]
+    lhs = str(7 * get_sequence("W").term(9000) ** 2 + 1)
+    assert len(lhs) > 4300
+    assert fail == {
+        "n": 9000,
+        "status": "fail",
+        "lhs": lhs,
+        "rhs": "0",
+        "modulus": "7",
+        "reason": f"difference {lhs} != 0 mod 7",
+    }
+    assert "Traceback" not in err and "failed at n=9000" in err
+
+
 def test_unknown_sequence_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--seq", "nope")
     assert code == 2
@@ -164,6 +202,10 @@ def test_malformed_polynomial_is_usage_error(capsys):
         ("telescope", "--seq", "W", "--window=-2..0", "--p", "8*k+9", "--deg", "-1"),
         ("discover", "--seq", "W", "--window=-2..0", "--deg", "-1"),
         ("discover", "--seq", "W", "--window=-2..0", "--p-degree", "-1"),
+        # degree bounds above the cap are rejected before any system is built
+        ("telescope", "--seq", "W", "--p", "k", "--window=-2..0", "--deg", "100000000000"),
+        ("discover", "--seq", "T", "--p", "k+1", "--window=-1..0", "--p-degree", "999999999999"),
+        ("discover", "--seq", "T", "--p", "k+1", "--window=-1..0", "--deg", "101"),
     ],
 )
 def test_bad_solver_input_is_usage_error(capsys, argv):
@@ -327,6 +369,12 @@ _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
             {"claims": [{**_N_EQUALS_N, "lhs": {"seq": "Q"}}]},
             "unknown sequence 'Q'",
         ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "id": False}]},
+            "malformed claims file: a claim id must be a string, got False",
+        ),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"const": "1/0"}}]}, "malformed claims file: "),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
@@ -414,3 +462,116 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["terms"] == ["1", "1", "3", "7", "19", "51"]
+
+
+@functools.cache
+def _exported_claims() -> str:
+    """The document `scripts/export_claims.py` prints: the built-in sequences
+    and the built-in catalogue."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(ROOT / "scripts" / "export_claims.py"), run_name="__main__")
+    return out.getvalue()
+
+
+_EXPR_KINDS = ("const", "var", "seq", "legendre", "pow", "binom", "add", "mul", "sub", "div", "sum")
+_WRONG_TYPES = st.sampled_from([None, True, 1.5, -7, "x", "", [], [1, 2], {}, {"a": 1}])
+_SMALL_RATIONAL = st.builds(
+    lambda num, den: str(num) if den == 1 else f"{num}/{den}",
+    st.integers(-12, 12),
+    st.sampled_from([1, 1, 2, 3, 4]),
+)
+_CONST = _SMALL_RATIONAL.map(lambda c: {"const": c})
+_DIVISORS = st.one_of(_CONST, st.just({"var": "n"}))
+_MODULI = st.one_of(
+    st.sampled_from(["0", "1", "2", "4", "6", "12", "-3", "1/2"]).map(lambda c: {"const": c}),
+    st.just({"var": "n"}),
+    st.just({"mul": [{"var": "n"}, {"var": "n"}]}),
+)
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    _at(doc, path[:-1])[path[-1]] = value
+
+
+def _is_expr(v) -> bool:
+    return isinstance(v, dict) and len(set(v) & set(_EXPR_KINDS)) == 1
+
+
+def _swap_kind(draw, node):
+    (old,) = set(node) & set(_EXPR_KINDS)
+    node[draw(st.sampled_from([k for k in _EXPR_KINDS if k != old]))] = node.pop(old)
+
+
+def _change_coefficient(draw, doc, path):
+    value = _at(doc, path)
+    if path[-1] == "const":
+        _set(doc, path, draw(_SMALL_RATIONAL))
+    elif isinstance(value, list) and value:
+        value[draw(st.integers(0, len(value) - 1))] = draw(_SMALL_RATIONAL)
+
+
+@st.composite
+def _mutated_claims_document(draw):
+    """The exported catalogue with one to three mutations: a dropped key, a
+    swapped expression kind or a value of the wrong type anywhere, or a
+    changed shift, coefficient, divisor or modulus."""
+    doc = json.loads(_exported_claims())
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = [(p, v) for p, v in _nodes(doc) if p]
+        paths = [p for p, _ in nodes]
+        keyed = [p for p in paths if isinstance(p[-1], str)]
+        exprs = [(p, v) for p, v in nodes if _is_expr(v)]
+        divs = [p for p, v in exprs if isinstance(v.get("div"), list) and len(v["div"]) == 2]
+        claims = [p for p, v in nodes if len(p) == 2 and p[0] == "claims" and isinstance(v, dict)]
+        # each mutation: (the paths where it applies, what it does at one)
+        mutations = {
+            "drop": (keyed, lambda p: _at(doc, p[:-1]).pop(p[-1])),
+            "swap": ([p for p, _ in exprs], lambda p: _swap_kind(draw, _at(doc, p))),
+            "retype": (paths, lambda p: _set(doc, p, draw(_WRONG_TYPES))),
+            "shift": (
+                [p for p in keyed if p[-1] == "shift"],
+                lambda p: _set(doc, p, draw(st.integers(-4, 4))),
+            ),
+            "coefficient": (
+                [p for p in keyed if p[-1] in ("num", "den", "const")],
+                lambda p: _change_coefficient(draw, doc, p),
+            ),
+            "divisor": (divs, lambda p: _set(doc, p + ("div", 1), draw(_DIVISORS))),
+            "modulus": (claims, lambda p: _set(doc, p + ("modulus",), draw(_MODULI))),
+        }
+        kinds = sorted(k for k, (where, _) in mutations.items() if where)
+        if not kinds:
+            break
+        where, apply = mutations[draw(st.sampled_from(kinds))]
+        apply(draw(st.sampled_from(where)))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_claims_document())
+def test_verify_claims_document_fuzz_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "claims.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--claims-file", str(path), "--range", "1..30"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

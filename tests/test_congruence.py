@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import runpy
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from rc import congruence
 from rc.exactmath import Poly, RatFunc, parse_poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
     BinomExpr,
     Bound,
     C,
+    add,
     CongruenceClaim,
     Domain,
     Legendre,
@@ -20,6 +23,7 @@ from rc.congruence import (
     PowInt,
     SeqFactor,
     SeqRef,
+    REFERENCE_CERTIFICATES,
     SumEvaluator,
     SumNode,
     SumSpec,
@@ -59,7 +63,7 @@ from rc.sequences import (
     get_sequence,
     recurrence,
 )
-from rc.telescoper import find_telescoper, partial_sum
+from rc.telescoper import cert_from_json, cert_to_json, certify, find_telescoper, partial_sum
 
 
 def test_catalogue_size_and_unique_ids():
@@ -491,3 +495,119 @@ def test_failures_are_data_with_deterministic_details():
     again = verify_claim_range(wrong, 1, 20)
     assert rep.failures == again.failures
     assert all(r.status == "fail" for r in rep.failures)
+
+
+# -- certificate-backed residue verification ------------------------------------
+
+CERTIFIED = {
+    "theorem-1.1i": SUM_W_SQUARES,
+    "theorem-1.1ii": SUM_W_SQUARES,
+    "sun-divisibility": SUM_T_PRODUCTS_8K9,
+    "theorem-1.2": SUM_T_PRODUCTS_8K9,
+    "theorem-1.3i": SUM_T_PRODUCTS_16K21,
+    "theorem-1.3ii": SUM_T_PRODUCTS_16K21,
+}
+
+
+def _oracle() -> SumEvaluator:
+    """Running sums only: no certificate, so no closed form and no residues."""
+    return SumEvaluator(certificates=())
+
+
+def test_reference_certificates_are_the_solver_output():
+    searches = [("W", "8*k+9", (0, 0), (-2, 0), 2)]
+    searches += [("T", p, (0, 1), (-1, 0), 6) for p in ("k*(k+1)*(8*k+9)", "(k+1)*(16*k+21)")]
+    for data, (seq, p, target, window, deg) in zip(REFERENCE_CERTIFICATES, searches):
+        cert = find_telescoper(seq, seq, parse_poly(p), target, window, deg_bound=deg)
+        assert cert_to_json(cert) == data
+
+
+@pytest.mark.parametrize("claim_id", sorted(CERTIFIED))
+@pytest.mark.parametrize("wrong_rhs", [None, leg(N, C(3)), C(F(1, 2))])
+def test_residue_path_reports_match_the_running_sum_oracle(claim_id, wrong_rhs):
+    # integer claims over n <= 2000, prime claims over the primes below 2000;
+    # a wrong rhs makes points fail, on the residue path and by a non-unit
+    claim = get_claim(claim_id)
+    if wrong_rhs is not None:
+        claim = dataclasses.replace(claim, rhs=add(claim.rhs, wrong_rhs))
+    ev = SumEvaluator()
+    assert ev.closed_sum(CERTIFIED[claim_id]) is not None
+    got = report_to_json(verify_claim_range(claim, 1, 2000, ev))
+    want = report_to_json(verify_claim_range(claim, 1, 2000, _oracle()))
+    assert got == want
+    assert (got["verdict"] == "pass") == (wrong_rhs is None)
+
+
+def test_certified_sums_equal_the_running_sums():
+    ev, oracle = SumEvaluator(), _oracle()
+    for spec in (SUM_W_SQUARES, SUM_T_PRODUCTS_8K9, SUM_T_PRODUCTS_16K21):
+        assert ev.closed_sum(spec) is not None and oracle.closed_sum(spec) is None
+        for n in range(0, 2001):
+            got, want = ev.eval_sum(spec, n), oracle.eval_sum(spec, n)
+            assert got == want and type(got) is int
+
+
+def test_a_certificate_that_fails_certify_is_never_used():
+    tampered = copy.deepcopy(REFERENCE_CERTIFICATES[0])
+    tampered["g"][2]["poly"][1] = "23/2"  # was 21/2
+    assert not certify(cert_from_json(tampered)).ok
+    outside = {**copy.deepcopy(REFERENCE_CERTIFICATES[0]), "g": [{"i": 0, "j": 1, "poly": ["1"]}]}
+    for table in ([tampered], [outside, tampered]):
+        ev = SumEvaluator(certificates=table)
+        assert ev.closed_sum(SUM_W_SQUARES) is None
+        for claim_id in ("theorem-1.1i", "theorem-1.1ii"):
+            claim = get_claim(claim_id)
+            got = report_to_json(verify_claim_range(claim, 1, 300, ev))
+            assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+            assert got["verdict"] == "pass"
+
+
+def test_a_certificate_is_used_only_past_the_denominator_root_check(monkeypatch):
+    monkeypatch.setattr("rc.congruence.reductions_defined_from", lambda cert: False)
+    assert SumEvaluator().closed_sum(SUM_W_SQUARES) is None
+
+
+def test_certificates_apply_only_to_their_own_summand():
+    ev = SumEvaluator()
+    for spec in (
+        dataclasses.replace(SUM_W_SQUARES, lo=-1),
+        dataclasses.replace(SUM_W_SQUARES, coeff=RatFunc(Poly([9, 7]))),
+        dataclasses.replace(SUM_W_SQUARES, factors=(SeqFactor(W, 0), SeqFactor(W, 1))),
+        dataclasses.replace(SUM_T_PRODUCTS_8K9, factors=(SeqFactor(T, 0), SeqFactor(T, 0))),
+        dataclasses.replace(SUM_W_SQUARES, factors=(SeqFactor(T, 0), SeqFactor(T, 0))),
+    ):
+        assert ev.closed_sum(spec) is None
+    # another lower limit and upper bound keep the certificate
+    spec = SumSpec(coeff=SUM_W_SQUARES.coeff, factors=SUM_W_SQUARES.factors, lo=3, upper=Bound(1, 0, 2))
+    assert ev.closed_sum(spec) is not None
+    for n in range(0, 60):
+        assert ev.eval_sum(spec, n) == _oracle().eval_sum(spec, n)
+
+
+def test_residue_points_fall_back_to_the_exact_path():
+    # divisors that are not units, negative and vanishing divisors, moduli
+    # of 0 and 1, negative powers: the reports are the oracle's
+    s = SumNode(SUM_W_SQUARES)
+    cases = [
+        (div(s, C(4)), sub(N, C(0)), mul(C(2), N)),
+        (div(s, sub(N, C(3))), N, C(2)),
+        (div(s, C(F(-3, 2))), div(N, C(-3)), N),
+        (s, N, C(0)),
+        (s, C(F(1, 2)), C(1)),
+        (mul(s, PowInt(2, Bound(1, -3, 1))), N, N),
+        (add(s, PowInt(0, Bound(1, -3, 1))), N, C(3)),
+    ]
+    for lhs, rhs, modulus in cases:
+        claim = CongruenceClaim("fallback", "", lhs, rhs, modulus, Domain("integers", 0))
+        got = report_to_json(verify_claim_range(claim, 0, 40, SumEvaluator()))
+        assert got == report_to_json(verify_claim_range(claim, 0, 40, _oracle()))
+
+
+def test_only_the_flagged_point_is_computed_exactly(monkeypatch):
+    exact = []
+    inner = congruence._check_raw
+    monkeypatch.setattr(congruence, "_check_raw", lambda c, n, ev: exact.append(n) or inner(c, n, ev))
+    assert verify_claim_range(get_claim("theorem-1.3ii"), 2, 300).ok
+    assert exact == [2]
+    assert verify_claim_range(get_claim("theorem-1.3ii"), 2, 300, _oracle()).ok
+    assert len(exact) == 1 + 61

@@ -6,8 +6,9 @@ import pytest
 
 import rc.telescoper
 from rc.exactmath import ONE, Poly, RatFunc, ZERO, parse_poly
-from rc.sequences import T, W, recurrence
+from rc.sequences import SequenceDef, T, UnknownSequence, W, recurrence
 from rc.telescoper import (
+    MAX_DEGREE,
     ShiftWindow,
     TelescoperCertificate,
     cert_from_json,
@@ -20,6 +21,7 @@ from rc.telescoper import (
     pretty,
     reduce_mod,
     reduce_shift,
+    reductions_defined_from,
 )
 
 P_W = parse_poly("8*k+9")
@@ -276,6 +278,17 @@ def test_degree_search_small_and_negative_bounds(solves):
     assert find_telescoper("one", None, parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
 
 
+def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
+    for degree in (MAX_DEGREE + 1, 10**11):
+        with pytest.raises(ValueError, match="largest supported degree"):
+            find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=degree)
+        with pytest.raises(ValueError, match="largest supported degree"):
+            discover_weights("T", "T", parse_poly("k+1"), 1, (0, 1), (-1, 0), deg_bound=degree)
+        with pytest.raises(ValueError, match="largest supported degree"):
+            discover_weights("T", "T", parse_poly("k+1"), degree, (0, 1), (-1, 0), deg_bound=3)
+    assert solves[0] == 0
+
+
 def test_symmetric_mode_rejects_a_second_window_in_both_solvers():
     with pytest.raises(ValueError, match="single window"):
         find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), window_b=(0, 1), deg_bound=3)
@@ -325,6 +338,32 @@ def test_certify_rejects_out_of_window_entries(w_cert):
     )
     with pytest.raises(ValueError):
         certify(bad)
+
+
+def test_certificate_of_a_sequence_that_is_not_built_in():
+    t2 = SequenceDef("T2", T.recurrence, T.initial)
+    cert = find_telescoper(t2, t2, P_T1, (0, 1), (-1, 0), deg_bound=4)
+    assert cert.seq_a is t2 and cert.seq_b is t2
+    assert certify(cert).ok
+    doc = cert_to_json(cert)
+    t_doc = cert_to_json(find_telescoper("T", "T", P_T1, (0, 1), (-1, 0), deg_bound=4))
+    assert doc == {**t_doc, "seqA": "T2", "seqB": "T2"}
+    back = cert_from_json(doc, {"T2": t2})
+    assert back.seq_a is t2 and certify(back, 50).ok
+    with pytest.raises(UnknownSequence):
+        cert_from_json(doc)
+    assert reference_w_certificate().seq_a is W  # a name is looked up in the built-ins
+
+
+def test_reduction_denominators_are_checked_for_integer_roots(w_cert, t_cert_lo, d2_cert):
+    for cert in (w_cert, t_cert_lo, d2_cert):
+        assert reductions_defined_from(cert)
+    # (n+1) a(n) + (300-n) a(n+1) = 0: reducing a(k+1) divides by k - 300
+    q = SequenceDef("Q", recurrence([Poly([1, 1]), Poly([300, -1])]), {0: 1})
+    cert = TelescoperCertificate(q, "one", ShiftWindow(0, 0), ShiftWindow(0, 0), (0, 0), ONE, {}, False)
+    assert not reductions_defined_from(cert)
+    assert not reductions_defined_from(cert, 300)
+    assert reductions_defined_from(cert, 301)
 
 
 # -- discovery ----------------------------------------------------------------------
