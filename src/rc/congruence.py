@@ -16,6 +16,8 @@ T theorem sums) is read from the certificate's closed form,
 kept as one running sum per summand, a cursor at the furthest k read so far:
 points are checked in ascending order, so each point adds only its new
 terms, and a read below the cursor starts again from the sum's lower limit.
+Binomial and geometric factors, in sums and as expression nodes, are
+stepped from their previous values rather than recomputed.
 Values are `int` wherever they are integral by construction (sequence terms,
 binomials, integer constants, and sums, products and differences of these)
 and `Fraction` only where a value is really rational, such as a quotient that
@@ -65,8 +67,10 @@ from .sequences import (
     SumSpec,
     T,
     W,
+    _MAX_STEP_FACTORS,
     _running_sums,
     binom,
+    binom_step,
     get_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -245,16 +249,27 @@ class SumEvaluator:
     A read below the cursor starts again from the spec's lower limit and
     leaves the cursor at the read. A summand that mentions n is summed from
     the lower limit at every read, and nothing is kept.
+
+    Each term's binomial and geometric factors are stepped from their
+    values at k - 1 (see `rc.sequences`): a big-by-small product and one
+    exact division per factor instead of a `math.comb` of the full size.
+    The cursor keeps the factors' step functions, so a resumed read steps
+    on from the cursor; a summand that mentions n steps within one read.
+    A binomial node of an expression (`eval_binom`) steps from the value
+    this evaluator last read for it, across at most `_MAX_STEP_FACTORS`
+    small factors; a first read, a read below the last one and a longer
+    jump call `binom`.
     """
 
     def __init__(self, certificates: Iterable[Mapping] | None = None):
-        self._cursors: dict[SumSpec, tuple[int, int, int]] = {}
+        self._cursors: dict[SumSpec, tuple[int, int, int, list | None]] = {}
         self._certificates = tuple(
             REFERENCE_CERTIFICATES if certificates is None else certificates
         )
         self._decoded: list | None = None
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
+        self._binoms: dict[BinomExpr, tuple[int, int, int, int]] = {}
 
     def closed_sum(self, spec: SumSpec) -> tuple[ClosedForm, int] | None:
         """(the certified closed form of spec's summand, D S(lo)), or None."""
@@ -289,6 +304,19 @@ class SumEvaluator:
         self._closed[spec] = found
         return found
 
+    def eval_binom(self, e: BinomExpr, n: int) -> int:
+        """binom(top(n), bottom(n)), by `binom_step` from the value last read
+        for e when n is not below that read and at most `_MAX_STEP_FACTORS`
+        factors away from it, else by `binom`."""
+        x, y = e.top.exact_at(n), e.bottom.exact_at(n)
+        n0, x0, y0, value = self._binoms.get(e, (n + 1, 0, 0, 0))
+        if n0 <= n and abs(x - x0) + abs(y - y0) + abs(x - y - x0 + y0) <= _MAX_STEP_FACTORS:
+            value = binom_step(value, x0, y0, x, y)
+        else:
+            value = binom(x, y)
+        self._binoms[e] = (n, x, y, value)
+        return value
+
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
         hi = spec.upper.at(n)
         if hi < spec.lo:
@@ -300,14 +328,14 @@ class SumEvaluator:
             q, r = divmod(num, closed.scale)
             return q if r == 0 else Fraction(num, closed.scale)
         n_free = spec.n_free
-        k, num, den = spec.lo - 1, 0, 1
+        k, num, den, steps = spec.lo - 1, 0, 1, None
         if n_free:
             cursor = self._cursors.get(spec)
             if cursor is not None and cursor[0] <= hi:
-                k, num, den = cursor
-        num, den = _running_sums(spec, n, k + 1, hi, num, den)
+                k, num, den, steps = cursor
+        num, den, steps = _running_sums(spec, n, k + 1, hi, num, den, steps)
         if n_free:
-            self._cursors[spec] = (hi, num, den)
+            self._cursors[spec] = (hi, num, den, steps)
         return _reduced(num, den)
 
 
@@ -359,7 +387,7 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
             raise ZeroDivisionError("0 raised to a negative power")
         return Fraction(1, e.base**-exp)
     if isinstance(e, BinomExpr):
-        return binom(e.top.exact_at(n), e.bottom.exact_at(n))
+        return ev.eval_binom(e, n)
     if isinstance(e, Add):
         return sum(eval_expr(t, n, ev) for t in e.terms)
     if isinstance(e, Mul):
@@ -1095,6 +1123,11 @@ def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None)
     if not isinstance(d["id"], str):
         raise ValueError(f"a claim id must be a string, got {d['id']!r}")
     dom = d.get("domain", {})
+    kind, parity = dom.get("kind", "integers"), dom.get("parity")
+    if kind not in ("integers", "primes"):
+        raise ValueError(f"a domain kind must be 'integers' or 'primes', got {kind!r}")
+    if parity not in (None, "odd"):
+        raise ValueError(f"a domain parity must be 'odd' or absent, got {parity!r}")
     return CongruenceClaim(
         claim_id=d["id"],
         description=d.get("description", d["id"]),
@@ -1102,9 +1135,9 @@ def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None)
         rhs=expr_from_json(d["rhs"], sequences),
         modulus=expr_from_json(d["modulus"], sequences),
         domain=Domain(
-            kind=dom.get("kind", "integers"),
+            kind=kind,
             start=int(dom.get("start", 1)),
-            parity=dom.get("parity"),
+            parity=parity,
             exclude=frozenset(int(x) for x in dom.get("exclude", [])),
         ),
         notes=tuple(d.get("notes", [])),

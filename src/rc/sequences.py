@@ -14,6 +14,16 @@ direct formula (which takes no sequence-term factors) and as the sum node of
 a congruence claim, with one JSON codec and one accumulation loop
 (`_running_sums`) for both.
 
+Terms are stepped, not recomputed. A binomial or geometric factor with
+affine arguments is hypergeometric in k: its value at k is its value at
+k - 1 times a few small affine factors, then one exact division
+(`binom_step`, whose factors `BinomFactor.stepper` plans once per factor).
+A factor is computed directly (`math.comb`, a power) at its first k, after
+a zero value or a k where it was not read, outside 0 <= bottom <= top, and
+below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step. A
+read over which a geometric exponent turns negative is summed by
+`SumSpec.term_parts`, which, with `SumSpec.term`, stays the reference.
+
 A `SeqFactor` holds its `SequenceDef`. Names are resolved once, when a sum
 is decoded, against a name-to-sequence mapping; the default is `BUILTINS`,
 the fixed table of W, T and one.
@@ -47,6 +57,7 @@ __all__ = [
     "Mismatch",
     "ConsistencyReport",
     "binom",
+    "binom_step",
     "recurrence",
     "eval_direct",
     "check_recurrence_consistency",
@@ -70,6 +81,28 @@ def binom(x: int, y: int) -> int:
     if y < 0 or y > x:
         return 0
     return math.comb(x, y)
+
+
+def binom_step(value: int, x0: int, y0: int, x1: int, y1: int) -> int:
+    """binom(x1, y1) from value = binom(x0, y0): value times the factorial
+    ratio x1!/x0! * y0!/y1! * (x0-y0)!/(x1-y1)!, whose parts are products of
+    |x1-x0|, |y1-y0| and |(x1-y1)-(x0-y0)| consecutive integers
+    (`math.perm`), then one exact division. `binom` itself when value is 0,
+    which covers an (x0, y0) outside 0 <= y0 <= x0, or when (x1, y1) lies
+    outside 0 <= y1 <= x1."""
+    if not value or y1 < 0 or y1 > x1:
+        return binom(x1, y1)
+    num, den = value, 1
+    for new, old, sign in ((x1, x0, 1), (y1, y0, -1), (x1 - y1, x0 - y0, -1)):
+        if new == old:
+            continue
+        if new < old:
+            new, old, sign = old, new, -sign
+        if sign > 0:
+            num *= math.perm(new, new - old)
+        else:
+            den *= math.perm(new, new - old)
+    return num // den
 
 
 class SequenceError(Exception):
@@ -167,13 +200,79 @@ class Bound:
 # -- finite sums ---------------------------------------------------------------
 
 
+# below this top, math.comb costs a few word operations and no more than a step
+_STEP_FROM = 64
+# a step multiplies at most this many small factors: past that, math.comb
+# costs as much at tops of a few hundred, and a factor's step plan must not
+# grow with the coefficients of a claims file
+_MAX_STEP_FACTORS = 128
+
+
+def _ratio_forms(top: Affine, bottom: Affine) -> tuple[tuple, tuple]:
+    """The small factors of `binom_step` from k - 1 to k for binom(top,
+    bottom), as linear forms (p, qn, qc), each the integer p*k + qn*n + qc:
+    (numerator forms, denominator forms)."""
+    up: list = []
+    down: list = []
+    diff = Affine(top.cn - bottom.cn, top.ck - bottom.ck, top.c - bottom.c)
+    for x, in_num in ((top, True), (bottom, False), (diff, False)):
+        s = x.ck
+        if s > 0:  # x!/(x-s)! = x (x-1) ... (x-s+1), x taken at k
+            forms = [(s, x.cn, x.c - j) for j in range(s)]
+        else:  # x!/(x+|s|)! = 1 / ((x+1) ... (x+|s|))
+            forms = [(s, x.cn, x.c + j) for j in range(1, 1 - s)]
+            in_num = not in_num
+        (up if in_num else down).extend(forms)
+    return tuple(up), tuple(down)
+
+
 @dataclass(frozen=True)
 class BinomFactor:
     top: Affine
     bottom: Affine
+    _forms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tk, bk = self.top.ck, self.bottom.ck
+        small = abs(tk) + abs(bk) + abs(tk - bk) <= _MAX_STEP_FACTORS
+        object.__setattr__(self, "_forms", _ratio_forms(self.top, self.bottom) if small else None)
 
     def value(self, n: int, k: int) -> int:
         return binom(self.top.at(n, k), self.bottom.at(n, k))
+
+    def stepper(self, n: int):
+        """step(k): the factor at (n, k). When step last read k - 1 and found
+        a nonzero value, and the top is at least `_STEP_FROM`, the value is
+        stepped from it by the factors of `binom_step`, planned once per
+        factor; otherwise it is `math.comb`, or 0 outside 0 <= bottom <= top.
+        A factor without a plan (`_MAX_STEP_FACTORS`) is never stepped."""
+        t0, tk = self.top.at(n, 0), self.top.ck
+        b0, bk = self.bottom.at(n, 0), self.bottom.ck
+        if self._forms is None:
+            return lambda k: binom(t0 + tk * k, b0 + bk * k)
+        up, down = ([(p, qn * n + qc) for p, qn, qc in forms] for forms in self._forms)
+        comb = math.comb
+        last, v = None, 0  # the k last read and the value there
+
+        def step(k):
+            nonlocal last, v
+            t = t0 + tk * k
+            b = b0 + bk * k
+            if b < 0 or b > t:
+                v = 0
+            elif v and last == k - 1 and t >= _STEP_FROM:
+                for p, q in up:
+                    v *= p * k + q
+                d = 1
+                for p, q in down:
+                    d *= p * k + q
+                v //= d
+            else:
+                v = comb(t, b)
+            last = k
+            return v
+
+        return step
 
     def to_json(self) -> dict:
         return {"binom": {"top": self.top.to_json(), "bottom": self.bottom.to_json()}}
@@ -192,6 +291,28 @@ class GeomFactor:
             raise ZeroDivisionError("0 raised to a negative power")
         return Fraction(1, self.base**-e)
 
+    def stepper(self, n: int):
+        """step(k) as for `BinomFactor.stepper`, for reads whose exponents
+        are never negative: the value at k - 1 times or exactly over
+        base^|exp.ck|, or base^exp itself (always when the base is 0 or
+        |exp.ck| exceeds `_MAX_STEP_FACTORS`)."""
+        base, e0, ek = self.base, self.exp.at(n, 0), self.exp.ck
+        if base == 0 or abs(ek) > _MAX_STEP_FACTORS:
+            return lambda k: base ** (e0 + ek * k)
+        pw = base ** abs(ek)
+        last, v = None, 0
+
+        def step(k):
+            nonlocal last, v
+            if last == k - 1:
+                v = v // pw if ek < 0 else v * pw
+            else:
+                v = base ** (e0 + ek * k)
+            last = k
+            return v
+
+        return step
+
     def to_json(self) -> dict:
         return {"geom": {"base": self.base, "exp": self.exp.to_json()}}
 
@@ -207,6 +328,11 @@ class SeqFactor:
     @property
     def name(self) -> str:
         return self.seq.name
+
+    def stepper(self, n: int):
+        """step(k) as for `BinomFactor.stepper`: the memoized term."""
+        term, shift = self.seq.term, self.shift
+        return lambda k: term(k + shift)
 
     def to_json(self) -> dict:
         return {"seq": {"name": self.name, "shift": self.shift}}
@@ -323,15 +449,44 @@ class SumSpec:
 
 
 def _running_sums(
-    spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int
-) -> tuple[int, int]:
-    """(num, den) after adding each term k = k_lo..k_hi to num/den.
+    spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int, steps: list | None = None
+) -> tuple[int, int, list | None]:
+    """(num, den, steps) after adding each term k = k_lo..k_hi to num/den.
+
+    steps are the factors' step functions at n (`BinomFactor.stepper`),
+    made here when None, and carry each factor's last value from one read
+    to the next; a read over which a geometric exponent is negative somewhere
+    is summed by `term_parts`. As in `term_parts`, a zero coefficient or
+    factor ends the term, and the factors after it are not read at that k.
 
     den is the lcm (up to sign) of the term denominators so far and num is
     not reduced against it, so an integer summand keeps den = 1 and runs no
     gcd."""
+    stepped = all(
+        min(f.exp.at(n, k_lo), f.exp.at(n, k_hi)) >= 0
+        for f in spec.factors
+        if isinstance(f, GeomFactor)
+    )
+    if stepped and steps is None:
+        steps = [f.stepper(n) for f in spec.factors]
+    cnum, cden = spec._int_coeff
+    const = len(cnum) == len(cden) == 1
     for k in range(k_lo, k_hi + 1):
-        a, b = spec.term_parts(n, k)
+        if not stepped:
+            a, b = spec.term_parts(n, k)
+        else:
+            a, b = (cnum[0], cden[0]) if const else (horner(cnum, k), horner(cden, k))
+            if b == 0:
+                raise ZeroDivisionError(f"denominator vanishes at {k}")
+            if a:
+                for step in steps:
+                    v = step(k)
+                    if not v:
+                        a = 0
+                        break
+                    a *= v
+            if not a:
+                continue
         if b != 1:
             if den % b:
                 scale = b // math.gcd(den, b)
@@ -341,14 +496,15 @@ def _running_sums(
         elif den != 1:
             a *= den
         num += a
-    return num, den
+    return num, den, steps
 
 
 def eval_direct(spec: SumSpec, n: int) -> Fraction:
     """Exact value of the sum at integer n >= 0."""
     if n < 0:
         raise ValueError("direct formulas are defined for n >= 0")
-    return Fraction(*_running_sums(spec, n, spec.lo, spec.upper.at(n), 0, 1))
+    num, den, _ = _running_sums(spec, n, spec.lo, spec.upper.at(n), 0, 1)
+    return Fraction(num, den)
 
 
 # -- recurrences ------------------------------------------------------------------

@@ -375,6 +375,26 @@ _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
             "malformed claims file: a claim id must be a string, got False",
         ),
         ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"const": "1/0"}}]}, "malformed claims file: "),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"kind": "prime"}}]},
+            "malformed claims file: a domain kind must be 'integers' or 'primes', got 'prime'\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"kind": None}}]},
+            "malformed claims file: a domain kind must be 'integers' or 'primes', got None\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"kind": "primes", "parity": "even"}}]},
+            "malformed claims file: a domain parity must be 'odd' or absent, got 'even'\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"parity": 1}}]},
+            "malformed claims file: a domain parity must be 'odd' or absent, got 1\n",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

@@ -5,10 +5,12 @@ import runpy
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rc import congruence
+from rc import congruence, sequences
 from rc.exactmath import Poly, RatFunc, parse_poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
@@ -59,6 +61,7 @@ from rc.sequences import (
     W,
     UnknownSequence,
     binom,
+    binom_step,
     builtin_names,
     get_sequence,
     recurrence,
@@ -79,15 +82,21 @@ def test_eval_sum_examples():
     assert eval_sum(SUM_T_PRODUCTS_8K9, 0) == 0  # empty range
 
 
-def _sum_specs(e):
+def _nodes(e, cls):
+    """The nodes of type cls in the expression e, outside sums."""
+    if isinstance(e, cls):
+        yield e
     if isinstance(e, SumNode):
-        yield e.spec
         return
     for f in dataclasses.fields(e):
         value = getattr(e, f.name)
         for x in value if isinstance(value, tuple) else (value,):
             if dataclasses.is_dataclass(x):
-                yield from _sum_specs(x)
+                yield from _nodes(x, cls)
+
+
+def _sum_specs(e):
+    return (node.spec for node in _nodes(e, SumNode))
 
 
 def _fraction_oracle(spec, n_max):
@@ -134,6 +143,143 @@ def test_running_sums_follow_any_read_order():
         for spec, at in zip(specs, (n, m)):
             got, oracle = ev.eval_sum(spec, at), want[spec][at]
             assert (got.numerator, got.denominator) == (oracle.numerator, oracle.denominator)
+
+
+def _term_oracle(spec, n):
+    """The sum at n as the Fraction sum of `spec.term`, or the type of the
+    exception that summing it raises."""
+    try:
+        return sum((spec.term(n, k) for k in range(spec.lo, spec.upper.at(n) + 1)), F(0))
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def _read(ev, spec, n):
+    try:
+        return F(ev.eval_sum(spec, n))
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+_SMALL = st.integers(-3, 3)
+# 1, 0, -1, 0, 1, ...: a factor that is zero inside the range and not at its
+# ends, so the factors after it are left out at some k and not at the next
+_COS = SequenceDef("cos", recurrence([Poly([1]), Poly([0]), Poly([1])]), {0: 1, 1: 0})
+_ROOTS = st.lists(st.integers(-2, 6), max_size=2)
+
+
+def _poly_with_roots(scale, roots):
+    p = Poly([scale])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+@st.composite
+def _stepped_spec(draw, n_free):
+    """A SumSpec of affine binomial and geometric factors: k-coefficients in
+    -2..2, negative constants and tops, geometric bases -3..3 and exponents
+    that are negative somewhere in the range or nowhere, and a coefficient
+    with zeros and poles at small k; a factor may also be a sequence term
+    with zeros, or one below the sequence's first index."""
+    cn = st.just(0) if n_free else st.integers(-1, 2)
+    affine = st.builds(Affine, cn, st.integers(-2, 2), _SMALL)
+    # binomials such as binom(2k+1, k-1), nonzero over most of the range
+    top = st.builds(Affine, cn, st.integers(1, 2), st.integers(0, 3))
+    bottom = st.builds(Affine, st.just(0), st.integers(0, 1), st.integers(-1, 1))
+    # a constant of at least 48 keeps the exponent >= 0 for every k <= 24
+    exp = st.builds(Affine, cn, st.integers(-2, 2), _SMALL | st.integers(48, 50))
+    factor = st.one_of(
+        st.builds(BinomFactor, affine, affine),
+        st.builds(BinomFactor, top, bottom),
+        st.builds(GeomFactor, _SMALL, exp),
+        st.builds(SeqFactor, st.just(_COS), _SMALL),
+    )
+    coeff = RatFunc(
+        _poly_with_roots(draw(st.integers(-2, 2)), draw(_ROOTS)),
+        _poly_with_roots(draw(st.integers(1, 2)), draw(_ROOTS)),
+    )
+    return SumSpec(
+        coeff=coeff,
+        factors=tuple(draw(st.lists(factor, max_size=4))),
+        lo=draw(st.integers(-2, 3)),
+        upper=Bound(draw(st.integers(0, 2)), draw(_SMALL), draw(st.sampled_from([1, 2]))),
+    )
+
+
+_K_PLUS_3 = BinomFactor(Affine(0, 1, 3), Affine(0, 0, 1))  # binom(k+3, 1)
+_2K_OVER_K = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
+
+
+@pytest.mark.parametrize("step_from", [0, sequences._STEP_FROM])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.booleans().flatmap(_stepped_spec),
+    st.lists(st.integers(0, 24), min_size=1, max_size=8),
+)
+# a zero of the coefficient inside the range, then a zero of the first factor
+@example(SumSpec(RatFunc(Poly([0, 1])), (_K_PLUS_3,), lo=-2), [3, 6])
+@example(SumSpec(factors=(SeqFactor(_COS), _K_PLUS_3)), [3, 6])
+# an n-free cursor that carries two stepped factors
+@example(SumSpec(factors=(_2K_OVER_K, GeomFactor(-3, Affine(0, 1, 0)))), [2, 5, 9])
+def test_stepped_sums_equal_the_term_oracle(step_from, spec, reads):
+    # the cursor path (n-free) and the n-dependent path, each read order on
+    # its own evaluator: as drawn, ascending, each point twice, descending;
+    # binomials stepped at every top, then only from the default `_STEP_FROM`
+    orders = (reads, sorted(reads), [n for n in sorted(reads) for _ in (0, 1)], sorted(reads)[::-1])
+    want = {n: _term_oracle(spec, n) for n in reads}
+    with mock.patch.object(sequences, "_STEP_FROM", step_from):
+        for order in orders:
+            ev = SumEvaluator()
+            for n in order:
+                assert _read(ev, spec, n) == want[n], (order, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 40), min_size=4, max_size=4))
+def test_binom_step_equals_binom(xs):
+    x0, y0, x1, y1 = xs
+    assert binom_step(binom(x0, y0), x0, y0, x1, y1) == binom(x1, y1)
+
+
+def test_a_large_k_coefficient_gets_no_step_plan():
+    # a claims file may give any coefficient, and no step plan grows with it
+    tracemalloc.start()
+    try:
+        binomial = BinomFactor(Affine(0, 10**5, 0), Affine(0, 1, 0))
+        power = GeomFactor(2, Affine(0, 10**7, 0))
+        assert eval_sum(SumSpec(factors=(binomial, power), upper=Bound(0, 0, 1)), 0) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    # past the cap, such factors are computed directly
+    binomial = BinomFactor(Affine(0, 130, 0), Affine(0, 1, 0))
+    spec = SumSpec(factors=(binomial, GeomFactor(-3, Affine(0, 130, 1))), upper=Bound(1, -1, 1))
+    assert eval_sum(spec, 4) == sum(spec.term(4, k) for k in range(4))
+
+
+def test_catalogue_sums_and_binomials_equal_the_reference():
+    # one evaluator, each claim at ascending domain points of its suite range
+    ev = SumEvaluator()
+    for claim in builtin_claims():
+        lo, hi = suite_range(claim.claim_id)
+        if claim.claim_id.startswith("trinomial-transform-"):
+            hi = 60
+        sides = (claim.lhs, claim.rhs, claim.modulus)
+        specs = {spec for side in sides for spec in _sum_specs(side)}
+        binoms = {b for side in sides for b in _nodes(side, BinomExpr)}
+        oracles = {spec: _fraction_oracle(spec, hi) for spec in specs if spec.n_free}
+        for n in claim.domain.points(lo, hi):
+            for spec in specs:
+                want = oracles[spec][n] if spec.n_free else _term_oracle(spec, n)
+                assert ev.eval_sum(spec, n) == want, (claim.claim_id, n)
+            for b in binoms:
+                assert ev.eval_binom(b, n) == binom(b.top.exact_at(n), b.bottom.exact_at(n))
+    # binom(p-1, (p-1)/2) read backward, across prime gaps, and by a long jump
+    (middle,) = _nodes(get_claim("central-binom-middle").lhs, BinomExpr)
+    for p in (7, 1009, 1013, 1019, 997, 1021, 5, 7919, 7927):
+        assert ev.eval_binom(middle, p) == binom(p - 1, (p - 1) // 2), p
 
 
 def test_range_verification_keeps_no_pass_values():
