@@ -104,8 +104,8 @@ def _parse_shifts(text: str) -> tuple[int, int]:
 def _parse_p(text: str) -> Poly:
     try:
         return parse_poly(text)
-    except PolyParseError as e:
-        raise UsageError(str(e)) from None
+    except PolyParseError as e:  # one line, not the parser's caret diagram
+        raise UsageError(f"bad polynomial {e.text!r}: {e.reason} at position {e.pos}") from None
 
 
 def _solver_args(args) -> tuple:

@@ -1119,6 +1119,13 @@ def claim_to_json(c: CongruenceClaim) -> dict:
     }
 
 
+def _list_of(what: str, kind: type, items: str, value) -> list:
+    # a JSON list whose items all have exactly the type `kind`, so no bool for int
+    if not isinstance(value, list) or any(type(x) is not kind for x in value):
+        raise ValueError(f"{what} must be a list of {items}, got {value!r}")
+    return value
+
+
 def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
     if not isinstance(d["id"], str):
         raise ValueError(f"a claim id must be a string, got {d['id']!r}")
@@ -1138,10 +1145,10 @@ def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None)
             kind=kind,
             start=int(dom.get("start", 1)),
             parity=parity,
-            exclude=frozenset(int(x) for x in dom.get("exclude", [])),
+            exclude=frozenset(_list_of("a domain exclude", int, "integers", dom.get("exclude", []))),
         ),
-        notes=tuple(d.get("notes", [])),
-        flag_points=tuple(int(x) for x in d.get("flag_points", [])),
+        notes=tuple(_list_of("notes", str, "strings", d.get("notes", []))),
+        flag_points=tuple(_list_of("flag_points", int, "integers", d.get("flag_points", []))),
     )
 
 

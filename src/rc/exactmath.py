@@ -395,10 +395,11 @@ def _normalize_int_vector(ints: list[int]) -> list[int]:
 def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[int]]:
     """Basis of the right nullspace of an exact rational matrix.
 
-    Uses fraction-free Gauss-Jordan elimination over the integers: each row
-    is first scaled by the lcm of its denominators, a row is cleared against
-    a pivot row as (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f), and
-    every new row is divided by its content. The basis has one vector per
+    Uses fraction-free Gauss-Jordan elimination over the integers: a row of
+    `int` entries is used as it is, with no `Fraction` pass, and any other row
+    is first scaled by the lcm of its denominators; a row is cleared against a
+    pivot row as (pv/g)*row - (f/g)*pivot_row with g = gcd(pv, f), and every
+    row is divided by its content. The basis has one vector per
     free column of the reduced row echelon form, which is unique, each
     scaled to coprime integer entries with a positive leading nonzero entry,
     so the returned basis is deterministic. Empty list when the nullspace is
@@ -412,9 +413,12 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        fracs = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fracs))
-        ints = [x.numerator * (den // x.denominator) for x in fracs]
+        if all(type(x) is int for x in row):
+            ints = list(row)
+        else:
+            fracs = [Fraction(x) for x in row]
+            den = math.lcm(*(x.denominator for x in fracs))
+            ints = [x.numerator * (den // x.denominator) for x in fracs]
         g = math.gcd(*ints)
         if g:
             mat.append([x // g for x in ints] if g > 1 else ints)
@@ -524,11 +528,13 @@ def rat_mod(x: Fraction | int, modulus: int) -> int:
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text; carries the offending position."""
+    """Malformed polynomial text; carries the offending position and, in
+    `reason`, what was wrong there."""
 
     def __init__(self, message: str, text: str, pos: int):
         self.text = text
         self.pos = pos
+        self.reason = message
         marker = " " * pos + "^"
         super().__init__(f"{message} at position {pos}:\n  {text}\n  {marker}")
 

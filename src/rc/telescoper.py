@@ -9,10 +9,13 @@ g_{i,j}(k) with
 Delta_k F(k) = F(k+1) - F(k), where i and j run over the windows. Shifts
 outside a window are rewritten into it through the recurrence, the defining
 equation is cleared of denominators and read off coefficient-by-coefficient
-in powers of k, and the resulting exact linear system is solved by
-fraction-free integer elimination (`exactmath.nullspace`). The pair list and
-the reductions of the shifted and target pairs are computed by one helper,
-`_pair_setup`, for both the solver's system and `certify`'s recheck.
+in powers of k, and the resulting exact linear system, built in integers, is
+solved by fraction-free integer elimination (`exactmath.nullspace`). A search
+builds its system once, at its degree bound, and solves each smaller degree
+of its bisection on a column slice of it. The pair list and the reductions of
+the shifted and target pairs are computed by one helper, `_pair_setup`, for
+both the solver's system and `certify`'s recheck; it rejects a target shift
+more than `MAX_SHIFT_DISTANCE` outside its window.
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -46,6 +49,7 @@ from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
 
 __all__ = [
     "MAX_DEGREE",
+    "MAX_SHIFT_DISTANCE",
     "ShiftWindow",
     "TelescoperCertificate",
     "ClosedForm",
@@ -68,6 +72,11 @@ __all__ = [
 # the largest degree bound of g and of a free weight that a search accepts: a
 # bound is rejected before any system is built, since the system grows with it
 MAX_DEGREE = 100
+
+# the farthest a target shift may lie outside its window: reducing it takes one
+# rational-function recurrence step per unit of distance, and the degrees (so
+# the cost) of the reductions grow with each step; checked before any runs
+MAX_SHIFT_DISTANCE = 16
 
 # certify's default numeric range: S(n) - S(0) is compared with the sum for n <= this
 CERTIFY_N_MAX = 200
@@ -228,7 +237,15 @@ def _pair_setup(
     a(k+sa) b(k+sb); and the shifts of a and of b that were reduced.
 
     Symmetric mode, which reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair,
-    needs the same sequence and a single window for both factors."""
+    needs the same sequence and a single window for both factors. A target
+    shift more than `MAX_SHIFT_DISTANCE` outside its window raises
+    ValueError before any reduction runs."""
+    for shift, w in zip(target, (wa, wb)):
+        if max(w.lo - shift, shift - w.hi) > MAX_SHIFT_DISTANCE:
+            raise ValueError(
+                f"target shift {shift} lies more than {MAX_SHIFT_DISTANCE} "
+                f"outside the window {w.lo}..{w.hi}"
+            )
     if symmetric and (seq_a is not seq_b or wa != wb):
         raise ValueError(
             "symmetric mode needs the same sequence and a single window for both factors"
@@ -332,11 +349,11 @@ def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
 
 @dataclass
 class ReducedSystem:
-    """Exact linear system; rows are labelled by their provenance."""
+    """Exact integer linear system; rows are labelled by their provenance."""
 
     columns: list[tuple]
     rows: list[tuple]
-    matrix: list[list[Fraction]]
+    matrix: list[list[int]]
 
 
 def _instance_offsets(window: ShiftWindow, order: int, shifts: Iterable[int]) -> set[int]:
@@ -372,6 +389,11 @@ def _boundary_points(
     return sorted(points)
 
 
+def _ints(poly: Poly, scale: int) -> list[int]:
+    # scale * poly as integer coefficients, lowest degree first
+    return [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+
+
 def _build_system(
     seq_a: SequenceDef,
     seq_b: SequenceDef,
@@ -382,82 +404,91 @@ def _build_system(
     deg: int,
     symmetric: bool,
 ) -> ReducedSystem:
+    """The system in integers: for each basis pair st, the defining equation's
+    st-coefficient is cleared to the common denominator `den`, scaled by the
+    lcm of the coefficient denominators that leaves, and read off power by
+    power of k. Column ("g", i, j, m) holds (k+1)^m cleared_ij - [ij = st]
+    k^m den, each (k+1)^m cleared one shift-and-add from the m - 1 one."""
     pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
 
     columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
     columns += [("p", u) for u in range(len(p_basis))]
-    col_index = {c: idx for idx, c in enumerate(columns)}
-
-    k_pows = [K**m for m in range(deg + 1)]
-    k1_pows = [Poly([1, 1]) ** m for m in range(deg + 1)]
+    n_g = len(columns) - len(p_basis)
 
     rows: list[tuple] = []
-    matrix: list[list[Fraction]] = []
+    matrix: list[list[int]] = []
 
     for st in pairs:
-        den = ONE
-        for (i, j) in pairs:
-            u = shifted[(i, j)].get(st)
-            if u is not None:
-                den = poly_lcm(den, u.den)
+        reds = {pi: shifted[ij][st] for pi, ij in enumerate(pairs) if st in shifted[ij]}
         t_rf = target_red.get(st)
+        den = ONE
+        for rf in (*reds.values(), t_rf):
+            if rf is not None:
+                den = poly_lcm(den, rf.den)
+        cleared = {pi: u.num * poly_divmod(den, u.den)[0] for pi, u in reds.items()}
+        p_polys = []
         if t_rf is not None:
-            den = poly_lcm(den, t_rf.den)
+            cleared_t = t_rf.num * poly_divmod(den, t_rf.den)[0]
+            p_polys = [-(pc * cleared_t) for pc in p_basis]
+        scale = math.lcm(
+            *(c.denominator for q in (den, *cleared.values(), *p_polys) for c in q.coeffs)
+        )
 
-        col_polys: dict[int, Poly] = {}
-        for (i, j) in pairs:
-            u = shifted[(i, j)].get(st)
-            cleared = None
-            if u is not None:
-                scale, rem = poly_divmod(den, u.den)
-                assert rem.is_zero
-                cleared = u.num * scale
+        col_coeffs: dict[int, list[int]] = {}
+        den_int = _ints(den, scale)
+        for pi, ij in enumerate(pairs):
+            acc = _ints(cleared[pi], scale) if pi in cleared else []
             for m in range(deg + 1):
-                contrib = ZERO
-                if cleared is not None:
-                    contrib = contrib + k1_pows[m] * cleared
-                if (i, j) == st:
-                    contrib = contrib - k_pows[m] * den
-                if not contrib.is_zero:
-                    col_polys[col_index[("g", i, j, m)]] = contrib
-        if t_rf is not None:
-            scale, rem = poly_divmod(den, t_rf.den)
-            assert rem.is_zero
-            cleared_t = t_rf.num * scale
-            for u, pc in enumerate(p_basis):
-                contrib = -(pc * cleared_t)
-                if not contrib.is_zero:
-                    col_polys[col_index[("p", u)]] = contrib
+                if m and acc:
+                    acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
+                contrib = acc + [0] * (m + len(den_int) - len(acc))
+                if ij == st:
+                    for e, x in enumerate(den_int):
+                        contrib[m + e] -= x
+                col_coeffs[pi * (deg + 1) + m] = contrib
+        for u, q in enumerate(p_polys):
+            col_coeffs[n_g + u] = _ints(q, scale)
 
-        max_deg = max((p.degree for p in col_polys.values()), default=-1)
-        for e in range(max_deg + 1):
-            row = [Fraction(0)] * len(columns)
-            nonzero = False
-            for ci, p in col_polys.items():
-                if e <= p.degree and p.coeffs[e]:
-                    row[ci] = p.coeffs[e]
-                    nonzero = True
-            if nonzero:
+        for e in range(max(map(len, col_coeffs.values()), default=0)):
+            row = [0] * len(columns)
+            for ci, cs in col_coeffs.items():
+                if e < len(cs):
+                    row[ci] = cs[e]
+            if any(row):
                 rows.append(("coeff", st[0], st[1], e))
                 matrix.append(row)
 
     sa, sb = target
     for k0 in _boundary_points(seq_a, seq_b, wa, wb, *shifts):
-        row = [Fraction(0)] * len(columns)
+        tval = seq_a.term(k0 + sa) * seq_b.term(k0 + sb)
+        p_vals = [-pc(k0) * tval for pc in p_basis]
+        scale = math.lcm(*(v.denominator for v in p_vals))
+        row = []
         for (i, j) in pairs:
             m0 = seq_a.term(k0 + i) * seq_b.term(k0 + j)
             m1 = seq_a.term(k0 + 1 + i) * seq_b.term(k0 + 1 + j)
-            for m in range(deg + 1):
-                row[col_index[("g", i, j, m)]] = Fraction(
-                    m1 * (k0 + 1) ** m - m0 * k0**m
-                )
-        tval = seq_a.term(k0 + sa) * seq_b.term(k0 + sb)
-        for u, pc in enumerate(p_basis):
-            row[col_index[("p", u)]] = -pc(k0) * tval
+            row += [scale * (m1 * (k0 + 1) ** m - m0 * k0**m) for m in range(deg + 1)]
+        row += [v.numerator * (scale // v.denominator) for v in p_vals]
         rows.append(("boundary", k0))
         matrix.append(row)
 
     return ReducedSystem(columns, rows, matrix)
+
+
+def _slice(system: ReducedSystem, deg: int) -> ReducedSystem:
+    """The system at degree bound deg, read off one built at a larger bound:
+    its ("g", i, j, m) columns with m <= deg and every ("p", u) column,
+    without the rows that are zero there. Those rows are the nonzero rows of
+    a build at deg, in the same order."""
+    keep = [ci for ci, col in enumerate(system.columns) if col[0] == "p" or col[3] <= deg]
+    rows: list[tuple] = []
+    matrix: list[list[int]] = []
+    for label, full in zip(system.rows, system.matrix):
+        row = [full[ci] for ci in keep]
+        if any(row):
+            rows.append(label)
+            matrix.append(row)
+    return ReducedSystem([system.columns[ci] for ci in keep], rows, matrix)
 
 
 def _split_vector(
@@ -498,12 +529,15 @@ def find_telescoper(
 
     A bound above `MAX_DEGREE` raises ValueError before anything is built. A
     certificate of degree d padded with zeros is one of degree d + 1, so
-    feasibility only grows with the degree. The system is solved once at
-    deg_bound; if it has no certificate the result is None (also for a
-    negative bound). Otherwise the smallest feasible degree is found by
-    bisection, O(log deg_bound) solves in all. Among the solutions at that
-    degree, the one with minimal total degree of g (then lexicographically
-    smallest coefficient vector) is returned, so the output is deterministic.
+    feasibility only grows with the degree. The system is built and solved
+    once at deg_bound; if it has no certificate the result is None (also for
+    a negative bound). Otherwise the smallest feasible degree is found by
+    bisection, O(log deg_bound) solves in all, each on a slice of that one
+    system (`_slice`), whose nonzero rows are those of a system built at the
+    smaller degree, so no pair reduction or row is computed twice. Among the
+    solutions at that degree, the one with minimal total degree of g (then
+    lexicographically smallest coefficient vector) is returned, so the output
+    is deterministic.
     """
     _check_degree("deg_bound", deg_bound)
     a, b, target, wa, wb, symmetric = _search_setup(
@@ -514,8 +548,10 @@ def find_telescoper(
     if deg_bound < 0:
         return None
 
+    full = _build_system(a, b, wa, wb, target, [p], deg_bound, symmetric)
+
     def solve(deg: int) -> tuple[ReducedSystem, list[list[int]]]:
-        system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        system = full if deg == deg_bound else _slice(full, deg)
         basis = nullspace(system.matrix, ncols=len(system.columns))
         return system, [vec for vec in basis if vec[-1] != 0]
 

@@ -185,7 +185,7 @@ def test_malformed_polynomial_is_usage_error(capsys):
         capsys, "telescope", "--seq", "W", "--p", "8*k+", "--window=-2..0"
     )
     assert code == 2
-    assert "position" in err
+    assert err == "error: bad polynomial '8*k+': unexpected end of input at position 4\n"
 
 
 @pytest.mark.parametrize(
@@ -206,6 +206,13 @@ def test_malformed_polynomial_is_usage_error(capsys):
         ("telescope", "--seq", "W", "--p", "k", "--window=-2..0", "--deg", "100000000000"),
         ("discover", "--seq", "T", "--p", "k+1", "--window=-1..0", "--p-degree", "999999999999"),
         ("discover", "--seq", "T", "--p", "k+1", "--window=-1..0", "--deg", "101"),
+        # so are target shifts farther outside their window than the shift cap
+        ("telescope", "--seq", "T", "--window=-1..0", "--p", "k", "--target-shifts=0,17", "--deg", "1"),
+        ("telescope", "--seq", "T", "--window=-1..0", "--p", "k", "--target-shifts=0,100000"),
+        ("telescope", "--seq", "T", "--window=-1..0", "--p", "k", "--target-shifts=-50,0"),
+        ("telescope", "--seq", "W", "--window=-2..0", "--p", "k", "--target-shifts=-19,0"),
+        ("discover", "--seq", "T", "--window=-1..0", "--target-shifts=0,24", "--deg", "1"),
+        ("discover", "--seq", "W", "--window=-2..0", "--target-shifts=100000,0"),
     ],
 )
 def test_bad_solver_input_is_usage_error(capsys, argv):
@@ -394,6 +401,42 @@ _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
             "verify",
             {"claims": [{**_N_EQUALS_N, "domain": {"parity": 1}}]},
             "malformed claims file: a domain parity must be 'odd' or absent, got 1\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "target_shifts": [0, 60]},
+            "target shift 60 lies more than 16 outside the window -2..0\n",
+        ),
+        # list fields are lists: a string is not split into its characters
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "notes": "one note"}]},
+            "malformed claims file: notes must be a list of strings, got 'one note'\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "notes": ["fine", 7]}]},
+            "malformed claims file: notes must be a list of strings, got ['fine', 7]\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "flag_points": "12"}]},
+            "malformed claims file: flag_points must be a list of integers, got '12'\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "flag_points": [3, True]}]},
+            "malformed claims file: flag_points must be a list of integers, got [3, True]\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"exclude": "34"}}]},
+            "malformed claims file: a domain exclude must be a list of integers, got '34'\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"exclude": [3.0]}}]},
+            "malformed claims file: a domain exclude must be a list of integers, got [3.0]\n",
         ),
     ],
 )
@@ -591,6 +634,53 @@ def test_verify_claims_document_fuzz_exits_cleanly(doc):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["verify", "--claims-file", str(path), "--range", "1..30"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+# small solver inputs, and now and then a value past a cap: a target shift
+# past MAX_SHIFT_DISTANCE, a degree past MAX_DEGREE or a negative one
+_FUZZ_SHIFT = st.sampled_from([0, 1, -1] * 4 + [*range(-4, 5), -40, 25, 100000])
+_FUZZ_DEGREE = st.sampled_from([*range(4)] * 4 + [-1, 101, 10**11])
+_ORDERS = {"W": 3, "T": 2, "one": 1}
+
+
+@st.composite
+def _fuzz_window(draw, seq):
+    """Mostly the default window, the order shifts ending at 0; now and then
+    one that starts elsewhere or has another length."""
+    order = _ORDERS[seq]
+    lo = draw(st.sampled_from([1 - order] * 4 + [*range(-3, 2)]))
+    length = draw(st.sampled_from([order] * 4 + [1, 2, 3]))
+    return f"{lo}..{lo + length - 1}"
+
+
+@st.composite
+def _solver_argv(draw):
+    command = draw(st.sampled_from(["telescope", "discover"]))
+    seq = draw(st.sampled_from(sorted(_ORDERS)))
+    argv = [command, "--seq", seq, f"--window={draw(_fuzz_window(seq))}"]
+    argv.append(f"--target-shifts={draw(_FUZZ_SHIFT)},{draw(_FUZZ_SHIFT)}")
+    if draw(st.integers(0, 3)) == 0:
+        seq_b = draw(st.sampled_from(sorted(_ORDERS)))
+        argv += [f"--seq-b={seq_b}", f"--window-b={draw(_fuzz_window(seq_b))}"]
+    weights = st.sampled_from(["1", "k", "8*k+9", "k^2+1", "k*(k+1)*(8*k+9)"] * 3 + ["0", "k+"])
+    if command == "telescope" or draw(st.booleans()):
+        argv.append(f"--p={draw(weights)}")
+    if command == "discover":
+        argv.append(f"--p-degree={draw(_FUZZ_DEGREE)}")
+    argv.append(f"--deg={draw(_FUZZ_DEGREE)}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_solver_argv())
+def test_solver_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:

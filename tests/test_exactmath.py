@@ -134,6 +134,17 @@ def test_nullspace_dimension_matches_rank_nullity(rows):
         assert sympy.Matrix(basis).rank() == len(basis)  # linearly independent
 
 
+@given(matrices, st.lists(st.fractions(F(1, 9), 9, max_denominator=9), min_size=6, max_size=6))
+@settings(max_examples=150)
+def test_nullspace_of_integer_rows_matches_fraction_and_mixed_rows(rows, scales):
+    as_fractions = [[F(x) for x in row] for row in rows]
+    # every other row as Fractions, scaled by a positive rational
+    mixed = [[x * s for x in row] if i % 2 else row for i, (row, s) in enumerate(zip(rows, scales))]
+    basis = nullspace(rows)
+    assert nullspace(as_fractions) == basis
+    assert nullspace(mixed) == basis
+
+
 def test_nullspace_examples():
     assert nullspace([[1, -1]]) == [[1, 1]]
     assert nullspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []

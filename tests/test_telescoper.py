@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 import rc.telescoper
-from rc.exactmath import ONE, Poly, RatFunc, ZERO, parse_poly
+from rc.exactmath import ONE, Poly, RatFunc, ZERO, nullspace, parse_poly
 from rc.sequences import SequenceDef, T, UnknownSequence, W, recurrence
 from rc.telescoper import (
     MAX_DEGREE,
+    MAX_SHIFT_DISTANCE,
     ShiftWindow,
     TelescoperCertificate,
     cert_from_json,
@@ -23,6 +24,7 @@ from rc.telescoper import (
     reduce_shift,
     reductions_defined_from,
 )
+from rc.telescoper import _build_system, _search_setup, _slice
 
 P_W = parse_poly("8*k+9")
 P_T1 = parse_poly("k*(k+1)*(8*k+9)")
@@ -278,6 +280,63 @@ def test_degree_search_small_and_negative_bounds(solves):
     assert find_telescoper("one", None, parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
 
 
+def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
+    """What linear deepening returned: at the smallest degree 0..bound whose
+    freshly built system has a solution with p, the solution of least total
+    degree of g (then the lexicographically smallest vector)."""
+    for deg in range(bound + 1):
+        system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        candidates = []
+        for vec in nullspace(system.matrix, ncols=len(system.columns)):
+            if vec[-1] == 0:
+                continue
+            scaled = tuple(F(x, vec[-1]) for x in vec)
+            coeffs = {}
+            for col, x in zip(system.columns, scaled):
+                if col[0] == "g":
+                    coeffs.setdefault(col[1:3], [F(0)] * (deg + 1))[col[3]] = x
+            g = {ij: Poly(cs) for ij, cs in coeffs.items() if any(cs)}
+            candidates.append((sum(q.degree for q in g.values()), scaled, g))
+        if candidates:
+            g = min(candidates, key=lambda c: c[:2])[2]
+            return TelescoperCertificate(a, b, wa, wb, target, p, g, symmetric)
+    return None
+
+
+# (sequence a, sequence b, weight, target shifts, window a, window b, symmetric, bound)
+SLICED_SEARCHES = [
+    *((seq, seq, p, target, window, None, None, d_min + 2) for seq, p, target, window, d_min in REFERENCE_SEARCHES),
+    ("W", "W", P_W, (0, 0), (-2, 0), (-2, 0), False, 3),
+    ("T", "T", P_T1, (0, 1), (-1, 0), (0, 1), False, 4),
+    ("T", "T", parse_poly("k+1"), (0, 1), (-1, 0), None, True, 3),
+    ("T", "T", parse_poly("k^2+k"), (0, 1), (-1, 0), None, False, 3),
+    ("W", "W", parse_poly("k^3+1"), (0, 0), (-2, 0), None, None, 5),
+    ("W", "W", parse_poly("3/2*k^2"), (1, 0), (-2, 0), None, None, 4),
+    ("T", "W", parse_poly("k"), (0, -1), (-1, 0), (-2, 0), None, 3),
+    ("one", None, parse_poly("k^3"), (0, 0), (0, 0), None, None, 5),
+    ("T", "T", P_T2, (0, 1), (-1, 0), (-1, 0), False, 4),
+    ("one", None, parse_poly("k^2-1/3"), (1, 0), (0, 0), None, None, 3),
+]
+
+
+@pytest.mark.parametrize("seq_a, seq_b, p, target, window_a, window_b, symmetric, bound", SLICED_SEARCHES)
+def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, window_a, window_b, symmetric, bound):
+    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target, window_a, window_b, symmetric)
+    cert = find_telescoper(seq_a, seq_b, p, target, window_a, window_b, deg_bound=bound, symmetric=symmetric)
+    expected = _deepening_reference(a, b, p, target, wa, wb, bound, symmetric)
+    assert (cert and cert_to_json(cert)) == (expected and cert_to_json(expected))
+
+    full = _build_system(a, b, wa, wb, target, [p], bound, symmetric)
+    for deg in range(bound + 1):
+        sliced = _slice(full, deg)
+        fresh = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        nonzero = [(label, row) for label, row in zip(fresh.rows, fresh.matrix) if any(row)]
+        assert sliced.columns == fresh.columns
+        assert list(zip(sliced.rows, sliced.matrix)) == nonzero
+        ncols = len(fresh.columns)
+        assert nullspace(sliced.matrix, ncols=ncols) == nullspace(fresh.matrix, ncols=ncols)
+
+
 def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
     for degree in (MAX_DEGREE + 1, 10**11):
         with pytest.raises(ValueError, match="largest supported degree"):
@@ -287,6 +346,32 @@ def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
         with pytest.raises(ValueError, match="largest supported degree"):
             discover_weights("T", "T", parse_poly("k+1"), degree, (0, 1), (-1, 0), deg_bound=3)
     assert solves[0] == 0
+
+
+def test_target_shifts_past_the_cap_are_rejected_before_any_reduction(solves, w_cert, monkeypatch):
+    def no_reduction(*args):
+        raise AssertionError("a reduction ran")
+
+    monkeypatch.setattr(rc.telescoper, "_reduction_table", no_reduction)
+    far = MAX_SHIFT_DISTANCE + 1
+    for target in ((0, far), (-2 - far, 0), (10**9, 0)):
+        with pytest.raises(ValueError, match="outside the window"):
+            find_telescoper("W", "W", P_W, target, (-2, 0), deg_bound=2)
+        with pytest.raises(ValueError, match="outside the window"):
+            discover_weights("W", "W", ONE, 1, target, (-2, 0), deg_bound=2)
+        shifted = TelescoperCertificate(**{**vars(w_cert), "target_shifts": target})
+        with pytest.raises(ValueError, match="outside the window"):
+            certify(shifted)
+        with pytest.raises(ValueError, match="outside the window"):
+            reductions_defined_from(shifted)
+    assert solves[0] == 0
+
+
+def test_target_shifts_at_the_cap_are_accepted():
+    # k^2 summed is (k^3)/3 - k^2/2 + k/6 up to a constant, from any shift
+    target = (MAX_SHIFT_DISTANCE, 0)
+    cert = find_telescoper("one", None, parse_poly("k^2"), target, (0, 0), deg_bound=3)
+    assert cert is not None and certify(cert, 30).ok
 
 
 def test_symmetric_mode_rejects_a_second_window_in_both_solvers():
