@@ -32,8 +32,10 @@ passes the point and keeps nothing. Every other point (a nonzero residue, a
 non-unit, an evaluation error, an uncertified sum), every flagged point and
 every `check_claim_at` is computed exactly, so every report reads as the
 exact path alone would write it. A range check keeps only the points that do
-not pass, so the live state does not grow with the range beyond the
-sequence memo.
+not pass. The residue check is built once per claim, as closures over the
+claim's nodes, and reads its terms through the evaluator's windows (see
+`SumEvaluator`), so a range whose points all pass keeps a few terms per
+sequence, not every term below its top.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -50,7 +52,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .exactmath import ONE, K, Poly, RatFunc, frac_to_str, legendre, prime_factors, rat_mod
 from .sequences import (
@@ -66,6 +68,7 @@ from .sequences import (
     SequenceError,
     SumSpec,
     T,
+    TermWindow,
     W,
     _MAX_STEP_FACTORS,
     _running_sums,
@@ -238,7 +241,16 @@ class SumEvaluator:
     Cost model. A certified sum over lo..u is (D S(u+1) - D S(lo)) / D (see
     `telescoper.ClosedForm`): a few products of window terms, whatever u is,
     and modulo an integer M only linear-time reductions of those terms
-    (`_residue`). Otherwise, when the summand does not mention n (all
+    (`_residue_check`). Those terms, and the sequence references of a claim
+    checked by residues, are read through one `TermWindow` per sequence
+    (`window`), which this evaluator owns: ascending reads step each term
+    once past the memo and keep only the recurrence order plus the span of
+    shifts read at one point, so the memory of a range check does not grow
+    with its top term. A read behind a window steps again from the memo,
+    which happens once when two claims read one sequence in turn; a certified
+    sum read below its last read (`eval_sum` in descending order) reads the
+    memo instead. The exact path (`eval_expr` outside a certified sum,
+    `certify`) reads the memo. Otherwise, when the summand does not mention n (all
     theorem sums are like that), the evaluator keeps a cursor (k, num, den)
     per spec: the sum over lo..k as an integer numerator num over den, the
     lcm (up to sign) of the denominators of its terms. For an integer summand
@@ -270,6 +282,17 @@ class SumEvaluator:
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
         self._binoms: dict[BinomExpr, tuple[int, int, int, int]] = {}
+        self._windows: dict[SequenceDef, TermWindow] = {}
+        self._closed_reads: dict[SumSpec, int] = {}  # the last u read of each closed form
+
+    def window(self, seq: SequenceDef, span: int = 0) -> TermWindow:
+        """This evaluator's window over seq, widened to hold at least its
+        recurrence order plus span terms."""
+        w = self._windows.get(seq)
+        if w is None:
+            w = self._windows[seq] = seq.window()
+        w.keep(span)
+        return w
 
     def closed_sum(self, spec: SumSpec) -> tuple[ClosedForm, int] | None:
         """(the certified closed form of spec's summand, D S(lo)), or None."""
@@ -299,7 +322,9 @@ class SumEvaluator:
                         self._verdicts[idx] = _checked_closed_form(cert)
                     closed = self._verdicts[idx]
                     if closed is not None:
-                        found = (closed, closed.scaled(spec.lo))
+                        for seq, span in _spans((seq, 1, s) for seq, s in closed.reads).items():
+                            self.window(seq, span)
+                        found = (closed, closed.scaled(spec.lo, None, self._windows))
                         break
         self._closed[spec] = found
         return found
@@ -324,7 +349,11 @@ class SumEvaluator:
         found = self.closed_sum(spec)
         if found is not None:
             closed, base = found
-            num = closed.scaled(hi + 1) - base
+            # reads in ascending order stream through the windows; a read
+            # below the last one is random access, which the memo serves
+            ascending = hi >= self._closed_reads.get(spec, hi)
+            self._closed_reads[spec] = hi
+            num = closed.scaled(hi + 1, None, self._windows if ascending else None) - base
             q, r = divmod(num, closed.scale)
             return q if r == 0 else Fraction(num, closed.scale)
         n_free = spec.n_free
@@ -401,7 +430,12 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
         d = eval_expr(e.b, n, ev)
         if d == 0:
             raise ZeroDivisionError("division by zero in expression")
-        q = Fraction(eval_expr(e.a, n, ev), d)
+        a = eval_expr(e.a, n, ev)
+        if isinstance(a, int) and isinstance(d, int):
+            q, r = divmod(a, d)
+            if not r:
+                return q
+        q = Fraction(a, d)
         return q.numerator if q.denominator == 1 else q
     if isinstance(e, SumNode):
         return ev.eval_sum(e.spec, n)
@@ -418,44 +452,90 @@ def _divide_residue(r: int, d: int, m: int) -> int:
     return (q if d > 0 else -q) % m
 
 
-def _residue(e: Expr, n: int, m: int, ev: SumEvaluator) -> int:
-    """The value of e at n modulo m >= 1, for a value whose denominator is a
-    unit modulo m; every sum of e must have a closed form in ev. Only units
-    are inverted; anything else raises, and so does whatever `eval_expr`
-    raises at n, so a point that passes here passes exactly."""
+def _spans(reads) -> dict[SequenceDef, int | None]:
+    """reads holds (sequence, slope, offset) for each read of a sequence at
+    index slope * n + offset, the slope None where the index is not affine in
+    n. Per sequence: the span of its offsets, or None when its reads do not
+    all move with n alone (slope 1), so that no fixed window holds them."""
+    by_seq: dict[SequenceDef, list] = {}
+    for seq, slope, offset in reads:
+        by_seq.setdefault(seq, []).append((slope, offset))
+    return {
+        seq: max(o for _, o in rs) - min(o for _, o in rs)
+        if all(slope == 1 for slope, _ in rs)
+        else None
+        for seq, rs in by_seq.items()
+    }
+
+
+def _residue_fn(e: Expr, ev: SumEvaluator, reads: list, stores: dict) -> Callable[[int, int], int]:
+    """r(n, m): the value of e at n modulo m >= 1, for a value whose
+    denominator is a unit modulo m; every sum of e must have a closed form in
+    ev. Only units are inverted; anything else raises, and so does whatever
+    `eval_expr` raises at n, so a point that passes here passes exactly.
+    The sequence reads of e are added to `reads` (see `_spans`), and they go
+    through `stores` (see `ClosedForm.scaled`), filled in afterwards."""
     if isinstance(e, SumNode):
         spec = e.spec
-        hi = spec.upper.at(n)
-        if hi < spec.lo:
-            return 0
         closed, base = ev.closed_sum(spec)
-        scale = closed.scale
-        return _divide_residue(closed.scaled(hi + 1, m * scale) - base, scale, m)
+        scale, lo, upper = closed.scale, spec.lo, spec.upper
+        slope = upper.cn if upper.den == 1 else None
+        reads += [(seq, slope, upper.c + 1 + s) for seq, s in closed.reads]
+
+        def r(n, m):
+            hi = upper.at(n)
+            if hi < lo:
+                return 0
+            return _divide_residue(closed.scaled(hi + 1, m * scale, stores) - base, scale, m)
+
+        return r
     if isinstance(e, SeqRef):
-        return e.seq.term(n + e.shift) % m
+        seq, shift = e.seq, e.shift
+        reads.append((seq, 1, shift))
+        return lambda n, m: stores[seq].term(n + shift) % m
     if isinstance(e, Mul):
-        out = 1
-        for f in e.factors:
-            out = out * _residue(f, n, m, ev) % m
-        return out % m
+        factors = [_residue_fn(f, ev, reads, stores) for f in e.factors]
+
+        def r(n, m):
+            out = 1
+            for f in factors:
+                out = out * f(n, m) % m
+            return out % m
+
+        return r
     if isinstance(e, Add):
-        return sum(_residue(t, n, m, ev) for t in e.terms) % m
+        parts = [_residue_fn(t, ev, reads, stores) for t in e.terms]
+        return lambda n, m: sum(f(n, m) for f in parts) % m
     if isinstance(e, Sub):
-        return (_residue(e.a, n, m, ev) - _residue(e.b, n, m, ev)) % m
+        a, b = _residue_fn(e.a, ev, reads, stores), _residue_fn(e.b, ev, reads, stores)
+        return lambda n, m: (a(n, m) - b(n, m)) % m
     if isinstance(e, Div):
-        d = eval_expr(e.b, n, ev)
-        if d == 0:
-            raise ZeroDivisionError("division by zero in expression")
-        num = d.numerator
-        r = _residue(e.a, n, m * abs(num), ev)
-        return _divide_residue(r, num, m) * d.denominator % m
+        num_fn, divisor = _residue_fn(e.a, ev, reads, stores), e.b
+
+        def r(n, m):
+            d = eval_expr(divisor, n, ev)
+            if d == 0:
+                raise ZeroDivisionError("division by zero in expression")
+            num = d.numerator
+            return _divide_residue(num_fn(n, m * abs(num)), num, m) * d.denominator % m
+
+        return r
     if isinstance(e, PowInt):
-        exp = e.exp.exact_at(n)
-        if exp < 0 and e.base == 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return pow(e.base, exp, m)
-    v = eval_expr(e, n, ev)
-    return v % m if isinstance(v, int) else rat_mod(v, m)
+        base, exp = e.base, e.exp
+
+        def r(n, m):
+            x = exp.exact_at(n)
+            if x < 0 and base == 0:
+                raise ZeroDivisionError("0 raised to a negative power")
+            return pow(base, x, m)
+
+        return r
+
+    def r(n, m):
+        v = eval_expr(e, n, ev)
+        return v % m if isinstance(v, int) else rat_mod(v, m)
+
+    return r
 
 
 # -- primes ------------------------------------------------------------------------
@@ -601,23 +681,35 @@ def _sum_specs(e: Expr) -> Iterable[SumSpec]:
         yield from _sum_specs(e.bottom)
 
 
-def _decided_by_residues(claim: CongruenceClaim, ev: SumEvaluator) -> bool:
-    """Whether the claim's sides hold a sum and every sum has a closed form."""
+def _residue_check(claim: CongruenceClaim, ev: SumEvaluator) -> Callable[[int], bool] | None:
+    """For a claim whose sides hold a sum and whose sums all have a closed
+    form in ev: passes(n), True when lhs - rhs is 0 modulo a nonzero integer
+    modulus m at n, shown from residues modulo m; False leaves the point to
+    `_check_raw`. None for any other claim. Built once per claim: each
+    sequence the sides read at n + shift alone is read through ev's window,
+    which is widened to the span of those shifts; a sequence read otherwise
+    (at upper(n) for an upper other than n + c) is read from its memo."""
     specs = [*_sum_specs(claim.lhs), *_sum_specs(claim.rhs)]
-    return bool(specs) and all(ev.closed_sum(s) is not None for s in specs)
+    if not specs or any(ev.closed_sum(s) is None for s in specs):
+        return None
+    reads: list = []
+    stores: dict = {}
+    lhs = _residue_fn(claim.lhs, ev, reads, stores)
+    rhs = _residue_fn(claim.rhs, ev, reads, stores)
+    for seq, span in _spans(reads).items():
+        stores[seq] = seq if span is None else ev.window(seq, span)
 
-
-def _passes_by_residue(claim: CongruenceClaim, n: int, ev: SumEvaluator) -> bool:
-    """True when lhs - rhs is 0 modulo a nonzero integer modulus m at n,
-    shown from residues modulo m; False leaves the point to `_check_raw`."""
-    try:
-        modulus = eval_expr(claim.modulus, n, ev)
-        if modulus == 0 or modulus.denominator != 1:
+    def passes(n: int) -> bool:
+        try:
+            modulus = eval_expr(claim.modulus, n, ev)
+            if modulus == 0 or modulus.denominator != 1:
+                return False
+            m = abs(int(modulus))
+            return (lhs(n, m) - rhs(n, m)) % m == 0
+        except _POINT_ERRORS:  # a non-unit raises ValueError or ArithmeticError
             return False
-        m = abs(int(modulus))
-        return (_residue(claim.lhs, n, m, ev) - _residue(claim.rhs, n, m, ev)) % m == 0
-    except _POINT_ERRORS:  # a non-unit raises ValueError or ArithmeticError
-        return False
+
+    return passes
 
 
 def check_claim_at(
@@ -659,17 +751,14 @@ def verify_claim_range(
 
     When every sum of the claim has a certified closed form, a point with a
     nonzero integer modulus m passes on a zero residue of lhs - rhs modulo m
-    (`_residue`); every other point, and every flagged point, is computed
-    exactly by `_check_raw`, so a report reads the same either way."""
+    (`_residue_check`, built once per call); every other point, and every
+    flagged point, is computed exactly by `_check_raw`, so a report reads the
+    same either way."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.points(lo, hi)
-    by_residue = _decided_by_residues(claim, ev)
-    checked = (
-        _check_raw(claim, n, ev)
-        for n in points
-        if not (by_residue and _passes_by_residue(claim, n, ev))
-    )
+    passes = _residue_check(claim, ev)
+    checked = (_check_raw(claim, n, ev) for n in points if not (passes and passes(n)))
     failures = tuple(r for r in checked if r.status != "pass")
     flagged = tuple(_check_raw(claim, n, ev) for n in claim.flag_points)
     return VerificationReport(

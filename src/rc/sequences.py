@@ -2,11 +2,19 @@
 
 A sequence is a linear recurrence with polynomial coefficients plus enough
 initial values (negative indices allowed), optionally cross-checked against a
-direct formula. Terms are memoized integers. The memo is filled by a single
-forward pass in integer arithmetic: the recurrence coefficients are integer
-polynomials evaluated by Horner's rule, and each new term is one exact
-division of an integer combination of the previous terms by the leading
-coefficient, with a nonzero remainder reported as `NonIntegerTerm`.
+direct formula. Terms are integers, stepped forward in integer arithmetic:
+the recurrence coefficients are integer polynomials evaluated by Horner's
+rule, and each new term is one exact division of an integer combination of
+the previous terms by the leading coefficient, with a nonzero remainder
+reported as `NonIntegerTerm` (`SequenceDef._step`, the one step).
+
+Terms live in two stores. The memo (`SequenceDef.term`) is for random
+access: it keeps every term from the initial data up to the highest one
+read, so for W, whose n-th term has about 1.58 n bits, it holds about
+0.8 N^2 bits after a read at N. A window (`SequenceDef.window`, a
+`TermWindow`) is for streaming reads in ascending order: it steps past the
+memo and keeps only the last few terms, so reading every term up to N keeps
+O(N) bits. Both give the same values and raise the same errors.
 
 `SumSpec` is the one finite sum over k: a rational coefficient in k times
 binomial, geometric and sequence-term factors. It serves as a sequence's
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -49,6 +58,7 @@ __all__ = [
     "SumSpec",
     "Recurrence",
     "SequenceDef",
+    "TermWindow",
     "DerivedSequence",
     "SequenceError",
     "UnknownSequence",
@@ -605,25 +615,30 @@ class SequenceDef:
         """Index n of the first recurrence instance used by forward evaluation."""
         return self.max_initial - self.recurrence.order + 1
 
-    def _fill_to(self, hi: int) -> None:
+    def _step(self, terms, base: int, idx: int) -> int:
+        """The term at idx from terms[base], ..., terms[base + order - 1], the
+        `order` terms before it: the one recurrence step of the memo and of
+        every `TermWindow`."""
         rec = self.recurrence
         d = rec.order
+        n = idx - d
+        cs = rec.coeffs_at(n)
+        den = cs[d]
+        if den == 0:
+            raise LeadingCoefficientVanishes(self.name, n)
+        num = 0
+        for i in range(d):
+            num -= cs[i] * terms[base + i]
+        val, rem = divmod(num, den)
+        if rem:
+            raise NonIntegerTerm(self.name, idx, Fraction(num, den))
+        return val
+
+    def _fill_to(self, hi: int) -> None:
+        d = self.recurrence.order
         memo = self._memo
         while self.min_index + len(memo) <= hi:
-            idx = self.min_index + len(memo)
-            n = idx - d
-            cs = rec.coeffs_at(n)
-            den = cs[d]
-            if den == 0:
-                raise LeadingCoefficientVanishes(self.name, n)
-            base = n - self.min_index
-            num = 0
-            for i in range(d):
-                num -= cs[i] * memo[base + i]
-            val, rem = divmod(num, den)
-            if rem:
-                raise NonIntegerTerm(self.name, idx, Fraction(num, den))
-            memo.append(val)
+            memo.append(self._step(memo, len(memo) - d, self.min_index + len(memo)))
 
     def term(self, i: int) -> int:
         if i < self.min_index:
@@ -633,6 +648,10 @@ class SequenceDef:
         if i >= self.min_index + len(self._memo):
             self._fill_to(i)
         return self._memo[i - self.min_index]
+
+    def window(self) -> "TermWindow":
+        """A fresh forward window over this sequence's terms (see `TermWindow`)."""
+        return TermWindow(self)
 
     def terms(self, lo: int, hi: int) -> list[int]:
         if hi < lo:
@@ -658,6 +677,61 @@ class SequenceDef:
 
     def __repr__(self) -> str:
         return f"SequenceDef({self.name!r}, order={self.recurrence.order})"
+
+
+class TermWindow:
+    """Streaming reads of a sequence: `term(i)` equals `seq.term(i)` (the same
+    value, or the same exception), but what the memo does not hold is stepped
+    here and only the last `width` terms are kept.
+
+    An index held here or in the memo is read from there. An index ahead of
+    the window is stepped to from whichever of the memo and the window
+    reaches further, so ascending reads step each term once; an index behind
+    the window starts again from the memo, which holds at least the initial
+    data. The width starts at the recurrence order, and `keep(span)` widens
+    it to the order plus span, so reads that go back up to span indices from
+    the furthest one read never start again. `steps` counts the recurrence
+    steps taken here."""
+
+    __slots__ = ("seq", "steps", "_terms", "_hi")
+
+    def __init__(self, seq: SequenceDef):
+        self.seq = seq
+        self.steps = 0
+        self._terms: deque[int] = deque(maxlen=seq.recurrence.order)
+        self._hi = seq.min_index  # one past the index of the last term held
+
+    @property
+    def width(self) -> int:
+        return self._terms.maxlen
+
+    def keep(self, span: int) -> None:
+        """Hold at least the recurrence order plus span terms from now on."""
+        width = self.seq.recurrence.order + span
+        if width > self._terms.maxlen:
+            self._terms = deque(self._terms, maxlen=width)
+
+    def term(self, i: int) -> int:
+        terms = self._terms
+        back = self._hi - i
+        if 0 < back <= len(terms):  # held here (and the memo holds the same value)
+            return terms[-back]
+        seq = self.seq
+        memo = seq._memo
+        j = i - seq.min_index
+        if j < len(memo):
+            return memo[j] if j >= 0 else seq.term(i)  # below the initial data: raises
+        top = seq.min_index + len(memo)
+        if back > 0 or top > self._hi:  # behind the window, or the memo reaches further
+            terms.clear()
+            terms.extend(memo[-seq.recurrence.order :])
+            self._hi = top
+        d, step = seq.recurrence.order, seq._step
+        while self._hi <= i:
+            terms.append(step(terms, len(terms) - d, self._hi))
+            self._hi += 1
+            self.steps += 1
+        return terms[-1]
 
 
 # -- consistency checking ---------------------------------------------------------

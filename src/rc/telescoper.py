@@ -15,7 +15,9 @@ builds its system once, at its degree bound, and solves each smaller degree
 of its bisection on a column slice of it. The pair list and the reductions of
 the shifted and target pairs are computed by one helper, `_pair_setup`, for
 both the solver's system and `certify`'s recheck; it rejects a target shift
-more than `MAX_SHIFT_DISTANCE` outside its window.
+more than `MAX_SHIFT_DISTANCE` outside its window. A window reaching more than
+`MAX_WINDOW_OFFSET` from 0, and a system of more than `MAX_SYSTEM_ENTRIES`
+entries, are rejected too, before any term is read or any row is built.
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -50,6 +52,8 @@ from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
 __all__ = [
     "MAX_DEGREE",
     "MAX_SHIFT_DISTANCE",
+    "MAX_SYSTEM_ENTRIES",
+    "MAX_WINDOW_OFFSET",
     "ShiftWindow",
     "TelescoperCertificate",
     "ClosedForm",
@@ -78,6 +82,19 @@ MAX_DEGREE = 100
 # the cost) of the reductions grow with each step; checked before any runs
 MAX_SHIFT_DISTANCE = 16
 
+# the farthest a window's shifts may lie from 0: the solver and `certify` read
+# every term from the window's offset on through the memo, which keeps all
+# terms below the highest one read; checked when a window is made, so before
+# any term is read
+MAX_WINDOW_OFFSET = 64
+
+# the most entries (rows times columns) of a solver's linear system: the
+# degree cap and the shift cap bound each dimension, not their product, and
+# the solve time grows with both (on a 2-vCPU VM, W at degree 100 took 15 s
+# at target shift 0 and 110 s at 16, and T at degree 100 3.5 s); a system is
+# counted, and refused, before any row is built
+MAX_SYSTEM_ENTRIES = 100_000
+
 # certify's default numeric range: S(n) - S(0) is compared with the sum for n <= this
 CERTIFY_N_MAX = 200
 
@@ -92,6 +109,10 @@ class ShiftWindow:
     def __post_init__(self):
         if self.hi < self.lo:
             raise ValueError("empty shift window")
+        if max(-self.lo, self.hi) > MAX_WINDOW_OFFSET:
+            raise ValueError(
+                f"the window {self.lo}..{self.hi} lies more than {MAX_WINDOW_OFFSET} from 0"
+            )
 
     @property
     def length(self) -> int:
@@ -315,25 +336,32 @@ class TelescoperCertificate:
 class ClosedForm:
     """S(n) of a certificate in integers: `scale` is the lcm D of the
     denominators of the g coefficients, and `terms` holds (i, j, D g_{i,j})
-    with the integer coefficients highest degree first."""
+    with the integer coefficients highest degree first. `reads` holds the
+    (sequence, shift) pairs S reads at n + shift, each once, in the order
+    the terms first need them."""
 
-    __slots__ = ("seq_a", "seq_b", "scale", "terms")
+    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products")
 
     def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, scale: int, terms: tuple):
         self.seq_a, self.seq_b, self.scale, self.terms = seq_a, seq_b, scale, terms
+        index: dict[tuple[SequenceDef, int], int] = {}
+        products = []
+        for i, j, coeffs in terms:
+            for read in ((seq_a, i), (seq_b, j)):
+                index.setdefault(read, len(index))
+            products.append((index[seq_a, i], index[seq_b, j], coeffs))
+        self.reads = tuple(index)
+        self._products = tuple(products)
 
-    def scaled(self, n: int, modulus: int | None = None) -> int:
+    def scaled(self, n: int, modulus: int | None = None, stores: Mapping | None = None) -> int:
         """D S(n) exactly, or modulo `modulus` from the residues of the window
-        terms: one linear-time reduction per term read."""
-        a, b = self.seq_a, self.seq_b
-        values: dict[tuple[SequenceDef, int], int] = {}
-        total = 0
-        for i, j, coeffs in self.terms:
-            for seq, shift in ((a, i), (b, j)):
-                if (seq, shift) not in values:
-                    v = seq.term(n + shift)
-                    values[seq, shift] = v if modulus is None else v % modulus
-            total += horner(coeffs, n) * values[a, i] * values[b, j]
+        terms: one linear-time reduction per term read. `stores` maps each
+        sequence to what its terms are read from, the sequence itself (its
+        memo, the default) or a `sequences.TermWindow`."""
+        values = [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads]
+        if modulus is not None:
+            values = [v % modulus for v in values]
+        total = sum(horner(coeffs, n) * values[x] * values[y] for x, y, coeffs in self._products)
         return total if modulus is None else total % modulus
 
 
@@ -408,16 +436,19 @@ def _build_system(
     st-coefficient is cleared to the common denominator `den`, scaled by the
     lcm of the coefficient denominators that leaves, and read off power by
     power of k. Column ("g", i, j, m) holds (k+1)^m cleared_ij - [ij = st]
-    k^m den, each (k+1)^m cleared one shift-and-add from the m - 1 one."""
+    k^m den, each (k+1)^m cleared one shift-and-add from the m - 1 one.
+
+    A system whose coefficient rows (counted before the zero ones are
+    dropped) times its columns exceed `MAX_SYSTEM_ENTRIES` raises ValueError
+    before any row is built."""
     pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
 
     columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
     columns += [("p", u) for u in range(len(p_basis))]
     n_g = len(columns) - len(p_basis)
 
-    rows: list[tuple] = []
-    matrix: list[list[int]] = []
-
+    equations = []
+    n_rows = 0
     for st in pairs:
         reds = {pi: shifted[ij][st] for pi, ij in enumerate(pairs) if st in shifted[ij]}
         t_rf = target_red.get(st)
@@ -430,6 +461,19 @@ def _build_system(
         if t_rf is not None:
             cleared_t = t_rf.num * poly_divmod(den, t_rf.den)[0]
             p_polys = [-(pc * cleared_t) for pc in p_basis]
+        equations.append((st, den, cleared, p_polys))
+        heights = [deg + len(q.coeffs) for q in (den, *cleared.values())]
+        n_rows += max(heights + [len(q.coeffs) for q in p_polys])
+    if n_rows * len(columns) > MAX_SYSTEM_ENTRIES:
+        raise ValueError(
+            f"the linear system would have {n_rows} x {len(columns)} entries, "
+            f"more than {MAX_SYSTEM_ENTRIES}; lower the degree bound or the target shifts"
+        )
+
+    rows: list[tuple] = []
+    matrix: list[list[int]] = []
+
+    for st, den, cleared, p_polys in equations:
         scale = math.lcm(
             *(c.denominator for q in (den, *cleared.values(), *p_polys) for c in q.coeffs)
         )

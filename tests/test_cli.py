@@ -213,6 +213,15 @@ def test_malformed_polynomial_is_usage_error(capsys):
         ("telescope", "--seq", "W", "--window=-2..0", "--p", "k", "--target-shifts=-19,0"),
         ("discover", "--seq", "T", "--window=-1..0", "--target-shifts=0,24", "--deg", "1"),
         ("discover", "--seq", "W", "--window=-2..0", "--target-shifts=100000,0"),
+        # so is a window farther from 0 than the window offset cap, before any
+        # term is read
+        ("telescope", "--seq", "W", "--window=100000..100002", "--p", "k", "--target-shifts=100000,100000"),
+        ("telescope", "--seq", "W", "--window=-67..-65", "--p", "k", "--target-shifts=-66,-66"),
+        ("discover", "--seq", "T", "--window=-1..0", "--seq-b=W", "--window-b=63..65", "--target-shifts=0,64"),
+        # and a system with more entries than the size cap, before any row is built
+        ("telescope", "--seq", "W", "--window=-2..0", "--p", "k^3+1", "--deg", "100", "--target-shifts=8,0"),
+        ("telescope", "--seq", "W", "--window=-2..0", "--p", "k^3+1", "--deg", "100", "--target-shifts=16,0"),
+        ("discover", "--seq", "T", "--window=-1..0", "--p-degree", "100", "--deg", "100"),
     ],
 )
 def test_bad_solver_input_is_usage_error(capsys, argv):
@@ -437,6 +446,17 @@ _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
             "verify",
             {"claims": [{**_N_EQUALS_N, "domain": {"exclude": [3.0]}}]},
             "malformed claims file: a domain exclude must be a list of integers, got [3.0]\n",
+        ),
+        # a window farther from 0 than the window offset cap, before any term is read
+        (
+            "certify",
+            {**W_CERT, "windows": {"a": [100000, 100002], "b": [-2, 0]}},
+            "malformed certificate: the window 100000..100002 lies more than 64 from 0\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "windows": {"a": [-2, 0], "b": [-67, -65]}},
+            "malformed certificate: the window -67..-65 lies more than 64 from 0\n",
         ),
     ],
 )

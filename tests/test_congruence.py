@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -693,6 +695,17 @@ def test_certified_sums_equal_the_running_sums():
             assert got == want and type(got) is int
 
 
+def test_certified_sums_read_in_descending_order_use_the_memo(monkeypatch):
+    # the first read streams through the window; each lower read after it is
+    # random access, served by the memo instead of a window restarted per read
+    monkeypatch.setattr(W, "_memo", W._memo[: len(W.initial)])
+    ev = SumEvaluator()
+    got = {n: ev.eval_sum(SUM_W_SQUARES, n) for n in range(600, -1, -1)}
+    assert ev.window(W).steps <= 600
+    oracle = _oracle()
+    assert got == {n: oracle.eval_sum(SUM_W_SQUARES, n) for n in range(0, 601)}
+
+
 def test_a_certificate_that_fails_certify_is_never_used():
     tampered = copy.deepcopy(REFERENCE_CERTIFICATES[0])
     tampered["g"][2]["poly"][1] = "23/2"  # was 21/2
@@ -757,3 +770,96 @@ def test_only_the_flagged_point_is_computed_exactly(monkeypatch):
     assert exact == [2]
     assert verify_claim_range(get_claim("theorem-1.3ii"), 2, 300, _oracle()).ok
     assert len(exact) == 1 + 61
+
+
+# -- the bounded term window ------------------------------------------------------
+
+
+def _w_claim_doc(shift: int) -> dict:
+    """theorem-1.1i with W(n + shift) - W(n) added to both sides."""
+    extra = {"sub": [{"seq": "W", "shift": shift}, {"seq": "W", "shift": 0}]}
+    return {
+        "claims": [
+            {
+                "id": "w-squares-plus-a-far-term",
+                "lhs": {"add": [{"sum": SUM_W_SQUARES.to_json()}, extra]},
+                "rhs": {"add": [{"var": "n"}, extra]},
+                "modulus": {"mul": [{"const": "2"}, {"var": "n"}]},
+            }
+        ]
+    }
+
+
+def test_ascending_verification_steps_each_term_once(monkeypatch):
+    # the claim reads W at n-2..n (its sum's closed form) and at n + 40, so
+    # the window holds the order 3 plus a span of 42; a narrower one would
+    # start again from the memo at each point
+    monkeypatch.setattr(W, "_memo", W._memo[: len(W.initial)])
+    (claim,) = load_claims_document(_w_claim_doc(40))
+    ev = SumEvaluator()
+    assert ev.closed_sum(SUM_W_SQUARES) is not None  # certify fills the memo to 200
+    memo_top = W.min_index + len(W._memo) - 1
+    rep = verify_claim_range(claim, 1, 600, ev)
+    assert rep.ok and rep.points_checked == 600
+    assert W.min_index + len(W._memo) - 1 == memo_top  # no point was computed exactly
+    window = ev.window(W)
+    assert window.width == W.recurrence.order + 42
+    assert window.steps == 600 + 40 - memo_top
+    # the exact sum at the top point reads the window without a step
+    assert ev.eval_sum(SUM_W_SQUARES, 601) == _oracle().eval_sum(SUM_W_SQUARES, 601)
+    assert window.steps == 600 + 40 - memo_top
+    # once the memo reaches past the window, the window steps on from the memo
+    W.term(700)
+    assert window.term(701) == W.term(701) and window.steps == 600 + 40 - memo_top + 1
+
+
+def test_a_sequence_read_at_two_rates_is_read_from_the_memo():
+    # theorem-1.1i at u = 2n + 1, with W(n) added to both sides: the closed
+    # form reads W near 2n and the reference at n, so no window of fixed
+    # width holds both, and the residue check reads W from the memo
+    double = dataclasses.replace(SUM_W_SQUARES, upper=Bound(2, 0, 1))
+    lhs = add(SumNode(double), SeqRef(W, 0))
+    rhs = add(mul(C(2), N), C(1), SeqRef(W, 0))
+    modulus = add(mul(C(4), N), C(2))
+    claim = CongruenceClaim("two-rates", "", lhs, rhs, modulus, Domain("integers", 1))
+    ev = SumEvaluator()
+    got = report_to_json(verify_claim_range(claim, 1, 300, ev))
+    assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+    assert got["verdict"] == "pass" and ev.window(W).steps == 0
+
+
+def test_windowed_verification_memory_stays_bounded():
+    # in a fresh process, so that no other test has filled W's memo: with the
+    # memo alone the run peaks at 7.4 MB, with the window at 0.36 MB
+    script = (
+        "import tracemalloc\n"
+        "from rc.congruence import get_claim, verify_claim_range\n"
+        "tracemalloc.start()\n"
+        "rep = verify_claim_range(get_claim('theorem-1.1i'), 1, 8000)\n"
+        "print(rep.ok, rep.points_checked, tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, points, peak = proc.stdout.split()
+    assert ok == "True" and points == "8000"
+    assert int(peak) < 1_000_000
+
+
+def test_a_division_of_integers_stays_exact():
+    # an integer quotient is an int, an inexact one the Fraction it was
+    for a, b in ((12, 4), (-12, 4), (12, -4), (0, 7), (7, 2), (-7, 2), (7, -2)):
+        got = eval_expr(div(C(a), C(b)), 0)
+        want = F(a, b)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else F)
+    # n^2 (n^2 - 1) / 6 at n = 10^6, a 79-bit quotient
+    n2 = mul(N, N)
+    modulus = div(mul(n2, sub(n2, C(1))), C(6))
+    assert eval_expr(modulus, 10**6) == 10**12 * (10**12 - 1) // 6

@@ -254,3 +254,58 @@ def test_formula_with_coefficient_pole_outside_range():
     bad = SumSpec(factors=f.factors, coeff=f.coeff, lo=0, upper=f.upper)
     with pytest.raises(ZeroDivisionError):
         eval_direct(bad, 3)
+
+
+def _outcome(read, i):
+    """read(i), or the type and text of what it raised."""
+    try:
+        return read(i)
+    except (ValueError, LeadingCoefficientVanishes, NonIntegerTerm) as e:
+        return type(e), str(e)
+
+
+# (n+1) a(n+1) = 6 a(n) from a(0)=1: a(n) = 6^n/n!, not an integer at n = 5
+_SIX_POWERS = (recurrence([Poly([-6]), Poly([1, 1])]), {0: 1})
+_WINDOWED = {"W": (W.recurrence, W.initial), "T": (T.recurrence, T.initial), "six": _SIX_POWERS}
+
+
+@st.composite
+def _window_reads(draw):
+    """Reads of one sequence: (index, memo fill) pairs, where a memo fill
+    (None for none) is a random-access read made just before the window read;
+    in ascending order with jumps and repeats, or as drawn, which also goes
+    backward."""
+    indices = st.integers(-4, 90)
+    reads = draw(st.lists(st.tuples(indices, st.none() | indices), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        reads.sort(key=lambda r: r[0])
+    return reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_WINDOWED)), st.integers(0, 6), _window_reads())
+def test_window_reads_equal_the_memo(name, span, reads):
+    rec, initial = _WINDOWED[name]
+    reference = SequenceDef(name, rec, initial)
+    streamed = SequenceDef(name, rec, initial)  # its memo grows only by the fills
+    window = streamed.window()
+    window.keep(span)
+    assert window.width == rec.order + span
+    for i, fill in reads:
+        if fill is not None:
+            assert _outcome(streamed.term, fill) == _outcome(reference.term, fill)
+        assert _outcome(window.term, i) == _outcome(reference.term, i), (i, fill)
+    assert len(streamed._memo) <= len(reference._memo)
+
+
+def test_window_reads_at_its_edges():
+    # every index from the top of a full window to two below its bottom, each
+    # followed by a read of the top, which steps again after a restart
+    seq = SequenceDef("W", W.recurrence, W.initial)
+    window = seq.window()
+    window.keep(2)
+    assert window.term(59) == W.term(59)
+    for back in range(window.width + 2):
+        assert window.term(59 - back) == W.term(59 - back), back
+        assert window.term(59) == W.term(59)
+    assert len(seq._memo) == len(W.initial)

@@ -10,6 +10,8 @@ from rc.sequences import SequenceDef, T, UnknownSequence, W, recurrence
 from rc.telescoper import (
     MAX_DEGREE,
     MAX_SHIFT_DISTANCE,
+    MAX_SYSTEM_ENTRIES,
+    MAX_WINDOW_OFFSET,
     ShiftWindow,
     TelescoperCertificate,
     cert_from_json,
@@ -365,6 +367,47 @@ def test_target_shifts_past_the_cap_are_rejected_before_any_reduction(solves, w_
         with pytest.raises(ValueError, match="outside the window"):
             reductions_defined_from(shifted)
     assert solves[0] == 0
+
+
+def test_systems_past_the_size_cap_are_rejected_before_any_row_is_built(solves, monkeypatch):
+    cubic = parse_poly("k^3+1")
+    # the benchmark's search without a certificate, at the sweep's largest
+    # degree, and T at the degree cap stay under the cap
+    a, b, target, wa, wb, symmetric = _search_setup("W", "W", (0, 0), (-2, 0), None, None)
+    assert _build_system(a, b, wa, wb, target, [cubic], 30, symmetric).matrix
+    a, b, target, wa, wb, symmetric = _search_setup("T", "T", (0, 1), (-1, 0), None, None)
+    assert _build_system(a, b, wa, wb, target, [cubic], MAX_DEGREE, symmetric).matrix
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(rc.telescoper, "_ints", no_rows)
+    too_large = f"more than {MAX_SYSTEM_ENTRIES}"
+    for target in ((0, 0), (8, 0)):
+        with pytest.raises(ValueError, match=too_large):
+            find_telescoper("W", "W", cubic, target, (-2, 0), deg_bound=MAX_DEGREE)
+    with pytest.raises(ValueError, match=too_large):
+        discover_weights("T", "T", ONE, MAX_DEGREE, (0, 1), (-1, 0), deg_bound=MAX_DEGREE)
+    assert solves[0] == 0
+
+
+def test_windows_past_the_offset_cap_are_rejected_before_any_term_is_read(monkeypatch, w_cert):
+    def no_terms(*args):
+        raise AssertionError("a term was read")
+
+    monkeypatch.setattr(SequenceDef, "term", no_terms)
+    far = MAX_WINDOW_OFFSET + 1
+    beyond = f"lies more than {MAX_WINDOW_OFFSET} from 0"
+    for lo in (far, -far - 2, 10**9):
+        with pytest.raises(ValueError, match=beyond):
+            ShiftWindow(lo, lo + 2)
+        with pytest.raises(ValueError, match=beyond):
+            find_telescoper("W", "W", P_W, (lo, lo), (lo, lo + 2), deg_bound=2)
+        doc = {**cert_to_json(w_cert), "windows": {"a": [-2, 0], "b": [lo, lo + 2]}}
+        with pytest.raises(ValueError, match=beyond):
+            cert_from_json(doc)
+    edge = MAX_WINDOW_OFFSET
+    assert ShiftWindow(-edge, 2 - edge).length == ShiftWindow(edge - 2, edge).length == 3
 
 
 def test_target_shifts_at_the_cap_are_accepted():
