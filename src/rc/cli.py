@@ -179,13 +179,17 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    n_max = 200
+    if args.range:
+        lo, n_max = _parse_range(args.range)
+        if lo != 1:  # the numeric half checks S(n) - S(0) at n = 1..N
+            raise UsageError(f"a certify range must be 1..N with N >= 1, got {args.range}")
     if args.certificate == "-":
         doc = json.load(sys.stdin)
     else:
         with open(args.certificate) as fh:
             doc = json.load(fh)
     cert = _decode("certificate", cert_from_json, doc)
-    n_max = _parse_range(args.range)[1] if args.range else 200
     try:
         report = certify(cert, n_max)
     except ValueError as e:  # windows, pairs or terms the sequences do not define
@@ -482,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="recheck a certificate JSON file")
     p.add_argument("certificate", help="path to certificate JSON, or - for stdin")
-    p.add_argument("--range", help="numeric check range, e.g. 1..200 (default)")
+    p.add_argument("--range", help="numeric check range 1..N (default 1..200)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(fn=_cmd_certify)
 
@@ -492,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", help="integer range, e.g. 1..500")
     p.add_argument("--primes", help="prime range, e.g. 5..300")
     p.add_argument("--exclude", help="comma-separated points to skip")
-    p.add_argument("--jobs", type=int, help="accepted and ignored; points are checked in order")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(fn=_cmd_verify)
 
@@ -503,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("paper-suite", help="run the full bundled verification suite")
-    p.add_argument("--jobs", type=int, help="accepted and ignored; points are checked in order")
     p.add_argument("--out", help="write the suite summary JSON here")
     p.set_defaults(fn=_cmd_paper_suite)
 

@@ -327,11 +327,6 @@ class TelescoperCertificate:
         )
         return ClosedForm(self.seq_a, self.seq_b, scale, terms)
 
-    def s_value(self, n: int) -> Fraction:
-        """S(n) = sum of g_{i,j}(n) a(n+i) b(n+j), exactly."""
-        cf = self.closed_form()
-        return Fraction(cf.scaled(n), cf.scale)
-
 
 class ClosedForm:
     """S(n) of a certificate in integers: `scale` is the lcm D of the
@@ -369,7 +364,8 @@ def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
     """S(n) - S(0); equals sum_{k=0}^{n-1} p(k) a(k+sa) b(k+sb) for a valid
     certificate. S itself is only pinned up to an additive constant, so all
     reporting goes through this difference."""
-    return cert.s_value(n) - cert.s_value(0)
+    cf = cert.closed_form()
+    return Fraction(cf.scaled(n) - cf.scaled(0), cf.scale)
 
 
 # -- the linear system --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import functools
 import io
 import json
@@ -242,10 +243,15 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
         # a reversed range is bad input; a range without domain points is not
         ("verify", "--claim", "t-prime", "--range", "5..1"),
         ("verify", "--claim", "t-prime", "--primes", "1..-5"),
+        # certify checks S(n) - S(0) at n = 1..N, so any other range is bad input
+        ("certify", "{cert}", "--range", "50..60"),
+        ("certify", "{cert}", "--range=-100..-90"),
     ],
 )
-def test_bad_range_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_bad_range_is_usage_error(capsys, tmp_path, argv):
+    cert = tmp_path / "cert.json"  # {cert}: a file holding W_CERT
+    cert.write_text(json.dumps(W_CERT))
+    code, out, err = run_cli(capsys, *(a.format(cert=cert) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -293,15 +299,6 @@ def test_discover_cli(capsys):
     doc = json.loads(out)
     assert doc["solutions"]
     assert doc["solution_coords"]
-
-
-def test_jobs_flag_gives_same_report(capsys):
-    _, seq_out, _ = run_cli(capsys, "verify", "--claim", "theorem-1.3i", "--range", "1..200")
-    _, par_out, _ = run_cli(
-        capsys, "verify", "--claim", "theorem-1.3i", "--range", "1..200", "--jobs", "4"
-    )
-    a, b = json.loads(seq_out)[0], json.loads(par_out)[0]
-    assert a == b
 
 
 def test_verify_output_is_byte_identical(capsys):
@@ -588,7 +585,9 @@ def _at(doc, path):
 
 
 def _set(doc, path, value):
-    _at(doc, path[:-1])[path[-1]] = value
+    # a copy: a later mutation of the document must not change the value a
+    # strategy hands out again, or the generation differs between runs
+    _at(doc, path[:-1])[path[-1]] = copy.deepcopy(value)
 
 
 def _is_expr(v) -> bool:

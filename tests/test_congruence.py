@@ -772,6 +772,54 @@ def test_only_the_flagged_point_is_computed_exactly(monkeypatch):
     assert len(exact) == 1 + 61
 
 
+_BOUNDS = st.builds(Bound, st.integers(-2, 2), st.integers(-6, 6), st.integers(1, 2))
+_LEAVES = st.one_of(
+    st.builds(lambda a, b: C(F(a, b)), st.integers(-9, 9), st.integers(1, 4)),
+    st.just(N),
+    st.builds(SeqRef, st.sampled_from([W, T]), st.integers(-3, 3)),
+    st.builds(PowInt, st.integers(-3, 3), _BOUNDS),  # negative where cn n + c < 0
+    st.builds(BinomExpr, _BOUNDS, _BOUNDS),
+)
+_SUM_FREE_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Legendre, kids, st.one_of(st.sampled_from([C(3), C(5), C(7)]), kids)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: mul(*xs)),
+        st.builds(sub, kids, kids),
+        st.builds(div, kids, kids),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _SUM_FREE_TREES,
+    st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from([1, 2, 3, 4, 7, 9, 12, 25, 60])),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(PowInt(0, Bound(1, -3, 1)), [(0, 1)])  # 0^-3 raises, also modulo 1
+@example(leg(N, C(3)), [(2, 7)])  # (2|3) = -1 is 6 modulo 7
+def test_residues_agree_with_exact_values(e, points):
+    # the two modes of one compiled expression: wherever f(n, m) returns, so
+    # does f(n, None), and f(n, m) is its residue; the sequences are read
+    # through windows in residue mode, at points in any order
+    compiler = congruence._Compiler(SumEvaluator())
+    f = compiler(e)
+    compiler.route()
+    for n, m in points:
+        try:
+            r = f(n, m)
+        except congruence._POINT_ERRORS:
+            continue
+        v = f(n, None)
+        assert r == (v % m if isinstance(v, int) else rat_mod(v, m))
+
+
 # -- the bounded term window ------------------------------------------------------
 
 
@@ -828,14 +876,16 @@ def test_a_sequence_read_at_two_rates_is_read_from_the_memo():
     assert got["verdict"] == "pass" and ev.window(W).steps == 0
 
 
-def test_windowed_verification_memory_stays_bounded():
-    # in a fresh process, so that no other test has filled W's memo: with the
-    # memo alone the run peaks at 7.4 MB, with the window at 0.36 MB
+@pytest.mark.parametrize("claim_id, lo, hi", [("theorem-1.1i", 1, 8000), ("t-prime", 5, 8000)])
+def test_windowed_verification_memory_stays_bounded(claim_id, lo, hi):
+    # in a fresh process, so that no other test has filled a memo: with the
+    # memo alone theorem-1.1i peaks at 7.4 MB and t-prime at 7.1 MB, with the
+    # window at 0.36 MB and 53 KB
     script = (
         "import tracemalloc\n"
         "from rc.congruence import get_claim, verify_claim_range\n"
         "tracemalloc.start()\n"
-        "rep = verify_claim_range(get_claim('theorem-1.1i'), 1, 8000)\n"
+        f"rep = verify_claim_range(get_claim({claim_id!r}), {lo}, {hi})\n"
         "print(rep.ok, rep.points_checked, tracemalloc.get_traced_memory()[1])\n"
     )
     src = str(Path(congruence.__file__).resolve().parents[1])
@@ -848,7 +898,7 @@ def test_windowed_verification_memory_stays_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     ok, points, peak = proc.stdout.split()
-    assert ok == "True" and points == "8000"
+    assert ok == "True" and int(points) == len(get_claim(claim_id).domain.points(lo, hi))
     assert int(peak) < 1_000_000
 
 
