@@ -520,16 +520,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, UnknownSequence, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except UnknownSequence as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: invalid JSON input: {e}", file=sys.stderr)
         return 2
 

@@ -35,10 +35,10 @@ a unit. A zero residue passes the point and keeps nothing. Every other point
 (a nonzero residue, a non-unit, an evaluation error, an uncertified sum),
 every flagged point and every `check_claim_at` is computed exactly by the
 same closures, so every report reads as the exact path alone would write it.
-A range check keeps only the points that do not pass. The residue mode reads
-its terms through the evaluator's windows (see `SumEvaluator`), so a range
-whose points all pass keeps a few terms per sequence, not every term below
-its top.
+A range check keeps only the points that do not pass. A claim decided by
+residues reads its terms through the evaluator's windows (see
+`SumEvaluator`) in both modes, so a range check keeps a few terms per
+sequence, not every term below its top, whether its points pass or fail.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -252,12 +252,13 @@ class SumEvaluator:
     memory of a range check does not grow with its top term. A read behind a
     window steps again from the memo, which happens once when two claims read
     one sequence in turn; a certified sum read below its last read
-    (`eval_sum` in descending order) reads the memo instead. The exact mode
-    of a compiled expression outside a certified sum, and `certify`, read
-    the memo. Otherwise, when the summand does not mention n (all theorem
-    sums are like that), the evaluator keeps a cursor (k, num, den)
-    per spec: the sum over lo..k as an integer numerator num over den, the
-    lcm (up to sign) of the denominators of its terms. For an integer summand
+    (`eval_sum` in descending order) reads the memo instead. The sequence
+    references of a claim with an uncertified sum, of `eval_expr` and of
+    `check_claim_at`, and `certify`, read the memo. Otherwise, when the
+    summand does not mention n (all theorem sums are like that), the
+    evaluator keeps a cursor (k, num, den) per spec: the sum over lo..k as
+    an integer numerator num over den, the lcm (up to sign) of the
+    denominators of its terms. For an integer summand
     den stays 1 and the sum is read as an int; otherwise it is reduced to a
     `Fraction` only when read. A read at or above the cursor adds only the
     terms between the cursor and the read and moves the cursor there, so
@@ -358,8 +359,7 @@ class SumEvaluator:
             ascending = hi >= self._closed_reads.get(spec, hi)
             self._closed_reads[spec] = hi
             num = closed.scaled(hi + 1, None, self._windows if ascending else None) - base
-            q, r = divmod(num, closed.scale)
-            return q if r == 0 else Fraction(num, closed.scale)
+            return _quotient(num, closed.scale, None)
         n_free = spec.n_free
         k, num, den, steps = spec.lo - 1, 0, 1, None
         if n_free:
@@ -383,22 +383,17 @@ def _checked_closed_form(cert) -> ClosedForm | None:
     return None
 
 
-def _one_read() -> SumEvaluator:
-    """The evaluator of a call that reads its sums at one n: certifying a
-    certificate costs more than summing a few hundred terms, so it sums."""
-    return SumEvaluator(certificates=())
-
-
 def eval_sum(spec: SumSpec, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
-    """The sum at n, through `evaluator`, or summed term by term without one."""
-    return (evaluator or _one_read()).eval_sum(spec, n)
+    """The sum at n, through `evaluator`, or summed term by term without one:
+    certifying a certificate costs more than summing a few hundred terms."""
+    return (evaluator or SumEvaluator(certificates=())).eval_sum(spec, n)
 
 
 def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | Fraction:
     """Exact value of e at n: an int when the value is integral by
     construction, else a Fraction (see the module docstring). Without an
     evaluator, the sums are summed term by term."""
-    return _Compiler(evaluator or _one_read())(e)(n, None)
+    return _Compiler(evaluator or SumEvaluator(certificates=()))(e)(n, None)
 
 
 def _mod(v: int | Fraction, m: int | None) -> int | Fraction:
@@ -409,13 +404,22 @@ def _mod(v: int | Fraction, m: int | None) -> int | Fraction:
     return v % m if isinstance(v, int) else rat_mod(v, m)
 
 
-def _divide_residue(r: int, d: int, m: int) -> int:
-    """x / d modulo m, from r = x modulo m|d| for a nonzero integer d: an
-    exact division when d divides r, else a product with the inverse of d,
-    which raises ValueError when d is not a unit modulo m."""
-    q, rem = divmod(r % (m * abs(d)), abs(d))
-    if rem:
-        return r * pow(d, -1, m) % m
+def _quotient(x: int | Fraction, d: int | Fraction, m: int | None) -> int | Fraction:
+    """x / d for a nonzero d. With m None, exactly: an int where d divides x,
+    else a Fraction. With an integer m >= 1, x / d modulo m for an integer d,
+    from x taken modulo m|d|: an exact division when d divides it, else a
+    product with the inverse of d, which raises ValueError when d is not a
+    unit modulo m."""
+    if m is None:
+        if isinstance(x, int) and isinstance(d, int):
+            q, r = divmod(x, d)
+            if not r:
+                return q
+        q = Fraction(x, d)
+        return q.numerator if q.denominator == 1 else q
+    q, r = divmod(x % (m * abs(d)), abs(d))
+    if r:
+        return x * pow(d, -1, m) % m
     return (q if d > 0 else -q) % m
 
 
@@ -441,16 +445,16 @@ _Compiled = Callable[[int, "int | None"], "int | Fraction"]
 
 class _Compiler:
     """Turns expression nodes, once each, into closures f(n, m) over one
-    evaluator. f(n, None) is the exact value at n (see the module docstring):
-    sequence terms from the memo, sums from `SumEvaluator.eval_sum`. For an
-    integer m >= 1, f(n, m) is that value modulo m: sequence terms are read
-    through `stores` (filled by `route`), a certified sum from its closed
-    form modulo D m (`ClosedForm.scaled`), and divisors, Legendre arguments,
-    binomials and uncertified sums exactly. Only units are inverted; anything
-    else raises, as does whatever f(n, None) raises, so a point that passes
-    modulo m passes exactly. Compiling records each (sequence, slope, offset)
-    read in `reads` (see `_spans`), and whether every sum has a closed form
-    in `certified`."""
+    evaluator. f(n, None) is the exact value at n (see the module docstring),
+    with sums from `SumEvaluator.eval_sum`. For an integer m >= 1, f(n, m) is
+    that value modulo m: a certified sum from its closed form modulo D m
+    (`ClosedForm.scaled`), and divisors, Legendre arguments, binomials and
+    uncertified sums exactly. Only units are inverted; anything else raises,
+    as does whatever f(n, None) raises, so a point that passes modulo m
+    passes exactly. In both modes sequence terms are read through `stores`:
+    each sequence's memo, until `route` puts the evaluator's window in its
+    place. Compiling records each (sequence, slope, offset) read in `reads`
+    (see `_spans`), and whether every sum has a closed form in `certified`."""
 
     def __init__(self, ev: SumEvaluator):
         self.ev = ev
@@ -479,7 +483,8 @@ class _Compiler:
         if isinstance(e, SeqRef):
             seq, shift = e.seq, e.shift
             self.reads.append((seq, 1, shift))
-            return lambda n, m: seq.term(n + shift) if m is None else stores[seq].term(n + shift) % m
+            stores.setdefault(seq, seq)
+            return lambda n, m: _mod(stores[seq].term(n + shift), m)
         if isinstance(e, Legendre):
             top, bottom = self(e.top), self(e.bottom)
 
@@ -527,16 +532,10 @@ class _Compiler:
                 d = b(n, None)
                 if d == 0:
                     raise ZeroDivisionError("division by zero in expression")
-                if m is not None:
-                    num = d.numerator
-                    return _divide_residue(a(n, m * abs(num)), num, m) * d.denominator % m
-                x = a(n, None)
-                if isinstance(x, int) and isinstance(d, int):
-                    q, r = divmod(x, d)
-                    if not r:
-                        return q
-                q = Fraction(x, d)
-                return q.numerator if q.denominator == 1 else q
+                if m is None:
+                    return _quotient(a(n, None), d, None)
+                num = d.numerator
+                return _quotient(a(n, m * abs(num)), num, m) * d.denominator % m
 
             return f
         if isinstance(e, SumNode):
@@ -548,7 +547,9 @@ class _Compiler:
             closed, base = found
             scale, lo, upper = closed.scale, spec.lo, spec.upper
             slope = upper.cn if upper.den == 1 else None
-            self.reads += [(seq, slope, upper.c + 1 + s) for seq, s in closed.reads]
+            for seq, s in closed.reads:
+                self.reads.append((seq, slope, upper.c + 1 + s))
+                stores.setdefault(seq, seq)
 
             def f(n, m):
                 if m is None:
@@ -556,7 +557,7 @@ class _Compiler:
                 hi = upper.at(n)
                 if hi < lo:
                     return 0
-                return _divide_residue(closed.scaled(hi + 1, m * scale, stores) - base, scale, m)
+                return _quotient(closed.scaled(hi + 1, m * scale, stores) - base, scale, m)
 
             return f
         raise TypeError(f"not an expression: {e!r}")
@@ -697,7 +698,7 @@ def check_claim_at(
     evaluator, the sums are summed term by term."""
     if not claim.domain.contains(n):
         return CheckResult(claim.claim_id, n, "out_of_domain")
-    return _check_raw(claim, n, _Compiler(evaluator or _one_read()).sides(claim))
+    return _check_raw(claim, n, _Compiler(evaluator or SumEvaluator(certificates=())).sides(claim))
 
 
 @dataclass(frozen=True)
@@ -732,7 +733,8 @@ def verify_claim_range(
     with a nonzero integer modulus m passes on a zero residue of lhs - rhs
     modulo m, with the sequences read through the evaluator's windows; every
     other point, and every flagged point, is computed exactly by `_check_raw`
-    from the same closures, so a report reads the same either way."""
+    from the same closures, reading the same windows, so a report reads the
+    same either way."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.points(lo, hi)

@@ -30,7 +30,7 @@ A factor is computed directly (`math.comb`, a power) at its first k, after
 a zero value or a k where it was not read, outside 0 <= bottom <= top, and
 below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step. A
 read over which a geometric exponent turns negative is summed by
-`SumSpec.term_parts`, which, with `SumSpec.term`, stays the reference.
+`SumSpec.term`, which stays the reference.
 
 A `SeqFactor` holds its `SequenceDef`. Names are resolved once, when a sum
 is decoded, against a name-to-sequence mapping; the default is `BUILTINS`,
@@ -369,7 +369,7 @@ class SumSpec:
     `congruence.SumEvaluator`, and a fresh hash would reach every `Fraction`
     coefficient of `coeff`. The coefficient is also kept as two integer
     polynomials (numerator and denominator scaled by the lcm of their
-    coefficient denominators, highest degree first) for `term_parts`.
+    coefficient denominators, highest degree first) for `_running_sums`.
     """
 
     coeff: RatFunc = RatFunc(ONE)
@@ -399,7 +399,9 @@ class SumSpec:
         return True
 
     def term(self, n: int, k: int) -> Fraction:
-        """The summand at (n, k) as a `Fraction`; the reference for `term_parts`."""
+        """The summand at (n, k) as a `Fraction`, the reference for
+        `_running_sums`. It stops at the first zero factor, so later factors
+        are not evaluated."""
         v = self.coeff(k)
         for f in self.factors:
             if v == 0:
@@ -409,34 +411,6 @@ class SumSpec:
             else:
                 v = v * f.value(n, k)
         return v
-
-    def term_parts(self, n: int, k: int) -> tuple[int, int]:
-        """The summand at (n, k) as an integer numerator and a nonzero integer
-        denominator of either sign, not necessarily coprime. Like `term`, it
-        stops at the first zero factor, so later factors are not evaluated."""
-        cnum, cden = self._int_coeff
-        num, den = horner(cnum, k), horner(cden, k)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {k}")
-        if num == 0:
-            return 0, 1
-        for f in self.factors:
-            if isinstance(f, SeqFactor):
-                v = f.seq.term(k + f.shift)
-            elif isinstance(f, GeomFactor):
-                e = f.exp.at(n, k)
-                if e < 0:
-                    if f.base == 0:
-                        raise ZeroDivisionError("0 raised to a negative power")
-                    den *= f.base**-e
-                    continue
-                v = f.base**e
-            else:
-                v = f.value(n, k)
-            if v == 0:
-                return 0, 1
-            num *= v
-        return num, den
 
     def to_json(self) -> dict:
         return {
@@ -466,8 +440,8 @@ def _running_sums(
     steps are the factors' step functions at n (`BinomFactor.stepper`),
     made here when None, and carry each factor's last value from one read
     to the next; a read over which a geometric exponent is negative somewhere
-    is summed by `term_parts`. As in `term_parts`, a zero coefficient or
-    factor ends the term, and the factors after it are not read at that k.
+    is summed by `SumSpec.term`. As there, a zero coefficient or factor ends
+    the term, and the factors after it are not read at that k.
 
     den is the lcm (up to sign) of the term denominators so far and num is
     not reduced against it, so an integer summand keeps den = 1 and runs no
@@ -483,7 +457,8 @@ def _running_sums(
     const = len(cnum) == len(cden) == 1
     for k in range(k_lo, k_hi + 1):
         if not stepped:
-            a, b = spec.term_parts(n, k)
+            t = spec.term(n, k)
+            a, b = t.numerator, t.denominator
         else:
             a, b = (cnum[0], cden[0]) if const else (horner(cnum, k), horner(cden, k))
             if b == 0:
@@ -495,8 +470,8 @@ def _running_sums(
                         a = 0
                         break
                     a *= v
-            if not a:
-                continue
+        if not a:
+            continue
         if b != 1:
             if den % b:
                 scale = b // math.gcd(den, b)

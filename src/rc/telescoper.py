@@ -183,37 +183,25 @@ def _reduction_table(
         unit[s - window.lo] = RF_ONE
         vecs[s] = unit
 
+    # a(k+m) is solved from the recurrence instance at k + base, whose lead
+    # index is d going forward (base = m - d) and 0 going backward (base = m)
     need = list(shifts)
-    top = window.hi
-    hi_m = max(need, default=window.hi)
-    while top < hi_m:
-        m = top + 1
-        den = cs[d].shift(m - d)
-        vec = [RF_ZERO] * d
-        for i in range(d):
-            coef = RatFunc(-cs[i].shift(m - d), den)
-            prev = vecs[m - d + i]
-            vec = [acc + coef * x for acc, x in zip(vec, prev)]
-        vecs[m] = vec
-        top = m
-
-    bottom = window.lo
-    lo_m = min(need, default=window.lo)
-    while bottom > lo_m:
-        m = bottom - 1
-        if cs[0].is_zero:
+    forward = range(window.hi + 1, max(need, default=window.hi) + 1)
+    backward = range(window.lo - 1, min(need, default=window.lo) - 1, -1)
+    for m, lead in [(m, d) for m in forward] + [(m, 0) for m in backward]:
+        if lead == 0 and cs[0].is_zero:
             raise ValueError(
                 "backward reduction is impossible: the trailing recurrence "
                 "coefficient is the zero polynomial"
             )
-        den = cs[0].shift(m)
+        base = m - lead
+        den = cs[lead].shift(base)
         vec = [RF_ZERO] * d
-        for i in range(1, d + 1):
-            coef = RatFunc(-cs[i].shift(m), den)
-            prev = vecs[m + i]
-            vec = [acc + coef * x for acc, x in zip(vec, prev)]
+        for i in range(d + 1):
+            if i != lead:
+                coef = RatFunc(-cs[i].shift(base), den)
+                vec = [acc + coef * x for acc, x in zip(vec, vecs[base + i])]
         vecs[m] = vec
-        bottom = m
 
     return {m: tuple(v) for m, v in vecs.items()}
 

@@ -257,6 +257,28 @@ def test_bad_range_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a directory where a file is read or written
+        ("verify", "--claims-file", "{dir}"),
+        ("certify", "{dir}"),
+        ("eval", "--seq", "T", "--range", "0..5", "--out", "{dir}"),
+        ("verify", "--claim", "t-prime", "--primes", "5..50", "--out", "{dir}"),
+        # a claims file or certificate that is not UTF-8
+        ("verify", "--claims-file", "{latin1}"),
+        ("certify", "{latin1}"),
+    ],
+)
+def test_unreadable_file_is_usage_error(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.json"  # {latin1}: a JSON document with a Latin-1 byte
+    latin1.write_bytes(b'{"claims": [], "note": "\xe9"}')
+    code, out, err = run_cli(capsys, *(a.format(dir=tmp_path, latin1=latin1) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_point_error_fails_only_that_point(capsys, tmp_path):
     n_minus_3 = {"sub": [{"var": "n"}, {"const": "3"}]}
     claim = {

@@ -806,17 +806,20 @@ _SUM_FREE_TREES = st.recursive(
 @example(leg(N, C(3)), [(2, 7)])  # (2|3) = -1 is 6 modulo 7
 def test_residues_agree_with_exact_values(e, points):
     # the two modes of one compiled expression: wherever f(n, m) returns, so
-    # does f(n, None), and f(n, m) is its residue; the sequences are read
-    # through windows in residue mode, at points in any order
+    # does f(n, None), and f(n, m) is its residue; f reads the sequences
+    # through windows in both modes, at points in any order, and a
+    # compilation that is not routed reads the same values from the memo
     compiler = congruence._Compiler(SumEvaluator())
     f = compiler(e)
     compiler.route()
+    from_memo = congruence._Compiler(SumEvaluator())(e)
     for n, m in points:
         try:
             r = f(n, m)
         except congruence._POINT_ERRORS:
             continue
         v = f(n, None)
+        assert v == from_memo(n, None)
         assert r == (v % m if isinstance(v, int) else rat_mod(v, m))
 
 
@@ -876,17 +879,28 @@ def test_a_sequence_read_at_two_rates_is_read_from_the_memo():
     assert got["verdict"] == "pass" and ev.window(W).steps == 0
 
 
-@pytest.mark.parametrize("claim_id, lo, hi", [("theorem-1.1i", 1, 8000), ("t-prime", 5, 8000)])
-def test_windowed_verification_memory_stays_bounded(claim_id, lo, hi):
+@pytest.mark.parametrize(
+    "claim_id, kind, lo, hi, failures",
+    [
+        pytest.param("theorem-1.1i", "integers", 1, 8000, 0, id="theorem-1.1i-1-8000"),
+        pytest.param("t-prime", "primes", 5, 8000, 0, id="t-prime-5-8000"),
+        # T(8000) is not 1 modulo 8000^2: the exact check of the failing
+        # point reads the window that its residue check just stepped
+        pytest.param("t-prime", "integers", 8000, 8000, 1, id="t-prime-integers-8000-8000"),
+    ],
+)
+def test_windowed_verification_memory_stays_bounded(claim_id, kind, lo, hi, failures):
     # in a fresh process, so that no other test has filled a memo: with the
-    # memo alone theorem-1.1i peaks at 7.4 MB and t-prime at 7.1 MB, with the
-    # window at 0.36 MB and 53 KB
+    # memo alone theorem-1.1i peaks at 7.4 MB, t-prime at 7.1 MB and its
+    # failing point at 7.06 MB, with the window at 0.36 MB, 53 KB and 17 KB
     script = (
-        "import tracemalloc\n"
+        "import dataclasses, tracemalloc\n"
         "from rc.congruence import get_claim, verify_claim_range\n"
+        f"claim = get_claim({claim_id!r})\n"
+        f"claim = dataclasses.replace(claim, domain=dataclasses.replace(claim.domain, kind={kind!r}))\n"
         "tracemalloc.start()\n"
-        f"rep = verify_claim_range(get_claim({claim_id!r}), {lo}, {hi})\n"
-        "print(rep.ok, rep.points_checked, tracemalloc.get_traced_memory()[1])\n"
+        f"rep = verify_claim_range(claim, {lo}, {hi})\n"
+        "print(rep.ok, len(rep.failures), rep.points_checked, tracemalloc.get_traced_memory()[1])\n"
     )
     src = str(Path(congruence.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -897,8 +911,10 @@ def test_windowed_verification_memory_stays_bounded(claim_id, lo, hi):
         env={"PYTHONPATH": src, "PATH": ""},
     )
     assert proc.returncode == 0, proc.stderr
-    ok, points, peak = proc.stdout.split()
-    assert ok == "True" and int(points) == len(get_claim(claim_id).domain.points(lo, hi))
+    ok, failed, points, peak = proc.stdout.split()
+    domain = dataclasses.replace(get_claim(claim_id).domain, kind=kind)
+    assert ok == str(not failures) and int(failed) == failures
+    assert int(points) == len(domain.points(lo, hi))
     assert int(peak) < 1_000_000
 
 

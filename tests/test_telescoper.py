@@ -123,17 +123,26 @@ def test_reduce_shift_trinomial_step():
 
 
 def test_reduce_shift_numeric_identity():
-    for m in (-3, -1, 2, 4):
-        vec = reduce_shift(T.recurrence, m, (0, 1))
-        checked = 0
-        for k in range(2, 30):
-            try:
-                got = sum(vec[s](k) * T.term(k + s) for s in (0, 1))
-            except ZeroDivisionError:
-                continue  # pole of the rational identity, not a failure
-            assert got == F(T.term(k + m)), (m, k)
-            checked += 1
-        assert checked >= 25
+    cases = [
+        (T, (0, 1), (-3, -1, 2, 4), 30, 25),
+        # order 3, both directions: the stepping indexes the recurrence by its order
+        (W, (-2, 0), (-5, -3, 1, 3), 40, 35),
+    ]
+    for seq, window, ms, k_hi, at_least in cases:
+        shifts = range(window[0], window[1] + 1)
+        for m in ms:
+            vec = reduce_shift(seq.recurrence, m, window)
+            checked = 0
+            for k in range(2, k_hi):
+                if k + m < -1:
+                    continue  # W's initial data overdetermine its instance at -2
+                try:
+                    got = sum(r(k) * seq.term(k + s) for r, s in zip(vec, shifts))
+                except ZeroDivisionError:
+                    continue  # pole of the rational identity, not a failure
+                assert got == F(seq.term(k + m)), (seq.name, m, k)
+                checked += 1
+            assert checked >= at_least, (seq.name, m)
 
 
 def test_reduce_shift_round_trip():
