@@ -25,14 +25,11 @@ __all__ = [
     "ZERO",
     "ONE",
     "K",
-    "RF_ZERO",
-    "RF_ONE",
     "poly",
     "horner",
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
-    "poly_lcm",
     "nullspace",
     "legendre",
     "prime_factors",
@@ -276,14 +273,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return ZERO
-    g = poly_gcd(a, b)
-    q, _ = poly_divmod(a * b, g)
-    return q.monic()
-
-
 class RatFunc:
     """Quotient of two polynomials, kept normalized: gcd(num, den) = 1 and the
     denominator monic (so its leading coefficient is positive)."""
@@ -371,10 +360,6 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
     return RatFunc(_as_poly(x))
-
-
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)
 
 
 # -- exact linear algebra ----------------------------------------------------

@@ -14,10 +14,22 @@ solved by fraction-free integer elimination (`exactmath.nullspace`). A search
 builds its system once, at its degree bound, and solves each smaller degree
 of its bisection on a column slice of it. The pair list and the reductions of
 the shifted and target pairs are computed by one helper, `_pair_setup`, for
-both the solver's system and `certify`'s recheck; it rejects a target shift
-more than `MAX_SHIFT_DISTANCE` outside its window. A window reaching more than
-`MAX_WINDOW_OFFSET` from 0, and a system of more than `MAX_SYSTEM_ENTRIES`
-entries, are rejected too, before any term is read or any row is built.
+the solver's system, `certify`'s recheck and `reductions_defined_from`; it
+rejects a target shift more than `MAX_SHIFT_DISTANCE` outside its window. A
+window reaching more than `MAX_WINDOW_OFFSET` from 0, and a system of more
+than `MAX_SYSTEM_ENTRIES` entries, are rejected too, before any term is read
+or any row is built.
+
+A reduction is a set of integer polynomials (ascending lists of ints) over a
+denominator kept as its known factors: the shifted lead coefficients of the
+recurrence steps it took forward, the trailing ones of those it took
+backward. No gcd runs while reducing. The solver brings each final entry to
+lowest terms once, dividing out the linear factors without a gcd, so each
+equation is cleared to exactly the denominator a normalized rational
+function would give. `certify` checks each balance as one integer polynomial
+over the product of the factors, and `reductions_defined_from` looks for
+poles among the factors' own integer roots. `RatFunc` appears only in
+`reduce_shift`'s result and in the text of a nonzero residual.
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -29,6 +41,7 @@ therefore telescopes exactly from k = 0 on, which is what `certify` checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -36,15 +49,13 @@ from typing import Iterable, Mapping, Sequence
 from .exactmath import (
     K,
     ONE,
-    RF_ONE,
-    RF_ZERO,
     Poly,
     RatFunc,
     ZERO,
     horner,
     nullspace,
     poly_divmod,
-    poly_lcm,
+    poly_gcd,
     prime_factors,
 )
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
@@ -78,8 +89,8 @@ __all__ = [
 MAX_DEGREE = 100
 
 # the farthest a target shift may lie outside its window: reducing it takes one
-# rational-function recurrence step per unit of distance, and the degrees (so
-# the cost) of the reductions grow with each step; checked before any runs
+# recurrence step per unit of distance, and the degrees (so the cost) of the
+# reductions grow with each step; checked before any runs
 MAX_SHIFT_DISTANCE = 16
 
 # the farthest a window's shifts may lie from 0: the solver and `certify` read
@@ -163,25 +174,99 @@ def _search_setup(
     return a, b, target, wa, wb, symmetric
 
 
+# -- integer polynomials -------------------------------------------------------
+# ascending lists of ints, the zero polynomial the empty list; a denominator
+# factor is such a list as a tuple, so that it can key a dict
+
+
+def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ishift(a: Sequence[int], j: int) -> list[int]:
+    # a(k + j), by Horner's rule in k + j
+    out: list[int] = []
+    for c in reversed(a):
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] += j * out[i + 1]
+        out[0] += c
+    return out
+
+
+def _iquo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b if it is a polynomial with integer coefficients, else None. For a
+    primitive b that is exactly when b divides a over the rationals (Gauss)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + db], b[-1])
+        if r:
+            return None
+        quo[i] = c
+        if c:
+            for t, y in enumerate(b):
+                rem[i + t] -= c * y
+    return None if any(rem[:db]) else quo
+
+
+def _iprod(factors: Iterable[Sequence[int]]) -> list[int]:
+    out = [1]
+    for f in factors:
+        out = _imul(out, f)
+    return out
+
+
+def _primitive(a: Sequence[int]) -> tuple[int, ...]:
+    # a divided by its content, with a positive lead coefficient
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return tuple(x // g for x in a)
+
+
 # -- shift reduction -----------------------------------------------------------
 
 
 def _reduction_table(
     rec: Recurrence, window: ShiftWindow, shifts: Iterable[int]
-) -> dict[int, tuple[RatFunc, ...]]:
-    """Vectors r with a(k+m) = sum_s r_s(k) a(k+s) over the window, for every
-    m in `shifts`, valid as rational-function identities."""
+) -> dict[int, tuple[list[list[int]], tuple[tuple[int, ...], ...]]]:
+    """For every m in `shifts`, integer polynomials r_s and denominator
+    factors f_1, ..., f_t with a(k+m) = sum_s r_s(k) a(k+s) / prod f_i(k) over
+    the window, valid as rational-function identities. The factors are the
+    lead coefficients of the recurrence instances stepped through, shifted:
+    going forward the leading one, going backward the trailing one, in the
+    order of the steps from the window out to m. No gcd is taken."""
     if window.length != rec.order:
         raise ValueError(
             f"window {window.lo}..{window.hi} does not match recurrence order {rec.order}"
         )
     d = rec.order
-    cs = rec.coeffs
-    vecs: dict[int, list[RatFunc]] = {}
+    cs = [list(reversed(c)) for c in rec.int_coeffs]
+    table: dict[int, tuple[list[list[int]], tuple]] = {}
     for s in window.shifts():
-        unit = [RF_ZERO] * d
-        unit[s - window.lo] = RF_ONE
-        vecs[s] = unit
+        unit: list[list[int]] = [[] for _ in range(d)]
+        unit[s - window.lo] = [1]
+        table[s] = (unit, ())
 
     # a(k+m) is solved from the recurrence instance at k + base, whose lead
     # index is d going forward (base = m - d) and 0 going backward (base = m)
@@ -189,47 +274,51 @@ def _reduction_table(
     forward = range(window.hi + 1, max(need, default=window.hi) + 1)
     backward = range(window.lo - 1, min(need, default=window.lo) - 1, -1)
     for m, lead in [(m, d) for m in forward] + [(m, 0) for m in backward]:
-        if lead == 0 and cs[0].is_zero:
+        if lead == 0 and not cs[0]:
             raise ValueError(
                 "backward reduction is impossible: the trailing recurrence "
                 "coefficient is the zero polynomial"
             )
         base = m - lead
-        den = cs[lead].shift(base)
-        vec = [RF_ZERO] * d
-        for i in range(d + 1):
-            if i != lead:
-                coef = RatFunc(-cs[i].shift(base), den)
-                vec = [acc + coef * x for acc, x in zip(vec, vecs[base + i])]
-        vecs[m] = vec
-
-    return {m: tuple(v) for m, v in vecs.items()}
+        # sum over the other d terms, farthest from m first, over the common
+        # denominator by Horner's rule: before each term is added, the sum so
+        # far is multiplied by that term's own last factor
+        nums: list[list[int]] = [[] for _ in range(d)]
+        for i in range(d) if lead == d else range(d, 0, -1):
+            src, den = table[base + i]
+            if den:
+                nums = [_imul(x, den[-1]) for x in nums]
+            coef = _ishift([-c for c in cs[i]], base)
+            nums = [_iadd(x, _imul(coef, y)) for x, y in zip(nums, src)]
+        table[m] = (nums, den + (tuple(_ishift(cs[lead], base)),))
+    return table
 
 
 def reduce_shift(rec: Recurrence, m: int, window) -> tuple[RatFunc, ...]:
     """Coefficients r_s(k) with a(k+m) = sum_s r_s(k) a(k+s), s in the window."""
-    window = _as_window(window)
-    return _reduction_table(rec, window, [m])[m]
+    nums, den = _reduction_table(rec, _as_window(window), [m])[m]
+    den_poly = Poly(_iprod(den))
+    return tuple(RatFunc(Poly(num), den_poly) for num in nums)
 
 
-def _pair_reduction(
-    vec_a: Sequence[RatFunc],
-    vec_b: Sequence[RatFunc],
-    wa: ShiftWindow,
-    wb: ShiftWindow,
-    symmetric: bool,
-) -> dict[tuple[int, int], RatFunc]:
-    out: dict[tuple[int, int], RatFunc] = {}
-    for s, ca in zip(wa.shifts(), vec_a):
-        if ca.is_zero:
+# a pair reduction: integer numerators by basis pair, over one denominator
+# given as its factors
+PairReduction = tuple[dict[tuple[int, int], list[int]], tuple[tuple[int, ...], ...]]
+
+
+def _pair_reduction(red_a, red_b, wa: ShiftWindow, wb: ShiftWindow, symmetric: bool) -> PairReduction:
+    (nums_a, den_a), (nums_b, den_b) = red_a, red_b
+    out: dict[tuple[int, int], list[int]] = {}
+    for s, x in zip(wa.shifts(), nums_a):
+        if not x:
             continue
-        for t, cb in zip(wb.shifts(), vec_b):
-            if cb.is_zero:
+        for t, y in zip(wb.shifts(), nums_b):
+            if not y:
                 continue
             key = (min(s, t), max(s, t)) if symmetric else (s, t)
-            prod = ca * cb
-            out[key] = out[key] + prod if key in out else prod
-    return {k: v for k, v in out.items() if not v.is_zero}
+            prod = _imul(x, y)
+            out[key] = _iadd(out[key], prod) if key in out else prod
+    return {k: v for k, v in out.items() if v}, den_a + den_b
 
 
 def _pair_setup(
@@ -239,11 +328,13 @@ def _pair_setup(
     wb: ShiftWindow,
     target: tuple[int, int],
     symmetric: bool,
-) -> tuple[list, dict, dict, tuple[list[int], list[int]]]:
-    """The setup shared by `_build_system` and `certify`: the pairs (i, j) of
-    the window basis; the reductions into that basis of each shifted pair
-    a(k+1+i) b(k+1+j), keyed by (i, j), and of the target pair
-    a(k+sa) b(k+sb); and the shifts of a and of b that were reduced.
+) -> tuple[list, dict[tuple[int, int], PairReduction], PairReduction, tuple[list[int], list[int]]]:
+    """The setup shared by `_build_system`, `certify` and
+    `reductions_defined_from`: the pairs (i, j) of the window basis; the
+    reductions into that basis of each shifted pair a(k+1+i) b(k+1+j), keyed
+    by (i, j), and of the target pair a(k+sa) b(k+sb), each as integer
+    numerators over the product of the factors of a's and b's reductions; and
+    the shifts of a and of b that were reduced.
 
     Symmetric mode, which reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair,
     needs the same sequence and a single window for both factors. A target
@@ -276,6 +367,70 @@ def _pair_setup(
     }
     target_red = _pair_reduction(vecs_a[sa], vecs_b[sb], wa, wb, symmetric)
     return pairs, shifted, target_red, (shifts_a, shifts_b)
+
+
+class _Denominators:
+    """The denominator factors of one setup's pair reductions, split over the
+    distinct linear factors among them, which are pairwise coprime as they
+    stand: each factor is a constant times powers of those, times a rest
+    with all of them divided out."""
+
+    def __init__(self, dens: Iterable[tuple[tuple[int, ...], ...]]):
+        factors = {f for den in dens for f in den}
+        self.linear = sorted({_primitive(f) for f in factors if len(f) == 2})
+        self._parts = {}
+        for f in factors:
+            rest, exps = f, []
+            for b in self.linear:
+                e = 0
+                while (q := _iquo(rest, b)) is not None:
+                    rest, e = q, e + 1
+                exps.append(e)
+            prim = _primitive(rest)
+            self._parts[f] = (rest[-1] // prim[-1], exps, prim)
+
+    def _powers(self, exps: Sequence[int]) -> list[tuple[int, ...]]:
+        return [b for b, e in zip(self.linear, exps) for _ in range(e)]
+
+    def clear(self, entries: Mapping) -> tuple[list[int], dict]:
+        """For entries key -> (num, den): den, the lcm of the entries'
+        denominators in lowest terms, and each entry times den, in integers,
+        all up to one common constant factor. A linear factor is divided out
+        of a numerator as often as it goes into both, without a gcd; only
+        rests of degree 2 or more, which no built-in recurrence has, are
+        cancelled by polynomial gcds."""
+        reduced = {}
+        for key, (num, den) in entries.items():
+            const, exps, rest = 1, [0] * len(self.linear), Counter()
+            for f in den:
+                c, e, r = self._parts[f]
+                const *= c
+                exps = [x + y for x, y in zip(exps, e)]
+                if len(r) > 1:
+                    rest[r] += 1
+            for n, b in enumerate(self.linear):
+                while exps[n] and (q := _iquo(num, b)) is not None:
+                    num, exps[n] = q, exps[n] - 1
+            reduced[key] = (num, const, exps, rest)
+        top = [max(col) for col in zip(*(r[2] for r in reduced.values()))]
+        rest_top: Counter = Counter()
+        for r in reduced.values():
+            rest_top |= r[3]
+        scale = math.lcm(*(abs(r[1]) for r in reduced.values()))
+        den = [scale * x for x in _iprod([*self._powers(top), *rest_top.elements()])]
+        cleared = {}
+        for key, (num, const, exps, rest) in reduced.items():
+            cofactor = [*self._powers([t - e for t, e in zip(top, exps)]), *(rest_top - rest).elements()]
+            cleared[key] = [(scale // const) * x for x in _imul(num, _iprod(cofactor))]
+        if rest_top:
+            g = Poly(den)
+            for num in cleared.values():
+                g = poly_gcd(g, Poly(num))
+            g_scale = math.lcm(*(c.denominator for c in g.coeffs))
+            g_int = _primitive([c.numerator * (g_scale // c.denominator) for c in g.coeffs])
+            den = _iquo(den, g_int)
+            cleared = {key: _iquo(num, g_int) for key, num in cleared.items()}
+        return den, cleared
 
 
 # -- certificates ----------------------------------------------------------------
@@ -417,15 +572,17 @@ def _build_system(
     symmetric: bool,
 ) -> ReducedSystem:
     """The system in integers: for each basis pair st, the defining equation's
-    st-coefficient is cleared to the common denominator `den`, scaled by the
-    lcm of the coefficient denominators that leaves, and read off power by
-    power of k. Column ("g", i, j, m) holds (k+1)^m cleared_ij - [ij = st]
-    k^m den, each (k+1)^m cleared one shift-and-add from the m - 1 one.
+    st-coefficient is cleared to `den`, the monic lcm of its entries'
+    denominators in lowest terms (`_Denominators.clear`), scaled to its
+    primitive integer multiple, and read off power by power of k. Column
+    ("g", i, j, m) holds (k+1)^m cleared_ij - [ij = st] k^m den, each
+    (k+1)^m cleared one shift-and-add from the m - 1 one.
 
     A system whose coefficient rows (counted before the zero ones are
     dropped) times its columns exceed `MAX_SYSTEM_ENTRIES` raises ValueError
     before any row is built."""
     pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
+    dens = _Denominators(den for _, den in (*shifted.values(), target_red))
 
     columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
     columns += [("p", u) for u in range(len(p_basis))]
@@ -434,20 +591,16 @@ def _build_system(
     equations = []
     n_rows = 0
     for st in pairs:
-        reds = {pi: shifted[ij][st] for pi, ij in enumerate(pairs) if st in shifted[ij]}
-        t_rf = target_red.get(st)
-        den = ONE
-        for rf in (*reds.values(), t_rf):
-            if rf is not None:
-                den = poly_lcm(den, rf.den)
-        cleared = {pi: u.num * poly_divmod(den, u.den)[0] for pi, u in reds.items()}
-        p_polys = []
-        if t_rf is not None:
-            cleared_t = t_rf.num * poly_divmod(den, t_rf.den)[0]
-            p_polys = [-(pc * cleared_t) for pc in p_basis]
-        equations.append((st, den, cleared, p_polys))
-        heights = [deg + len(q.coeffs) for q in (den, *cleared.values())]
-        n_rows += max(heights + [len(q.coeffs) for q in p_polys])
+        entries = {pi: (red[st], den) for pi, (red, den) in enumerate(shifted.values()) if st in red}
+        if st in target_red[0]:
+            entries["t"] = (target_red[0][st], target_red[1])
+        den, cleared = dens.clear(entries)
+        cleared_t = cleared.pop("t", None)
+        equations.append((st, den, cleared, cleared_t))
+        heights = [deg + len(q) for q in (den, *cleared.values())]
+        if cleared_t:
+            heights += [len(pc.coeffs) + len(cleared_t) - 1 for pc in p_basis if pc]
+        n_rows += max(heights)
     if n_rows * len(columns) > MAX_SYSTEM_ENTRIES:
         raise ValueError(
             f"the linear system would have {n_rows} x {len(columns)} entries, "
@@ -456,16 +609,24 @@ def _build_system(
 
     rows: list[tuple] = []
     matrix: list[list[int]] = []
+    p_scale = math.lcm(*(c.denominator for pc in p_basis for c in pc.coeffs))
+    p_ints = [_ints(pc, p_scale) for pc in p_basis]
 
-    for st, den, cleared, p_polys in equations:
-        scale = math.lcm(
-            *(c.denominator for q in (den, *cleared.values(), *p_polys) for c in q.coeffs)
-        )
-
+    for st, den, cleared, cleared_t in equations:
+        # these polynomials are a constant multiple of the ones over the monic
+        # den; scaled by the lcm of their coefficient denominators, those have
+        # content 1 (den's lead becomes that lcm), so the rows are the
+        # primitive part of these, signed so that den's lead is positive
+        p_polys = [[-x for x in _imul(pc, cleared_t)] for pc in p_ints] if cleared_t else []
+        den = [p_scale * x for x in den]
+        cleared = {pi: [p_scale * x for x in q] for pi, q in cleared.items()}
+        content = math.gcd(*den, *(x for q in (*cleared.values(), *p_polys) for x in q))
+        if den[-1] < 0:
+            content = -content
+        den_int = [x // content for x in den]
         col_coeffs: dict[int, list[int]] = {}
-        den_int = _ints(den, scale)
         for pi, ij in enumerate(pairs):
-            acc = _ints(cleared[pi], scale) if pi in cleared else []
+            acc = [x // content for x in cleared[pi]] if pi in cleared else []
             for m in range(deg + 1):
                 if m and acc:
                     acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
@@ -475,7 +636,7 @@ def _build_system(
                         contrib[m + e] -= x
                 col_coeffs[pi * (deg + 1) + m] = contrib
         for u, q in enumerate(p_polys):
-            col_coeffs[n_g + u] = _ints(q, scale)
+            col_coeffs[n_g + u] = [x // content for x in q]
 
         for e in range(max(map(len, col_coeffs.values()), default=0)):
             row = [0] * len(columns)
@@ -697,7 +858,9 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     """Recheck a certificate from scratch.
 
     Symbolic half: re-expand p(k) a(k+sa) b(k+sb) - Delta_k S(k) in the window
-    basis and require every coefficient to be the zero rational function.
+    basis and require every coefficient to be zero. Each is one integer
+    polynomial over the product of the reductions' denominator factors, and
+    only a nonzero one is brought to lowest terms, for its residual text.
     Numeric half: compare S(n) - S(0) with the directly accumulated sum of
     p(k) a(k+sa) b(k+sb) for 1 <= n <= n_max, exactly.
     """
@@ -713,20 +876,38 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     if stray:
         raise ValueError(f"certificate has g entries outside its windows: {sorted(stray)}")
 
-    balance: dict[tuple[int, int], RatFunc] = {st: RF_ZERO for st in pairs}
+    # every balance over one common denominator: each factor of the
+    # reductions' denominators as often as the most any of them has it
+    scale = math.lcm(*(c.denominator for q in (cert.p, *cert.g.values()) for c in q.coeffs))
+    common: Counter = Counter()
+    for _, den in (*shifted.values(), target_red):
+        common |= Counter(den)
+    full = _iprod(common.elements())
+
+    def cofactor(den) -> list[int]:
+        return _iprod((common - Counter(den)).elements())
+
+    balance: dict[tuple[int, int], list[int]] = {st: [] for st in pairs}
     for (i, j) in pairs:
         g = cert.g_at(i, j)
         if g.is_zero:
             continue
-        g_shift = RatFunc(g.shift(1))
-        for st, coef in shifted[(i, j)].items():
-            balance[st] = balance[st] + g_shift * coef
-        balance[(i, j)] = balance[(i, j)] - RatFunc(g)
-    for st, coef in target_red.items():
-        balance[st] = balance[st] - RatFunc(cert.p) * coef
+        g_int = _ints(g, scale)
+        red, den = shifted[(i, j)]
+        g_shift = _imul(_ishift(g_int, 1), cofactor(den))
+        for st, num in red.items():
+            balance[st] = _iadd(balance[st], _imul(g_shift, num))
+        balance[(i, j)] = _iadd(balance[(i, j)], _imul([-x for x in g_int], full))
+    red, den = target_red
+    p_int = _imul([-x for x in _ints(cert.p, scale)], cofactor(den))
+    for st, num in red.items():
+        balance[st] = _iadd(balance[st], _imul(p_int, num))
 
+    # only a nonzero balance is brought to lowest terms, for its text
     residuals = tuple(
-        (st, str(rf)) for st, rf in sorted(balance.items()) if not rf.is_zero
+        (st, str(RatFunc(Poly(num), Poly([scale * x for x in full]))))
+        for st, num in sorted(balance.items())
+        if num
     )
     symbolic_ok = not residuals
 
@@ -751,29 +932,49 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     return CertifyReport(symbolic_ok, numeric_ok, residuals, mismatch, n_max)
 
 
-def _has_integer_root_from(q: Poly, lo: int) -> bool:
-    """Whether q vanishes at an integer x >= lo. Every root of a nonzero q
-    lies within the Cauchy bound 1 + max |c_i / lead|, so only the integers
-    from lo up to that bound are tried."""
-    if q.degree < 1:
-        return q.is_zero
-    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.lead)
-    return any(q(x) == 0 for x in range(lo, math.floor(bound) + 1))
+def _integer_roots(f: Sequence[int], lo: int) -> list[int]:
+    """The integer roots r >= lo of a nonzero integer polynomial f: read off
+    a linear f, else tried from lo up to f's own Cauchy bound
+    1 + max |c_i / lead|."""
+    if len(f) == 2:
+        r, rem = divmod(-f[0], f[1])
+        return [r] if not rem and r >= lo else []
+    bound = 1 + max(map(abs, f[:-1]), default=0) // abs(f[-1])
+    return [r for r in range(max(lo, -bound), bound + 1) if horner(f[::-1], r) == 0]
+
+
+def _root_order(f: Sequence[int], r: int, cap: int) -> int:
+    # how often k - r divides f, counted up to cap
+    e = 0
+    while e < cap and (q := _iquo(f, (-r, 1))) is not None:
+        f, e = q, e + 1
+    return e
 
 
 def reductions_defined_from(cert: TelescoperCertificate, k_min: int = CERTIFY_N_MAX) -> bool:
-    """Whether no denominator of the certificate's pair reductions vanishes at
-    an integer k >= k_min.
+    """Whether no pair reduction of the certificate, in lowest terms, has a
+    pole at an integer k >= k_min.
 
     `certify`'s symbolic half proves the identity as rational functions, and
     its numeric half at k < n_max. At a larger k the identity holds wherever
-    those denominators do not vanish, so a certificate that passes both
-    halves and this check with k_min = n_max telescopes at every k >= 0."""
+    those reductions are defined, so a certificate that passes both halves
+    and this check with k_min = n_max telescopes at every k >= 0. A pole can
+    only be a root of one of the factors of a reduction's denominator, so
+    the candidates are those factors' integer roots, each kept where its
+    order in the denominator exceeds its order in an entry's numerator."""
     _, shifted, target_red, _ = _pair_setup(
         cert.seq_a, cert.seq_b, cert.window_a, cert.window_b, cert.target_shifts, cert.symmetric
     )
-    dens = {rf.den for red in (*shifted.values(), target_red) for rf in red.values()}
-    return not any(_has_integer_root_from(d, k_min) for d in dens)
+    roots: dict[tuple[int, ...], list[int]] = {}
+    for red, den in (*shifted.values(), target_red):
+        for f in den:
+            if f not in roots:
+                roots[f] = _integer_roots(f, k_min)
+        for r in {r for f in den for r in roots[f]}:
+            pole = sum(_root_order(f, r, len(f)) for f in den)
+            if any(_root_order(num, r, pole) < pole for num in red.values()):
+                return False
+    return True
 
 
 # -- strict-mode check and modular reduction ---------------------------------------

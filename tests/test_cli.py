@@ -726,3 +726,40 @@ def test_solver_argv_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+# a range text: two small bounds in either order (the top at most 300), or a
+# malformed one; never a large top
+_FUZZ_RANGE = st.one_of(
+    st.tuples(st.integers(-8, 300), st.integers(-8, 300)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["", "..", "1..", "..5", "1..2..3", "a..b", "1.5..3", "1-5", " 1 .. 4", "0x1..3"]),
+)
+_FUZZ_SEQ = st.sampled_from(["W", "T", "one"] * 3 + ["X", "w", ""])
+
+
+@st.composite
+def _range_argv(draw):
+    if draw(st.booleans()):
+        argv, ranges = ["eval", "--seq", draw(_FUZZ_SEQ)], _FUZZ_RANGE
+    else:
+        # {cert} is a file holding W_CERT with its factors replaced
+        argv = ["certify", "{cert}"]
+        ranges = st.one_of(st.integers(-3, 300).map(lambda n: f"1..{n}"), _FUZZ_RANGE)
+    if draw(st.integers(0, 4)):
+        argv.append(f"--range={draw(ranges)}")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_range_argv(), st.sampled_from(["W"] * 4 + ["T", "one", "X"]))
+def test_range_argv_fuzz_exits_cleanly(argv, cert_seq):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps({**W_CERT, "seqA": cert_seq, "seqB": cert_seq}))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(path) if x == "{cert}" else x for x in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import rc.telescoper
 from rc.exactmath import ONE, Poly, RatFunc, ZERO, nullspace, parse_poly
@@ -26,7 +29,7 @@ from rc.telescoper import (
     reduce_shift,
     reductions_defined_from,
 )
-from rc.telescoper import _build_system, _search_setup, _slice
+from rc.telescoper import _build_system, _pair_setup, _search_setup, _slice
 
 P_W = parse_poly("8*k+9")
 P_T1 = parse_poly("k*(k+1)*(8*k+9)")
@@ -167,6 +170,104 @@ def test_reduce_shift_backward_needs_trailing_coefficient():
 def test_reduce_shift_window_must_match_order():
     with pytest.raises(ValueError):
         reduce_shift(T.recurrence, 2, (0, 2))
+
+
+@st.composite
+def _random_factor(draw):
+    """A recurrence of order 1-3 with integer polynomial coefficients of
+    degree <= 2, nonzero lead and trailing ones, and a window of its length
+    within 4 of 0."""
+    order = draw(st.integers(1, 3))
+    coeff = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
+    cs = [draw(coeff) for _ in range(order + 1)]
+    assume(not cs[0].is_zero and not cs[-1].is_zero)
+    lo = draw(st.integers(-4, 5 - order))
+    seq = SequenceDef("R", recurrence(cs), {i: 1 for i in range(order)})
+    return seq, ShiftWindow(lo, lo + order - 1)
+
+
+def _near(window: ShiftWindow):
+    return st.integers(window.lo - 6, window.hi + 6)
+
+
+def _at(coeffs, x):
+    sympy = pytest.importorskip("sympy")
+    # the polynomial with ascending coefficients `coeffs` at x, an element of
+    # a sympy field of rational functions
+    value = x.field.zero
+    for c in reversed(coeffs):
+        value = value * x + x.field(sympy.Rational(c.numerator, c.denominator))
+    return value
+
+
+def _sympy_reductions(rec, window, shifts, k):
+    """The reductions of `_reduction_table`, stepped in sympy's field of
+    rational functions in k, which cancels every result."""
+    d = rec.order
+    vecs = {s: [_at([int(s == t)], k) for t in window.shifts()] for s in window.shifts()}
+    for m in range(window.hi + 1, max(shifts) + 1):
+        at = [_at(c.coeffs, k + m - d) for c in rec.coeffs]
+        vecs[m] = [-sum(at[i] * vecs[m - d + i][x] for i in range(d)) / at[d] for x in range(d)]
+    for m in range(window.lo - 1, min(shifts) - 1, -1):
+        at = [_at(c.coeffs, k + m) for c in rec.coeffs]
+        vecs[m] = [-sum(at[i] * vecs[m + i][x] for i in range(1, d + 1)) / at[0] for x in range(d)]
+    return vecs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reductions_agree_with_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    _, k = sympy.field("k", sympy.QQ)
+    seq_a, wa = data.draw(_random_factor())
+    symmetric = data.draw(st.booleans())
+    seq_b, wb = (seq_a, wa) if symmetric else data.draw(_random_factor())
+    target = (data.draw(_near(wa)), data.draw(_near(wb)))
+
+    shifts = data.draw(st.lists(_near(wa), min_size=1, max_size=3))
+    ref = _sympy_reductions(seq_a.recurrence, wa, shifts, k)
+    for m in shifts:
+        for r, expected in zip(reduce_shift(seq_a.recurrence, m, wa), ref[m]):
+            assert _at(r.num.coeffs, k) / _at(r.den.coeffs, k) == expected, (m, r)
+
+    pairs, shifted, target_red, (shifts_a, shifts_b) = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
+    vecs_a = _sympy_reductions(seq_a.recurrence, wa, shifts_a, k)
+    vecs_b = _sympy_reductions(seq_b.recurrence, wb, shifts_b, k)
+    k_min = data.draw(st.integers(-10, 10))
+    poles = False
+    values = {}
+    reductions = [((i, j), (i + 1, j + 1), shifted[i, j]) for i, j in pairs] + [("t", target, target_red)]
+    for name, (ma, mb), (entries, den) in reductions:
+        expected = {}
+        for s, x in zip(wa.shifts(), vecs_a[ma]):
+            for t, y in zip(wb.shifts(), vecs_b[mb]):
+                key = (min(s, t), max(s, t)) if symmetric else (s, t)
+                expected[key] = expected.get(key, k.field.zero) + x * y
+        assert set(entries) == {key for key, v in expected.items() if v != 0}
+        for key, num in entries.items():
+            denominator = 1
+            for f in den:
+                denominator *= _at(f, k)
+            assert _at(num, k) / denominator == expected[key], key
+            lowest = sympy.Poly(expected[key].denom.as_expr(), sympy.Symbol("k"))
+            poles |= any(r >= k_min for r in sympy.roots(lowest, filter="Z"))
+        values[name] = expected
+    cert = TelescoperCertificate(seq_a, seq_b, wa, wb, target, ONE, {}, symmetric)
+    assert reductions_defined_from(cert, k_min) == (not poles)
+
+    # each equation of the solver's system is cleared to the lcm of its
+    # entries' denominators in lowest terms, up to a constant
+    dens = rc.telescoper._Denominators(den for _, _, (_, den) in reductions)
+    for pair in pairs:
+        entries = {name: (red[pair], den) for name, _, (red, den) in reductions if pair in red}
+        den, cleared = dens.clear(entries)
+        lcm = k.field.ring.one
+        for name in entries:
+            lcm = lcm.lcm(values[name][pair].denom)
+        ratio = _at(den, k) / k.field(lcm)
+        assert ratio.numer.is_ground and ratio.denom.is_ground, (pair, den, lcm)
+        for name in entries:
+            assert _at(cleared[name], k) / _at(den, k) == values[name][pair], (pair, name)
 
 
 # -- find_telescoper ----------------------------------------------------------------
@@ -400,6 +501,41 @@ def test_systems_past_the_size_cap_are_rejected_before_any_row_is_built(solves, 
     assert solves[0] == 0
 
 
+# sha256 digests of repr(rows) and repr(matrix) of systems built when the
+# reductions were normalized rational functions: the four reference searches
+# at their bounds, the benchmark's W search that finds no certificate (its
+# seed-1 cubic, degree 12) and T at the degree cap, near the size cap
+PINNED_SYSTEMS = [
+    ("W", "8*k+9", (0, 0), (-2, 0), 2, (31, 19),
+     "6d1e1703f08ddfb3dc02476983197c4f6b98a4b4b7aa542842376e6d3ab6ba18",
+     "577518405445610f3b7a9097f13c158bee02a9c73d3821427fc7c87070ef498b"),
+    ("T", "k*(k+1)*(8*k+9)", (0, 1), (-1, 0), 4, (21, 16),
+     "2dc9118bc98fbaa8abb9717082e6701eb4c93e635eb700eb958a0b6f8efd22ae",
+     "0ba0e1c539e9ace9323cbe8709873b91ee4cb01084a35236ba70f05f5130f9f4"),
+    ("T", "k*(k+1)*(8*k+9)", (0, 1), (0, 1), 4, (21, 16),
+     "5fc446272e40c97e00f810600576b7fc2c7d4aebe40c4fcba1d40e5b5f4457c3",
+     "c4383488d25dec6d15c5f12ac74e32876936f93da06a97ea0eda658066071ee9"),
+    ("T", "(k+1)*(16*k+21)", (0, 1), (-1, 0), 6, (27, 22),
+     "ea5a9c0fa283c662ea8224de459ca2db941bd0b1e7e7bdd48199d6c05b159524",
+     "de678814b3d186b920a0ce3298ef2e18b35462342ebda9bd0531cd7720430e3a"),
+    ("W", "2*k^3+k^2+4*k+4", (0, 0), (-2, 0), 12, (91, 79),
+     "cd323f5f3310a25f098d9278a95ba68e92807b4bc3a59aec983faa7a0f800b25",
+     "a8da2041268e98d5beda39f039b4fc83d5512cc41f6d0e5e7b6723f83591435e"),
+    ("T", "k^3+1", (0, 1), (-1, 0), MAX_DEGREE, (309, 304),
+     "89fa3a1f6ed7bd8feccfbdc94cee7bad8a03c4807e2612f8c5836edd7c9380fc",
+     "63632a1702aa4b8f040805cb38e82a36d751e7625279c4e48a8343c20bfbc051"),
+]
+
+
+@pytest.mark.parametrize("seq, p, target, window, deg, shape, rows_sha, matrix_sha", PINNED_SYSTEMS)
+def test_systems_match_their_pinned_digests(seq, p, target, window, deg, shape, rows_sha, matrix_sha):
+    a, b, target, wa, wb, symmetric = _search_setup(seq, seq, target, window, None, None)
+    system = _build_system(a, b, wa, wb, target, [parse_poly(p)], deg, symmetric)
+    assert (len(system.rows), len(system.columns)) == shape
+    assert hashlib.sha256(repr(system.rows).encode()).hexdigest() == rows_sha
+    assert hashlib.sha256(repr(system.matrix).encode()).hexdigest() == matrix_sha
+
+
 def test_windows_past_the_offset_cap_are_rejected_before_any_term_is_read(monkeypatch, w_cert):
     def no_terms(*args):
         raise AssertionError("a term was read")
@@ -460,6 +596,11 @@ def test_certify_detects_corruption(w_cert):
     report = certify(bad, 20)
     assert not report.ok
     assert not report.symbolic_ok
+    assert report.residuals == (
+        ((-2, 0), "(-3*k + 3)/(k + 1)"),
+        ((-1, 0), "(-8)/(k + 1)"),
+        ((0, 0), "(3*k + 1)/(k + 1)"),
+    )
 
 
 def test_certify_rejects_out_of_window_entries(w_cert):
@@ -501,6 +642,23 @@ def test_reduction_denominators_are_checked_for_integer_roots(w_cert, t_cert_lo,
     assert not reductions_defined_from(cert)
     assert not reductions_defined_from(cert, 300)
     assert reductions_defined_from(cert, 301)
+
+
+def test_a_cancelled_factor_is_no_pole():
+    # (k-300) a(k) - (k-300)(k+1) a(k+1) = 0: a(k+1) = a(k)/(k+1) in lowest terms
+    q = SequenceDef("Q", recurrence([Poly([-300, 1]), Poly([300, 299, -1])]), {0: 1})
+    cert = TelescoperCertificate(q, "one", ShiftWindow(0, 0), ShiftWindow(0, 0), (1, 0), ONE, {}, False)
+    assert reductions_defined_from(cert, 0)
+    assert not reductions_defined_from(cert, -1)
+
+
+def test_integer_root_search_does_not_follow_the_product_bound():
+    # the reductions' denominator at target shifts (0, 12) is a product of
+    # 12 shifted lead coefficients, whose Cauchy bound is about 1.9e9
+    cert = TelescoperCertificate(**{**vars(reference_w_certificate()), "target_shifts": (0, 12)})
+    start = time.process_time()
+    assert reductions_defined_from(cert)
+    assert time.process_time() - start < 2
 
 
 # -- discovery ----------------------------------------------------------------------
