@@ -87,6 +87,14 @@ def _parse_points(text: str) -> frozenset[int]:
         raise UsageError(f"expected comma-separated points like 7,11, got {text!r}") from None
 
 
+def _load_json(fh):
+    """json.load(fh), with a document nested too deep for the parser as invalid JSON."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise UsageError("invalid JSON input: nested too deeply") from None
+
+
 def _decode(what: str, decode, doc):
     """decode(doc) for a JSON document from outside; a missing field or a
     malformed value is bad input."""
@@ -194,10 +202,10 @@ def _cmd_certify(args) -> int:
         if lo != 1:  # the numeric half checks S(n) - S(0) at n = 1..N
             raise UsageError(f"a certify range must be 1..N with N >= 1, got {args.range}")
     if args.certificate == "-":
-        doc = json.load(sys.stdin)
+        doc = _load_json(sys.stdin)
     else:
         with open(args.certificate) as fh:
-            doc = json.load(fh)
+            doc = _load_json(fh)
     cert = _decode("certificate", cert_from_json, doc)
     try:
         report = certify(cert, n_max)
@@ -225,7 +233,7 @@ def _cmd_verify(args) -> int:
     claims = []
     if args.claims_file:
         with open(args.claims_file) as fh:
-            claims.extend(_decode("claims file", load_claims_document, json.load(fh)))
+            claims.extend(_decode("claims file", load_claims_document, _load_json(fh)))
     if args.claim:
         try:
             claims.append(get_claim(args.claim))

@@ -113,6 +113,7 @@ __all__ = [
     "suite_range",
     "expr_to_json",
     "expr_from_json",
+    "MAX_EXPR_DEPTH",
     "claim_to_json",
     "claim_from_json",
     "load_claims_document",
@@ -1154,37 +1155,50 @@ def expr_to_json(e: Expr) -> dict:
     raise TypeError(f"not an expression: {e!r}")
 
 
+# the deepest expression a decoded claim may hold (the built-ins nest 6 levels):
+# compiling and checking a claim recurse once per level
+MAX_EXPR_DEPTH = 32
+
+
 def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> Expr:
     """Decode an expression. Its `seq` nodes and factors name sequences of
     `sequences` (default: the built-ins); an unknown name raises
-    `UnknownSequence` here, not when the expression is evaluated."""
-    if "const" in d:
-        return Const(Fraction(d["const"]))
-    if "var" in d:
-        return N
-    if "seq" in d:
-        return SeqRef(get_sequence(d["seq"], sequences), int(d.get("shift", 0)))
-    if "legendre" in d:
-        t, b = d["legendre"]
-        return Legendre(expr_from_json(t, sequences), expr_from_json(b, sequences))
-    if "pow" in d:
-        return PowInt(int(d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
-    if "binom" in d:
-        t, b = d["binom"]
-        return BinomExpr(Bound.from_str(t), Bound.from_str(b))
-    if "add" in d:
-        return Add(tuple(expr_from_json(t, sequences) for t in d["add"]))
-    if "mul" in d:
-        return Mul(tuple(expr_from_json(f, sequences) for f in d["mul"]))
-    if "sub" in d:
-        a, b = d["sub"]
-        return Sub(expr_from_json(a, sequences), expr_from_json(b, sequences))
-    if "div" in d:
-        a, b = d["div"]
-        return Div(expr_from_json(a, sequences), expr_from_json(b, sequences))
-    if "sum" in d:
-        return SumNode(SumSpec.from_json(d["sum"], sequences))
-    raise ValueError(f"unknown expression node {d!r}")
+    `UnknownSequence` here, not when the expression is evaluated. Nodes
+    nested deeper than `MAX_EXPR_DEPTH` raise ValueError."""
+
+    def node(d: dict, depth: int) -> Expr:
+        if depth > MAX_EXPR_DEPTH:
+            raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        depth += 1  # the depth of d's children
+        if "const" in d:
+            return Const(Fraction(d["const"]))
+        if "var" in d:
+            return N
+        if "seq" in d:
+            return SeqRef(get_sequence(d["seq"], sequences), int(d.get("shift", 0)))
+        if "legendre" in d:
+            t, b = d["legendre"]
+            return Legendre(node(t, depth), node(b, depth))
+        if "pow" in d:
+            return PowInt(int(d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
+        if "binom" in d:
+            t, b = d["binom"]
+            return BinomExpr(Bound.from_str(t), Bound.from_str(b))
+        if "add" in d:
+            return Add(tuple(node(t, depth) for t in d["add"]))
+        if "mul" in d:
+            return Mul(tuple(node(f, depth) for f in d["mul"]))
+        if "sub" in d:
+            a, b = d["sub"]
+            return Sub(node(a, depth), node(b, depth))
+        if "div" in d:
+            a, b = d["div"]
+            return Div(node(a, depth), node(b, depth))
+        if "sum" in d:
+            return SumNode(SumSpec.from_json(d["sum"], sequences))
+        raise ValueError(f"unknown expression node {d!r}")
+
+    return node(d, 1)
 
 
 def claim_to_json(c: CongruenceClaim) -> dict:

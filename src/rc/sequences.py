@@ -24,8 +24,9 @@ JSON codec and one accumulation loop (`_running_sums`) for both.
 
 Terms are stepped, not recomputed. A binomial or geometric factor with
 affine arguments is hypergeometric in k: its value at k is its value at
-k - 1 times a few small affine factors, then one exact division
-(`binom_step`, whose factors `BinomFactor.stepper` plans once per factor).
+k - 1 times a few small affine factors, then one exact division.
+`binom_step` is the one binomial step: `BinomFactor.stepper` and the
+claims' binomial nodes both call it.
 A factor is computed directly (`math.comb`, a power) at its first k, after
 a zero value or a k where it was not read, outside 0 <= bottom <= top, and
 below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step. A
@@ -213,72 +214,37 @@ class Bound:
 # below this top, math.comb costs a few word operations and no more than a step
 _STEP_FROM = 64
 # a step multiplies at most this many small factors: past that, math.comb
-# costs as much at tops of a few hundred, and a factor's step plan must not
-# grow with the coefficients of a claims file
+# costs as much at tops of a few hundred, and a step's work must not grow
+# with the coefficients of a claims file
 _MAX_STEP_FACTORS = 128
-
-
-def _ratio_forms(top: Affine, bottom: Affine) -> tuple[tuple, tuple]:
-    """The small factors of `binom_step` from k - 1 to k for binom(top,
-    bottom), as linear forms (p, qn, qc), each the integer p*k + qn*n + qc:
-    (numerator forms, denominator forms)."""
-    up: list = []
-    down: list = []
-    diff = Affine(top.cn - bottom.cn, top.ck - bottom.ck, top.c - bottom.c)
-    for x, in_num in ((top, True), (bottom, False), (diff, False)):
-        s = x.ck
-        if s > 0:  # x!/(x-s)! = x (x-1) ... (x-s+1), x taken at k
-            forms = [(s, x.cn, x.c - j) for j in range(s)]
-        else:  # x!/(x+|s|)! = 1 / ((x+1) ... (x+|s|))
-            forms = [(s, x.cn, x.c + j) for j in range(1, 1 - s)]
-            in_num = not in_num
-        (up if in_num else down).extend(forms)
-    return tuple(up), tuple(down)
 
 
 @dataclass(frozen=True)
 class BinomFactor:
     top: Affine
     bottom: Affine
-    _forms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tk, bk = self.top.ck, self.bottom.ck
-        small = abs(tk) + abs(bk) + abs(tk - bk) <= _MAX_STEP_FACTORS
-        object.__setattr__(self, "_forms", _ratio_forms(self.top, self.bottom) if small else None)
 
     def value(self, n: int, k: int) -> int:
         return binom(self.top.at(n, k), self.bottom.at(n, k))
 
     def stepper(self, n: int):
-        """step(k): the factor at (n, k). When step last read k - 1 and found
-        a nonzero value, and the top is at least `_STEP_FROM`, the value is
-        stepped from it by the factors of `binom_step`, planned once per
-        factor; otherwise it is `math.comb`, or 0 outside 0 <= bottom <= top.
-        A factor without a plan (`_MAX_STEP_FACTORS`) is never stepped."""
+        """step(k): the factor at (n, k). When step last read k - 1 and the
+        top is at least `_STEP_FROM`, the value is stepped from the one there
+        by `binom_step`; otherwise, and always when a step would multiply
+        more than `_MAX_STEP_FACTORS` factors, it is `binom`."""
         t0, tk = self.top.at(n, 0), self.top.ck
         b0, bk = self.bottom.at(n, 0), self.bottom.ck
-        if self._forms is None:
-            return lambda k: binom(t0 + tk * k, b0 + bk * k)
-        up, down = ([(p, qn * n + qc) for p, qn, qc in forms] for forms in self._forms)
-        comb = math.comb
+        small = abs(tk) + abs(bk) + abs(tk - bk) <= _MAX_STEP_FACTORS
         last, v = None, 0  # the k last read and the value there
 
         def step(k):
             nonlocal last, v
             t = t0 + tk * k
             b = b0 + bk * k
-            if b < 0 or b > t:
-                v = 0
-            elif v and last == k - 1 and t >= _STEP_FROM:
-                for p, q in up:
-                    v *= p * k + q
-                d = 1
-                for p, q in down:
-                    d *= p * k + q
-                v //= d
+            if small and last == k - 1 and t >= _STEP_FROM:
+                v = binom_step(v, t - tk, b - bk, t, b)
             else:
-                v = comb(t, b)
+                v = binom(t, b)
             last = k
             return v
 

@@ -56,7 +56,6 @@ from .exactmath import (
     nullspace,
     poly_divmod,
     poly_gcd,
-    prime_factors,
 )
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
 
@@ -975,38 +974,21 @@ def reductions_defined_from(cert: TelescoperCertificate, k_min: int = CERTIFY_N_
 # -- strict-mode check and modular reduction ---------------------------------------
 
 
-def _padic(x: Fraction, p: int) -> int:
-    v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
     """Whether q(k) splits off every g_{i,j}: the primitive part of q must
     divide each g as a polynomial and the content of q must divide each g's
-    content (checked p-adically at the primes of the content)."""
+    content at each prime of a, the numerator of q's content: content(g) / a
+    has no such prime in its denominator."""
     if q.is_zero:
         raise ValueError("q must be nonzero")
     q_prim = q.primitive()
-    q_content = q.content()
-    content_primes = prime_factors(q_content.numerator)
+    a = q.content().numerator
     for g in cert.g.values():
         if g.is_zero:
             continue
         _, rem = poly_divmod(g, q_prim)
-        if not rem.is_zero:
+        if not rem.is_zero or math.gcd((g.content() / a).denominator, a) != 1:
             return False
-        gc = g.content()
-        for prime in content_primes:
-            if _padic(gc, prime) < _padic(q_content, prime):
-                return False
     return True
 
 

@@ -282,6 +282,36 @@ def test_unreadable_file_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _nested_claims(depth):
+    # n inside depth sums of one term, written as text: json.dumps itself
+    # recurses once per level
+    lhs = '{"add": [' * depth + '{"var": "n"}' + "]}" * depth
+    return (
+        '{"claims": [{"id": "deep", "lhs": ' + lhs + ', "rhs": {"var": "n"}, '
+        '"modulus": {"const": "0"}, "domain": {"kind": "integers", "start": 1}}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # past the expression depth cap, refused before the claim is compiled
+        (("verify", "--claims-file", "{doc}", "--range", "1..3"), _nested_claims(400)),
+        # too deep for the JSON parser
+        (("verify", "--claims-file", "{doc}", "--range", "1..3"), _nested_claims(5000)),
+        (("certify", "{doc}"), "[" * 5000),
+    ],
+    ids=["claims-400", "claims-5000", "certificate-5000"],
+)
+def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(doc=doc) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_point_error_fails_only_that_point(capsys, tmp_path):
     n_minus_3 = {"sub": [{"var": "n"}, {"const": "3"}]}
     claim = {

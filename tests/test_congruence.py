@@ -208,6 +208,10 @@ def _stepped_spec(draw, n_free):
 
 _K_PLUS_3 = BinomFactor(Affine(0, 1, 3), Affine(0, 0, 1))  # binom(k+3, 1)
 _2K_OVER_K = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
+# binom(3k+1, 2k): a step multiplies six factors, and its top passes 64 by n = 24
+_3K1_OVER_2K = BinomFactor(Affine(0, 3, 1), Affine(0, 2, 0))
+# binom(2n-3k+40, 3k): a top that falls with k, read past bottom > top
+_FALLING_TOP = BinomFactor(Affine(2, -3, 40), Affine(0, 3, 0))
 
 
 @pytest.mark.parametrize("step_from", [0, sequences._STEP_FROM])
@@ -221,6 +225,9 @@ _2K_OVER_K = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
 @example(SumSpec(factors=(SeqFactor(_COS), _K_PLUS_3)), [3, 6])
 # an n-free cursor that carries two stepped factors
 @example(SumSpec(factors=(_2K_OVER_K, GeomFactor(-3, Affine(0, 1, 0)))), [2, 5, 9])
+# steps of several factors each, n-free and n-dependent, past both step starts
+@example(SumSpec(factors=(_3K1_OVER_2K,)), [24, 9, 24])
+@example(SumSpec(factors=(BinomFactor(Affine(1, 3, 1), Affine(0, 2, 0)), _FALLING_TOP)), [24, 20])
 def test_stepped_sums_equal_the_term_oracle(step_from, spec, reads):
     # the cursor path (n-free) and the n-dependent path, each read order on
     # its own evaluator: as drawn, ascending, each point twice, descending;
@@ -242,7 +249,8 @@ def test_binom_step_equals_binom(xs):
 
 
 def test_a_large_k_coefficient_gets_no_step_plan():
-    # a claims file may give any coefficient, and no step plan grows with it
+    # a claims file may give any coefficient, and the work of a step does not
+    # grow with it: such factors are never stepped
     tracemalloc.start()
     try:
         binomial = BinomFactor(Affine(0, 10**5, 0), Affine(0, 1, 0))
@@ -446,6 +454,18 @@ def test_expression_json_round_trip():
         doc = expr_to_json(e)
         assert expr_to_json(expr_from_json(doc)) == doc
         assert eval_expr(expr_from_json(doc), 7) == eval_expr(e, 7)
+
+
+def test_expression_depth_cap():
+    def nested(depth):  # n inside depth - 1 sums of one term
+        doc = {"var": "n"}
+        for _ in range(depth - 1):
+            doc = {"add": [doc]}
+        return doc
+
+    assert eval_expr(expr_from_json(nested(congruence.MAX_EXPR_DEPTH)), 7) == 7
+    with pytest.raises(ValueError, match="nested deeper than 32 levels"):
+        expr_from_json(nested(congruence.MAX_EXPR_DEPTH + 1))
 
 
 def test_load_claims_document_with_custom_sequence():

@@ -718,6 +718,11 @@ def test_hl_mode_on_reference_certificate():
     n = Poly([0, 1])
     assert check_hl_mode(cert, n) is True
     assert check_hl_mode(cert, 2 * n) is False  # content 2 does not divide 1/2
+    assert check_hl_mode(cert, 4 * n) is False  # nor does the prime power 4
+    # rational contents: 3/2 divides 9/2 and 3/2 but not 1/2, and 1/2 has
+    # no prime in its numerator to check
+    assert check_hl_mode(cert, Poly([0, F(3, 2)])) is False
+    assert check_hl_mode(cert, Poly([0, F(1, 2)])) is True
     assert check_hl_mode(cert, n * n) is False  # only one polynomial factor of n
     zero_cert = TelescoperCertificate(
         "W", "W", ShiftWindow(-2, 0), ShiftWindow(-2, 0), (0, 0), P_W, {}, True
