@@ -46,6 +46,7 @@ from .sequences import (
 from .telescoper import (
     CERTIFY_N_MAX,
     MAX_DEGREE,
+    REFERENCE_SEARCHES,
     cert_from_json,
     cert_to_json,
     certify,
@@ -347,8 +348,10 @@ def _suite_rows() -> list[SuiteRow]:
 
     rows.append(_row("foundation: t = (T(n+1)-3T(n))/2 recurrence residuals (n<=100)", t_combination))
 
+    w_search, t_lo_search, t_hi_search, t16_search = REFERENCE_SEARCHES
+
     def w_certificate(notes):
-        cert = find_telescoper("W", "W", parse_poly("8*k+9"), (0, 0), (-2, 0), deg_bound=2)
+        cert = w_search.find()
         if cert is None:
             notes.append("no certificate found")
             return False
@@ -363,9 +366,7 @@ def _suite_rows() -> list[SuiteRow]:
     rows.append(_row("certificate: (8k+9) W(k)^2 over window -2..0", w_certificate))
 
     def t_products_both_windows(notes):
-        p = parse_poly("k*(k+1)*(8*k+9)")
-        lo_cert = find_telescoper("T", "T", p, (0, 1), (-1, 0), deg_bound=4)
-        hi_cert = find_telescoper("T", "T", p, (0, 1), (0, 1), deg_bound=4)
+        lo_cert, hi_cert = t_lo_search.find(), t_hi_search.find()
         if lo_cert is None or hi_cert is None:
             notes.append("certificate missing")
             return False
@@ -381,7 +382,7 @@ def _suite_rows() -> list[SuiteRow]:
     rows.append(_row("certificate: k(k+1)(8k+9) T(k)T(k+1), windows -1..0 and 0..1 agree", t_products_both_windows))
 
     def t16_certificate(notes):
-        cert = find_telescoper("T", "T", parse_poly("(k+1)*(16*k+21)"), (0, 1), (-1, 0), deg_bound=6)
+        cert = t16_search.find()
         if cert is None or not certify(cert).ok:
             notes.append("certificate missing or invalid")
             return False
@@ -435,16 +436,10 @@ def _cmd_paper_suite(args) -> int:
         _emit(
             {
                 "rows": [
-                    {
-                        "name": r.name,
-                        "status": "pass" if r.ok else "fail",
-                        "seconds": round(r.seconds, 3),
-                        "notes": r.notes,
-                    }
+                    {"name": r.name, "status": "pass" if r.ok else "fail", "notes": r.notes}
                     for r in rows
                 ],
                 "verdict": "pass" if passed == len(rows) else "fail",
-                "total_seconds": round(total, 2),
             },
             args.out,
         )

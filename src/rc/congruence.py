@@ -10,8 +10,9 @@ expression vanishing at n = 1.
 
 Sums are `sequences.SumSpec` values (re-exported here with `SeqFactor`),
 read through a `SumEvaluator`. A sum whose summand has a certified
-telescoping certificate (by default the reference certificates of the W and
-T theorem sums) is read from the certificate's closed form,
+telescoping certificate (by default the one the reference searches of
+`telescoper.REFERENCE_SEARCHES` find for the W and T theorem sums, searched
+and rechecked once per evaluator) is read from the certificate's closed form,
 (D S(u+1) - D S(lo)) / D. Any other sum whose summand does not mention n is
 kept as one running sum per summand, a cursor at the furthest k read so far:
 points are checked in ascending order, so each point adds only its new
@@ -74,6 +75,8 @@ from .sequences import (
     TermWindow,
     W,
     _MAX_STEP_FACTORS,
+    _json_int,
+    _list_of,
     _running_sums,
     binom,
     binom_step,
@@ -81,7 +84,13 @@ from .sequences import (
     sequence_from_json,
     sequence_to_json,
 )
-from .telescoper import ClosedForm, cert_from_json, certify, reductions_defined_from
+from .telescoper import (
+    REFERENCE_SEARCHES,
+    ClosedForm,
+    TelescoperCertificate,
+    certify,
+    reductions_defined_from,
+)
 
 __all__ = [
     "Const",
@@ -98,7 +107,6 @@ __all__ = [
     "SeqFactor",
     "SumSpec",
     "SumEvaluator",
-    "REFERENCE_CERTIFICATES",
     "Domain",
     "CongruenceClaim",
     "CheckResult",
@@ -233,14 +241,17 @@ class SumEvaluator:
     """Exact sum evaluation: a certified closed form where one applies, else
     one running sum per n-free summand.
 
-    `certificates` holds `cert_to_json` data, by default the reference
-    certificates of the theorem sums. A certificate applies to an n-free spec
-    with lo >= 0 whose two factors are seq_a(k + sa) and seq_b(k + sb) of the
-    same `SequenceDef` objects, target shifts and weight p. It is decoded at
-    the first spec that asks, and used only if it passes both halves of
-    `certify` and `reductions_defined_from`; a certificate that fails leaves
-    its specs on the running sums. The verdict is kept per certificate, and
-    the closed form (or None) per spec.
+    `certificates` holds `TelescoperCertificate`s; by default (None) they
+    are found by the reference searches (`telescoper.REFERENCE_SEARCHES`),
+    and `()` means running sums only. A certificate or search applies to an
+    n-free spec with lo >= 0 whose two factors are seq_a(k + sa) and
+    seq_b(k + sb) of the same `SequenceDef` objects, target shifts and
+    weight p. The first that applies is searched (by default) at the first
+    spec that asks, and used only if it passes both halves of `certify` and
+    `reductions_defined_from`; one that fails, or a search that finds none,
+    leaves its specs to the next that applies, else to the running sums. The
+    verdict is kept per certificate in this evaluator, and the closed form
+    (or None) per spec.
 
     Cost model. A certified sum over lo..u is (D S(u+1) - D S(lo)) / D (see
     `telescoper.ClosedForm`): a few products of window terms, whatever u is,
@@ -279,12 +290,17 @@ class SumEvaluator:
     jump call `binom`.
     """
 
-    def __init__(self, certificates: Iterable[Mapping] | None = None):
+    def __init__(self, certificates: Iterable[TelescoperCertificate] | None = None):
         self._cursors: dict[SumSpec, tuple[int, int, int, list | None]] = {}
-        self._certificates = tuple(
-            REFERENCE_CERTIFICATES if certificates is None else certificates
-        )
-        self._decoded: list | None = None
+        # (seq_a, seq_b, target shifts, weight) of each certificate, and how to get it
+        if certificates is None:
+            self._sources = [
+                ((s.seq, s.seq, s.target_shifts, s.p), s.find) for s in REFERENCE_SEARCHES
+            ]
+        else:
+            self._sources = [
+                ((c.seq_a, c.seq_b, c.target_shifts, c.p), lambda c=c: c) for c in certificates
+            ]
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
         self._binoms: dict[BinomExpr, tuple[int, int, int, int]] = {}
@@ -311,28 +327,23 @@ class SumEvaluator:
         if (
             spec.n_free
             and spec.lo >= 0
+            and spec.den == ONE
             and len(factors) == 2
             and all(isinstance(f, SeqFactor) for f in factors)
         ):
-            if self._decoded is None:
-                self._decoded = [cert_from_json(d) for d in self._certificates]
             fa, fb = factors
-            for idx, cert in enumerate(self._decoded):
-                if (
-                    cert.seq_a is fa.seq
-                    and cert.seq_b is fb.seq
-                    and cert.target_shifts == (fa.shift, fb.shift)
-                    and spec.den == ONE
-                    and spec.coeff == cert.p
-                ):
-                    if idx not in self._verdicts:
-                        self._verdicts[idx] = _checked_closed_form(cert)
-                    closed = self._verdicts[idx]
-                    if closed is not None:
-                        for seq, span in _spans((seq, 1, s) for seq, s in closed.reads).items():
-                            self.window(seq, span)
-                        found = (closed, closed.scaled(spec.lo, None, self._windows))
-                        break
+            key = (fa.seq, fb.seq, (fa.shift, fb.shift), spec.coeff)
+            for idx, (source_key, get) in enumerate(self._sources):
+                if source_key != key:
+                    continue
+                if idx not in self._verdicts:
+                    self._verdicts[idx] = _checked_closed_form(get())
+                closed = self._verdicts[idx]
+                if closed is not None:
+                    for seq, span in _spans((seq, 1, s) for seq, s in closed.reads).items():
+                        self.window(seq, span)
+                    found = (closed, closed.scaled(spec.lo, None, self._windows))
+                    break
         self._closed[spec] = found
         return found
 
@@ -374,11 +385,11 @@ class SumEvaluator:
         return _reduced(num, den)
 
 
-def _checked_closed_form(cert) -> ClosedForm | None:
+def _checked_closed_form(cert: TelescoperCertificate | None) -> ClosedForm | None:
     """The closed form of a certificate that passes both halves of `certify`
-    and `reductions_defined_from`, else None."""
+    and `reductions_defined_from`, else None (also for no certificate)."""
     try:
-        if certify(cert).ok and reductions_defined_from(cert):
+        if cert is not None and certify(cert).ok and reductions_defined_from(cert):
             return cert.closed_form()
     except (ValueError, ArithmeticError, SequenceError):  # windows or terms that do not exist
         pass
@@ -619,15 +630,6 @@ class Domain:
             return [p for p in primes_in(lo, hi, self.exclude, self.parity)]
         return [n for n in range(lo, hi + 1) if self.contains(n)]
 
-    def describe(self) -> str:
-        head = "primes" if self.kind == "primes" else "integers"
-        bits = [f"{head} >= {self.start}"]
-        if self.parity:
-            bits.append(self.parity)
-        if self.exclude:
-            bits.append("excluding " + ",".join(str(x) for x in sorted(self.exclude)))
-        return ", ".join(bits)
-
 
 @dataclass(frozen=True)
 class CongruenceClaim:
@@ -789,56 +791,6 @@ SUM_T_PRODUCTS_16K21 = SumSpec(
     factors=(SeqFactor(T, 0), SeqFactor(T, 1)),
 )
 
-
-def _g(i: int, j: int, *poly: str) -> dict:
-    return {"i": i, "j": j, "poly": list(poly)}
-
-
-# `cert_to_json` data of the reference certificates of the three sums above,
-# as `scripts/reproduce_certificates.py` finds them; `SumEvaluator` decodes
-# and certifies each one at first use
-REFERENCE_CERTIFICATES: tuple[dict, ...] = (
-    {
-        "seqA": "W",
-        "seqB": "W",
-        "windows": {"a": [-2, 0], "b": [-2, 0]},
-        "target_shifts": [0, 0],
-        "symmetric": True,
-        "p": ["9", "8"],
-        "g": [
-            _g(-2, -1, "0", "-9/2", "9/2"),
-            _g(-2, 0, "0", "3/2", "-3/2"),
-            _g(-1, -1, "0", "21/2", "-3/2"),
-            _g(-1, 0, "0", "-1/2", "1/2"),
-        ],
-    },
-    {
-        "seqA": "T",
-        "seqB": "T",
-        "windows": {"a": [-1, 0], "b": [-1, 0]},
-        "target_shifts": [0, 1],
-        "symmetric": True,
-        "p": ["0", "9", "17", "8"],
-        "g": [
-            _g(-1, -1, "0", "0", "-27/8", "9/2", "-3/2"),
-            _g(-1, 0, "0", "0", "-21/4", "5", "1"),
-            _g(0, 0, "0", "0", "-25/24", "5/6", "-1/6"),
-        ],
-    },
-    {
-        "seqA": "T",
-        "seqB": "T",
-        "windows": {"a": [-1, 0], "b": [-1, 0]},
-        "target_shifts": [0, 1],
-        "symmetric": True,
-        "p": ["21", "37", "16"],
-        "g": [
-            _g(-1, -1, "0", "0", "27/8", "-9/2"),
-            _g(-1, 0, "0", "9/2", "57/4", "3"),
-            _g(0, 0, "0", "0", "7/8", "-1/2"),
-        ],
-    },
-)
 
 _CENTRAL_BINOM = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
 
@@ -1175,12 +1127,12 @@ def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) 
         if "var" in d:
             return N
         if "seq" in d:
-            return SeqRef(get_sequence(d["seq"], sequences), int(d.get("shift", 0)))
+            return SeqRef(get_sequence(d["seq"], sequences), _json_int("a seq shift", d.get("shift", 0)))
         if "legendre" in d:
             t, b = d["legendre"]
             return Legendre(node(t, depth), node(b, depth))
         if "pow" in d:
-            return PowInt(int(d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
+            return PowInt(_json_int("a pow base", d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
         if "binom" in d:
             t, b = d["binom"]
             return BinomExpr(Bound.from_str(t), Bound.from_str(b))
@@ -1219,13 +1171,6 @@ def claim_to_json(c: CongruenceClaim) -> dict:
     }
 
 
-def _list_of(what: str, kind: type, items: str, value) -> list:
-    # a JSON list whose items all have exactly the type `kind`, so no bool for int
-    if not isinstance(value, list) or any(type(x) is not kind for x in value):
-        raise ValueError(f"{what} must be a list of {items}, got {value!r}")
-    return value
-
-
 def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
     if not isinstance(d["id"], str):
         raise ValueError(f"a claim id must be a string, got {d['id']!r}")
@@ -1243,7 +1188,7 @@ def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None)
         modulus=expr_from_json(d["modulus"], sequences),
         domain=Domain(
             kind=kind,
-            start=int(dom.get("start", 1)),
+            start=_json_int("a domain start", dom.get("start", 1)),
             parity=parity,
             exclude=frozenset(_list_of("a domain exclude", int, "integers", dom.get("exclude", []))),
         ),
@@ -1313,7 +1258,7 @@ def format_report_table(reports: list[VerificationReport]) -> str:
             lines.append(f"  failed at n={r.n}: {r.reason}")
         for r in rep.flagged:
             lines.append(
-                f"  note: n={r.n} is outside the domain and indeed {r.status}s"
+                f"  note: n={r.n} is outside the domain and {'passes' if r.status == 'pass' else 'fails'}"
                 + (f" ({r.reason})" if r.reason else "")
             )
     return "\n".join(lines)

@@ -73,7 +73,6 @@ __all__ = [
     "eval_direct",
     "check_recurrence_consistency",
     "check_parity_odd",
-    "derived_terms",
     "check_derived_recurrence",
     "trinomial_middle",
     "BUILTINS",
@@ -158,7 +157,7 @@ class Affine:
 
     @classmethod
     def from_json(cls, data) -> "Affine":
-        cn, ck, c = (int(x) for x in data)
+        cn, ck, c = (_json_int("an affine coefficient", x) for x in data)
         return cls(cn, ck, c)
 
 
@@ -317,13 +316,13 @@ class SeqFactor:
 def _factor_of(d: dict, sequences: Mapping[str, "SequenceDef"] | None = None):
     if "seq" in d:
         s = d["seq"]
-        return SeqFactor(get_sequence(s["name"], sequences), int(s.get("shift", 0)))
+        return SeqFactor(get_sequence(s["name"], sequences), _json_int("a seq shift", s.get("shift", 0)))
     if "binom" in d:
         b = d["binom"]
         return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
     if "geom" in d:
         g = d["geom"]
-        return GeomFactor(int(g["base"]), Affine.from_json(g["exp"]))
+        return GeomFactor(_json_int("a geom base", g["base"]), Affine.from_json(g["exp"]))
     raise ValueError(f"unknown sum factor {d!r}")
 
 
@@ -403,7 +402,7 @@ class SumSpec:
         return cls(
             coeff=Poly.from_json(d["coeff"]["num"]),
             factors=tuple(_factor_of(f, sequences) for f in d.get("factors", [])),
-            lo=int(d.get("lo", 0)),
+            lo=_json_int("a sum's lo", d.get("lo", 0)),
             upper=Bound.from_str(d["upper"]),
             den=Poly.from_json(d["coeff"]["den"]),
         )
@@ -750,16 +749,6 @@ class DerivedSequence:
         return sum((w * self.base.term(n + s) for s, w in self.combo), Fraction(0))
 
 
-def derived_terms(ds: DerivedSequence, lo: int, hi: int) -> list[int]:
-    out = []
-    for n in range(lo, hi + 1):
-        v = ds.value(n)
-        if v.denominator != 1:
-            raise NonIntegerTerm(ds.name, n, v)
-        out.append(int(v))
-    return out
-
-
 def check_derived_recurrence(ds: DerivedSequence, rec: Recurrence, n_max: int) -> ConsistencyReport:
     """Residuals of sum_i c_i(n) t(n+i) over 0 <= n <= n_max, exactly."""
     bad = []
@@ -856,6 +845,20 @@ def builtin_names() -> list[str]:
 
 
 # -- JSON ------------------------------------------------------------------------------
+
+
+def _list_of(what: str, kind: type, items: str, value) -> list:
+    # a JSON list whose items all have exactly the type `kind`, so no bool for int
+    if not isinstance(value, list) or any(type(x) is not kind for x in value):
+        raise ValueError(f"{what} must be a list of {items}, got {value!r}")
+    return value
+
+
+def _json_int(what: str, value) -> int:
+    # a JSON integer: a float, bool or string is not read as one
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def sequence_to_json(seq: SequenceDef) -> dict:

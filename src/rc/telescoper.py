@@ -36,6 +36,9 @@ the handful of summation boundary points whose recurrence instances are not
 guaranteed by forward evaluation, the solver adds the exact numeric identity
 at those points as extra linear constraints. Every certificate returned
 therefore telescopes exactly from k = 0 on, which is what `certify` checks.
+
+The paper's certificates are not stored: `REFERENCE_SEARCHES` holds the four
+searches that find them, and every user of those certificates runs them.
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ from .exactmath import (
     horner,
     lowest_terms,
     nullspace,
+    parse_poly,
     poly_divmod,
     poly_gcd,
 )
-from .sequences import ONE_SEQ, Recurrence, SequenceDef, get_sequence
+from .sequences import ONE_SEQ, Recurrence, SequenceDef, T, W, _json_int, get_sequence
 
 __all__ = [
     "MAX_DEGREE",
@@ -69,14 +73,14 @@ __all__ = [
     "ClosedForm",
     "CertifyReport",
     "DiscoveryResult",
-    "ReduceModResult",
+    "ReferenceSearch",
+    "REFERENCE_SEARCHES",
     "find_telescoper",
     "discover_weights",
     "certify",
     "partial_sum",
     "reductions_defined_from",
     "check_hl_mode",
-    "reduce_mod",
     "pretty",
     "cert_to_json",
     "cert_from_json",
@@ -767,6 +771,33 @@ def find_telescoper(
     )
 
 
+@dataclass(frozen=True)
+class ReferenceSearch:
+    """A search for p(k) seq(k+sa) seq(k+sb) over one window of seq, with
+    deg g <= deg_bound."""
+
+    seq: SequenceDef
+    p: Poly
+    target_shifts: tuple[int, int]
+    window: tuple[int, int]
+    deg_bound: int
+
+    def find(self) -> TelescoperCertificate | None:
+        return find_telescoper(
+            self.seq, self.seq, self.p, self.target_shifts, self.window, deg_bound=self.deg_bound
+        )
+
+
+# the searches of the paper's certificates, in the order the default
+# `congruence.SumEvaluator` tries them, so the T k(k+1)(8k+9) sum gets -1..0
+REFERENCE_SEARCHES = (
+    ReferenceSearch(W, parse_poly("8*k+9"), (0, 0), (-2, 0), 2),
+    ReferenceSearch(T, parse_poly("k*(k+1)*(8*k+9)"), (0, 1), (-1, 0), 4),
+    ReferenceSearch(T, parse_poly("k*(k+1)*(8*k+9)"), (0, 1), (0, 1), 4),
+    ReferenceSearch(T, parse_poly("(k+1)*(16*k+21)"), (0, 1), (-1, 0), 6),
+)
+
+
 @dataclass
 class DiscoveryResult:
     """Joint nullspace over (p, g): certificates with p != 0, and pure-kernel
@@ -971,7 +1002,7 @@ def reductions_defined_from(cert: TelescoperCertificate, k_min: int = CERTIFY_N_
     return True
 
 
-# -- strict-mode check and modular reduction ---------------------------------------
+# -- strict-mode check -------------------------------------------------------------
 
 
 def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
@@ -990,34 +1021,6 @@ def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
         if not rem.is_zero or math.gcd((g.content() / a).denominator, a) != 1:
             return False
     return True
-
-
-@dataclass
-class ReduceModResult:
-    q: Poly
-    entries: dict[tuple[int, int], tuple[Poly, Poly]]
-    flagged_denominators: tuple[int, ...]
-
-
-def reduce_mod(cert: TelescoperCertificate, q: Poly) -> ReduceModResult:
-    """Per-entry division of g by q: g = quot * q + rem. Coefficients may stay
-    rational; denominators sharing a factor with the content of q are flagged
-    because a purely polynomial reduction cannot justify them (that takes
-    parity or divisibility input about the sequence itself)."""
-    if q.is_zero:
-        raise ValueError("q must be nonzero")
-    qc_num = q.content().numerator
-    entries: dict[tuple[int, int], tuple[Poly, Poly]] = {}
-    flagged: set[int] = set()
-    for pair in sorted(cert.g):
-        g = cert.g[pair]
-        quot, rem = poly_divmod(g, q)
-        entries[pair] = (quot, rem)
-        for poly in (quot, rem):
-            for c in poly.coeffs:
-                if c.denominator > 1 and math.gcd(c.denominator, qc_num) > 1:
-                    flagged.add(c.denominator)
-    return ReduceModResult(q, entries, tuple(sorted(flagged)))
 
 
 # -- rendering and serialization -----------------------------------------------------
@@ -1077,13 +1080,16 @@ def cert_from_json(
 ) -> TelescoperCertificate:
     """Decode a certificate; seqA and seqB name sequences of `sequences`
     (default: the built-ins), and an unknown name raises `UnknownSequence`."""
-    wa = ShiftWindow(*data["windows"]["a"])
-    wb = ShiftWindow(*data["windows"]["b"])
+
+    def window(bounds) -> ShiftWindow:
+        return ShiftWindow(*(_json_int("a window bound", x) for x in bounds))
+
+    wa, wb = window(data["windows"]["a"]), window(data["windows"]["b"])
     g = {
-        (int(e["i"]), int(e["j"])): Poly.from_json(e["poly"])
+        (_json_int("a g index", e["i"]), _json_int("a g index", e["j"])): Poly.from_json(e["poly"])
         for e in data["g"]
     }
-    target = tuple(int(x) for x in data["target_shifts"])
+    target = tuple(_json_int("a target shift", x) for x in data["target_shifts"])
     if len(target) != 2:
         raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
     return TelescoperCertificate(

@@ -391,6 +391,12 @@ _N_EQUALS_N = {"id": "x", "lhs": {"var": "n"}, "rhs": {"var": "n"}, "modulus": {
 _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
 
 
+def _claim_with_sum(factors, lo=0):
+    """n = n, with the sum of the factors over k = lo..n as its lhs."""
+    spec = {"coeff": {"num": ["1"], "den": ["1"]}, "factors": factors, "lo": lo, "upper": "n"}
+    return {"claims": [{**_N_EQUALS_N, "lhs": {"sum": spec}}]}
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -510,6 +516,62 @@ _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
             {**W_CERT, "windows": {"a": [-2, 0], "b": [-67, -65]}},
             "malformed certificate: the window -67..-65 lies more than 64 from 0\n",
         ),
+        # an integer field takes a JSON integer only: no float, bool or string
+        (
+            "certify",
+            {**W_CERT, "target_shifts": [0, 0.9]},
+            "malformed certificate: a target shift must be an integer, got 0.9\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "windows": {"a": [-2, 0], "b": [-2.0, 0]}},
+            "malformed certificate: a window bound must be an integer, got -2.0\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": [{**W_CERT["g"][0], "i": True}]},
+            "malformed certificate: a g index must be an integer, got True\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": [{**W_CERT["g"][0], "j": "0"}]},
+            "malformed certificate: a g index must be an integer, got '0'\n",
+        ),
+        (
+            "verify",
+            _claim_with_sum([], lo=0.5),
+            "malformed claims file: a sum's lo must be an integer, got 0.5\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"seq": "W", "shift": True}}]},
+            "malformed claims file: a seq shift must be an integer, got True\n",
+        ),
+        (
+            "verify",
+            _claim_with_sum([{"seq": {"name": "W", "shift": 1.5}}]),
+            "malformed claims file: a seq shift must be an integer, got 1.5\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"pow": {"base": "2", "exp": "n"}}}]},
+            "malformed claims file: a pow base must be an integer, got '2'\n",
+        ),
+        (
+            "verify",
+            _claim_with_sum([{"geom": {"base": 2.0, "exp": [0, 1, 0]}}]),
+            "malformed claims file: a geom base must be an integer, got 2.0\n",
+        ),
+        (
+            "verify",
+            _claim_with_sum([{"binom": {"top": [0, 1, 0.5], "bottom": [0, 1, 0]}}]),
+            "malformed claims file: an affine coefficient must be an integer, got 0.5\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": {"start": 4.7}}]},
+            "malformed claims file: a domain start must be an integer, got 4.7\n",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
@@ -520,6 +582,41 @@ def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_flagged_points_note_whether_they_pass(capsys, tmp_path):
+    doc = {
+        "claims": [
+            {**_N_EQUALS_N, "flag_points": [0]},
+            {**_N_EQUALS_N, "id": "y", "rhs": {"const": "1"}, "flag_points": [2]},
+        ]
+    }
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--claims-file", str(path), "--range", "1..1")
+    assert code == 0
+    assert "  note: n=0 is outside the domain and passes\n" in err
+    assert "  note: n=2 is outside the domain and fails (sides differ (exact equality required))" in err
+
+
+def test_paper_suite_json_is_byte_identical(capsys, tmp_path):
+    blobs = []
+    for name in ("first.json", "second.json"):
+        code, _, _ = run_cli(capsys, "paper-suite", "--out", str(tmp_path / name))
+        assert code == 0
+        blobs.append((tmp_path / name).read_bytes())
+    assert blobs[0] == blobs[1]
+    doc = json.loads(blobs[0])
+    assert doc["verdict"] == "pass" and len(doc["rows"]) == 40
+
+
+def test_reproduce_certificates_script_finds_all_four():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(ROOT / "scripts" / "reproduce_certificates.py"), run_name="__main__")
+    text = out.getvalue()
+    assert text.count("certified: symbolic=True numeric(n<=200)=True") == 4
+    assert "NOT FOUND" not in text
 
 
 def test_claims_file_may_not_redefine_a_builtin_sequence(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import runpy
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rc import congruence, sequences
-from rc.exactmath import Poly, parse_poly, rat_mod
+from rc.exactmath import Poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
     BinomExpr,
@@ -27,7 +28,6 @@ from rc.congruence import (
     PowInt,
     SeqFactor,
     SeqRef,
-    REFERENCE_CERTIFICATES,
     SumEvaluator,
     SumNode,
     SumSpec,
@@ -68,7 +68,7 @@ from rc.sequences import (
     get_sequence,
     recurrence,
 )
-from rc.telescoper import cert_from_json, cert_to_json, certify, find_telescoper, partial_sum
+from rc.telescoper import REFERENCE_SEARCHES, cert_from_json, cert_to_json, certify, partial_sum
 
 
 def test_catalogue_size_and_unique_ids():
@@ -392,24 +392,15 @@ def test_domain_membership():
     assert d.contains(11) and not d.contains(7) and not d.contains(2)
     assert not d.contains(9)
     assert d.points(1, 20) == [5, 11, 13, 17, 19]
-    assert "primes" in d.describe()
 
 
 def test_telescoping_consistency_with_certificates():
     # two independent routes: direct summation vs certificate difference
+    w_search, t_lo_search, _, t16_search = REFERENCE_SEARCHES
     pairs = [
-        (
-            SUM_W_SQUARES,
-            find_telescoper("W", "W", parse_poly("8*k+9"), (0, 0), (-2, 0), deg_bound=2),
-        ),
-        (
-            SUM_T_PRODUCTS_8K9,
-            find_telescoper("T", "T", parse_poly("k*(k+1)*(8*k+9)"), (0, 1), (-1, 0), deg_bound=4),
-        ),
-        (
-            SUM_T_PRODUCTS_16K21,
-            find_telescoper("T", "T", parse_poly("(k+1)*(16*k+21)"), (0, 1), (-1, 0), deg_bound=6),
-        ),
+        (SUM_W_SQUARES, w_search.find()),
+        (SUM_T_PRODUCTS_8K9, t_lo_search.find()),
+        (SUM_T_PRODUCTS_16K21, t16_search.find()),
     ]
     for spec, cert in pairs:
         assert cert is not None
@@ -679,12 +670,36 @@ def _oracle() -> SumEvaluator:
     return SumEvaluator(certificates=())
 
 
+# sha256 of `json.dumps(cert_to_json(c), indent=2) + "\n"` for the certificate c
+# of each reference search, in table order; these are also the digests of
+# perfbench/golden/cert_*.json
+REFERENCE_DIGESTS = (
+    "97a07853edd3c8c16382527c304836511179b334b449eed645bd1c212d460574",  # W 8k+9, -2..0
+    "d4e8ab52dad41c0689edfd25de0644df2f84df406b780d4253cce259a973c657",  # T k(k+1)(8k+9), -1..0
+    "dd038d68b802bc7ae62b8bd69cfd36e84c86a224d4ce03696c24ace16ac312ec",  # T k(k+1)(8k+9), 0..1
+    "a89fb8e165ee4d6ff9880961fc07d182ff7745e686626b19c93f1d1839d5b0d0",  # T (k+1)(16k+21), -1..0
+)
+
+
 def test_reference_certificates_are_the_solver_output():
-    searches = [("W", "8*k+9", (0, 0), (-2, 0), 2)]
-    searches += [("T", p, (0, 1), (-1, 0), 6) for p in ("k*(k+1)*(8*k+9)", "(k+1)*(16*k+21)")]
-    for data, (seq, p, target, window, deg) in zip(REFERENCE_CERTIFICATES, searches):
-        cert = find_telescoper(seq, seq, parse_poly(p), target, window, deg_bound=deg)
-        assert cert_to_json(cert) == data
+    certs = [search.find() for search in REFERENCE_SEARCHES]
+    for cert, digest in zip(certs, REFERENCE_DIGESTS, strict=True):
+        blob = json.dumps(cert_to_json(cert), indent=2) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    # the default evaluator's closed forms are those of the pinned certificates:
+    # the T 8k+9 sum takes the first matching search, the window -1..0
+    def fields(closed):
+        return closed.seq_a, closed.seq_b, closed.scale, closed.terms
+
+    ev = SumEvaluator()
+    for spec, cert in zip(
+        (SUM_W_SQUARES, SUM_T_PRODUCTS_8K9, SUM_T_PRODUCTS_16K21), (certs[0], certs[1], certs[3])
+    ):
+        assert fields(ev.closed_sum(spec)[0]) == fields(cert.closed_form())
+    # certificates given explicitly replace the searches
+    ev = SumEvaluator(certificates=[certs[0]])
+    assert fields(ev.closed_sum(SUM_W_SQUARES)[0]) == fields(certs[0].closed_form())
+    assert ev.closed_sum(SUM_T_PRODUCTS_8K9) is None
 
 
 @pytest.mark.parametrize("claim_id", sorted(CERTIFIED))
@@ -724,12 +739,13 @@ def test_certified_sums_read_in_descending_order_use_the_memo(monkeypatch):
 
 
 def test_a_certificate_that_fails_certify_is_never_used():
-    tampered = copy.deepcopy(REFERENCE_CERTIFICATES[0])
+    w_cert = cert_to_json(REFERENCE_SEARCHES[0].find())
+    tampered = copy.deepcopy(w_cert)
     tampered["g"][2]["poly"][1] = "23/2"  # was 21/2
     assert not certify(cert_from_json(tampered)).ok
-    outside = {**copy.deepcopy(REFERENCE_CERTIFICATES[0]), "g": [{"i": 0, "j": 1, "poly": ["1"]}]}
+    outside = {**copy.deepcopy(w_cert), "g": [{"i": 0, "j": 1, "poly": ["1"]}]}
     for table in ([tampered], [outside, tampered]):
-        ev = SumEvaluator(certificates=table)
+        ev = SumEvaluator(certificates=[cert_from_json(doc) for doc in table])
         assert ev.closed_sum(SUM_W_SQUARES) is None
         for claim_id in ("theorem-1.1i", "theorem-1.1ii"):
             claim = get_claim(claim_id)

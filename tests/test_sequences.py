@@ -23,7 +23,6 @@ from rc.sequences import (
     check_derived_recurrence,
     check_parity_odd,
     check_recurrence_consistency,
-    derived_terms,
     eval_direct,
     get_sequence,
     recurrence,
@@ -119,23 +118,13 @@ def test_t_difference_divisibility():
         assert (T.term(n + 1) - 3 * T.term(n)) % (n - 1) == 0
 
 
-def test_derived_t_terms():
-    assert derived_terms(t_seq(), 0, 4) == [-1, 0, -1, -1, -3]
-
-
 def test_derived_t_recurrence_residuals_vanish():
-    assert check_derived_recurrence(t_seq(), T_DERIVED_REC, 100).ok
-
-
-def test_derived_zero_combo():
+    assert [t_seq().value(n) for n in range(5)] == [-1, 0, -1, -1, -3]
     z = DerivedSequence("z", T, ((0, F(1)), (0, F(-1))))
-    assert derived_terms(z, 0, 5) == [0] * 6
-
-
-def test_derived_non_integer_is_an_error():
+    assert [z.value(n) for n in range(6)] == [0] * 6
     half = DerivedSequence("half", T, ((0, F(1, 2)),))
-    with pytest.raises(NonIntegerTerm):
-        derived_terms(half, 0, 2)
+    assert [half.value(n) for n in range(3)] == [F(1, 2), F(1, 2), F(3, 2)]
+    assert check_derived_recurrence(t_seq(), T_DERIVED_REC, 100).ok
 
 
 def test_leading_coefficient_vanishing_is_an_error():

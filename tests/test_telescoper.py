@@ -15,6 +15,7 @@ from rc.telescoper import (
     MAX_SHIFT_DISTANCE,
     MAX_SYSTEM_ENTRIES,
     MAX_WINDOW_OFFSET,
+    REFERENCE_SEARCHES,
     ShiftWindow,
     TelescoperCertificate,
     cert_from_json,
@@ -25,7 +26,6 @@ from rc.telescoper import (
     find_telescoper,
     partial_sum,
     pretty,
-    reduce_mod,
     reductions_defined_from,
 )
 from rc.telescoper import _build_system, _pair_setup, _reduction_table, _search_setup, _slice
@@ -37,32 +37,30 @@ P_T2 = parse_poly("(k+1)*(16*k+21)")
 CENTRAL_BINOM_REC = recurrence([Poly([-2, -4]), Poly([1, 1])])
 
 
-@pytest.fixture(scope="module")
-def w_cert():
-    cert = find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=2)
+def _reference_cert(index: int):
+    cert = REFERENCE_SEARCHES[index].find()
     assert cert is not None
     return cert
+
+
+@pytest.fixture(scope="module")
+def w_cert():
+    return _reference_cert(0)
 
 
 @pytest.fixture(scope="module")
 def t_cert_lo():
-    cert = find_telescoper("T", "T", P_T1, (0, 1), (-1, 0), deg_bound=4)
-    assert cert is not None
-    return cert
+    return _reference_cert(1)
 
 
 @pytest.fixture(scope="module")
 def t_cert_hi():
-    cert = find_telescoper("T", "T", P_T1, (0, 1), (0, 1), deg_bound=4)
-    assert cert is not None
-    return cert
+    return _reference_cert(2)
 
 
 @pytest.fixture(scope="module")
 def d2_cert():
-    cert = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=6)
-    assert cert is not None
-    return cert
+    return _reference_cert(3)
 
 
 def reference_w_certificate():
@@ -352,11 +350,11 @@ def test_zero_weight_rejected():
 
 
 # (sequence, weight, target shifts, window, smallest feasible degree)
-REFERENCE_SEARCHES = [
-    ("W", P_W, (0, 0), (-2, 0), 2),
-    ("T", P_T1, (0, 1), (-1, 0), 4),
-    ("T", P_T1, (0, 1), (0, 1), 4),
-    ("T", P_T2, (0, 1), (-1, 0), 3),
+# each reference search as (sequence name, weight, target shifts, window, the
+# least degree of g with a certificate)
+SEARCH_DEGREES = [
+    (s.seq.name, s.p, s.target_shifts, s.window, d_min)
+    for s, d_min in zip(REFERENCE_SEARCHES, (2, 4, 4, 3), strict=True)
 ]
 
 
@@ -374,7 +372,7 @@ def solves(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("seq, p, target, window, d_min", REFERENCE_SEARCHES)
+@pytest.mark.parametrize("seq, p, target, window, d_min", SEARCH_DEGREES)
 def test_degree_search_result_does_not_depend_on_the_bound(seq, p, target, window, d_min):
     assert find_telescoper(seq, seq, p, target, window, deg_bound=d_min - 1) is None
     at_min = find_telescoper(seq, seq, p, target, window, deg_bound=d_min)
@@ -385,7 +383,7 @@ def test_degree_search_result_does_not_depend_on_the_bound(seq, p, target, windo
         assert cert_to_json(cert) == cert_to_json(at_min)
 
 
-@pytest.mark.parametrize("seq, p, target, window, d_min", REFERENCE_SEARCHES)
+@pytest.mark.parametrize("seq, p, target, window, d_min", SEARCH_DEGREES)
 def test_degree_search_solves_logarithmically_many_systems(solves, seq, p, target, window, d_min):
     bound = 12
     assert find_telescoper(seq, seq, p, target, window, deg_bound=bound) is not None
@@ -432,7 +430,7 @@ def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
 
 # (sequence a, sequence b, weight, target shifts, window a, window b, symmetric, bound)
 SLICED_SEARCHES = [
-    *((seq, seq, p, target, window, None, None, d_min + 2) for seq, p, target, window, d_min in REFERENCE_SEARCHES),
+    *((seq, seq, p, target, window, None, None, d_min + 2) for seq, p, target, window, d_min in SEARCH_DEGREES),
     ("W", "W", P_W, (0, 0), (-2, 0), (-2, 0), False, 3),
     ("T", "T", P_T1, (0, 1), (-1, 0), (0, 1), False, 4),
     ("T", "T", parse_poly("k+1"), (0, 1), (-1, 0), None, True, 3),
@@ -633,13 +631,13 @@ def test_certify_rejects_out_of_window_entries(w_cert):
         certify(bad)
 
 
-def test_certificate_of_a_sequence_that_is_not_built_in():
+def test_certificate_of_a_sequence_that_is_not_built_in(t_cert_lo):
     t2 = SequenceDef("T2", T.recurrence, T.initial)
     cert = find_telescoper(t2, t2, P_T1, (0, 1), (-1, 0), deg_bound=4)
     assert cert.seq_a is t2 and cert.seq_b is t2
     assert certify(cert).ok
     doc = cert_to_json(cert)
-    t_doc = cert_to_json(find_telescoper("T", "T", P_T1, (0, 1), (-1, 0), deg_bound=4))
+    t_doc = cert_to_json(t_cert_lo)
     assert doc == {**t_doc, "seqA": "T2", "seqB": "T2"}
     back = cert_from_json(doc, {"T2": t2})
     assert back.seq_a is t2 and certify(back, 50).ok
@@ -738,28 +736,6 @@ def test_hl_mode_on_t_certificate(t_cert_lo):
     assert check_hl_mode(t_cert_lo, Poly([0, 0, 0, 1])) is False
 
 
-def _single_entry_cert(g):
-    return TelescoperCertificate(
-        "W", "W", ShiftWindow(-2, 0), ShiftWindow(-2, 0), (0, 0), P_W, {(-1, -1): g}, True
-    )
-
-
-def test_reduce_mod_examples():
-    k = Poly([0, 1])
-    res = reduce_mod(_single_entry_cert(F(-3, 2) * k * (k - 7)), 2 * k)
-    quot, rem = res.entries[(-1, -1)]
-    assert quot == Poly([F(21, 4), F(-3, 4)]) and rem.is_zero
-    assert res.flagged_denominators == (4,)  # 4 shares a factor with content 2
-
-    res = reduce_mod(_single_entry_cert(2 * k), 2 * k)
-    assert res.entries[(-1, -1)] == (ONE, ZERO)
-    assert res.flagged_denominators == ()
-
-    res = reduce_mod(_single_entry_cert(9 * k), k * k)
-    assert res.entries[(-1, -1)] == (ZERO, 9 * k)
-    assert res.flagged_denominators == ()
-
-
 # -- serialization ----------------------------------------------------------------------
 
 
@@ -774,8 +750,7 @@ def test_certificate_json_round_trip(w_cert):
 
 
 def test_solver_output_is_deterministic():
-    a = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=6)
-    b = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=6)
+    a, b = REFERENCE_SEARCHES[3].find(), REFERENCE_SEARCHES[3].find()
     assert json.dumps(cert_to_json(a)) == json.dumps(cert_to_json(b))
 
 
