@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .exactmath import ONE, K, Poly, frac_to_str, legendre, prime_factors, rat_mod
+from .exactmath import ONE, K, Poly, _json_text, frac_to_str, legendre, prime_factors, rat_mod
 from .sequences import (
     BUILTINS,
     Affine,
@@ -1123,7 +1123,7 @@ def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) 
             raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         depth += 1  # the depth of d's children
         if "const" in d:
-            return Const(Fraction(d["const"]))
+            return Const(_json_text("a const", d["const"]))
         if "var" in d:
             return N
         if "seq" in d:

@@ -47,6 +47,14 @@ def frac_to_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _json_text(what: str, value, parse=Fraction):
+    # a JSON string read by `parse`, which `frac_to_str` and `str` write: a
+    # number or bool is refused, so no float is read as a rational
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return parse(value)
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -186,7 +194,7 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Poly":
-        return cls(Fraction(s) for s in data)
+        return cls(_json_text("a polynomial coefficient", s) for s in data)
 
     def to_str(self, var: str = "k") -> str:
         if self.is_zero:

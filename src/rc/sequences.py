@@ -48,7 +48,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exactmath import ONE, Poly, frac_to_str, horner, lowest_terms, poly
+from .exactmath import ONE, Poly, _json_text, frac_to_str, horner, lowest_terms, poly
 
 __all__ = [
     "Affine",
@@ -876,6 +876,6 @@ def sequence_from_json(d: dict) -> SequenceDef:
     return SequenceDef(
         name=d["name"],
         rec=Recurrence.from_json(d["recurrence"]),
-        initial={int(i): int(v) for i, v in d["initial"].items()},
+        initial={int(i): _json_text("an initial value", v, int) for i, v in d["initial"].items()},
         direct=SumSpec.from_json(d["direct"]) if d.get("direct") else None,
     )

@@ -11,8 +11,10 @@ outside a window are rewritten into it through the recurrence, the defining
 equation is cleared of denominators and read off coefficient-by-coefficient
 in powers of k, and the resulting exact linear system, built in integers, is
 solved by fraction-free integer elimination (`exactmath.nullspace`). A search
-builds its system once, at its degree bound, and solves each smaller degree
-of its bisection on a column slice of it. The pair list and the reductions of
+reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair (symmetric mode) exactly
+when it is a square. It builds its system once, at its degree bound, and
+solves each smaller degree of its bisection on a column slice of it; a solve
+has at most one kernel vector with p != 0. The pair list and the reductions of
 the shifted and target pairs are computed by one helper, `_pair_setup`, for
 the solver's system, `certify`'s recheck and `reductions_defined_from`; it
 rejects a target shift more than `MAX_SHIFT_DISTANCE` outside its window. A
@@ -134,9 +136,6 @@ class ShiftWindow:
     def shifts(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def __contains__(self, m: int) -> bool:
-        return self.lo <= m <= self.hi
-
 
 def _as_window(w) -> ShiftWindow:
     if isinstance(w, ShiftWindow):
@@ -152,28 +151,18 @@ def _resolve(seq) -> SequenceDef:
 
 
 def _search_setup(
-    seq_a, seq_b, target_shifts, window_a, window_b, symmetric: bool | None
+    seq_a, seq_b, target_shifts, window_a, window_b
 ) -> tuple[SequenceDef, SequenceDef, tuple[int, int], ShiftWindow, ShiftWindow, bool]:
-    """Resolve the factors, target shifts, windows and symmetric mode of a
-    search. A missing window defaults to the `order` shifts ending at 0, or
-    in symmetric mode (the default for a square) to the first window."""
-    a = _resolve(seq_a)
-    b = ONE_SEQ if seq_b is None else _resolve(seq_b)
-    if isinstance(target_shifts, int):
-        target_shifts = (target_shifts, 0)
-    target = (int(target_shifts[0]), int(target_shifts[1]))
-    wa = _as_window(window_a) if window_a is not None else ShiftWindow(1 - a.recurrence.order, 0)
-    if symmetric is None:
-        symmetric = a is b
+    """Resolve the factors, target shifts and windows of a search, and its
+    mode: symmetric exactly for a square (a is b). A missing window_b is
+    window_a for a square, else the `order` shifts of b ending at 0."""
+    a, b = _resolve(seq_a), _resolve(seq_b)
+    wa = _as_window(window_a)
     if window_b is not None:
         wb = _as_window(window_b)
-    elif symmetric:
-        wb = wa
-    elif b is ONE_SEQ:
-        wb = ShiftWindow(0, 0)
     else:
-        wb = ShiftWindow(1 - b.recurrence.order, 0)
-    return a, b, target, wa, wb, symmetric
+        wb = wa if a is b else ShiftWindow(1 - b.recurrence.order, 0)
+    return a, b, (int(target_shifts[0]), int(target_shifts[1])), wa, wb, a is b
 
 
 # -- integer polynomials -------------------------------------------------------
@@ -436,8 +425,7 @@ class TelescoperCertificate:
     """The data (p, g) of a telescoping identity, independently checkable.
 
     The factors are `SequenceDef` objects, so a certificate for a sequence
-    that is not built in rechecks as well; a name given instead is looked up
-    in the built-ins."""
+    that is not built in rechecks as well."""
 
     seq_a: SequenceDef
     seq_b: SequenceDef
@@ -447,10 +435,6 @@ class TelescoperCertificate:
     p: Poly
     g: dict[tuple[int, int], Poly]
     symmetric: bool
-
-    def __post_init__(self):
-        self.seq_a = _resolve(self.seq_a)
-        self.seq_b = _resolve(self.seq_b)
 
     def g_at(self, i: int, j: int) -> Poly:
         return self.g.get((i, j), ZERO)
@@ -700,16 +684,10 @@ def _check_degree(what: str, value: int) -> None:
 
 
 def find_telescoper(
-    seq_a,
-    seq_b=None,
-    p: Poly = ONE,
-    target_shifts=(0, 0),
-    window_a=None,
-    window_b=None,
-    deg_bound: int = 6,
-    symmetric: bool | None = None,
+    seq_a, seq_b, p: Poly, target_shifts, window_a, window_b=None, deg_bound: int = 6
 ) -> TelescoperCertificate | None:
-    """Search for a certificate with deg g <= deg_bound.
+    """Search for a certificate with deg g <= deg_bound; see `_search_setup`
+    for the windows and the mode.
 
     A bound above `MAX_DEGREE` raises ValueError before anything is built. A
     certificate of degree d padded with zeros is one of degree d + 1, so
@@ -718,15 +696,16 @@ def find_telescoper(
     a negative bound). Otherwise the smallest feasible degree is found by
     bisection, O(log deg_bound) solves in all, each on a slice of that one
     system (`_slice`), whose nonzero rows are those of a system built at the
-    smaller degree, so no pair reduction or row is computed twice. Among the
-    solutions at that degree, the one with minimal total degree of g (then
-    lexicographically smallest coefficient vector) is returned, so the output
-    is deterministic.
+    smaller degree, so no pair reduction or row is computed twice.
+
+    A solve has at most one answer. The p column is the last one: if it is
+    free, only its own basis vector, the last of the kernel basis, has
+    p != 0; if it is a pivot, its reduced row reads pv * p = 0. So the
+    certificate is the last basis vector, scaled to p's coefficient 1, when
+    its last entry is nonzero, and there is none otherwise.
     """
     _check_degree("deg_bound", deg_bound)
-    a, b, target, wa, wb, symmetric = _search_setup(
-        seq_a, seq_b, target_shifts, window_a, window_b, symmetric
-    )
+    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target_shifts, window_a, window_b)
     if p.is_zero:
         raise ValueError("the weight p must be nonzero; use discover_weights for a free p")
     if deg_bound < 0:
@@ -734,41 +713,26 @@ def find_telescoper(
 
     full = _build_system(a, b, wa, wb, target, [p], deg_bound, symmetric)
 
-    def solve(deg: int) -> tuple[ReducedSystem, list[list[int]]]:
+    def solve(deg: int) -> tuple[ReducedSystem, list[int]] | None:
         system = full if deg == deg_bound else _slice(full, deg)
         basis = nullspace(system.matrix, ncols=len(system.columns))
-        return system, [vec for vec in basis if vec[-1] != 0]
+        return (system, basis[-1]) if basis and basis[-1][-1] else None
 
-    system, solutions = solve(deg_bound)
-    if not solutions:
+    found = solve(deg_bound)
+    if found is None:
         return None
     lo, deg = 0, deg_bound  # no certificate below degree lo, one at deg
     while lo < deg:
         mid = (lo + deg) // 2
         attempt = solve(mid)
-        if attempt[1]:
-            deg, (system, solutions) = mid, attempt
+        if attempt:
+            deg, found = mid, attempt
         else:
             lo = mid + 1
 
-    candidates = []
-    for vec in solutions:
-        scale = Fraction(1, vec[-1])
-        scaled = [Fraction(x) * scale for x in vec]
-        g, _ = _split_vector(scaled, system, deg)
-        total_degree = sum(poly.degree for poly in g.values())
-        candidates.append((total_degree, tuple(scaled), g))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return TelescoperCertificate(
-        seq_a=a,
-        seq_b=b,
-        window_a=wa,
-        window_b=wb,
-        target_shifts=target,
-        p=p,
-        g=candidates[0][2],
-        symmetric=symmetric,
-    )
+    system, vec = found
+    g, _ = _split_vector([Fraction(x, vec[-1]) for x in vec], system, deg)
+    return TelescoperCertificate(a, b, wa, wb, target, p, g, symmetric)
 
 
 @dataclass(frozen=True)
@@ -811,27 +775,25 @@ class DiscoveryResult:
 
 def discover_weights(
     seq_a,
-    seq_b=None,
-    p_fixed: Poly = ONE,
-    p_degree: int = 1,
-    target_shifts=(0, 0),
-    window_a=None,
+    seq_b,
+    p_fixed: Poly,
+    p_degree: int,
+    target_shifts,
+    window_a,
     window_b=None,
     deg_bound: int = 6,
-    symmetric: bool | None = None,
 ) -> DiscoveryResult:
     """Solve with the weight free: p(k) = p_fixed(k) * (x_0 + x_1 k + ... +
-    x_D k^D). Returns a basis of the joint solution space, with pure-kernel
-    vectors (p identically zero) reported separately. A zero `p_fixed`, which
-    makes every weight zero, and a degree above `MAX_DEGREE` raise ValueError
+    x_D k^D), with the windows and the mode of `_search_setup`. Returns a
+    basis of the joint solution space, with pure-kernel vectors (p
+    identically zero) reported separately. A zero `p_fixed`, which makes
+    every weight zero, and a degree above `MAX_DEGREE` raise ValueError
     before anything is built."""
     if p_fixed.is_zero:
         raise ValueError("the fixed weight factor must be nonzero")
     _check_degree("p_degree", p_degree)
     _check_degree("deg_bound", deg_bound)
-    a, b, target, wa, wb, symmetric = _search_setup(
-        seq_a, seq_b, target_shifts, window_a, window_b, symmetric
-    )
+    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target_shifts, window_a, window_b)
 
     p_basis = [p_fixed * (K**u) for u in range(p_degree + 1)]
     system = _build_system(a, b, wa, wb, target, p_basis, deg_bound, symmetric)
@@ -847,18 +809,7 @@ def discover_weights(
             if g:
                 kernels.append(g)
             continue
-        solutions.append(
-            TelescoperCertificate(
-                seq_a=a,
-                seq_b=b,
-                window_a=wa,
-                window_b=wb,
-                target_shifts=target,
-                p=p,
-                g=g,
-                symmetric=symmetric,
-            )
-        )
+        solutions.append(TelescoperCertificate(a, b, wa, wb, target, p, g, symmetric))
         coords.append(tuple(p_coords))
     return DiscoveryResult(list(p_basis), solutions, coords, kernels)
 
@@ -1026,17 +977,17 @@ def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
 # -- rendering and serialization -----------------------------------------------------
 
 
-def _term_str(name: str, shift: int, var: str = "k") -> str:
+def _term_str(name: str, shift: int) -> str:
     if shift == 0:
-        return f"{name}({var})"
-    return f"{name}({var}{shift:+d})"
+        return f"{name}(k)"
+    return f"{name}(k{shift:+d})"
 
 
-def _monomial_str(cert: TelescoperCertificate, i: int, j: int, var: str = "k") -> str:
-    a = _term_str(cert.seq_a.name, i, var)
+def _monomial_str(cert: TelescoperCertificate, i: int, j: int) -> str:
+    a = _term_str(cert.seq_a.name, i)
     if cert.seq_b is ONE_SEQ:
         return a
-    b = _term_str(cert.seq_b.name, j, var)
+    b = _term_str(cert.seq_b.name, j)
     if cert.seq_a is cert.seq_b and i == j:
         return f"{a}^2"
     return f"{a}*{b}"

@@ -572,6 +572,37 @@ def _claim_with_sum(factors, lo=0):
             {"claims": [{**_N_EQUALS_N, "domain": {"start": 4.7}}]},
             "malformed claims file: a domain start must be an integer, got 4.7\n",
         ),
+        # a rational or an initial value is a JSON string: no number or bool
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"const": 0.5}, "rhs": {"const": "1/2"}}]},
+            "malformed claims file: a const must be a string, got 0.5\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"const": True}, "rhs": {"const": "1"}}]},
+            "malformed claims file: a const must be a string, got True\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "p": [9, 8.0]},
+            "malformed certificate: a polynomial coefficient must be a string, got 9\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": {"coeffs": [["-1"], [1]]}}], "claims": []},
+            "malformed claims file: a polynomial coefficient must be a string, got 1\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "initial": {"0": True}}], "claims": []},
+            "malformed claims file: an initial value must be a string, got True\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "initial": {"0": 1.5}}], "claims": []},
+            "malformed claims file: an initial value must be a string, got 1.5\n",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

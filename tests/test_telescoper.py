@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rc.telescoper
 from rc.exactmath import ONE, Poly, ZERO, lowest_terms, nullspace, parse_poly
-from rc.sequences import SequenceDef, T, UnknownSequence, W, recurrence
+from rc.sequences import ONE_SEQ, SequenceDef, T, UnknownSequence, W, recurrence
 from rc.telescoper import (
     MAX_DEGREE,
     MAX_SHIFT_DISTANCE,
@@ -68,8 +68,8 @@ def reference_w_certificate():
     half = F(1, 2)
     k = Poly([0, 1])
     return TelescoperCertificate(
-        seq_a="W",
-        seq_b="W",
+        seq_a=W,
+        seq_b=W,
         window_a=ShiftWindow(-2, 0),
         window_b=ShiftWindow(-2, 0),
         target_shifts=(0, 0),
@@ -88,8 +88,8 @@ def reference_t_certificate_hi():
     """The known upward-window antidifference for k(k+1)(8k+9) T(k) T(k+1)."""
     k = Poly([0, 1])
     return TelescoperCertificate(
-        seq_a="T",
-        seq_b="T",
+        seq_a=T,
+        seq_b=T,
         window_a=ShiftWindow(0, 1),
         window_b=ShiftWindow(0, 1),
         target_shifts=(0, 1),
@@ -287,7 +287,7 @@ def test_reductions_agree_with_sympy(data):
 
 
 def test_trivial_constant_sequence():
-    cert = find_telescoper("one", None, ONE, (0, 0), (0, 0), deg_bound=1)
+    cert = find_telescoper("one", "one", ONE, (0, 0), (0, 0), deg_bound=1)
     assert cert is not None
     assert cert.g == {(0, 0): Poly([0, 1])}
     assert certify(cert, 50).ok
@@ -331,10 +331,12 @@ def test_d2_certificate(d2_cert):
 
 
 def test_symmetric_and_ordered_modes_agree(w_cert):
-    ordered = find_telescoper(
-        "W", "W", P_W, (0, 0), (-2, 0), window_b=(-2, 0), deg_bound=2, symmetric=False
-    )
-    assert ordered is not None
+    # the W certificate in ordered form: each off-diagonal g_ij split evenly
+    # between (i, j) and (j, i)
+    g = {}
+    for (i, j), poly in w_cert.g.items():
+        g[i, j] = g[j, i] = poly if i == j else F(1, 2) * poly
+    ordered = TelescoperCertificate(**{**vars(w_cert), "g": g, "symmetric": False})
     assert certify(ordered, 100).ok
     for n in (1, 2, 3, 10, 60, 100):
         assert partial_sum(ordered, n) == partial_sum(w_cert, n)
@@ -401,8 +403,8 @@ def test_degree_search_small_and_negative_bounds(solves):
     assert solves[0] == 1
     assert find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=-1) is None
     assert solves[0] == 1
-    assert find_telescoper("one", None, ONE, (0, 0), (0, 0), deg_bound=0) is None
-    assert find_telescoper("one", None, parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
+    assert find_telescoper("one", "one", ONE, (0, 0), (0, 0), deg_bound=0) is None
+    assert find_telescoper("one", "one", parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
 
 
 def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
@@ -428,26 +430,26 @@ def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
     return None
 
 
-# (sequence a, sequence b, weight, target shifts, window a, window b, symmetric, bound)
+# (sequence a, sequence b, weight, target shifts, window a, window b, bound)
 SLICED_SEARCHES = [
-    *((seq, seq, p, target, window, None, None, d_min + 2) for seq, p, target, window, d_min in SEARCH_DEGREES),
-    ("W", "W", P_W, (0, 0), (-2, 0), (-2, 0), False, 3),
-    ("T", "T", P_T1, (0, 1), (-1, 0), (0, 1), False, 4),
-    ("T", "T", parse_poly("k+1"), (0, 1), (-1, 0), None, True, 3),
-    ("T", "T", parse_poly("k^2+k"), (0, 1), (-1, 0), None, False, 3),
-    ("W", "W", parse_poly("k^3+1"), (0, 0), (-2, 0), None, None, 5),
-    ("W", "W", parse_poly("3/2*k^2"), (1, 0), (-2, 0), None, None, 4),
-    ("T", "W", parse_poly("k"), (0, -1), (-1, 0), (-2, 0), None, 3),
-    ("one", None, parse_poly("k^3"), (0, 0), (0, 0), None, None, 5),
-    ("T", "T", P_T2, (0, 1), (-1, 0), (-1, 0), False, 4),
-    ("one", None, parse_poly("k^2-1/3"), (1, 0), (0, 0), None, None, 3),
+    *((seq, seq, p, target, window, None, d_min + 2) for seq, p, target, window, d_min in SEARCH_DEGREES),
+    ("W", "W", P_W, (0, 0), (-2, 0), (-2, 0), 3),
+    ("T", "W", parse_poly("32*k^2+28*k-45"), (0, 0), (-1, 0), (-2, 0), 5),
+    ("T", "T", parse_poly("k+1"), (0, 1), (-1, 0), None, 3),
+    ("T", "T", parse_poly("k^2+k"), (0, 1), (-1, 0), None, 3),
+    ("W", "W", parse_poly("k^3+1"), (0, 0), (-2, 0), None, 5),
+    ("W", "W", parse_poly("3/2*k^2"), (1, 0), (-2, 0), None, 4),
+    ("T", "W", parse_poly("k"), (0, -1), (-1, 0), (-2, 0), 3),
+    ("one", "one", parse_poly("k^3"), (0, 0), (0, 0), None, 5),
+    ("T", "T", P_T2, (0, 1), (-1, 0), (-1, 0), 4),
+    ("one", "one", parse_poly("k^2-1/3"), (1, 0), (0, 0), None, 3),
 ]
 
 
-@pytest.mark.parametrize("seq_a, seq_b, p, target, window_a, window_b, symmetric, bound", SLICED_SEARCHES)
-def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, window_a, window_b, symmetric, bound):
-    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target, window_a, window_b, symmetric)
-    cert = find_telescoper(seq_a, seq_b, p, target, window_a, window_b, deg_bound=bound, symmetric=symmetric)
+@pytest.mark.parametrize("seq_a, seq_b, p, target, window_a, window_b, bound", SLICED_SEARCHES)
+def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, window_a, window_b, bound):
+    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target, window_a, window_b)
+    cert = find_telescoper(seq_a, seq_b, p, target, window_a, window_b, deg_bound=bound)
     expected = _deepening_reference(a, b, p, target, wa, wb, bound, symmetric)
     assert (cert and cert_to_json(cert)) == (expected and cert_to_json(expected))
 
@@ -459,7 +461,10 @@ def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, wind
         assert sliced.columns == fresh.columns
         assert list(zip(sliced.rows, sliced.matrix)) == nonzero
         ncols = len(fresh.columns)
-        assert nullspace(sliced.matrix, ncols=ncols) == nullspace(fresh.matrix, ncols=ncols)
+        basis = nullspace(sliced.matrix, ncols=ncols)
+        assert basis == nullspace(fresh.matrix, ncols=ncols)
+        # at most one kernel vector has p != 0, and it is the last one
+        assert [n for n, vec in enumerate(basis) if vec[-1]] in ([], [len(basis) - 1])
 
 
 def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
@@ -496,9 +501,9 @@ def test_systems_past_the_size_cap_are_rejected_before_any_row_is_built(solves, 
     cubic = parse_poly("k^3+1")
     # the benchmark's search without a certificate, at the sweep's largest
     # degree, and T at the degree cap stay under the cap
-    a, b, target, wa, wb, symmetric = _search_setup("W", "W", (0, 0), (-2, 0), None, None)
+    a, b, target, wa, wb, symmetric = _search_setup("W", "W", (0, 0), (-2, 0), None)
     assert _build_system(a, b, wa, wb, target, [cubic], 30, symmetric).matrix
-    a, b, target, wa, wb, symmetric = _search_setup("T", "T", (0, 1), (-1, 0), None, None)
+    a, b, target, wa, wb, symmetric = _search_setup("T", "T", (0, 1), (-1, 0), None)
     assert _build_system(a, b, wa, wb, target, [cubic], MAX_DEGREE, symmetric).matrix
 
     def no_rows(*args):
@@ -542,7 +547,7 @@ PINNED_SYSTEMS = [
 
 @pytest.mark.parametrize("seq, p, target, window, deg, shape, rows_sha, matrix_sha", PINNED_SYSTEMS)
 def test_systems_match_their_pinned_digests(seq, p, target, window, deg, shape, rows_sha, matrix_sha):
-    a, b, target, wa, wb, symmetric = _search_setup(seq, seq, target, window, None, None)
+    a, b, target, wa, wb, symmetric = _search_setup(seq, seq, target, window, None)
     system = _build_system(a, b, wa, wb, target, [parse_poly(p)], deg, symmetric)
     assert (len(system.rows), len(system.columns)) == shape
     assert hashlib.sha256(repr(system.rows).encode()).hexdigest() == rows_sha
@@ -571,7 +576,7 @@ def test_windows_past_the_offset_cap_are_rejected_before_any_term_is_read(monkey
 def test_target_shifts_at_the_cap_are_accepted():
     # k^2 summed is (k^3)/3 - k^2/2 + k/6 up to a constant, from any shift
     target = (MAX_SHIFT_DISTANCE, 0)
-    cert = find_telescoper("one", None, parse_poly("k^2"), target, (0, 0), deg_bound=3)
+    cert = find_telescoper("one", "one", parse_poly("k^2"), target, (0, 0), deg_bound=3)
     assert cert is not None and certify(cert, 30).ok
 
 
@@ -580,8 +585,10 @@ def test_symmetric_mode_rejects_a_second_window_in_both_solvers():
         find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), window_b=(0, 1), deg_bound=3)
     with pytest.raises(ValueError, match="single window"):
         discover_weights("T", "T", parse_poly("k+1"), 1, (0, 1), (-1, 0), window_b=(0, 1), deg_bound=3)
+    # a search derives its mode, so only a certificate can be symmetric over two sequences
+    mixed = TelescoperCertificate(T, W, ShiftWindow(-1, 0), ShiftWindow(-2, 0), (0, 0), ONE, {}, True)
     with pytest.raises(ValueError, match="same sequence"):
-        discover_weights("T", "W", ONE, 1, (0, 0), (-1, 0), deg_bound=1, symmetric=True)
+        certify(mixed)
 
 
 # -- certify ---------------------------------------------------------------------
@@ -618,8 +625,8 @@ def test_certify_detects_corruption(w_cert):
 
 def test_certify_rejects_out_of_window_entries(w_cert):
     bad = TelescoperCertificate(
-        seq_a="W",
-        seq_b="W",
+        seq_a=W,
+        seq_b=W,
         window_a=ShiftWindow(-2, 0),
         window_b=ShiftWindow(-2, 0),
         target_shifts=(0, 0),
@@ -643,7 +650,6 @@ def test_certificate_of_a_sequence_that_is_not_built_in(t_cert_lo):
     assert back.seq_a is t2 and certify(back, 50).ok
     with pytest.raises(UnknownSequence):
         cert_from_json(doc)
-    assert reference_w_certificate().seq_a is W  # a name is looked up in the built-ins
 
 
 def test_reduction_denominators_are_checked_for_integer_roots(w_cert, t_cert_lo, d2_cert):
@@ -651,7 +657,7 @@ def test_reduction_denominators_are_checked_for_integer_roots(w_cert, t_cert_lo,
         assert reductions_defined_from(cert)
     # (n+1) a(n) + (300-n) a(n+1) = 0: reducing a(k+1) divides by k - 300
     q = SequenceDef("Q", recurrence([Poly([1, 1]), Poly([300, -1])]), {0: 1})
-    cert = TelescoperCertificate(q, "one", ShiftWindow(0, 0), ShiftWindow(0, 0), (0, 0), ONE, {}, False)
+    cert = TelescoperCertificate(q, ONE_SEQ, ShiftWindow(0, 0), ShiftWindow(0, 0), (0, 0), ONE, {}, False)
     assert not reductions_defined_from(cert)
     assert not reductions_defined_from(cert, 300)
     assert reductions_defined_from(cert, 301)
@@ -660,7 +666,7 @@ def test_reduction_denominators_are_checked_for_integer_roots(w_cert, t_cert_lo,
 def test_a_cancelled_factor_is_no_pole():
     # (k-300) a(k) - (k-300)(k+1) a(k+1) = 0: a(k+1) = a(k)/(k+1) in lowest terms
     q = SequenceDef("Q", recurrence([Poly([-300, 1]), Poly([300, 299, -1])]), {0: 1})
-    cert = TelescoperCertificate(q, "one", ShiftWindow(0, 0), ShiftWindow(0, 0), (1, 0), ONE, {}, False)
+    cert = TelescoperCertificate(q, ONE_SEQ, ShiftWindow(0, 0), ShiftWindow(0, 0), (1, 0), ONE, {}, False)
     assert reductions_defined_from(cert, 0)
     assert not reductions_defined_from(cert, -1)
 
@@ -702,7 +708,7 @@ def test_discovery_w_direction():
 
 
 def test_discovery_constant_sequence_kernel_split():
-    disc = discover_weights("one", None, ONE, 0, (0, 0), (0, 0), deg_bound=1)
+    disc = discover_weights("one", "one", ONE, 0, (0, 0), (0, 0), deg_bound=1)
     assert [c.g for c in disc.solutions] == [{(0, 0): Poly([0, 1])}]
     assert disc.solutions[0].p == ONE
     assert disc.kernels == [{(0, 0): ONE}]
@@ -723,7 +729,7 @@ def test_hl_mode_on_reference_certificate():
     assert check_hl_mode(cert, Poly([0, F(1, 2)])) is True
     assert check_hl_mode(cert, n * n) is False  # only one polynomial factor of n
     zero_cert = TelescoperCertificate(
-        "W", "W", ShiftWindow(-2, 0), ShiftWindow(-2, 0), (0, 0), P_W, {}, True
+        W, W, ShiftWindow(-2, 0), ShiftWindow(-2, 0), (0, 0), P_W, {}, True
     )
     assert check_hl_mode(zero_cert, 17 * n * n) is True
     with pytest.raises(ValueError):
