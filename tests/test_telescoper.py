@@ -434,7 +434,7 @@ def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
 SLICED_SEARCHES = [
     *((seq, seq, p, target, window, None, d_min + 2) for seq, p, target, window, d_min in SEARCH_DEGREES),
     ("W", "W", P_W, (0, 0), (-2, 0), (-2, 0), 3),
-    ("T", "W", parse_poly("32*k^2+28*k-45"), (0, 0), (-1, 0), (-2, 0), 5),
+    ("T", "T", P_T1, (0, 1), (-1, 0), (-1, 0), 4),
     ("T", "T", parse_poly("k+1"), (0, 1), (-1, 0), None, 3),
     ("T", "T", parse_poly("k^2+k"), (0, 1), (-1, 0), None, 3),
     ("W", "W", parse_poly("k^3+1"), (0, 0), (-2, 0), None, 5),
@@ -443,6 +443,7 @@ SLICED_SEARCHES = [
     ("one", "one", parse_poly("k^3"), (0, 0), (0, 0), None, 5),
     ("T", "T", P_T2, (0, 1), (-1, 0), (-1, 0), 4),
     ("one", "one", parse_poly("k^2-1/3"), (1, 0), (0, 0), None, 3),
+    ("T", "W", parse_poly("32*k^2+28*k-45"), (0, 0), (-1, 0), (-2, 0), 5),
 ]
 
 
