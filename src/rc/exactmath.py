@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: dense rational polynomials, a quotient of two of
-them in lowest terms (`lowest_terms`), nullspaces of rational matrices, and
+them in lowest terms (`lowest_terms`), nullspaces of rational matrices, a
+rank screen of integer matrices modulo a prime (`independent_prefix`), and
 modular / quadratic-residue helpers.
 
 Rationals are plain ``fractions.Fraction`` (always normalized, denominator
@@ -32,6 +33,8 @@ __all__ = [
     "poly_gcd",
     "lowest_terms",
     "nullspace",
+    "SCREEN_PRIME",
+    "independent_prefix",
     "legendre",
     "prime_factors",
     "rat_mod",
@@ -194,6 +197,9 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Poly":
+        # a JSON list: a string would otherwise be read digit by digit
+        if not isinstance(data, list):
+            raise ValueError(f"a polynomial must be a list of coefficient strings, got {data!r}")
         return cls(_json_text("a polynomial coefficient", s) for s in data)
 
     def to_str(self, var: str = "k") -> str:
@@ -381,6 +387,43 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
             v[c] = -x * (scale // pv)
         basis.append(_normalize_int_vector(v))
     return basis
+
+
+# the prime of `independent_prefix`: below 2^30, so a residue is one digit of a
+# Python int and a product of two residues fits in two
+SCREEN_PRIME = 2**30 - 35
+
+
+def independent_prefix(rows: Sequence[Sequence[int]], order: Sequence[int]) -> int:
+    """How many leading columns of an integer matrix, taken in `order`, are
+    linearly independent modulo `SCREEN_PRIME`.
+
+    Each column is reduced modulo the prime and eliminated sparsely against
+    the pivots found so far, each pivot scaled to 1 at its own row and zero at
+    the rows of the pivots before it; the count stops at the first column
+    that reduces to zero. Columns independent modulo a prime are independent
+    over Q, since a minor that is nonzero modulo the prime is nonzero over Z.
+    The converse can fail (the prime may divide every maximal minor), so the
+    count is at most the exact one, never more."""
+    prime = SCREEN_PRIME
+    pivots: list[tuple[int, list[tuple[int, int]]]] = []
+    for n, c in enumerate(order):
+        col = {r: x for r, row in enumerate(rows) if (x := row[c] % prime)}
+        for pr, vec in pivots:
+            f = col.pop(pr, 0)
+            if f:
+                for r, y in vec:
+                    z = (col.get(r, 0) - f * y) % prime
+                    if z:
+                        col[r] = z
+                    else:
+                        del col[r]
+        if not col:
+            return n
+        pr = min(col)
+        inv = pow(col.pop(pr), -1, prime)
+        pivots.append((pr, [(r, x * inv % prime) for r, x in col.items()]))
+    return len(order)
 
 
 # -- number theory -----------------------------------------------------------

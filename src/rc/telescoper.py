@@ -13,14 +13,18 @@ in powers of k, and the resulting exact linear system, built in integers, is
 solved by fraction-free integer elimination (`exactmath.nullspace`). A search
 reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair (symmetric mode) exactly
 when it is a square. It builds its system once, at its degree bound, and
-solves each smaller degree of its bisection on a column slice of it; a solve
-has at most one kernel vector with p != 0. The pair list and the reductions of
-the shifted and target pairs are computed by one helper, `_pair_setup`, for
-the solver's system, `certify`'s recheck and `reductions_defined_from`; it
-rejects a target shift more than `MAX_SHIFT_DISTANCE` outside its window. A
-window reaching more than `MAX_WINDOW_OFFSET` from 0, and a system of more
-than `MAX_SYSTEM_ENTRIES` entries, are rejected too, before any term is read
-or any row is built.
+solves each degree on a column slice of it; a solve has at most one kernel
+vector with p != 0. Before any exact solve, a rank screen modulo a prime
+(`exactmath.independent_prefix`) proves the slices of full column rank, which
+have no certificate, and the exact solves start at the first slice it does not
+clear; a search with no certificate up to its bound usually makes no exact
+solve at all. The pair list and the reductions of the shifted and target
+pairs are computed by one helper, `_pair_setup`, for the solver's system,
+`certify`'s recheck and `reductions_defined_from`; it rejects a target shift
+more than `MAX_SHIFT_DISTANCE` outside its window. A window reaching more
+than `MAX_WINDOW_OFFSET` from 0, and a system of more than
+`MAX_SYSTEM_ENTRIES` entries, are rejected too, before any term is read or
+any row is built.
 
 A reduction is a set of integer polynomials (ascending lists of ints) over a
 denominator kept as its known factors: the shifted lead coefficients of the
@@ -57,6 +61,7 @@ from .exactmath import (
     Poly,
     ZERO,
     horner,
+    independent_prefix,
     lowest_terms,
     nullspace,
     parse_poly,
@@ -105,8 +110,8 @@ MAX_WINDOW_OFFSET = 64
 
 # the most entries (rows times columns) of a solver's linear system: the
 # degree cap and the shift cap bound each dimension, not their product, and
-# the solve time grows with both (on a 2-vCPU VM, W at degree 100 took 15 s
-# at target shift 0 and 110 s at 16, and T at degree 100 3.5 s); a system is
+# an exact solve's time grows with both (on a 2-vCPU VM, W at degree 100 took
+# 15 s at target shift 0 and 110 s at 16, and T at degree 100 3.5 s); a system is
 # counted, and refused, before any row is built
 MAX_SYSTEM_ENTRIES = 100_000
 
@@ -689,14 +694,23 @@ def find_telescoper(
     """Search for a certificate with deg g <= deg_bound; see `_search_setup`
     for the windows and the mode.
 
-    A bound above `MAX_DEGREE` raises ValueError before anything is built. A
-    certificate of degree d padded with zeros is one of degree d + 1, so
-    feasibility only grows with the degree. The system is built and solved
-    once at deg_bound; if it has no certificate the result is None (also for
-    a negative bound). Otherwise the smallest feasible degree is found by
-    bisection, O(log deg_bound) solves in all, each on a slice of that one
-    system (`_slice`), whose nonzero rows are those of a system built at the
-    smaller degree, so no pair reduction or row is computed twice.
+    A bound above `MAX_DEGREE` raises ValueError before anything is built; a
+    negative bound gives None. The system is built once, at deg_bound, and
+    each degree d is solved on a slice of it (`_slice`), whose nonzero rows
+    are those of a system built at d, so no pair reduction or row is computed
+    twice. A certificate of degree d padded with zeros is one of degree
+    d + 1, so feasibility only grows with the degree.
+
+    Before any exact solve, a rank screen modulo a prime
+    (`exactmath.independent_prefix`) takes the columns degree-major: the p
+    column, then the g columns of degree 0, 1, 2, .... The slice at degree d
+    is a prefix of that order, and a prefix independent modulo the prime is
+    independent over Q: that slice has a trivial kernel, so no certificate.
+    If every slice is cleared so, the result is None with no exact solve.
+    Otherwise the exact solves start at the first slice not cleared, d0, go
+    on at d0 + 1, d0 + 2, d0 + 4, ... up to deg_bound, and bisect between
+    the last degree without a certificate and the first with one. The prime
+    only picks where the exact solves start, so every result is exact.
 
     A solve has at most one answer. The p column is the last one: if it is
     free, only its own basis vector, the last of the kernel basis, has
@@ -718,11 +732,21 @@ def find_telescoper(
         basis = nullspace(system.matrix, ncols=len(system.columns))
         return (system, basis[-1]) if basis and basis[-1][-1] else None
 
-    found = solve(deg_bound)
-    if found is None:
-        return None
-    lo, deg = 0, deg_bound  # no certificate below degree lo, one at deg
-    while lo < deg:
+    # the p column, then the ("g", i, j, m) columns by m: the slice at degree d
+    # is the first 1 + n_pairs (d + 1) columns of this order
+    cols = full.columns
+    order = sorted(range(len(cols)), key=lambda ci: -1 if cols[ci][0] == "p" else cols[ci][3])
+    n_pairs = (len(cols) - 1) // (deg_bound + 1)
+    d0 = max(0, (independent_prefix(full.matrix, order) - 1) // n_pairs)
+    if d0 > deg_bound:
+        return None  # every slice is of full column rank
+
+    lo, deg, step = d0, d0, 1  # no certificate below degree lo; deg is tried next
+    while (found := solve(deg)) is None:
+        if deg == deg_bound:
+            return None
+        lo, deg, step = deg + 1, min(d0 + step, deg_bound), 2 * step
+    while lo < deg:  # no certificate below degree lo, one at deg
         mid = (lo + deg) // 2
         attempt = solve(mid)
         if attempt:
@@ -1043,6 +1067,9 @@ def cert_from_json(
     target = tuple(_json_int("a target shift", x) for x in data["target_shifts"])
     if len(target) != 2:
         raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
+    symmetric = data.get("symmetric", data["seqA"] == data["seqB"])
+    if type(symmetric) is not bool:
+        raise ValueError(f"symmetric must be true or false, got {symmetric!r}")
     return TelescoperCertificate(
         seq_a=get_sequence(data["seqA"], sequences),
         seq_b=get_sequence(data["seqB"], sequences),
@@ -1051,5 +1078,5 @@ def cert_from_json(
         target_shifts=target,
         p=Poly.from_json(data["p"]),
         g=g,
-        symmetric=bool(data.get("symmetric", data["seqA"] == data["seqB"])),
+        symmetric=symmetric,
     )

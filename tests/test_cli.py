@@ -603,6 +603,28 @@ def _claim_with_sum(factors, lo=0):
             {"sequences": [{**_ONE_AS_Q, "initial": {"0": 1.5}}], "claims": []},
             "malformed claims file: an initial value must be a string, got 1.5\n",
         ),
+        # a polynomial is a JSON list, never a string read digit by digit
+        (
+            "certify",
+            {**W_CERT, "p": "98"},
+            "malformed certificate: a polynomial must be a list of coefficient strings, got '98'\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": {"coeffs": ["-1", ["1"]]}}], "claims": []},
+            "malformed claims file: a polynomial must be a list of coefficient strings, got '-1'\n",
+        ),
+        # symmetric is a JSON boolean
+        (
+            "certify",
+            {**W_CERT, "symmetric": "false"},
+            "malformed certificate: symmetric must be true or false, got 'false'\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "symmetric": 0},
+            "malformed certificate: symmetric must be true or false, got 0\n",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rc.exactmath
 from rc.exactmath import (
+    SCREEN_PRIME,
     DenominatorNotInvertible,
     K,
     ONE,
@@ -12,6 +14,7 @@ from rc.exactmath import (
     PolyParseError,
     ZERO,
     frac_to_str,
+    independent_prefix,
     legendre,
     lowest_terms,
     nullspace,
@@ -214,6 +217,69 @@ def test_nullspace_matches_sympy_on_search_systems(seq, window, target, weights,
     assert basis == _sympy_nullspace(system.matrix, ncols)
 
 
+# -- rank screen modulo a prime --------------------------------------------------
+
+
+@st.composite
+def screened_matrices(draw):
+    """An integer matrix of at most 4 rows whose columns are often sums and
+    differences of the drawn columns before them, with a column order. Its
+    entries are at most 5 * 9 = 45, so by Hadamard's bound every minor is at
+    most (2 * 45)^4 < SCREEN_PRIME."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    drawn: list[list[int]] = []
+    cols: list[list[int]] = []
+    for _ in range(ncols):
+        if drawn and draw(st.booleans()):
+            signs = draw(st.lists(st.integers(-1, 1), min_size=len(drawn), max_size=len(drawn)))
+            cols.append([sum(c * col[r] for c, col in zip(signs, drawn)) for r in range(nrows)])
+        else:
+            drawn.append(draw(st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows)))
+            cols.append(drawn[-1])
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    return rows, draw(st.permutations(range(ncols)))
+
+
+def _columns(rows, order):
+    return [[row[c] for c in order] for row in rows]
+
+
+@given(screened_matrices(), st.sampled_from([2, 3, 7]))
+@settings(max_examples=200, deadline=None)
+def test_independent_prefix_is_independent_over_q(case, small_prime):
+    rows, order = case
+    # the longest prefix of the order whose columns have a trivial exact kernel
+    exact = 0
+    while exact < len(order) and not nullspace(_columns(rows, order[: exact + 1])):
+        exact += 1
+    # no minor is divisible by the default prime, so it hides no pivot
+    assert independent_prefix(rows, order) == exact
+    # a small prime may hide pivots: the prefix is then shorter, never wrong
+    default, rc.exactmath.SCREEN_PRIME = rc.exactmath.SCREEN_PRIME, small_prime
+    try:
+        n = independent_prefix(rows, order)
+    finally:
+        rc.exactmath.SCREEN_PRIME = default
+    assert n <= exact
+    assert not nullspace(_columns(rows, order[:n]), ncols=n)
+
+
+def test_a_pivot_hidden_by_the_prime_ends_the_prefix():
+    # the first column is SCREEN_PRIME times a unit vector: zero modulo the
+    # prime, so the screen proves nothing, while the exact kernel is trivial
+    rows = [[SCREEN_PRIME, 0], [0, 1]]
+    assert independent_prefix(rows, [0, 1]) == 0
+    assert independent_prefix(rows, [1, 0]) == 1
+    assert nullspace(rows) == []
+
+
+def test_independent_prefix_examples():
+    assert independent_prefix([[1, 2], [2, 4]], [0, 1]) == 1
+    assert independent_prefix([[2, 0], [0, 3]], [1, 0]) == 2
+    assert independent_prefix([[0, 5]], [0, 1]) == 0
+    assert independent_prefix([[1]], []) == 0
+
+
 # -- legendre / jacobi ---------------------------------------------------------
 
 
@@ -302,6 +368,12 @@ def test_poly_json_round_trip():
     q = Poly([F(1, 2), 0, F(-7, 3)])
     assert Poly.from_json(q.to_json()) == q
     assert ZERO.to_json() == []
+
+
+@pytest.mark.parametrize("data", ["98", {"0": "9"}, ("9", "8"), None, 98])
+def test_poly_from_json_takes_only_a_list(data):
+    with pytest.raises(ValueError, match="a polynomial must be a list of coefficient strings"):
+        Poly.from_json(data)
 
 
 @given(polys)

@@ -3,10 +3,12 @@ import json
 import math
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import rc.exactmath
 import rc.telescoper
 from rc.exactmath import ONE, Poly, ZERO, lowest_terms, nullspace, parse_poly
 from rc.sequences import ONE_SEQ, SequenceDef, T, UnknownSequence, W, recurrence
@@ -392,19 +394,60 @@ def test_degree_search_solves_logarithmically_many_systems(solves, seq, p, targe
     assert solves[0] <= 1 + math.ceil(math.log2(bound + 1))
 
 
-def test_degree_search_without_certificate_solves_once(solves):
+def test_degree_search_without_certificate_makes_no_exact_solve(solves):
+    # the rank screen proves every slice of full column rank
     cubic = parse_poly("2*k^3+3*k^2+k+4")
     assert find_telescoper("W", "W", cubic, (0, 0), (-2, 0), deg_bound=12) is None
-    assert solves[0] == 1
+    assert solves[0] == 0
 
 
 def test_degree_search_small_and_negative_bounds(solves):
     assert find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=0) is None
-    assert solves[0] == 1
+    assert solves[0] == 0
     assert find_telescoper("W", "W", P_W, (0, 0), (-2, 0), deg_bound=-1) is None
-    assert solves[0] == 1
+    assert solves[0] == 0
     assert find_telescoper("one", "one", ONE, (0, 0), (0, 0), deg_bound=0) is None
     assert find_telescoper("one", "one", parse_poly("k"), (0, 0), (0, 0), deg_bound=-3) is None
+
+
+# the golden certificate of each reference search, in table order
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN_CERTS = (
+    "cert_W_8k9_win-2..0.json",
+    "cert_T_k_k1_8k9_win-1..0.json",
+    "cert_T_k_k1_8k9_win0..1.json",
+    "cert_T_k1_16k21_win-1..0.json",
+)
+
+
+def _cert_bytes(cert) -> bytes:
+    return (json.dumps(cert_to_json(cert), indent=2) + "\n").encode()
+
+
+def test_reference_searches_solve_once(solves):
+    for search, name in zip(REFERENCE_SEARCHES, GOLDEN_CERTS, strict=True):
+        solves[0] = 0
+        assert _cert_bytes(search.find()) == (GOLDEN / name).read_bytes()
+        assert solves[0] == 1
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_a_small_screen_prime_falls_back_to_exact_solves(monkeypatch, solves, prime):
+    # modulo 2 or 3 the screen clears fewer slices, so more of them are solved
+    # exactly (at the default prime, one per reference search and none for the
+    # cubic); the results are the same
+    monkeypatch.setattr(rc.exactmath, "SCREEN_PRIME", prime)
+    for search, name in zip(REFERENCE_SEARCHES, GOLDEN_CERTS, strict=True):
+        assert _cert_bytes(search.find()) == (GOLDEN / name).read_bytes()
+    cubic = parse_poly("2*k^3+3*k^2+k+4")
+    assert find_telescoper("W", "W", cubic, (0, 0), (-2, 0), deg_bound=12) is None
+    assert solves[0] > len(REFERENCE_SEARCHES)
+
+
+def test_a_loose_degree_bound_costs_one_exact_solve(solves):
+    cert = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=MAX_DEGREE)
+    assert _cert_bytes(cert) == (GOLDEN / GOLDEN_CERTS[3]).read_bytes()
+    assert solves[0] == 1
 
 
 def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
