@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .congruence import (
+    MAX_RANGE_TOP,
     SumEvaluator,
     builtin_claims,
     format_report_table,
@@ -71,13 +72,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """lo..hi with lo <= hi; a reversed range is bad input."""
+    """lo..hi with lo <= hi <= `MAX_RANGE_TOP`; a reversed range or a higher
+    top is bad input, rejected before anything is computed."""
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
         raise UsageError(f"expected a range like 1..500, got {text!r}") from None
     if hi < lo:
         raise UsageError(f"the range {text} is reversed")
+    if hi > MAX_RANGE_TOP:
+        raise UsageError(f"the range {text} ends above 10^6, the highest top rc checks")
     return lo, hi
 
 

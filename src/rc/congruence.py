@@ -26,13 +26,19 @@ is not an integer or a prefix of a sum of 1/k terms.
 
 How a point is decided. Each claim is compiled once, node by node, into
 closures f(n, m) (`_Compiler`): f(n, None) is the exact value and f(n, m)
-the value modulo m, so both modes share one dispatch over the nodes. The
+the value modulo m, so both modes share one dispatch over the nodes. A
+subtree built from constants, n, +, -, x and division by a nonzero constant
+alone, such as the modulus n^2 (n^2 - 1) / 6, is folded into one integer
+polynomial over a positive denominator, evaluated by one Horner pass. The
 modulus m is evaluated exactly first. When m is a nonzero integer and every
 sum of the claim is certified (a claim without sums qualifies), lhs - rhs is
-evaluated modulo m alone: a sequence term from its window, a certified sum
-from the window terms of its closed form reduced modulo D m, a quotient by d
-from its numerator modulo m |d|, and a rational only through the inverse of
-a unit. A zero residue passes the point and keeps nothing. Every other point
+evaluated modulo m alone. Each term the claim reads at n + shift, for its
+sequence references and for the closed forms of its sums, is read once from
+its window and reduced once, modulo m L (L the lcm of the closed forms'
+scales D); a sequence reference takes that residue modulo m, a certified sum
+modulo D m. A quotient by d is taken from its numerator modulo m |d|, and a
+rational only through the inverse of a unit. A zero residue passes the
+point and keeps nothing. Every other point
 (a nonzero residue, a non-unit, an evaluation error, an uncertified sum),
 every flagged point and every `check_claim_at` is computed exactly by the
 same closures, so every report reads as the exact path alone would write it.
@@ -58,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .exactmath import ONE, K, Poly, _json_text, frac_to_str, legendre, prime_factors, rat_mod
+from .exactmath import ONE, ZERO, K, Poly, _json_text, frac_to_str, horner, legendre, prime_factors, rat_mod
 from .sequences import (
     BUILTINS,
     Affine,
@@ -122,6 +128,7 @@ __all__ = [
     "expr_to_json",
     "expr_from_json",
     "MAX_EXPR_DEPTH",
+    "MAX_RANGE_TOP",
     "claim_to_json",
     "claim_from_json",
     "load_claims_document",
@@ -342,7 +349,7 @@ class SumEvaluator:
                 if closed is not None:
                     for seq, span in _spans((seq, 1, s) for seq, s in closed.reads).items():
                         self.window(seq, span)
-                    found = (closed, closed.scaled(spec.lo, None, self._windows))
+                    found = (closed, closed.scaled(spec.lo, self._windows))
                     break
         self._closed[spec] = found
         return found
@@ -371,7 +378,7 @@ class SumEvaluator:
             # below the last one is random access, which the memo serves
             ascending = hi >= self._closed_reads.get(spec, hi)
             self._closed_reads[spec] = hi
-            num = closed.scaled(hi + 1, None, self._windows if ascending else None) - base
+            num = closed.scaled(hi + 1, self._windows if ascending else None) - base
             return _quotient(num, closed.scale, None)
         n_free = spec.n_free
         k, num, den, steps = spec.lo - 1, 0, 1, None
@@ -409,20 +416,13 @@ def eval_expr(e: Expr, n: int, evaluator: SumEvaluator | None = None) -> int | F
     return _Compiler(evaluator or SumEvaluator(certificates=()))(e)(n, None)
 
 
-def _mod(v: int | Fraction, m: int | None) -> int | Fraction:
-    """v when m is None, else v modulo m (a rational through the inverse of
-    its denominator, which raises when that is not a unit)."""
-    if m is None:
-        return v
-    return v % m if isinstance(v, int) else rat_mod(v, m)
-
-
 def _quotient(x: int | Fraction, d: int | Fraction, m: int | None) -> int | Fraction:
     """x / d for a nonzero d. With m None, exactly: an int where d divides x,
     else a Fraction. With an integer m >= 1, x / d modulo m for an integer d,
-    from x taken modulo m|d|: an exact division when d divides it, else a
-    product with the inverse of d, which raises ValueError when d is not a
-    unit modulo m."""
+    from x taken modulo m|d|: an exact division when d divides it, else the
+    quotient of both by their gcd times the inverse of what is left of d,
+    which raises ValueError when that is not a unit modulo m (then x / d has
+    no residue modulo m)."""
     if m is None:
         if isinstance(x, int) and isinstance(d, int):
             q, r = divmod(x, d)
@@ -432,7 +432,8 @@ def _quotient(x: int | Fraction, d: int | Fraction, m: int | None) -> int | Frac
         return q.numerator if q.denominator == 1 else q
     q, r = divmod(x % (m * abs(d)), abs(d))
     if r:
-        return x * pow(d, -1, m) % m
+        g = math.gcd(x, d)
+        return x // g * pow(d // g, -1, m) % m
     return (q if d > 0 else -q) % m
 
 
@@ -456,24 +457,70 @@ def _spans(reads) -> dict[SequenceDef, int | None]:
 _Compiled = Callable[[int, "int | None"], "int | Fraction"]
 
 
+def _polynomial(e: Expr) -> Poly | None:
+    """e as a polynomial in n, when it is built from constants, n, +, -, x and
+    division by a nonzero constant alone; else None."""
+    if isinstance(e, Const):
+        return Poly([e.value])
+    if isinstance(e, VarN):
+        return K
+    if isinstance(e, (Add, Mul)):
+        parts = [_polynomial(x) for x in (e.terms if isinstance(e, Add) else e.factors)]
+        if any(p is None for p in parts):
+            return None
+        return sum(parts, ZERO) if isinstance(e, Add) else math.prod(parts, start=ONE)
+    if isinstance(e, (Sub, Div)):
+        a, b = _polynomial(e.a), _polynomial(e.b)
+        if a is None or b is None:
+            return None
+        if isinstance(e, Sub):
+            return a - b
+        if b.degree == 0:
+            return a * (1 / b.lead)
+    return None
+
+
+def _folded(p: Poly) -> _Compiled:
+    """The closure of a folded node: its integer numerator at n by one Horner
+    pass, over its positive denominator by `_quotient`."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    num = [c.numerator * (den // c.denominator) for c in reversed(p.coeffs)]
+    if den == 1:
+        return lambda n, m: horner(num, n) if m is None else horner(num, n) % m
+    return lambda n, m: _quotient(horner(num, n), den, m)
+
+
 class _Compiler:
     """Turns expression nodes, once each, into closures f(n, m) over one
     evaluator. f(n, None) is the exact value at n (see the module docstring),
     with sums from `SumEvaluator.eval_sum`. For an integer m >= 1, f(n, m) is
     that value modulo m: a certified sum from its closed form modulo D m
-    (`ClosedForm.scaled`), and divisors, Legendre arguments, binomials and
+    (`ClosedForm.combine`), and divisors, Legendre arguments, binomials and
     uncertified sums exactly. Only units are inverted; anything else raises,
     as does whatever f(n, None) raises, so a point that passes modulo m
-    passes exactly. In both modes sequence terms are read through `stores`:
-    each sequence's memo, until `route` puts the evaluator's window in its
-    place. Compiling records each (sequence, slope, offset) read in `reads`
-    (see `_spans`), and whether every sum has a closed form in `certified`."""
+    passes exactly. A subtree built from constants, n, +, -, x and division
+    by a nonzero constant alone is folded into one polynomial
+    (`_polynomial`, `_folded`), and so are those terms of a sum and those
+    factors of a product.
+
+    Sequence terms are read through `stores`: each sequence's memo, until
+    `route` puts the evaluator's window in its place. Compiling records each
+    (sequence, slope, offset) read in `reads` (see `_spans`), each read at
+    n + offset once in `held`, the lcm of the scales D of the closed forms
+    read there in `lcm`, and whether every sum has a closed form in
+    `certified`. `read_point(n, m)` reads each held term once and reduces it
+    once modulo M = m `lcm`, into `frame`; a closure called at that n with a
+    modulus that divides M takes its held terms from there, and any other
+    call reads and reduces its own."""
 
     def __init__(self, ev: SumEvaluator):
         self.ev = ev
         self.reads: list = []
         self.stores: dict = {}
         self.certified = True
+        self.held: dict[tuple[SequenceDef, int], int] = {}
+        self.lcm = 1
+        self.frame: list = [None, 1, []]  # n, the modulus M, the held terms modulo M
 
     def route(self) -> None:
         """Read each sequence read at n + shift alone through the evaluator's
@@ -482,22 +529,40 @@ class _Compiler:
         for seq, span in _spans(self.reads).items():
             self.stores[seq] = seq if span is None else self.ev.window(seq, span)
 
+    def read_point(self, n: int, m: int) -> None:
+        """Fill `frame` for the residue mode at n modulo m (see above)."""
+        big = m * self.lcm
+        stores = self.stores
+        self.frame[:] = n, big, [stores[seq].term(n + offset) % big for seq, offset in self.held]
+
+    def hold(self, seq: SequenceDef, slope: int | None, offset: int) -> int | None:
+        """Record a read of seq at slope * n + offset; the index of a held
+        read (slope 1) in the frame, else None."""
+        self.reads.append((seq, slope, offset))
+        self.stores.setdefault(seq, seq)
+        return self.held.setdefault((seq, offset), len(self.held)) if slope == 1 else None
+
     def sides(self, claim: CongruenceClaim) -> tuple[_Compiled, ...]:
         return self(claim.lhs), self(claim.rhs), self(claim.modulus)
 
     def __call__(self, e: Expr) -> _Compiled:
-        ev, stores = self.ev, self.stores
-        if isinstance(e, Const):
-            v = e.value
-            exact = v.numerator if v.denominator == 1 else v
-            return lambda n, m: _mod(exact, m)
-        if isinstance(e, VarN):
-            return _mod  # n, or n modulo m
+        ev, stores, frame = self.ev, self.stores, self.frame
+        p = _polynomial(e)
+        if p is not None:
+            return _folded(p)
         if isinstance(e, SeqRef):
             seq, shift = e.seq, e.shift
-            self.reads.append((seq, 1, shift))
-            stores.setdefault(seq, seq)
-            return lambda n, m: _mod(stores[seq].term(n + shift), m)
+            i = self.hold(seq, 1, shift)
+
+            def f(n, m):
+                if m is None:
+                    return stores[seq].term(n + shift)
+                at, big, held = frame
+                if at == n and not big % m:
+                    return held[i] % m
+                return stores[seq].term(n + shift) % m
+
+            return f
         if isinstance(e, Legendre):
             top, bottom = self(e.top), self(e.bottom)
 
@@ -505,7 +570,8 @@ class _Compiler:
                 a, b = top(n, None), bottom(n, None)
                 if a.denominator != 1 or b.denominator != 1:
                     raise ValueError("Legendre symbol arguments must be integers")
-                return _mod(legendre(int(a), int(b)), m)
+                s = legendre(int(a), int(b))
+                return s if m is None else s % m
 
             return f
         if isinstance(e, PowInt):
@@ -521,23 +587,30 @@ class _Compiler:
 
             return f
         if isinstance(e, BinomExpr):
-            return lambda n, m: _mod(ev.eval_binom(e, n), m)
-        if isinstance(e, Add):
-            parts = [self(t) for t in e.terms]
-            return lambda n, m: _mod(sum(part(n, m) for part in parts), m)
-        if isinstance(e, Mul):
-            factors = [self(x) for x in e.factors]
+            return lambda n, m: ev.eval_binom(e, n) if m is None else ev.eval_binom(e, n) % m
+        if isinstance(e, (Add, Mul)):
+            kids = e.terms if isinstance(e, Add) else e.factors
+            fixed = tuple(x for x in kids if _polynomial(x) is not None)
+            parts = [self(type(e)(fixed))] if fixed else []
+            parts += [self(x) for x in kids if _polynomial(x) is None]
+            if isinstance(e, Add):
+
+                def f(n, m):
+                    total = sum(part(n, m) for part in parts)
+                    return total if m is None else total % m
+
+                return f
 
             def f(n, m):
-                out = _mod(1, m)
-                for factor in factors:
-                    out = _mod(out * factor(n, m), m)
+                out = 1
+                for part in parts:
+                    out = out * part(n, m) if m is None else out * part(n, m) % m
                 return out
 
             return f
         if isinstance(e, Sub):
             a, b = self(e.a), self(e.b)
-            return lambda n, m: _mod(a(n, m) - b(n, m), m)
+            return lambda n, m: a(n, m) - b(n, m) if m is None else (a(n, m) - b(n, m)) % m
         if isinstance(e, Div):
             a, b = self(e.a), self(e.b)
 
@@ -556,13 +629,14 @@ class _Compiler:
             found = ev.closed_sum(spec)
             if found is None:
                 self.certified = False
-                return lambda n, m: _mod(ev.eval_sum(spec, n), m)
+                return lambda n, m: ev.eval_sum(spec, n) if m is None else rat_mod(ev.eval_sum(spec, n), m)
             closed, base = found
-            scale, lo, upper = closed.scale, spec.lo, spec.upper
+            scale, lo, upper, reads = closed.scale, spec.lo, spec.upper, closed.reads
             slope = upper.cn if upper.den == 1 else None
-            for seq, s in closed.reads:
-                self.reads.append((seq, slope, upper.c + 1 + s))
-                stores.setdefault(seq, seq)
+            at_n = [self.hold(seq, slope, upper.c + 1 + s) for seq, s in reads]
+            if slope == 1:
+                self.lcm = math.lcm(self.lcm, scale)
+            in_order = at_n == list(range(len(reads)))
 
             def f(n, m):
                 if m is None:
@@ -570,7 +644,13 @@ class _Compiler:
                 hi = upper.at(n)
                 if hi < lo:
                     return 0
-                return _quotient(closed.scaled(hi + 1, m * scale, stores) - base, scale, m)
+                mod = m * scale
+                at, big, held = frame
+                if at == n and slope == 1 and not big % mod:
+                    values = held if in_order else [held[i] for i in at_n]
+                else:
+                    values = [stores[seq].term(hi + 1 + s) % mod for seq, s in reads]
+                return _quotient(closed.combine(hi + 1, values) % mod - base, scale, m)
 
             return f
         raise TypeError(f"not an expression: {e!r}")
@@ -579,11 +659,17 @@ class _Compiler:
 # -- primes ------------------------------------------------------------------------
 
 
+# the highest top of a range: primes are enumerated up to it, and the command
+# line rejects a higher one, as a range check takes time and memory about
+# quadratic in its top
+MAX_RANGE_TOP = 10**6
+
+
 def primes_in(
     lo: int, hi: int, exclude: Iterable[int] = (), parity: str | None = None
 ) -> list[int]:
     """Primes in [lo, hi] minus exclusions; parity "odd" drops 2. hi <= 10^6."""
-    if hi > 10**6:
+    if hi > MAX_RANGE_TOP:
         raise ValueError("prime enumeration is capped at 10^6")
     if hi < lo:
         return []
@@ -624,11 +710,16 @@ class Domain:
             return False
         return True
 
-    def points(self, lo: int, hi: int) -> list[int]:
+    def each_point(self, lo: int, hi: int) -> Iterable[int]:
+        """The points of [lo, hi] in the domain, ascending: the primes as a
+        list, the integers one at a time."""
         lo = max(lo, self.start)
         if self.kind == "primes":
-            return [p for p in primes_in(lo, hi, self.exclude, self.parity)]
-        return [n for n in range(lo, hi + 1) if self.contains(n)]
+            return primes_in(lo, hi, self.exclude, self.parity)
+        return filter(self.contains, range(lo, hi + 1))
+
+    def points(self, lo: int, hi: int) -> list[int]:
+        return list(self.each_point(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -735,16 +826,21 @@ def verify_claim_range(
     The claim is compiled once (see `_Compiler`). When every sum of the claim
     has a certified closed form, which a claim without sums has too, a point
     with a nonzero integer modulus m passes on a zero residue of lhs - rhs
-    modulo m, with the sequences read through the evaluator's windows; every
-    other point, and every flagged point, is computed exactly by `_check_raw`
-    from the same closures, reading the same windows, so a report reads the
-    same either way."""
+    modulo m, with each term read once through the evaluator's windows and
+    reduced once (`_Compiler.read_point`); every other point, and every
+    flagged point, is computed exactly by `_check_raw` from the same
+    closures, reading the same windows, so a report reads the same either
+    way. The points of an integer domain are taken one at a time, not
+    listed."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
-    points = claim.domain.points(lo, hi)
+    points = claim.domain.each_point(lo, hi)
     compiler = _Compiler(ev)
     sides = compiler.sides(claim)
     lhs, rhs, modulus = sides
+    screen = compiler.certified
+    if screen:
+        compiler.route()
 
     def passes(n: int) -> bool:
         try:
@@ -752,22 +848,26 @@ def verify_claim_range(
             if m == 0 or m.denominator != 1:
                 return False
             m = abs(int(m))
+            compiler.read_point(n, m)
             return (lhs(n, m) - rhs(n, m)) % m == 0
         except _POINT_ERRORS:  # a non-unit raises ValueError or ArithmeticError
             return False
 
-    if compiler.certified:
-        compiler.route()
-    checked = (_check_raw(claim, n, sides) for n in points if not (compiler.certified and passes(n)))
-    failures = tuple(r for r in checked if r.status != "pass")
+    checked, failures = 0, []
+    for n in points:
+        checked += 1
+        if not (screen and passes(n)):
+            result = _check_raw(claim, n, sides)
+            if result.status != "pass":
+                failures.append(result)
     flagged = tuple(_check_raw(claim, n, sides) for n in claim.flag_points)
     return VerificationReport(
         claim_id=claim.claim_id,
         description=claim.description,
         lo=lo,
         hi=hi,
-        points_checked=len(points),
-        failures=failures,
+        points_checked=checked,
+        failures=tuple(failures),
         flagged=flagged,
         wall_time=time.perf_counter() - t0,
         notes=claim.notes,

@@ -570,16 +570,15 @@ class SequenceDef:
         """The term at idx from terms[base], ..., terms[base + order - 1], the
         `order` terms before it: the one recurrence step of the memo and of
         every `TermWindow`."""
-        rec = self.recurrence
-        d = rec.order
+        ints = self.recurrence.int_coeffs
+        d = len(ints) - 1
         n = idx - d
-        cs = rec.coeffs_at(n)
-        den = cs[d]
+        den = horner(ints[d], n)
         if den == 0:
             raise LeadingCoefficientVanishes(self.name, n)
         num = 0
         for i in range(d):
-            num -= cs[i] * terms[base + i]
+            num -= horner(ints[i], n) * terms[base + i]
         val, rem = divmod(num, den)
         if rem:
             raise NonIntegerTerm(self.name, idx, Fraction(num, den))

@@ -475,16 +475,17 @@ class ClosedForm:
         self.reads = tuple(index)
         self._products = tuple(products)
 
-    def scaled(self, n: int, modulus: int | None = None, stores: Mapping | None = None) -> int:
-        """D S(n) exactly, or modulo `modulus` from the residues of the window
-        terms: one linear-time reduction per term read. `stores` maps each
-        sequence to what its terms are read from, the sequence itself (its
-        memo, the default) or a `sequences.TermWindow`."""
-        values = [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads]
-        if modulus is not None:
-            values = [v % modulus for v in values]
-        total = sum(horner(coeffs, n) * values[x] * values[y] for x, y, coeffs in self._products)
-        return total if modulus is None else total % modulus
+    def scaled(self, n: int, stores: Mapping | None = None) -> int:
+        """D S(n) exactly. `stores` maps each sequence to what its terms are
+        read from, the sequence itself (its memo, the default) or a
+        `sequences.TermWindow`."""
+        return self.combine(n, [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads])
+
+    def combine(self, n: int, values) -> int:
+        """D S(n) from `values`, whose first entries are the terms S reads at
+        n, one per entry of `reads`. Given their residues modulo a multiple of
+        M instead, the result is congruent to D S(n) modulo M."""
+        return sum(horner(coeffs, n) * values[x] * values[y] for x, y, coeffs in self._products)
 
 
 def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:

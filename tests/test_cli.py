@@ -249,6 +249,12 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
         # certify checks S(n) - S(0) at n = 1..N, so any other range is bad input
         ("certify", "{cert}", "--range", "50..60"),
         ("certify", "{cert}", "--range=-100..-90"),
+        # a top above 10^6 is refused as the range is parsed, before any term is read
+        ("eval", "--seq", "W", "--range", "0..1000001"),
+        ("eval", "--seq", "T", "--range", "0..1000000000000000000"),
+        ("certify", "{cert}", "--range", "1..1000001"),
+        ("verify", "--claim", "t-difference", "--range", "2..1000001"),
+        ("verify", "--claim", "theorem-1.1i", "--range", "1..1000000000000"),
     ],
 )
 def test_bad_range_is_usage_error(capsys, tmp_path, argv):

@@ -975,3 +975,139 @@ def test_a_division_of_integers_stays_exact():
     n2 = mul(N, N)
     modulus = div(mul(n2, sub(n2, C(1))), C(6))
     assert eval_expr(modulus, 10**6) == 10**12 * (10**12 - 1) // 6
+
+
+# -- folded polynomial nodes and the residue pass -------------------------------------
+
+
+_NONZERO_CONSTS = st.builds(
+    lambda a, b: C(F(a, b)), st.integers(-9, 9).filter(bool), st.integers(1, 4)
+)
+_POLYNOMIAL_TREES = st.recursive(
+    st.one_of(st.builds(lambda a, b: C(F(a, b)), st.integers(-9, 9), st.integers(1, 4)), st.just(N)),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: mul(*xs)),
+        st.builds(sub, kids, kids),
+        st.builds(div, kids, st.one_of(_NONZERO_CONSTS, _NONZERO_CONSTS.map(lambda c: add(c, C(0))))),
+    ),
+    max_leaves=10,
+)
+
+
+def _unfolded(e, n: int) -> F:
+    """The value at n of a tree of constants, n, +, -, x and division, node by node."""
+    if isinstance(e, congruence.Const):
+        return e.value
+    if isinstance(e, congruence.VarN):
+        return F(n)
+    if isinstance(e, congruence.Add):
+        return sum((_unfolded(t, n) for t in e.terms), F(0))
+    if isinstance(e, congruence.Mul):
+        out = F(1)
+        for x in e.factors:
+            out *= _unfolded(x, n)
+        return out
+    if isinstance(e, congruence.Sub):
+        return _unfolded(e.a, n) - _unfolded(e.b, n)
+    return _unfolded(e.a, n) / _unfolded(e.b, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYNOMIAL_TREES, st.integers(-60, 60), st.integers(1, 720))
+@example(mul(C(F(1, 2)), N), 2, 2)  # n/2 is 1 modulo 2 at n = 2, though 1/2 has no residue
+@example(div(N, C(6)), 3, 3)  # 3/6 = 1/2 is 2 modulo 3, though 6 is not a unit
+@example(div(N, C(6)), 2, 3)  # 2/6 = 1/3 has no residue modulo 3
+def test_folded_polynomials_equal_the_unfolded_tree(e, n, m):
+    # exactly: the same value, an int where it is integral and a Fraction
+    # elsewhere; modulo m: the residue of that value, or the ValueError that
+    # inverting its denominator raises
+    assert congruence._polynomial(e) is not None
+    f = congruence._Compiler(SumEvaluator(certificates=()))(e)
+    want = _unfolded(e, n)
+    got = f(n, None)
+    assert got == want and type(got) is (int if want.denominator == 1 else F)
+    try:
+        want_mod = want.numerator * pow(want.denominator, -1, m) % m
+    except ValueError:
+        with pytest.raises(ValueError):
+            f(n, m)
+    else:
+        assert f(n, m) == want_mod
+
+
+def test_a_division_by_a_zero_constant_is_not_folded():
+    e = div(N, sub(C(2), C(2)))
+    assert congruence._polynomial(e) is None
+    claim = CongruenceClaim("zero-divisor", "", e, C(0), C(5), Domain("integers", 0))
+    reason = "ZeroDivisionError: division by zero in expression"
+    assert [r.reason for r in verify_claim_range(claim, 0, 3).failures] == [reason] * 4
+    assert check_claim_at(claim, 7).reason == reason
+
+
+@pytest.mark.parametrize(
+    "claim_id, spec, reads, exact_points",
+    [
+        ("theorem-1.1i", SUM_W_SQUARES, 3, []),
+        # the modulus n^2 (n^2 - 1) / 6 is 0 at n = 1: equality, checked exactly
+        ("sun-divisibility", SUM_T_PRODUCTS_8K9, 2, [1]),
+        # T(n-1) and T(n), for the closed form and for the rhs 9n T(n-1) T(n)
+        ("theorem-1.3i", SUM_T_PRODUCTS_16K21, 2, []),
+    ],
+)
+def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, reads, exact_points):
+    # every point with a nonzero modulus passes on its residue, with one
+    # window read per term
+    ev = SumEvaluator()
+    assert ev.closed_sum(spec) is not None  # reads D S(lo) before counting
+    exact, read = [], []
+    term, check = sequences.TermWindow.term, congruence._check_raw
+    monkeypatch.setattr(sequences.TermWindow, "term", lambda w, i: read.append(i) or term(w, i))
+    monkeypatch.setattr(congruence, "_check_raw", lambda c, n, sides: exact.append(n) or check(c, n, sides))
+    rep = verify_claim_range(get_claim(claim_id), 1, 300, ev)
+    assert rep.ok and rep.points_checked == 300
+    assert exact == exact_points and len(read) == reads * 300
+
+
+@pytest.mark.parametrize(
+    "claim_id, change",
+    [
+        ("theorem-1.3i", {"rhs": mul(C(10), N, SeqRef(T, -1), SeqRef(T, 0))}),
+        ("sun-divisibility", {"modulus": div(mul(N, N, sub(mul(N, N), C(1))), C(3))}),
+    ],
+)
+def test_a_false_claim_is_reported_as_the_exact_path_reports_it(claim_id, change):
+    claim = dataclasses.replace(get_claim(claim_id), **change)
+    got = report_to_json(verify_claim_range(claim, 1, 300, SumEvaluator()))
+    assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+    assert got["verdict"] == "fail"
+
+
+def test_integer_points_are_streamed():
+    # a claim over 1..200000 checks its points without the list of them
+    # (7.7 MB here, 38.6 MB for 1..10^6)
+    doc = {
+        "claims": [
+            {
+                "id": "consecutive-product",
+                "lhs": {"mul": [{"var": "n"}, {"add": [{"var": "n"}, {"const": "1"}]}]},
+                "rhs": {"const": "0"},
+                "modulus": {"const": "2"},
+            }
+        ]
+    }
+    (claim,) = load_claims_document(doc)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        points = claim.domain.points(1, 200_000)
+        list_peak = tracemalloc.get_traced_memory()[1] - base
+        del points
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_claim_range(claim, 1, 200_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.points_checked == 200_000
+    assert peak < list_peak
