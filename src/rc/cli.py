@@ -29,7 +29,7 @@ from .congruence import (
     suite_range,
     verify_claim_range,
 )
-from .exactmath import ONE, Poly, PolyParseError, parse_poly, nullspace
+from .exactmath import MAX_LITERAL_DIGITS, ONE, Poly, PolyParseError, parse_poly, nullspace
 from .sequences import (
     DerivedSequence,
     T,
@@ -92,10 +92,19 @@ def _parse_points(text: str) -> frozenset[int]:
         raise UsageError(f"expected comma-separated points like 7,11, got {text!r}") from None
 
 
+def _json_int_literal(text: str) -> int:
+    # an integer literal of a JSON document, refused past MAX_LITERAL_DIGITS
+    # digits before it is read
+    if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise UsageError(f"invalid JSON input: an integer of more than {MAX_LITERAL_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(fh):
-    """json.load(fh), with a document nested too deep for the parser as invalid JSON."""
+    """json.load(fh), with a document nested too deep for the parser as
+    invalid JSON, and so an integer of more than `MAX_LITERAL_DIGITS` digits."""
     try:
-        return json.load(fh)
+        return json.load(fh, parse_int=_json_int_literal)
     except RecursionError:
         raise UsageError("invalid JSON input: nested too deeply") from None
 

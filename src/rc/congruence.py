@@ -508,10 +508,12 @@ class _Compiler:
     (sequence, slope, offset) read in `reads` (see `_spans`), each read at
     n + offset once in `held`, the lcm of the scales D of the closed forms
     read there in `lcm`, and whether every sum has a closed form in
-    `certified`. `read_point(n, m)` reads each held term once and reduces it
-    once modulo M = m `lcm`, into `frame`; a closure called at that n with a
-    modulus that divides M takes its held terms from there, and any other
-    call reads and reduces its own."""
+    `certified`, and the closures of the polynomial divisors of divisions in
+    `divisors`. `read_point(n, m)` reads each held term once and reduces it
+    once modulo M = m `lcm` times the numerators of those divisors at n, into
+    `frame`, so that M covers the moduli of the calls under a division too; a
+    closure called at that n with a modulus that divides M takes its held
+    terms from there, and any other call reads and reduces its own."""
 
     def __init__(self, ev: SumEvaluator):
         self.ev = ev
@@ -520,6 +522,7 @@ class _Compiler:
         self.certified = True
         self.held: dict[tuple[SequenceDef, int], int] = {}
         self.lcm = 1
+        self.divisors: list[_Compiled] = []
         self.frame: list = [None, 1, []]  # n, the modulus M, the held terms modulo M
 
     def route(self) -> None:
@@ -532,6 +535,8 @@ class _Compiler:
     def read_point(self, n: int, m: int) -> None:
         """Fill `frame` for the residue mode at n modulo m (see above)."""
         big = m * self.lcm
+        for divisor in self.divisors:
+            big *= abs(divisor(n, None).numerator)
         stores = self.stores
         self.frame[:] = n, big, [stores[seq].term(n + offset) % big for seq, offset in self.held]
 
@@ -613,6 +618,8 @@ class _Compiler:
             return lambda n, m: a(n, m) - b(n, m) if m is None else (a(n, m) - b(n, m)) % m
         if isinstance(e, Div):
             a, b = self(e.a), self(e.b)
+            if _polynomial(e.b) is not None:
+                self.divisors.append(b)
 
             def f(n, m):
                 d = b(n, None)

@@ -16,10 +16,15 @@ No floating point anywhere.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
+    "MAX_DEGREE",
+    "MAX_LITERAL_DIGITS",
+    "MAX_POLY_BITS",
+    "MAX_POLY_NESTING",
     "Poly",
     "PolyParseError",
     "DenominatorNotInvertible",
@@ -42,6 +47,34 @@ __all__ = [
 ]
 
 
+# the largest degree of a polynomial read from text, and of g and of a free
+# weight in a search (`telescoper`): a power or product of higher degree is
+# refused before it is computed
+MAX_DEGREE = 100
+
+# the most digits of an integer read from input, CPython's default limit on
+# converting a string to an int; the command line lifts that limit so that
+# exact results print in full, and reading a longer literal takes time
+# quadratic in its length
+MAX_LITERAL_DIGITS = 4300
+
+# the most bits of the integer coefficients of a product or power read from
+# polynomial text, over their common denominator, and of that denominator,
+# estimated from the factors before the product is computed
+MAX_POLY_BITS = 1 << 16
+
+# the deepest nesting of parentheses and unary minus signs in polynomial text
+MAX_POLY_NESTING = 32
+
+
+def _check_digits(what: str, text: str) -> str:
+    # text read as numbers, refused without being echoed when it holds more
+    # than MAX_LITERAL_DIGITS digits in a row
+    if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall(r"\d+", text)):
+        raise ValueError(f"{what} has more than {MAX_LITERAL_DIGITS} digits")
+    return text
+
+
 def frac_to_str(x: Fraction | int) -> str:
     """Render a rational as ``"num"`` or ``"num/den"`` (den omitted when 1)."""
     x = Fraction(x)
@@ -52,10 +85,14 @@ def frac_to_str(x: Fraction | int) -> str:
 
 def _json_text(what: str, value, parse=Fraction):
     # a JSON string read by `parse`, which `frac_to_str` and `str` write: a
-    # number or bool is refused, so no float is read as a rational
+    # number or bool is refused, so no float is read as a rational, and so are
+    # a literal too long to read (`_check_digits`) and an exponent, with which
+    # a short literal stands for a number of any length
     if type(value) is not str:
         raise ValueError(f"{what} must be a string, got {value!r}")
-    return parse(value)
+    if "e" in value or "E" in value:
+        raise ValueError(f"{what} must not have an exponent")
+    return parse(_check_digits(what, value))
 
 
 class Poly:
@@ -148,8 +185,9 @@ class Poly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __call__(self, x: Fraction | int) -> Fraction:
@@ -503,6 +541,16 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} at position {pos}:\n  {text}\n  {marker}")
 
 
+def _height(p: Poly) -> int:
+    """The bits of the lcm a of p's denominators plus those of the largest
+    integer coefficient of a p, which bound the bits of every numerator and
+    denominator of p. The height of p q is at most the sum of those of p and
+    q plus the bits of the shorter one's length."""
+    a = math.lcm(*(c.denominator for c in p.coeffs))
+    top = max((abs(c.numerator * (a // c.denominator)) for c in p.coeffs), default=0)
+    return a.bit_length() + top.bit_length()
+
+
 class _PolyParser:
     # grammar:  expr := ['+'|'-'] term (('+'|'-') term)*
     #           term := factor (('*'|'/') factor)*
@@ -512,9 +560,21 @@ class _PolyParser:
         self.text = text
         self.pos = 0
         self.var: str | None = None
+        self.depth = 0  # the parentheses and unary minus signs open at pos
 
-    def error(self, message: str) -> PolyParseError:
-        return PolyParseError(message, self.text, self.pos)
+    def error(self, message: str, pos: int | None = None) -> PolyParseError:
+        return PolyParseError(message, self.text, self.pos if pos is None else pos)
+
+    def product(self, p: Poly, q: Poly, at: int, e: int = 1) -> Poly:
+        """p q^e for the operator at `at`, refused before it is computed when
+        its degree would exceed `MAX_DEGREE` or its height `MAX_POLY_BITS`."""
+        if e > MAX_DEGREE:
+            raise self.error(f"exponent {e} above {MAX_DEGREE}", at)
+        if p.degree + e * q.degree > MAX_DEGREE:
+            raise self.error(f"degree {p.degree + e * q.degree} above {MAX_DEGREE}", at)
+        if _height(p) + e * _height(q) + e * len(q.coeffs).bit_length() > MAX_POLY_BITS:
+            raise self.error(f"coefficients of more than {MAX_POLY_BITS} bits", at)
+        return p * q**e
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -554,26 +614,26 @@ class _PolyParser:
     def term(self) -> Poly:
         p = self.factor()
         while True:
+            self.skip_ws()
+            at = self.pos
             if self.take("*"):
-                p = p * self.factor()
+                p = self.product(p, self.factor(), at)
             elif self.take("/"):
                 d = self.factor()
                 if d.degree > 0:
                     raise self.error("'/' only supports constant divisors")
                 if d.is_zero:
                     raise self.error("division by zero")
-                p = p * (1 / d.coeffs[0])
+                p = self.product(p, Poly([1 / d.coeffs[0]]), at)
             else:
                 return p
 
     def factor(self) -> Poly:
         p = self.atom()
         self.skip_ws()
-        if self.text.startswith("**", self.pos):
-            self.pos += 2
-            return p ** self.uint()
-        if self.take("^"):
-            return p ** self.uint()
+        at = self.pos
+        if self.take("**") or self.take("^"):
+            return self.product(ONE, p, at, self.uint())
         return p
 
     def atom(self) -> Poly:
@@ -581,15 +641,19 @@ class _PolyParser:
         if self.pos >= len(self.text):
             raise self.error("unexpected end of input")
         ch = self.text[self.pos]
-        if ch == "(":
+        if ch in "(-":
+            if self.depth == MAX_POLY_NESTING:
+                raise self.error(f"nested more than {MAX_POLY_NESTING} deep")
             self.pos += 1
-            p = self.expr()
-            if not self.take(")"):
-                raise self.error("expected ')'")
+            self.depth += 1
+            if ch == "-":
+                p = -self.factor()
+            else:
+                p = self.expr()
+                if not self.take(")"):
+                    raise self.error("expected ')'")
+            self.depth -= 1
             return p
-        if ch == "-":
-            self.pos += 1
-            return -self.factor()
         if ch.isdigit():
             return Poly([self.uint()])
         if ch.isalpha():
@@ -612,6 +676,8 @@ class _PolyParser:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            raise self.error(f"an integer of more than {MAX_LITERAL_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
 

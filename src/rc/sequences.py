@@ -48,7 +48,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exactmath import ONE, Poly, _json_text, frac_to_str, horner, lowest_terms, poly
+from .exactmath import ONE, Poly, _check_digits, _json_text, frac_to_str, horner, lowest_terms, poly
 
 __all__ = [
     "Affine",
@@ -190,7 +190,7 @@ class Bound:
 
     @classmethod
     def from_str(cls, s: str) -> "Bound":
-        s = s.replace(" ", "")
+        s = _check_digits("a bound", s.replace(" ", ""))
         den = 1
         m = re.fullmatch(r"floor\(\(?(.*?)\)?/(\d+)\)", s)
         if m:
@@ -875,6 +875,9 @@ def sequence_from_json(d: dict) -> SequenceDef:
     return SequenceDef(
         name=d["name"],
         rec=Recurrence.from_json(d["recurrence"]),
-        initial={int(i): _json_text("an initial value", v, int) for i, v in d["initial"].items()},
+        initial={
+            _json_text("an initial index", i, int): _json_text("an initial value", v, int)
+            for i, v in d["initial"].items()
+        },
         direct=SumSpec.from_json(d["direct"]) if d.get("direct") else None,
     )

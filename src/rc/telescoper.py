@@ -12,16 +12,17 @@ equation is cleared of denominators and read off coefficient-by-coefficient
 in powers of k, and the resulting exact linear system, built in integers, is
 solved by fraction-free integer elimination (`exactmath.nullspace`). A search
 reads a(k+i) a(k+j) and a(k+j) a(k+i) as one pair (symmetric mode) exactly
-when it is a square. It builds its system once, at its degree bound, and
-solves each degree on a column slice of it; a solve has at most one kernel
-vector with p != 0. Before any exact solve, a rank screen modulo a prime
-(`exactmath.independent_prefix`) proves the slices of full column rank, which
-have no certificate, and the exact solves start at the first slice it does not
-clear; a search with no certificate up to its bound usually makes no exact
-solve at all. The pair list and the reductions of the shifted and target
-pairs are computed by one helper, `_pair_setup`, for the solver's system,
-`certify`'s recheck and `reductions_defined_from`; it rejects a target shift
-more than `MAX_SHIFT_DISTANCE` outside its window. A window reaching more
+when it is a square. It clears its equations once and assembles the system
+at each degree it tries from them; a solve has at most one kernel vector with
+p != 0. Before any exact solve, a rank screen modulo a prime
+(`exactmath.independent_prefix`) of the system at the degree bound proves the
+degrees whose systems are of full column rank, which have no certificate, and
+the exact solves start at the first degree it does not clear; a search with no
+certificate up to its bound usually makes no exact solve at all. The pair
+list and the reductions of the shifted and target pairs are computed by one
+helper, `_pair_setup`, for the solver's system, `certify`'s recheck and
+`reductions_defined_from`; it rejects a target shift more than
+`MAX_SHIFT_DISTANCE` outside its window. A window reaching more
 than `MAX_WINDOW_OFFSET` from 0, and a system of more than
 `MAX_SYSTEM_ENTRIES` entries, are rejected too, before any term is read or
 any row is built.
@@ -56,6 +57,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactmath import (
+    MAX_DEGREE,
     K,
     ONE,
     Poly,
@@ -92,10 +94,6 @@ __all__ = [
     "cert_to_json",
     "cert_from_json",
 ]
-
-# the largest degree bound of g and of a free weight that a search accepts: a
-# bound is rejected before any system is built, since the system grows with it
-MAX_DEGREE = 100
 
 # the farthest a target shift may lie outside its window: reducing it takes one
 # recurrence step per unit of distance, and the degrees (so the cost) of the
@@ -546,123 +544,115 @@ def _ints(poly: Poly, scale: int) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in poly.coeffs]
 
 
-def _build_system(
-    seq_a: SequenceDef,
-    seq_b: SequenceDef,
-    wa: ShiftWindow,
-    wb: ShiftWindow,
-    target: tuple[int, int],
-    p_basis: Sequence[Poly],
-    deg: int,
-    symmetric: bool,
-) -> ReducedSystem:
-    """The system in integers: for each basis pair st, the defining equation's
-    st-coefficient is cleared to `den`, the monic lcm of its entries'
-    denominators in lowest terms (`_Denominators.clear`), scaled to its
-    primitive integer multiple, and read off power by power of k. Column
-    ("g", i, j, m) holds (k+1)^m cleared_ij - [ij = st] k^m den, each
-    (k+1)^m cleared one shift-and-add from the m - 1 one.
+class _Equations:
+    """The part of a search's system that its degree bound does not change,
+    computed once: the basis pairs, each pair's defining equation cleared of
+    denominators, and the boundary points. `system` assembles the integer
+    system at one degree bound."""
 
-    A system whose coefficient rows (counted before the zero ones are
-    dropped) times its columns exceed `MAX_SYSTEM_ENTRIES` raises ValueError
-    before any row is built."""
-    pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
-    dens = _Denominators(den for _, den in (*shifted.values(), target_red))
+    def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, wa, wb, target, symmetric: bool):
+        self.pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
+        dens = _Denominators(den for _, den in (*shifted.values(), target_red))
+        self.cleared = []
+        for st in self.pairs:
+            entries = {pi: (red[st], den) for pi, (red, den) in enumerate(shifted.values()) if st in red}
+            if st in target_red[0]:
+                entries["t"] = (target_red[0][st], target_red[1])
+            den, cleared = dens.clear(entries)
+            cleared_t = cleared.pop("t", None)
+            self.cleared.append((st, den, cleared, cleared_t))
+        self.boundary = _boundary_points(seq_a, seq_b, wa, wb, *shifts)
+        self.seq_a, self.seq_b, self.target = seq_a, seq_b, target
 
-    columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
-    columns += [("p", u) for u in range(len(p_basis))]
-    n_g = len(columns) - len(p_basis)
+    def system(self, p_basis: Sequence[Poly], deg: int) -> ReducedSystem:
+        """The system in integers at degree bound deg: for each basis pair st,
+        the defining equation's st-coefficient, cleared to `den`, the monic
+        lcm of its entries' denominators in lowest terms
+        (`_Denominators.clear`), is scaled to its primitive integer multiple
+        and read off power by power of k. Column ("g", i, j, m) holds
+        (k+1)^m cleared_ij - [ij = st] k^m den, each (k+1)^m cleared one
+        shift-and-add from the m - 1 one.
 
-    equations = []
-    n_rows = 0
-    for st in pairs:
-        entries = {pi: (red[st], den) for pi, (red, den) in enumerate(shifted.values()) if st in red}
-        if st in target_red[0]:
-            entries["t"] = (target_red[0][st], target_red[1])
-        den, cleared = dens.clear(entries)
-        cleared_t = cleared.pop("t", None)
-        equations.append((st, den, cleared, cleared_t))
-        heights = [deg + len(q) for q in (den, *cleared.values())]
-        if cleared_t:
-            heights += [len(pc.coeffs) + len(cleared_t) - 1 for pc in p_basis if pc]
-        n_rows += max(heights)
-    if n_rows * len(columns) > MAX_SYSTEM_ENTRIES:
-        raise ValueError(
-            f"the linear system would have {n_rows} x {len(columns)} entries, "
-            f"more than {MAX_SYSTEM_ENTRIES}; lower the degree bound or the target shifts"
-        )
+        A system whose coefficient rows (counted before the zero ones are
+        dropped) times its columns exceed `MAX_SYSTEM_ENTRIES` raises
+        ValueError before any row is built."""
+        pairs = self.pairs
+        columns: list[tuple] = [("g", i, j, m) for (i, j) in pairs for m in range(deg + 1)]
+        columns += [("p", u) for u in range(len(p_basis))]
+        n_g = len(columns) - len(p_basis)
 
-    rows: list[tuple] = []
-    matrix: list[list[int]] = []
-    p_scale = math.lcm(*(c.denominator for pc in p_basis for c in pc.coeffs))
-    p_ints = [_ints(pc, p_scale) for pc in p_basis]
+        n_rows = 0
+        for _, den, cleared, cleared_t in self.cleared:
+            heights = [deg + len(q) for q in (den, *cleared.values())]
+            if cleared_t:
+                heights += [len(pc.coeffs) + len(cleared_t) - 1 for pc in p_basis if pc]
+            n_rows += max(heights)
+        if n_rows * len(columns) > MAX_SYSTEM_ENTRIES:
+            raise ValueError(
+                f"the linear system would have {n_rows} x {len(columns)} entries, "
+                f"more than {MAX_SYSTEM_ENTRIES}; lower the degree bound or the target shifts"
+            )
 
-    for st, den, cleared, cleared_t in equations:
-        # these polynomials are a constant multiple of the ones over the monic
-        # den; scaled by the lcm of their coefficient denominators, those have
-        # content 1 (den's lead becomes that lcm), so the rows are the
-        # primitive part of these, signed so that den's lead is positive
-        p_polys = [[-x for x in _imul(pc, cleared_t)] for pc in p_ints] if cleared_t else []
-        den = [p_scale * x for x in den]
-        cleared = {pi: [p_scale * x for x in q] for pi, q in cleared.items()}
-        content = math.gcd(*den, *(x for q in (*cleared.values(), *p_polys) for x in q))
-        if den[-1] < 0:
-            content = -content
-        den_int = [x // content for x in den]
-        col_coeffs: dict[int, list[int]] = {}
-        for pi, ij in enumerate(pairs):
-            acc = [x // content for x in cleared[pi]] if pi in cleared else []
-            for m in range(deg + 1):
-                if m and acc:
-                    acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
-                contrib = acc + [0] * (m + len(den_int) - len(acc))
-                if ij == st:
-                    for e, x in enumerate(den_int):
-                        contrib[m + e] -= x
-                col_coeffs[pi * (deg + 1) + m] = contrib
-        for u, q in enumerate(p_polys):
-            col_coeffs[n_g + u] = [x // content for x in q]
+        rows: list[tuple] = []
+        matrix: list[list[int]] = []
+        p_scale = math.lcm(*(c.denominator for pc in p_basis for c in pc.coeffs))
+        p_ints = [_ints(pc, p_scale) for pc in p_basis]
 
-        for e in range(max(map(len, col_coeffs.values()), default=0)):
-            row = [0] * len(columns)
-            for ci, cs in col_coeffs.items():
-                if e < len(cs):
-                    row[ci] = cs[e]
-            if any(row):
-                rows.append(("coeff", st[0], st[1], e))
-                matrix.append(row)
+        for st, den, cleared, cleared_t in self.cleared:
+            # these polynomials are a constant multiple of the ones over the monic
+            # den; scaled by the lcm of their coefficient denominators, those have
+            # content 1 (den's lead becomes that lcm), so the rows are the
+            # primitive part of these, signed so that den's lead is positive
+            p_polys = [[-x for x in _imul(pc, cleared_t)] for pc in p_ints] if cleared_t else []
+            den = [p_scale * x for x in den]
+            cleared = {pi: [p_scale * x for x in q] for pi, q in cleared.items()}
+            content = math.gcd(*den, *(x for q in (*cleared.values(), *p_polys) for x in q))
+            if den[-1] < 0:
+                content = -content
+            den_int = [x // content for x in den]
+            col_coeffs: dict[int, list[int]] = {}
+            for pi, ij in enumerate(pairs):
+                acc = [x // content for x in cleared[pi]] if pi in cleared else []
+                for m in range(deg + 1):
+                    if m and acc:
+                        acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
+                    contrib = acc + [0] * (m + len(den_int) - len(acc))
+                    if ij == st:
+                        for e, x in enumerate(den_int):
+                            contrib[m + e] -= x
+                    col_coeffs[pi * (deg + 1) + m] = contrib
+            for u, q in enumerate(p_polys):
+                col_coeffs[n_g + u] = [x // content for x in q]
 
-    sa, sb = target
-    for k0 in _boundary_points(seq_a, seq_b, wa, wb, *shifts):
-        tval = seq_a.term(k0 + sa) * seq_b.term(k0 + sb)
-        p_vals = [-pc(k0) * tval for pc in p_basis]
-        scale = math.lcm(*(v.denominator for v in p_vals))
-        row = []
-        for (i, j) in pairs:
-            m0 = seq_a.term(k0 + i) * seq_b.term(k0 + j)
-            m1 = seq_a.term(k0 + 1 + i) * seq_b.term(k0 + 1 + j)
-            row += [scale * (m1 * (k0 + 1) ** m - m0 * k0**m) for m in range(deg + 1)]
-        row += [v.numerator * (scale // v.denominator) for v in p_vals]
-        rows.append(("boundary", k0))
-        matrix.append(row)
+            for e in range(max(map(len, col_coeffs.values()), default=0)):
+                row = [0] * len(columns)
+                for ci, cs in col_coeffs.items():
+                    if e < len(cs):
+                        row[ci] = cs[e]
+                if any(row):
+                    rows.append(("coeff", st[0], st[1], e))
+                    matrix.append(row)
 
-    return ReducedSystem(columns, rows, matrix)
-
-
-def _slice(system: ReducedSystem, deg: int) -> ReducedSystem:
-    """The system at degree bound deg, read off one built at a larger bound:
-    its ("g", i, j, m) columns with m <= deg and every ("p", u) column,
-    without the rows that are zero there. Those rows are the nonzero rows of
-    a build at deg, in the same order."""
-    keep = [ci for ci, col in enumerate(system.columns) if col[0] == "p" or col[3] <= deg]
-    rows: list[tuple] = []
-    matrix: list[list[int]] = []
-    for label, full in zip(system.rows, system.matrix):
-        row = [full[ci] for ci in keep]
-        if any(row):
-            rows.append(label)
+        seq_a, seq_b, (sa, sb) = self.seq_a, self.seq_b, self.target
+        for k0 in self.boundary:
+            tval = seq_a.term(k0 + sa) * seq_b.term(k0 + sb)
+            p_vals = [-pc(k0) * tval for pc in p_basis]
+            scale = math.lcm(*(v.denominator for v in p_vals))
+            row = []
+            for (i, j) in pairs:
+                m0 = seq_a.term(k0 + i) * seq_b.term(k0 + j)
+                m1 = seq_a.term(k0 + 1 + i) * seq_b.term(k0 + 1 + j)
+                row += [scale * (m1 * (k0 + 1) ** m - m0 * k0**m) for m in range(deg + 1)]
+            row += [v.numerator * (scale // v.denominator) for v in p_vals]
+            rows.append(("boundary", k0))
             matrix.append(row)
-    return ReducedSystem([system.columns[ci] for ci in keep], rows, matrix)
+
+        return ReducedSystem(columns, rows, matrix)
+
+
+def _build_system(seq_a, seq_b, wa, wb, target, p_basis, deg: int, symmetric) -> ReducedSystem:
+    """The system of a search at one degree bound (`_Equations.system`)."""
+    return _Equations(seq_a, seq_b, wa, wb, target, symmetric).system(p_basis, deg)
 
 
 def _split_vector(
@@ -696,20 +686,21 @@ def find_telescoper(
     for the windows and the mode.
 
     A bound above `MAX_DEGREE` raises ValueError before anything is built; a
-    negative bound gives None. The system is built once, at deg_bound, and
-    each degree d is solved on a slice of it (`_slice`), whose nonzero rows
-    are those of a system built at d, so no pair reduction or row is computed
-    twice. A certificate of degree d padded with zeros is one of degree
-    d + 1, so feasibility only grows with the degree.
+    negative bound gives None. The work no degree changes is done once
+    (`_Equations`), and each degree d tried is solved on the system
+    assembled at d, which `_build_system` returns at d. A certificate of
+    degree d padded with zeros is one of degree d + 1, so feasibility only
+    grows with the degree.
 
     Before any exact solve, a rank screen modulo a prime
-    (`exactmath.independent_prefix`) takes the columns degree-major: the p
-    column, then the g columns of degree 0, 1, 2, .... The slice at degree d
-    is a prefix of that order, and a prefix independent modulo the prime is
-    independent over Q: that slice has a trivial kernel, so no certificate.
-    If every slice is cleared so, the result is None with no exact solve.
-    Otherwise the exact solves start at the first slice not cleared, d0, go
-    on at d0 + 1, d0 + 2, d0 + 4, ... up to deg_bound, and bisect between
+    (`exactmath.independent_prefix`) takes the columns of the system at
+    deg_bound degree-major: the p column, then the g columns of degree 0, 1,
+    2, .... The system at degree d is that system's prefix of this order,
+    without the rows that are zero there, and a prefix independent modulo
+    the prime is independent over Q: that degree has no certificate. If
+    every degree is cleared so, the result is None with no exact solve.
+    Otherwise the exact solves start at the first degree not cleared, d0,
+    go on at d0 + 1, d0 + 2, d0 + 4, ... up to deg_bound, and bisect between
     the last degree without a certificate and the first with one. The prime
     only picks where the exact solves start, so every result is exact.
 
@@ -726,21 +717,22 @@ def find_telescoper(
     if deg_bound < 0:
         return None
 
-    full = _build_system(a, b, wa, wb, target, [p], deg_bound, symmetric)
+    equations = _Equations(a, b, wa, wb, target, symmetric)
+    full = equations.system([p], deg_bound)
 
     def solve(deg: int) -> tuple[ReducedSystem, list[int]] | None:
-        system = full if deg == deg_bound else _slice(full, deg)
+        system = full if deg == deg_bound else equations.system([p], deg)
         basis = nullspace(system.matrix, ncols=len(system.columns))
         return (system, basis[-1]) if basis and basis[-1][-1] else None
 
-    # the p column, then the ("g", i, j, m) columns by m: the slice at degree d
-    # is the first 1 + n_pairs (d + 1) columns of this order
+    # the p column, then the ("g", i, j, m) columns by m: the system at degree
+    # d has the first 1 + n_pairs (d + 1) columns of this order
     cols = full.columns
     order = sorted(range(len(cols)), key=lambda ci: -1 if cols[ci][0] == "p" else cols[ci][3])
     n_pairs = (len(cols) - 1) // (deg_bound + 1)
     d0 = max(0, (independent_prefix(full.matrix, order) - 1) // n_pairs)
     if d0 > deg_bound:
-        return None  # every slice is of full column rank
+        return None  # every degree's system is of full column rank
 
     lo, deg, step = d0, d0, 1  # no certificate below degree lo; deg is tried next
     while (found := solve(deg)) is None:

@@ -191,6 +191,25 @@ def test_malformed_polynomial_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "p, message",
+    [
+        # refused before the power or product is computed
+        ("k^100000000", "exponent 100000000 above 100 at position 1"),
+        ("k**101", "exponent 101 above 100 at position 1"),
+        ("(k^60)*(k+1)^41", "degree 101 above 100 at position 6"),
+        ("(k^2+1)^51", "degree 102 above 100 at position 7"),
+        ("((2^100)^100)^100", "coefficients of more than 65536 bits at position 13"),
+        ("k+" + "7" * 5000, "an integer of more than 4300 digits at position 2"),
+    ],
+)
+def test_oversized_polynomial_is_usage_error(capsys, p, message):
+    code, out, err = run_cli(capsys, "telescope", "--seq", "W", "--p", p, "--window=-2..0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad polynomial {p!r}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # the window does not match the recurrence order of W
@@ -306,8 +325,11 @@ def _nested_claims(depth):
         # too deep for the JSON parser
         (("verify", "--claims-file", "{doc}", "--range", "1..3"), _nested_claims(5000)),
         (("certify", "{doc}"), "[" * 5000),
+        # polynomial text past the nesting cap, refused as it is parsed
+        (("telescope", "--seq", "W", "--window=-2..0", "--p", "(" * 3000 + "k" + ")" * 3000), ""),
+        (("discover", "--seq", "W", "--window=-2..0", "--p=" + "-" * 5000 + "k"), ""),
     ],
-    ids=["claims-400", "claims-5000", "certificate-5000"],
+    ids=["claims-400", "claims-5000", "certificate-5000", "parentheses-3000", "minus-signs-5000"],
 )
 def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv, text):
     doc = tmp_path / "doc.json"
@@ -641,6 +663,41 @@ def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+_DIGITS = "1" + "0" * 4999  # 5000 digits, one past CPython's default limit of 4300
+
+
+@pytest.mark.parametrize(
+    "command, doc, old, new, message",
+    [
+        # JSON integers are refused as they are read, strings before they are read
+        ("certify", W_CERT, '"target_shifts": [0, 0]', f'"target_shifts": [{_DIGITS}, 0]',
+         "invalid JSON input: an integer of more than 4300 digits"),
+        ("certify", W_CERT, '"p": ["9", "8"]', f'"p": ["9", "{_DIGITS}/3"]',
+         "malformed certificate: a polynomial coefficient has more than 4300 digits"),
+        ("certify", W_CERT, '"p": ["9", "8"]', '"p": ["9", "1e999999999"]',
+         "malformed certificate: a polynomial coefficient must not have an exponent"),
+        ("verify", {"claims": [_N_EQUALS_N]}, '"id": "x"', f'"id": "x", "flag_points": [{_DIGITS}]',
+         "invalid JSON input: an integer of more than 4300 digits"),
+        ("verify", {"claims": [_N_EQUALS_N]}, '"const": "0"', f'"const": "-{_DIGITS}"',
+         "malformed claims file: a const has more than 4300 digits"),
+        ("verify", {"sequences": [_ONE_AS_Q], "claims": []}, '"initial": {"0"', f'"initial": {{"{_DIGITS}"',
+         "malformed claims file: an initial index has more than 4300 digits"),
+        ("verify", _claim_with_sum([]), '"upper": "n"', f'"upper": "n+{_DIGITS}"',
+         "malformed claims file: a bound has more than 4300 digits"),
+    ],
+)
+def test_long_number_literals_are_usage_errors(capsys, tmp_path, command, doc, old, new, message):
+    text = json.dumps(doc)
+    assert text.count(old) == 1
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(old, new))
+    argv = (command, str(path)) if command == "certify" else (command, "--claims-file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_flagged_points_note_whether_they_pass(capsys, tmp_path):

@@ -1069,6 +1069,18 @@ def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, read
     assert exact == exact_points and len(read) == reads * 300
 
 
+def test_a_sum_under_a_division_reads_each_term_once(monkeypatch):
+    # theorem-1.1ii divides its sum by n, so its closed form is asked for
+    # residues modulo m n D: the frame covers that modulus, and each point
+    # reads W(n-2), W(n-1) and W(n) once, after the 3 reads of D S(lo)
+    read = []
+    term = sequences.TermWindow.term
+    monkeypatch.setattr(sequences.TermWindow, "term", lambda w, i: read.append(i) or term(w, i))
+    rep = verify_claim_range(get_claim("theorem-1.1ii"), 3, 997, SumEvaluator())
+    assert rep.ok and rep.points_checked == 167
+    assert len(read) == 3 * 167 + 3
+
+
 @pytest.mark.parametrize(
     "claim_id, change",
     [

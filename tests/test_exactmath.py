@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import rc.exactmath
 from rc.exactmath import (
+    MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
+    MAX_POLY_NESTING,
     SCREEN_PRIME,
     DenominatorNotInvertible,
     K,
@@ -391,6 +394,31 @@ def test_parse_errors_carry_position():
         parse_poly("(k+1")
     with pytest.raises(PolyParseError):
         parse_poly("k/ (k+1)")
+
+
+def test_polynomial_text_up_to_the_bounds_is_read():
+    assert parse_poly(f"k^{MAX_DEGREE}") == K**MAX_DEGREE
+    assert parse_poly("(k^50)*(k+1)^50").degree == MAX_DEGREE
+    assert parse_poly("(" * MAX_POLY_NESTING + "k" + ")" * MAX_POLY_NESTING) == K
+    assert parse_poly("9" * MAX_LITERAL_DIGITS) == Poly([10**MAX_LITERAL_DIGITS - 1])
+    assert parse_poly("0*k") == parse_poly("(k-k)^2") == parse_poly("0^7/3") == ZERO
+    for past in (
+        f"k^{MAX_DEGREE + 1}",
+        "k^50*k^51",
+        "(" * (MAX_POLY_NESTING + 1) + "k" + ")" * (MAX_POLY_NESTING + 1),
+        "9" * (MAX_LITERAL_DIGITS + 1),
+        "((2^100)^100)^100",
+    ):
+        with pytest.raises(PolyParseError):
+            parse_poly(past)
+
+
+@given(polys, polys)
+def test_height_bounds_products_and_coefficients(p, q):
+    height = rc.exactmath._height
+    assert height(p * q) <= height(p) + height(q) + min(len(p.coeffs), len(q.coeffs)).bit_length()
+    for c in p.coeffs:
+        assert max(c.numerator.bit_length(), c.denominator.bit_length()) <= height(p)
 
 
 def test_lowest_terms():

@@ -30,7 +30,7 @@ from rc.telescoper import (
     pretty,
     reductions_defined_from,
 )
-from rc.telescoper import _build_system, _pair_setup, _reduction_table, _search_setup, _slice
+from rc.telescoper import _build_system, _pair_setup, _reduction_table, _search_setup
 
 P_W = parse_poly("8*k+9")
 P_T1 = parse_poly("k*(k+1)*(8*k+9)")
@@ -492,23 +492,50 @@ SLICED_SEARCHES = [
 
 @pytest.mark.parametrize("seq_a, seq_b, p, target, window_a, window_b, bound", SLICED_SEARCHES)
 def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, window_a, window_b, bound):
+    # the search over the degrees 0..bound finds what linear deepening over
+    # fresh builds finds
     a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target, window_a, window_b)
     cert = find_telescoper(seq_a, seq_b, p, target, window_a, window_b, deg_bound=bound)
     expected = _deepening_reference(a, b, p, target, wa, wb, bound, symmetric)
     assert (cert and cert_to_json(cert)) == (expected and cert_to_json(expected))
 
-    full = _build_system(a, b, wa, wb, target, [p], bound, symmetric)
     for deg in range(bound + 1):
-        sliced = _slice(full, deg)
-        fresh = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
-        nonzero = [(label, row) for label, row in zip(fresh.rows, fresh.matrix) if any(row)]
-        assert sliced.columns == fresh.columns
-        assert list(zip(sliced.rows, sliced.matrix)) == nonzero
-        ncols = len(fresh.columns)
-        basis = nullspace(sliced.matrix, ncols=ncols)
-        assert basis == nullspace(fresh.matrix, ncols=ncols)
+        system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        basis = nullspace(system.matrix, ncols=len(system.columns))
         # at most one kernel vector has p != 0, and it is the last one
         assert [n for n, vec in enumerate(basis) if vec[-1]] in ([], [len(basis) - 1])
+
+
+@pytest.mark.parametrize("prime", [None, 2])
+@pytest.mark.parametrize("seq_a, seq_b, p, target, window_a, window_b, bound", SLICED_SEARCHES)
+def test_each_exact_solve_takes_the_system_built_at_its_degree(
+    monkeypatch, prime, seq_a, seq_b, p, target, window_a, window_b, bound
+):
+    # modulo 2 the screen clears fewer degrees, so more of them are solved
+    if prime:
+        monkeypatch.setattr(rc.exactmath, "SCREEN_PRIME", prime)
+    solved = []
+    inner = rc.telescoper.nullspace
+
+    def recording(matrix, ncols):
+        solved.append((matrix, ncols))
+        return inner(matrix, ncols=ncols)
+
+    setups = []
+    pair_setup = rc.telescoper._pair_setup
+    monkeypatch.setattr(rc.telescoper, "nullspace", recording)
+    monkeypatch.setattr(rc.telescoper, "_pair_setup", lambda *args: setups.append(args) or pair_setup(*args))
+    cert = find_telescoper(seq_a, seq_b, p, target, window_a, window_b, deg_bound=bound)
+    assert solved or cert is None
+    assert len(setups) == 1
+    a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target, window_a, window_b)
+    n_pairs = len(_pair_setup(a, b, wa, wb, target, symmetric)[0])
+    for matrix, ncols in solved:
+        # the columns are n_pairs (deg + 1) g's and one p
+        degrees, rest = divmod(ncols - 1, n_pairs)
+        deg = degrees - 1
+        assert not rest and 0 <= deg <= bound
+        assert matrix == _build_system(a, b, wa, wb, target, [p], deg, symmetric).matrix
 
 
 def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
