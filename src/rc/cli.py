@@ -63,6 +63,17 @@ class UsageError(Exception):
     pass
 
 
+# the most characters of an argument's repr that an error message echoes
+MAX_ECHO = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message quotes it: its repr, cut to `MAX_ECHO`
+    characters and marked by "..." when longer."""
+    r = repr(text)
+    return r if len(r) <= MAX_ECHO else r[:MAX_ECHO] + "..."
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are usage errors: one line on stderr
     and exit 2, as for every other bad input. Subparsers share the class."""
@@ -77,11 +88,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
-        raise UsageError(f"expected a range like 1..500, got {text!r}") from None
+        raise UsageError(f"expected a range like 1..500, got {_echo(text)}") from None
     if hi < lo:
-        raise UsageError(f"the range {text} is reversed")
+        raise UsageError(f"the range {_echo(text)} is reversed")
     if hi > MAX_RANGE_TOP:
-        raise UsageError(f"the range {text} ends above 10^6, the highest top rc checks")
+        raise UsageError(f"the range {_echo(text)} ends above 10^6, the highest top rc checks")
     return lo, hi
 
 
@@ -89,7 +100,7 @@ def _parse_points(text: str) -> frozenset[int]:
     try:
         return frozenset(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated points like 7,11, got {text!r}") from None
+        raise UsageError(f"expected comma-separated points like 7,11, got {_echo(text)}") from None
 
 
 def _json_int_literal(text: str) -> int:
@@ -129,14 +140,14 @@ def _parse_shifts(text: str) -> tuple[int, int]:
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise UsageError(f"expected target shifts like 0,1 - got {text!r}")
+    raise UsageError(f"expected target shifts like 0,1 - got {_echo(text)}")
 
 
 def _parse_p(text: str) -> Poly:
     try:
         return parse_poly(text)
     except PolyParseError as e:  # one line, not the parser's caret diagram
-        raise UsageError(f"bad polynomial {e.text!r}: {e.reason} at position {e.pos}") from None
+        raise UsageError(f"bad polynomial {_echo(e.text)}: {e.reason} at position {e.pos}") from None
 
 
 def _solver_args(args) -> tuple:

@@ -64,7 +64,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .exactmath import ONE, ZERO, K, Poly, _json_text, frac_to_str, horner, legendre, prime_factors, rat_mod
+from .exactmath import (
+    ONE,
+    ZERO,
+    K,
+    Poly,
+    _json_text,
+    clear_denominators,
+    frac_to_str,
+    horner,
+    legendre,
+    prime_factors,
+    rat_mod,
+)
 from .sequences import (
     BUILTINS,
     Affine,
@@ -483,8 +495,7 @@ def _polynomial(e: Expr) -> Poly | None:
 def _folded(p: Poly) -> _Compiled:
     """The closure of a folded node: its integer numerator at n by one Horner
     pass, over its positive denominator by `_quotient`."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    num = [c.numerator * (den // c.denominator) for c in reversed(p.coeffs)]
+    den, (num,) = clear_denominators(p.coeffs)
     if den == 1:
         return lambda n, m: horner(num, n) if m is None else horner(num, n) % m
     return lambda n, m: _quotient(horner(num, n), den, m)

@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: dense rational polynomials, a quotient of two of
-them in lowest terms (`lowest_terms`), nullspaces of rational matrices, a
-rank screen of integer matrices modulo a prime (`independent_prefix`), and
-modular / quadratic-residue helpers.
+them in lowest terms (`lowest_terms`), integer polynomials, nullspaces of
+rational matrices, a rank screen of integer matrices modulo a prime
+(`independent_prefix`), and modular / quadratic-residue helpers.
 
 Rationals are plain ``fractions.Fraction`` (always normalized, denominator
 positive, which is exactly the invariant we need). The nullspace is the
@@ -9,6 +9,12 @@ exception: it clears each row to integers and eliminates fraction-free, so
 no ``Fraction`` arithmetic runs in its inner loop. Every object in this
 module is immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.
+
+Every polynomial here, a `Poly` or an integer polynomial, lists its
+coefficients in one order, ascending by degree, the zero polynomial empty.
+The integer-polynomial kernel (`horner`, `imul`, `iadd`, `ishift`, `iquo`,
+`iprod`, `primitive`) works on such lists of ints, and `clear_denominators`
+is the one way from rational coefficients to them.
 
 No floating point anywhere.
 """
@@ -33,6 +39,13 @@ __all__ = [
     "K",
     "poly",
     "horner",
+    "imul",
+    "iadd",
+    "ishift",
+    "iquo",
+    "iprod",
+    "primitive",
+    "clear_denominators",
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
@@ -190,11 +203,8 @@ class Poly:
                 base = base * base
         return out
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Fraction | int) -> Fraction | int:
+        return horner(self.coeffs, x)
 
     def shift(self, j: int = 1) -> "Poly":
         """Substitute k -> k + j, as a coefficient transform."""
@@ -208,14 +218,8 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * (primitive integer poly)."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-        return Fraction(num, den)
+        den, (ints,) = clear_denominators(self.coeffs)
+        return Fraction(math.gcd(*ints), den)
 
     def primitive(self) -> "Poly":
         c = self.content()
@@ -286,13 +290,90 @@ def poly(*coeffs) -> Poly:
     return Poly(coeffs)
 
 
-def horner(desc: Sequence[int], x: int) -> int:
-    """Value at x of the polynomial whose coefficients, highest degree first,
-    are `desc`, by Horner's rule; integer in, integer out."""
+# -- integer polynomials --------------------------------------------------------
+# ascending lists of ints, as `Poly.coeffs`, the zero polynomial the empty list;
+# a tuple serves as well, and keys a dict
+
+
+def horner(coeffs: Sequence[int], x: int) -> int:
+    """Value at x of the polynomial with ascending coefficients `coeffs`, by
+    Horner's rule: exact, an int for int coefficients and an int x."""
     acc = 0
-    for c in desc:
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def ishift(a: Sequence[int], j: int) -> list[int]:
+    """a(k + j), by Horner's rule in k + j."""
+    out: list[int] = []
+    for c in reversed(a):
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] += j * out[i + 1]
+        out[0] += c
+    return out
+
+
+def iquo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b if it is a polynomial with integer coefficients, else None. For a
+    primitive b that is exactly when b divides a over the rationals (Gauss)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + db], b[-1])
+        if r:
+            return None
+        quo[i] = c
+        if c:
+            for t, y in enumerate(b):
+                rem[i + t] -= c * y
+    return None if any(rem[:db]) else quo
+
+
+def iprod(factors: Iterable[Sequence[int]]) -> list[int]:
+    out = [1]
+    for f in factors:
+        out = imul(out, f)
+    return out
+
+
+def primitive(a: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero a divided by its content, with a positive lead coefficient."""
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return tuple(x // g for x in a)
+
+
+def clear_denominators(*coeff_lists: Sequence[Fraction | int]) -> tuple[int, list[list[int]]]:
+    """den, the lcm of the denominators of all the coefficients of all the
+    lists (1 for none), and each list times den, as ints."""
+    den = math.lcm(*(c.denominator for cs in coeff_lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in coeff_lists]
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -381,9 +462,7 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
         if all(type(x) is int for x in row):
             ints = list(row)
         else:
-            fracs = [Fraction(x) for x in row]
-            den = math.lcm(*(x.denominator for x in fracs))
-            ints = [x.numerator * (den // x.denominator) for x in fracs]
+            _, (ints,) = clear_denominators(row)
         g = math.gcd(*ints)
         if g:
             mat.append([x // g for x in ints] if g > 1 else ints)
@@ -546,9 +625,8 @@ def _height(p: Poly) -> int:
     integer coefficient of a p, which bound the bits of every numerator and
     denominator of p. The height of p q is at most the sum of those of p and
     q plus the bits of the shorter one's length."""
-    a = math.lcm(*(c.denominator for c in p.coeffs))
-    top = max((abs(c.numerator * (a // c.denominator)) for c in p.coeffs), default=0)
-    return a.bit_length() + top.bit_length()
+    a, (ints,) = clear_denominators(p.coeffs)
+    return a.bit_length() + max(map(abs, ints), default=0).bit_length()
 
 
 class _PolyParser:

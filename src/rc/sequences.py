@@ -48,7 +48,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exactmath import ONE, Poly, _check_digits, _json_text, frac_to_str, horner, lowest_terms, poly
+from .exactmath import ONE, Poly, _check_digits, _json_text, clear_denominators, frac_to_str, horner, lowest_terms, poly
 
 __all__ = [
     "Affine",
@@ -335,8 +335,8 @@ class SumSpec:
     are equal. A spec is hashed once, at construction: it keys the running
     sums of `congruence.SumEvaluator`, and a fresh hash would reach every
     `Fraction` coefficient. The coefficient is also kept as two integer
-    polynomials (numerator and denominator scaled by the lcm of their
-    coefficient denominators, highest degree first) for `term` and
+    polynomials (numerator and denominator with their denominators cleared
+    together, `exactmath.clear_denominators`) for `term` and
     `_running_sums`.
     """
 
@@ -353,9 +353,8 @@ class SumSpec:
         object.__setattr__(self, "coeff", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", hash(((num, den), self.factors, self.lo, self.upper)))
-        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        ints = tuple(tuple((c * scale).numerator for c in reversed(p.coeffs)) for p in (num, den))
-        object.__setattr__(self, "_int_coeff", ints)
+        _, ints = clear_denominators(num.coeffs, den.coeffs)
+        object.__setattr__(self, "_int_coeff", tuple(map(tuple, ints)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -476,18 +475,18 @@ class Recurrence:
     """sum_{i=0}^{d} coeffs[i](n) * a(n+i) = 0 with coeffs[d] nonzero.
 
     Coefficients are normalized to integer polynomials with overall content 1;
-    `int_coeffs` holds them as integer tuples, highest degree first, for
-    evaluation by Horner's rule.
+    `int_coeffs` holds them as integer tuples, ascending as `Poly.coeffs`,
+    for `exactmath`'s integer-polynomial kernel.
     """
 
     coeffs: tuple[Poly, ...]
     int_coeffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(c.denominator != 1 for p in self.coeffs for c in p.coeffs):
+        den, ints = clear_denominators(*(p.coeffs for p in self.coeffs))
+        if den != 1:
             raise ValueError("recurrence coefficients must be integer polynomials")
-        ints = tuple(tuple(c.numerator for c in reversed(p.coeffs)) for p in self.coeffs)
-        object.__setattr__(self, "int_coeffs", ints)
+        object.__setattr__(self, "int_coeffs", tuple(map(tuple, ints)))
 
     @property
     def order(self) -> int:
@@ -511,18 +510,9 @@ def recurrence(coeffs: Iterable[Poly]) -> Recurrence:
         raise ValueError("a recurrence needs order >= 1")
     if cs[-1].is_zero:
         raise ValueError("leading recurrence coefficient is the zero polynomial")
-    den = 1
-    for p in cs:
-        for x in p.coeffs:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    cs = [p * den for p in cs]
-    g = 0
-    for p in cs:
-        for x in p.coeffs:
-            g = math.gcd(g, x.numerator)
-    if g > 1:
-        cs = [p * Fraction(1, g) for p in cs]
-    return Recurrence(tuple(cs))
+    _, ints = clear_denominators(*(p.coeffs for p in cs))
+    g = math.gcd(*(x for q in ints for x in q))
+    return Recurrence(tuple(Poly(x // g for x in q) for q in ints))
 
 
 # -- sequence definitions ------------------------------------------------------------

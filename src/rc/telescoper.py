@@ -27,7 +27,7 @@ than `MAX_WINDOW_OFFSET` from 0, and a system of more than
 `MAX_SYSTEM_ENTRIES` entries, are rejected too, before any term is read or
 any row is built.
 
-A reduction is a set of integer polynomials (ascending lists of ints) over a
+A reduction is a set of integer polynomials (`exactmath`'s kernel) over a
 denominator kept as its known factors: the shifted lead coefficients of the
 recurrence steps it took forward, the trailing ones of those it took
 backward. No gcd runs while reducing. The solver brings each final entry to
@@ -62,13 +62,20 @@ from .exactmath import (
     ONE,
     Poly,
     ZERO,
+    clear_denominators,
     horner,
+    iadd,
+    imul,
     independent_prefix,
+    iprod,
+    iquo,
+    ishift,
     lowest_terms,
     nullspace,
     parse_poly,
     poly_divmod,
     poly_gcd,
+    primitive,
 )
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, T, W, _json_int, get_sequence
 
@@ -168,76 +175,6 @@ def _search_setup(
     return a, b, (int(target_shifts[0]), int(target_shifts[1])), wa, wb, a is b
 
 
-# -- integer polynomials -------------------------------------------------------
-# ascending lists of ints, the zero polynomial the empty list; a denominator
-# factor is such a list as a tuple, so that it can key a dict
-
-
-def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _ishift(a: Sequence[int], j: int) -> list[int]:
-    # a(k + j), by Horner's rule in k + j
-    out: list[int] = []
-    for c in reversed(a):
-        out = [0] + out
-        for i in range(len(out) - 1):
-            out[i] += j * out[i + 1]
-        out[0] += c
-    return out
-
-
-def _iquo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """a / b if it is a polynomial with integer coefficients, else None. For a
-    primitive b that is exactly when b divides a over the rationals (Gauss)."""
-    db = len(b) - 1
-    if len(a) <= db:
-        return None if a else []
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + db], b[-1])
-        if r:
-            return None
-        quo[i] = c
-        if c:
-            for t, y in enumerate(b):
-                rem[i + t] -= c * y
-    return None if any(rem[:db]) else quo
-
-
-def _iprod(factors: Iterable[Sequence[int]]) -> list[int]:
-    out = [1]
-    for f in factors:
-        out = _imul(out, f)
-    return out
-
-
-def _primitive(a: Sequence[int]) -> tuple[int, ...]:
-    # a divided by its content, with a positive lead coefficient
-    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
-    return tuple(x // g for x in a)
-
-
 # -- shift reduction -----------------------------------------------------------
 
 
@@ -255,7 +192,7 @@ def _reduction_table(
             f"window {window.lo}..{window.hi} does not match recurrence order {rec.order}"
         )
     d = rec.order
-    cs = [list(reversed(c)) for c in rec.int_coeffs]
+    cs = rec.int_coeffs
     table: dict[int, tuple[list[list[int]], tuple]] = {}
     for s in window.shifts():
         unit: list[list[int]] = [[] for _ in range(d)]
@@ -281,10 +218,10 @@ def _reduction_table(
         for i in range(d) if lead == d else range(d, 0, -1):
             src, den = table[base + i]
             if den:
-                nums = [_imul(x, den[-1]) for x in nums]
-            coef = _ishift([-c for c in cs[i]], base)
-            nums = [_iadd(x, _imul(coef, y)) for x, y in zip(nums, src)]
-        table[m] = (nums, den + (tuple(_ishift(cs[lead], base)),))
+                nums = [imul(x, den[-1]) for x in nums]
+            coef = ishift([-c for c in cs[i]], base)
+            nums = [iadd(x, imul(coef, y)) for x, y in zip(nums, src)]
+        table[m] = (nums, den + (tuple(ishift(cs[lead], base)),))
     return table
 
 
@@ -303,8 +240,8 @@ def _pair_reduction(red_a, red_b, wa: ShiftWindow, wb: ShiftWindow, symmetric: b
             if not y:
                 continue
             key = (min(s, t), max(s, t)) if symmetric else (s, t)
-            prod = _imul(x, y)
-            out[key] = _iadd(out[key], prod) if key in out else prod
+            prod = imul(x, y)
+            out[key] = iadd(out[key], prod) if key in out else prod
     return {k: v for k, v in out.items() if v}, den_a + den_b
 
 
@@ -316,7 +253,7 @@ def _pair_setup(
     target: tuple[int, int],
     symmetric: bool,
 ) -> tuple[list, dict[tuple[int, int], PairReduction], PairReduction, tuple[list[int], list[int]]]:
-    """The setup shared by `_build_system`, `certify` and
+    """The setup shared by `_Equations`, `certify` and
     `reductions_defined_from`: the pairs (i, j) of the window basis; the
     reductions into that basis of each shifted pair a(k+1+i) b(k+1+j), keyed
     by (i, j), and of the target pair a(k+sa) b(k+sb), each as integer
@@ -364,16 +301,16 @@ class _Denominators:
 
     def __init__(self, dens: Iterable[tuple[tuple[int, ...], ...]]):
         factors = {f for den in dens for f in den}
-        self.linear = sorted({_primitive(f) for f in factors if len(f) == 2})
+        self.linear = sorted({primitive(f) for f in factors if len(f) == 2})
         self._parts = {}
         for f in factors:
             rest, exps = f, []
             for b in self.linear:
                 e = 0
-                while (q := _iquo(rest, b)) is not None:
+                while (q := iquo(rest, b)) is not None:
                     rest, e = q, e + 1
                 exps.append(e)
-            prim = _primitive(rest)
+            prim = primitive(rest)
             self._parts[f] = (rest[-1] // prim[-1], exps, prim)
 
     def _powers(self, exps: Sequence[int]) -> list[tuple[int, ...]]:
@@ -396,7 +333,7 @@ class _Denominators:
                 if len(r) > 1:
                     rest[r] += 1
             for n, b in enumerate(self.linear):
-                while exps[n] and (q := _iquo(num, b)) is not None:
+                while exps[n] and (q := iquo(num, b)) is not None:
                     num, exps[n] = q, exps[n] - 1
             reduced[key] = (num, const, exps, rest)
         top = [max(col) for col in zip(*(r[2] for r in reduced.values()))]
@@ -404,19 +341,18 @@ class _Denominators:
         for r in reduced.values():
             rest_top |= r[3]
         scale = math.lcm(*(abs(r[1]) for r in reduced.values()))
-        den = [scale * x for x in _iprod([*self._powers(top), *rest_top.elements()])]
+        den = [scale * x for x in iprod([*self._powers(top), *rest_top.elements()])]
         cleared = {}
         for key, (num, const, exps, rest) in reduced.items():
             cofactor = [*self._powers([t - e for t, e in zip(top, exps)]), *(rest_top - rest).elements()]
-            cleared[key] = [(scale // const) * x for x in _imul(num, _iprod(cofactor))]
+            cleared[key] = [(scale // const) * x for x in imul(num, iprod(cofactor))]
         if rest_top:
             g = Poly(den)
             for num in cleared.values():
                 g = poly_gcd(g, Poly(num))
-            g_scale = math.lcm(*(c.denominator for c in g.coeffs))
-            g_int = _primitive([c.numerator * (g_scale // c.denominator) for c in g.coeffs])
-            den = _iquo(den, g_int)
-            cleared = {key: _iquo(num, g_int) for key, num in cleared.items()}
+            g_int = primitive(clear_denominators(g.coeffs)[1][0])
+            den = iquo(den, g_int)
+            cleared = {key: iquo(num, g_int) for key, num in cleared.items()}
         return den, cleared
 
 
@@ -439,24 +375,18 @@ class TelescoperCertificate:
     g: dict[tuple[int, int], Poly]
     symmetric: bool
 
-    def g_at(self, i: int, j: int) -> Poly:
-        return self.g.get((i, j), ZERO)
-
     def closed_form(self) -> "ClosedForm":
         """S in integer arithmetic; see `ClosedForm`."""
-        scale = math.lcm(*(c.denominator for g in self.g.values() for c in g.coeffs))
-        terms = tuple(
-            (i, j, tuple((c * scale).numerator for c in reversed(g.coeffs)))
-            for (i, j), g in sorted(self.g.items())
-            if not g.is_zero
-        )
+        gs = sorted((ij, g.coeffs) for ij, g in self.g.items() if not g.is_zero)
+        scale, ints = clear_denominators(*(cs for _, cs in gs))
+        terms = tuple((i, j, tuple(cs)) for ((i, j), _), cs in zip(gs, ints))
         return ClosedForm(self.seq_a, self.seq_b, scale, terms)
 
 
 class ClosedForm:
     """S(n) of a certificate in integers: `scale` is the lcm D of the
     denominators of the g coefficients, and `terms` holds (i, j, D g_{i,j})
-    with the integer coefficients highest degree first. `reads` holds the
+    with the integer coefficients ascending. `reads` holds the
     (sequence, shift) pairs S reads at n + shift, each once, in the order
     the terms first need them."""
 
@@ -539,11 +469,6 @@ def _boundary_points(
     return sorted(points)
 
 
-def _ints(poly: Poly, scale: int) -> list[int]:
-    # scale * poly as integer coefficients, lowest degree first
-    return [c.numerator * (scale // c.denominator) for c in poly.coeffs]
-
-
 class _Equations:
     """The part of a search's system that its degree bound does not change,
     computed once: the basis pairs, each pair's defining equation cleared of
@@ -595,15 +520,14 @@ class _Equations:
 
         rows: list[tuple] = []
         matrix: list[list[int]] = []
-        p_scale = math.lcm(*(c.denominator for pc in p_basis for c in pc.coeffs))
-        p_ints = [_ints(pc, p_scale) for pc in p_basis]
+        p_scale, p_ints = clear_denominators(*(pc.coeffs for pc in p_basis))
 
         for st, den, cleared, cleared_t in self.cleared:
             # these polynomials are a constant multiple of the ones over the monic
             # den; scaled by the lcm of their coefficient denominators, those have
             # content 1 (den's lead becomes that lcm), so the rows are the
             # primitive part of these, signed so that den's lead is positive
-            p_polys = [[-x for x in _imul(pc, cleared_t)] for pc in p_ints] if cleared_t else []
+            p_polys = [[-x for x in imul(pc, cleared_t)] for pc in p_ints] if cleared_t else []
             den = [p_scale * x for x in den]
             cleared = {pi: [p_scale * x for x in q] for pi, q in cleared.items()}
             content = math.gcd(*den, *(x for q in (*cleared.values(), *p_polys) for x in q))
@@ -636,23 +560,17 @@ class _Equations:
         seq_a, seq_b, (sa, sb) = self.seq_a, self.seq_b, self.target
         for k0 in self.boundary:
             tval = seq_a.term(k0 + sa) * seq_b.term(k0 + sb)
-            p_vals = [-pc(k0) * tval for pc in p_basis]
-            scale = math.lcm(*(v.denominator for v in p_vals))
+            scale, (p_vals,) = clear_denominators([-pc(k0) * tval for pc in p_basis])
             row = []
             for (i, j) in pairs:
                 m0 = seq_a.term(k0 + i) * seq_b.term(k0 + j)
                 m1 = seq_a.term(k0 + 1 + i) * seq_b.term(k0 + 1 + j)
                 row += [scale * (m1 * (k0 + 1) ** m - m0 * k0**m) for m in range(deg + 1)]
-            row += [v.numerator * (scale // v.denominator) for v in p_vals]
+            row += p_vals
             rows.append(("boundary", k0))
             matrix.append(row)
 
         return ReducedSystem(columns, rows, matrix)
-
-
-def _build_system(seq_a, seq_b, wa, wb, target, p_basis, deg: int, symmetric) -> ReducedSystem:
-    """The system of a search at one degree bound (`_Equations.system`)."""
-    return _Equations(seq_a, seq_b, wa, wb, target, symmetric).system(p_basis, deg)
 
 
 def _split_vector(
@@ -688,9 +606,9 @@ def find_telescoper(
     A bound above `MAX_DEGREE` raises ValueError before anything is built; a
     negative bound gives None. The work no degree changes is done once
     (`_Equations`), and each degree d tried is solved on the system
-    assembled at d, which `_build_system` returns at d. A certificate of
-    degree d padded with zeros is one of degree d + 1, so feasibility only
-    grows with the degree.
+    `_Equations.system` assembles at d. A certificate of degree d padded
+    with zeros is one of degree d + 1, so feasibility only grows with the
+    degree.
 
     Before any exact solve, a rank screen modulo a prime
     (`exactmath.independent_prefix`) takes the columns of the system at
@@ -813,7 +731,7 @@ def discover_weights(
     a, b, target, wa, wb, symmetric = _search_setup(seq_a, seq_b, target_shifts, window_a, window_b)
 
     p_basis = [p_fixed * (K**u) for u in range(p_degree + 1)]
-    system = _build_system(a, b, wa, wb, target, p_basis, deg_bound, symmetric)
+    system = _Equations(a, b, wa, wb, target, symmetric).system(p_basis, deg_bound)
     basis = nullspace(system.matrix, ncols=len(system.columns))
 
     solutions: list[TelescoperCertificate] = []
@@ -869,32 +787,30 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     if stray:
         raise ValueError(f"certificate has g entries outside its windows: {sorted(stray)}")
 
-    # every balance over one common denominator: each factor of the
+    scale, (p_int, *g_ints) = clear_denominators(cert.p.coeffs, *(g.coeffs for g in cert.g.values()))
+    # every balance over one common denominator: scale times each factor of the
     # reductions' denominators as often as the most any of them has it
-    scale = math.lcm(*(c.denominator for q in (cert.p, *cert.g.values()) for c in q.coeffs))
     common: Counter = Counter()
     for _, den in (*shifted.values(), target_red):
         common |= Counter(den)
-    full = _iprod(common.elements())
+    full = iprod(common.elements())
 
     def cofactor(den) -> list[int]:
-        return _iprod((common - Counter(den)).elements())
+        return iprod((common - Counter(den)).elements())
 
     balance: dict[tuple[int, int], list[int]] = {st: [] for st in pairs}
-    for (i, j) in pairs:
-        g = cert.g_at(i, j)
-        if g.is_zero:
+    for (i, j), g_int in zip(cert.g, g_ints):
+        if not g_int:
             continue
-        g_int = _ints(g, scale)
         red, den = shifted[(i, j)]
-        g_shift = _imul(_ishift(g_int, 1), cofactor(den))
+        g_shift = imul(ishift(g_int, 1), cofactor(den))
         for st, num in red.items():
-            balance[st] = _iadd(balance[st], _imul(g_shift, num))
-        balance[(i, j)] = _iadd(balance[(i, j)], _imul([-x for x in g_int], full))
+            balance[st] = iadd(balance[st], imul(g_shift, num))
+        balance[(i, j)] = iadd(balance[(i, j)], imul([-x for x in g_int], full))
     red, den = target_red
-    p_int = _imul([-x for x in _ints(cert.p, scale)], cofactor(den))
+    p_part = imul([-x for x in p_int], cofactor(den))
     for st, num in red.items():
-        balance[st] = _iadd(balance[st], _imul(p_int, num))
+        balance[st] = iadd(balance[st], imul(p_part, num))
 
     # only a nonzero balance is brought to lowest terms, for its text
     residuals = []
@@ -907,19 +823,17 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     numeric_ok = True
     mismatch = None
     closed = cert.closed_form()
-    p_scale = math.lcm(*(c.denominator for c in cert.p.coeffs))
-    p_int = tuple((c * p_scale).numerator for c in reversed(cert.p.coeffs))
     a, b = cert.seq_a, cert.seq_b
     sa, sb = cert.target_shifts
     s0 = closed.scaled(0)
-    running = 0  # p_scale times the sum of the summands below n
+    running = 0  # scale times the sum of the summands below n
     for n in range(1, n_max + 1):
         k = n - 1
         running += horner(p_int, k) * a.term(k + sa) * b.term(k + sb)
         got = closed.scaled(n) - s0  # D (S(n) - S(0))
-        if got * p_scale != running * closed.scale:
+        if got * scale != running * closed.scale:
             numeric_ok = False
-            mismatch = (n, Fraction(running, p_scale), Fraction(got, closed.scale))
+            mismatch = (n, Fraction(running, scale), Fraction(got, closed.scale))
             break
 
     return CertifyReport(symbolic_ok, numeric_ok, tuple(residuals), mismatch, n_max)
@@ -933,13 +847,13 @@ def _integer_roots(f: Sequence[int], lo: int) -> list[int]:
         r, rem = divmod(-f[0], f[1])
         return [r] if not rem and r >= lo else []
     bound = 1 + max(map(abs, f[:-1]), default=0) // abs(f[-1])
-    return [r for r in range(max(lo, -bound), bound + 1) if horner(f[::-1], r) == 0]
+    return [r for r in range(max(lo, -bound), bound + 1) if horner(f, r) == 0]
 
 
 def _root_order(f: Sequence[int], r: int, cap: int) -> int:
     # how often k - r divides f, counted up to cap
     e = 0
-    while e < cap and (q := _iquo(f, (-r, 1))) is not None:
+    while e < cap and (q := iquo(f, (-r, 1))) is not None:
         f, e = q, e + 1
     return e
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rc.cli import main
+from rc.cli import MAX_ECHO, main
 from rc.sequences import get_sequence, sequence_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,7 +206,9 @@ def test_oversized_polynomial_is_usage_error(capsys, p, message):
     code, out, err = run_cli(capsys, "telescope", "--seq", "W", "--p", p, "--window=-2..0")
     assert code == 2
     assert out == ""
-    assert err == f"error: bad polynomial {p!r}: {message}\n"
+    # the text is echoed as its repr, cut after MAX_ECHO characters
+    echo = repr(p) if len(repr(p)) <= MAX_ECHO else repr(p)[:MAX_ECHO] + "..."
+    assert err == f"error: bad polynomial {echo}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -338,6 +340,32 @@ def test_deeply_nested_input_is_usage_error(capsys, tmp_path, argv, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("eval", "--seq", "W", "--range", "1.." + NINES), "ends above 10^6"),
+        (("eval", "--seq", "W", "--range", NINES + "..1"), "is reversed"),
+        (("eval", "--seq", "W", "--range", "1.." + "x" * 5000), "expected a range"),
+        (("telescope", "--seq", "W", "--window=-2.." + NINES, "--p", "k"), "ends above 10^6"),
+        (("verify", "--claim", "t-prime", "--exclude", "7," * 3000 + "x"), "comma-separated points"),
+        (("telescope", "--seq", "T", "--window=-1..0", "--p", "k", "--target-shifts=0," + NINES + "x"),
+         "target shifts"),
+        (("telescope", "--seq", "W", "--window=-2..0", "--p", "(" * 3000 + "k" + ")" * 3000),
+         "nested more than 32 deep at position 32"),
+    ],
+    ids=["range-top", "range-reversed", "range-text", "window-top", "exclude", "target-shifts", "p-parentheses"],
+)
+def test_long_arguments_are_echoed_in_part(capsys, argv, shown):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and shown in err
+    assert len(err.encode()) < 200 and "..." in err and "Traceback" not in err
 
 
 def test_verify_point_error_fails_only_that_point(capsys, tmp_path):

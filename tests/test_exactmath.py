@@ -16,8 +16,15 @@ from rc.exactmath import (
     Poly,
     PolyParseError,
     ZERO,
+    clear_denominators,
     frac_to_str,
+    horner,
+    iadd,
+    imul,
     independent_prefix,
+    iprod,
+    iquo,
+    ishift,
     legendre,
     lowest_terms,
     nullspace,
@@ -26,6 +33,7 @@ from rc.exactmath import (
     poly_divmod,
     poly_gcd,
     prime_factors,
+    primitive,
     rat_mod,
 )
 
@@ -104,6 +112,68 @@ def test_content_and_primitive():
     assert p.content() == F(3, 2)
     assert p.primitive() == poly(3, -1, 7)
     assert ZERO.content() == 0
+
+
+# -- the integer-polynomial kernel ---------------------------------------------
+
+
+def _trim(cs):
+    # an ascending coefficient list without trailing zeros, as the kernel keeps it
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    return cs
+
+
+def _ints(p: Poly) -> list[int]:
+    assert all(c.denominator == 1 for c in p.coeffs)
+    return [c.numerator for c in p.coeffs]
+
+
+int_polys = st.lists(st.integers(-60, 60), max_size=8).map(_trim)
+
+
+@given(
+    int_polys,
+    int_polys,
+    st.lists(int_polys, max_size=4),
+    st.integers(-6, 6),
+    st.lists(st.lists(fractions, max_size=6), max_size=4),
+)
+def test_integer_kernel_matches_poly(a, b, factors, j, rational_lists):
+    pa, pb = Poly(a), Poly(b)
+    assert imul(a, b) == _ints(pa * pb)
+    assert iadd(a, b) == _ints(pa + pb)
+    assert iadd(iadd(a, b), [-x for x in b]) == a  # b's top terms cancel when longer
+    assert ishift(a, j) == _ints(pa.shift(j))
+    assert iprod(factors) == _ints(math.prod(map(Poly, factors), start=ONE))
+    assert horner(a, j) == pa(j) == sum(c * j**e for e, c in enumerate(a))
+    if a:
+        prim = pa.primitive()
+        assert primitive(a) == tuple(_ints(prim if prim.lead > 0 else -prim))
+
+    # den clears every list, and no proper divisor of it does; each primitive
+    # part is that of the list itself
+    den, ints = clear_denominators(*rational_lists)
+    assert den >= 1 and len(ints) == len(rational_lists)
+    for cs, xs in zip(rational_lists, ints):
+        assert all(type(x) is int for x in xs) and xs == [c * den for c in cs]
+        assert Poly(xs).content() == Poly(cs).content() * den
+    for q in prime_factors(den):
+        assert any((c * (den // q)).denominator != 1 for cs in rational_lists for c in cs)
+
+
+@given(int_polys, int_polys.filter(bool), int_polys, st.booleans())
+def test_iquo_is_division_with_an_integer_quotient(a, b, c, planted):
+    if planted:
+        a = imul(b, c)
+    q, r = poly_divmod(Poly(a), Poly(b))
+    exact = r.is_zero and all(x.denominator == 1 for x in q.coeffs)
+    got = iquo(a, b)
+    assert (got is None) == (not exact)
+    if exact:
+        assert got == _ints(q)
+    if planted:
+        assert got == c  # an integer multiple divides back
 
 
 # -- nullspace ---------------------------------------------------------------
@@ -208,11 +278,11 @@ def test_nullspace_matches_sympy(case):
 )
 def test_nullspace_matches_sympy_on_search_systems(seq, window, target, weights, deg, shape, dim):
     from rc.sequences import get_sequence
-    from rc.telescoper import ShiftWindow, _build_system
+    from rc.telescoper import ShiftWindow, _Equations
 
     a = get_sequence(seq)
     w = ShiftWindow(*window)
-    system = _build_system(a, a, w, w, target, [parse_poly(x) for x in weights], deg, True)
+    system = _Equations(a, a, w, w, target, True).system([parse_poly(x) for x in weights], deg)
     ncols = len(system.columns)
     assert (len(system.matrix), ncols) == shape
     basis = nullspace(system.matrix, ncols=ncols)

@@ -30,7 +30,7 @@ from rc.telescoper import (
     pretty,
     reductions_defined_from,
 )
-from rc.telescoper import _build_system, _pair_setup, _reduction_table, _search_setup
+from rc.telescoper import _Equations, _pair_setup, _reduction_table, _search_setup
 
 P_W = parse_poly("8*k+9")
 P_T1 = parse_poly("k*(k+1)*(8*k+9)")
@@ -455,7 +455,7 @@ def _deepening_reference(a, b, p, target, wa, wb, bound, symmetric):
     freshly built system has a solution with p, the solution of least total
     degree of g (then the lexicographically smallest vector)."""
     for deg in range(bound + 1):
-        system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        system = _Equations(a, b, wa, wb, target, symmetric).system([p], deg)
         candidates = []
         for vec in nullspace(system.matrix, ncols=len(system.columns)):
             if vec[-1] == 0:
@@ -500,7 +500,7 @@ def test_sliced_degree_search_matches_fresh_builds(seq_a, seq_b, p, target, wind
     assert (cert and cert_to_json(cert)) == (expected and cert_to_json(expected))
 
     for deg in range(bound + 1):
-        system = _build_system(a, b, wa, wb, target, [p], deg, symmetric)
+        system = _Equations(a, b, wa, wb, target, symmetric).system([p], deg)
         basis = nullspace(system.matrix, ncols=len(system.columns))
         # at most one kernel vector has p != 0, and it is the last one
         assert [n for n, vec in enumerate(basis) if vec[-1]] in ([], [len(basis) - 1])
@@ -535,7 +535,7 @@ def test_each_exact_solve_takes_the_system_built_at_its_degree(
         degrees, rest = divmod(ncols - 1, n_pairs)
         deg = degrees - 1
         assert not rest and 0 <= deg <= bound
-        assert matrix == _build_system(a, b, wa, wb, target, [p], deg, symmetric).matrix
+        assert matrix == _Equations(a, b, wa, wb, target, symmetric).system([p], deg).matrix
 
 
 def test_degrees_above_the_cap_are_rejected_before_any_system_is_built(solves):
@@ -573,14 +573,14 @@ def test_systems_past_the_size_cap_are_rejected_before_any_row_is_built(solves, 
     # the benchmark's search without a certificate, at the sweep's largest
     # degree, and T at the degree cap stay under the cap
     a, b, target, wa, wb, symmetric = _search_setup("W", "W", (0, 0), (-2, 0), None)
-    assert _build_system(a, b, wa, wb, target, [cubic], 30, symmetric).matrix
+    assert _Equations(a, b, wa, wb, target, symmetric).system([cubic], 30).matrix
     a, b, target, wa, wb, symmetric = _search_setup("T", "T", (0, 1), (-1, 0), None)
-    assert _build_system(a, b, wa, wb, target, [cubic], MAX_DEGREE, symmetric).matrix
+    assert _Equations(a, b, wa, wb, target, symmetric).system([cubic], MAX_DEGREE).matrix
 
     def no_rows(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(rc.telescoper, "_ints", no_rows)
+    monkeypatch.setattr(rc.telescoper, "clear_denominators", no_rows)
     too_large = f"more than {MAX_SYSTEM_ENTRIES}"
     for target in ((0, 0), (8, 0)):
         with pytest.raises(ValueError, match=too_large):
@@ -619,7 +619,7 @@ PINNED_SYSTEMS = [
 @pytest.mark.parametrize("seq, p, target, window, deg, shape, rows_sha, matrix_sha", PINNED_SYSTEMS)
 def test_systems_match_their_pinned_digests(seq, p, target, window, deg, shape, rows_sha, matrix_sha):
     a, b, target, wa, wb, symmetric = _search_setup(seq, seq, target, window, None)
-    system = _build_system(a, b, wa, wb, target, [parse_poly(p)], deg, symmetric)
+    system = _Equations(a, b, wa, wb, target, symmetric).system([parse_poly(p)], deg)
     assert (len(system.rows), len(system.columns)) == shape
     assert hashlib.sha256(repr(system.rows).encode()).hexdigest() == rows_sha
     assert hashlib.sha256(repr(system.matrix).encode()).hexdigest() == matrix_sha
