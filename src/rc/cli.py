@@ -74,6 +74,20 @@ def _echo(text: str) -> str:
     return r if len(r) <= MAX_ECHO else r[:MAX_ECHO] + "..."
 
 
+def _int(text: str) -> int:
+    """The value of an integer option; a bad one is echoed by `_echo`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
+def _degree(flag: str, value: int) -> None:
+    """Reject a degree bound of the command line outside 0..`MAX_DEGREE`."""
+    if not 0 <= value <= MAX_DEGREE:
+        raise UsageError(f"{flag} must be in 0..{MAX_DEGREE}, got {_echo(str(value))}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are usage errors: one line on stderr
     and exit 2, as for every other bad input. Subparsers share the class."""
@@ -152,9 +166,8 @@ def _parse_p(text: str) -> Poly:
 
 def _solver_args(args) -> tuple:
     """Parse what `telescope` and `discover` share: (seq_b, target shifts,
-    window a, window b). A negative --deg is rejected."""
-    if args.deg < 0:
-        raise UsageError(f"--deg must be non-negative, got {args.deg}")
+    window a, window b). A --deg outside 0..`MAX_DEGREE` is rejected."""
+    _degree("--deg", args.deg)
     return (
         args.seq_b if args.seq_b else args.seq,
         _parse_shifts(args.target_shifts),
@@ -197,8 +210,7 @@ def _cmd_telescope(args) -> int:
 def _cmd_discover(args) -> int:
     seq_b, target, window_a, window_b = _solver_args(args)
     p_fixed = _parse_p(args.p) if args.p else ONE
-    if args.p_degree < 0:
-        raise UsageError(f"--p-degree must be non-negative, got {args.p_degree}")
+    _degree("--p-degree", args.p_degree)
     try:
         result = discover_weights(
             args.seq, seq_b, p_fixed, args.p_degree, target, window_a, window_b, deg_bound=args.deg
@@ -262,8 +274,8 @@ def _cmd_verify(args) -> int:
     if args.claim:
         try:
             claims.append(get_claim(args.claim))
-        except KeyError as e:
-            raise UsageError(e.args[0]) from None
+        except KeyError:
+            raise UsageError(f"unknown claim {_echo(args.claim)}") from None
     if not claims:
         claims = builtin_claims()
 
@@ -493,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common_solver_flags(p)
     p.add_argument("--p", required=True, help='weight polynomial, e.g. "8*k+9"')
     p.add_argument(
-        "--deg", type=int, default=6, help=f"degree bound for g, at most {MAX_DEGREE} (default 6)"
+        "--deg", type=_int, default=6, help=f"degree bound for g, at most {MAX_DEGREE} (default 6)"
     )
     p.set_defaults(fn=_cmd_telescope)
 
@@ -501,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common_solver_flags(p)
     p.add_argument("--p", help="fixed polynomial factor of the ansatz (default 1)")
     p.add_argument(
-        "--p-degree", type=int, default=1, help=f"degree of the free ansatz part, at most {MAX_DEGREE}"
+        "--p-degree", type=_int, default=1, help=f"degree of the free ansatz part, at most {MAX_DEGREE}"
     )
-    p.add_argument("--deg", type=int, default=6, help=f"degree bound for g, at most {MAX_DEGREE}")
+    p.add_argument("--deg", type=_int, default=6, help=f"degree bound for g, at most {MAX_DEGREE}")
     p.set_defaults(fn=_cmd_discover)
 
     p = sub.add_parser("certify", help="recheck a certificate JSON file")
@@ -541,7 +553,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (UsageError, UnknownSequence, OSError) as e:
+    except UnknownSequence as e:
+        print(f"error: unknown sequence {_echo(e.name)}", file=sys.stderr)
+        return 2
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, UnicodeDecodeError) as e:

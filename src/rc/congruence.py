@@ -30,22 +30,24 @@ the value modulo m, so both modes share one dispatch over the nodes. A
 subtree built from constants, n, +, -, x and division by a nonzero constant
 alone, such as the modulus n^2 (n^2 - 1) / 6, is folded into one integer
 polynomial over a positive denominator, evaluated by one Horner pass. The
-modulus m is evaluated exactly first. When m is a nonzero integer and every
-sum of the claim is certified (a claim without sums qualifies), lhs - rhs is
-evaluated modulo m alone. Each term the claim reads at n + shift, for its
+modulus m is evaluated exactly first. When m is a nonzero integer, lhs - rhs
+is evaluated modulo m alone. Each term the claim reads at n + shift, for its
 sequence references and for the closed forms of its sums, is read once from
 its window and reduced once, modulo m L (L the lcm of the closed forms'
 scales D); a sequence reference takes that residue modulo m, a certified sum
-modulo D m. A quotient by d is taken from its numerator modulo m |d|, and a
+modulo D m. A running sum is taken from its cursor's numerator and
+denominator before they are reduced, num den^-1 modulo m: the reduced
+denominator divides den, so where den is a unit this is the residue of the
+sum. A quotient by d is taken from its numerator modulo m |d|, and a
 rational only through the inverse of a unit. A zero residue passes the
-point and keeps nothing. Every other point
-(a nonzero residue, a non-unit, an evaluation error, an uncertified sum),
-every flagged point and every `check_claim_at` is computed exactly by the
-same closures, so every report reads as the exact path alone would write it.
-A range check keeps only the points that do not pass. A claim decided by
-residues reads its terms through the evaluator's windows (see
-`SumEvaluator`) in both modes, so a range check keeps a few terms per
-sequence, not every term below its top, whether its points pass or fail.
+point and keeps nothing. Every other point (a nonzero residue, a non-unit,
+an evaluation error), every flagged point and every `check_claim_at` is
+computed exactly by the same closures, so every report reads as the exact
+path alone would write it. A range check keeps only the points that do not
+pass. It reads its terms through the evaluator's windows (see
+`SumEvaluator`) in both modes, the terms of its running sums too, so it
+keeps a few terms per sequence, not every term below its top, whether its
+points pass or fail.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -75,7 +77,6 @@ from .exactmath import (
     horner,
     legendre,
     prime_factors,
-    rat_mod,
 )
 from .sequences import (
     BUILTINS,
@@ -275,8 +276,9 @@ class SumEvaluator:
     Cost model. A certified sum over lo..u is (D S(u+1) - D S(lo)) / D (see
     `telescoper.ClosedForm`): a few products of window terms, whatever u is,
     and modulo an integer M only linear-time reductions of those terms
-    (the residue mode of `_Compiler`). Those terms, and the sequence
-    references of a claim checked by residues, are read through one
+    (the residue mode of `_Compiler`). Those terms, the sequence references
+    of a claim checked by `verify_claim_range`, and the sequence factors of
+    a running sum whose upper limit is n + c, are read through one
     `TermWindow` per sequence (`window`), which this evaluator owns:
     ascending reads step each term once past the memo and keep only the
     recurrence order plus the span of shifts read at one point, so the
@@ -284,26 +286,27 @@ class SumEvaluator:
     window steps again from the memo, which happens once when two claims read
     one sequence in turn; a certified sum read below its last read
     (`eval_sum` in descending order) reads the memo instead. The sequence
-    references of a claim with an uncertified sum, of `eval_expr` and of
-    `check_claim_at`, and `certify`, read the memo. Otherwise, when the
-    summand does not mention n (all theorem sums are like that), the
-    evaluator keeps a cursor (k, num, den) per spec: the sum over lo..k as
-    an integer numerator num over den, the lcm (up to sign) of the
-    denominators of its terms. For an integer summand
-    den stays 1 and the sum is read as an int; otherwise it is reduced to a
-    `Fraction` only when read. A read at or above the cursor adds only the
-    terms between the cursor and the read and moves the cursor there, so
-    ascending reads add each term once, O(1) per point when n steps by one.
-    A read below the cursor starts again from the spec's lower limit and
-    leaves the cursor at the read. A summand that mentions n is summed from
-    the lower limit at every read, and nothing is kept.
+    references of `eval_expr` and of `check_claim_at`, any other running
+    sum, and `certify`, read the memo. Otherwise, when the summand does not
+    mention n (all theorem sums are like that), the evaluator keeps a cursor
+    (k, num, den) per spec (`running_sum`): the sum over lo..k as an integer
+    numerator num over den, the lcm (up to sign) of the denominators of its
+    terms. For an integer summand den stays 1 and the sum is read as an int;
+    otherwise `eval_sum` reduces it to a `Fraction`, and the residue mode
+    takes num den^-1 modulo m without reducing it. A read at or above the
+    cursor adds only the terms between the cursor and the read and moves
+    the cursor there, so ascending reads add each term once, O(1) per point
+    when n steps by one. A read below the cursor starts again from the
+    spec's lower limit and leaves the cursor at the read. A summand that
+    mentions n is summed from the lower limit at every read, and nothing is
+    kept.
 
     Each term's binomial and geometric factors are stepped from their
     values at k - 1 (see `rc.sequences`): a big-by-small product and one
     exact division per factor instead of a `math.comb` of the full size.
     The cursor keeps the factors' step functions, so a resumed read steps
     on from the cursor; a summand that mentions n steps within one read.
-    A binomial node of an expression (`eval_binom`) steps from the value
+    A binomial node of an expression (`binom_reader`) steps from the value
     this evaluator last read for it, across at most `_MAX_STEP_FACTORS`
     small factors; a first read, a read below the last one and a longer
     jump call `binom`.
@@ -322,7 +325,7 @@ class SumEvaluator:
             ]
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
-        self._binoms: dict[BinomExpr, tuple[int, int, int, int]] = {}
+        self._binoms: dict[BinomExpr, list] = {}
         self._windows: dict[SequenceDef, TermWindow] = {}
         self._closed_reads: dict[SumSpec, int] = {}  # the last u read of each closed form
 
@@ -366,42 +369,82 @@ class SumEvaluator:
         self._closed[spec] = found
         return found
 
+    def binom_reader(self, e: BinomExpr) -> Callable[[int], int]:
+        """read(n) = binom(top(n), bottom(n)) for the node e: by `binom_step`
+        from the value last read for e (by any reader of a node equal to e)
+        when n is not below that read and at most `_MAX_STEP_FACTORS`
+        factors away from it, else by `binom`. The state is looked up here,
+        once per node, not at each read."""
+        state = self._binoms.setdefault(e, [None, 0, 0, 0])  # n, x, y and the value last read
+        top, bottom = e.top, e.bottom
+
+        def read(n: int) -> int:
+            x, y = top.exact_at(n), bottom.exact_at(n)
+            n0, x0, y0, value = state
+            if (
+                n0 is not None
+                and n0 <= n
+                and abs(x - x0) + abs(y - y0) + abs(x - y - x0 + y0) <= _MAX_STEP_FACTORS
+            ):
+                value = binom_step(value, x0, y0, x, y)
+            else:
+                value = binom(x, y)
+            state[:] = n, x, y, value
+            return value
+
+        return read
+
     def eval_binom(self, e: BinomExpr, n: int) -> int:
-        """binom(top(n), bottom(n)), by `binom_step` from the value last read
-        for e when n is not below that read and at most `_MAX_STEP_FACTORS`
-        factors away from it, else by `binom`."""
-        x, y = e.top.exact_at(n), e.bottom.exact_at(n)
-        n0, x0, y0, value = self._binoms.get(e, (n + 1, 0, 0, 0))
-        if n0 <= n and abs(x - x0) + abs(y - y0) + abs(x - y - x0 + y0) <= _MAX_STEP_FACTORS:
-            value = binom_step(value, x0, y0, x, y)
-        else:
-            value = binom(x, y)
-        self._binoms[e] = (n, x, y, value)
-        return value
+        """binom(top(n), bottom(n)) for the node e, by `binom_reader`."""
+        return self.binom_reader(e)(n)
+
+    def running_sum(self, spec: SumSpec, n: int) -> tuple[int, int]:
+        """The sum at n summed term by term, as (num, den): an integer
+        numerator over den, the lcm (up to sign) of the denominators of its
+        terms, not reduced (see `_running_sums`). An n-free spec reads and
+        moves its cursor; a fresh cursor whose upper limit is n + c reads its
+        sequence factors through this evaluator's windows."""
+        hi = spec.upper.at(n)
+        if hi < spec.lo:
+            return 0, 1
+        if not spec.n_free:
+            num, den, _ = _running_sums(spec, n, spec.lo, hi, 0, 1)
+            return num, den
+        cursor = self._cursors.get(spec)
+        if cursor is None or cursor[0] > hi:
+            cursor = (spec.lo - 1, 0, 1, self._streamed_steps(spec, n))
+        k, num, den, steps = cursor
+        num, den, steps = _running_sums(spec, n, k + 1, hi, num, den, steps)
+        self._cursors[spec] = (hi, num, den, steps)
+        return num, den
+
+    def _streamed_steps(self, spec: SumSpec, n: int) -> list | None:
+        """The step functions of a fresh cursor of spec whose upper limit is
+        n + c, its sequence factors reading this evaluator's windows, widened
+        to the span of their shifts; None for any other upper limit, whose
+        reads `_running_sums` serves from the memo."""
+        if spec.upper.cn != 1 or spec.upper.den != 1:
+            return None
+        spans = _spans((f.seq, 1, f.shift) for f in spec.factors if isinstance(f, SeqFactor))
+        return [
+            f.stepper(n, self.window(f.seq, spans[f.seq])) if isinstance(f, SeqFactor) else f.stepper(n)
+            for f in spec.factors
+        ]
 
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
         hi = spec.upper.at(n)
         if hi < spec.lo:
             return 0
         found = self.closed_sum(spec)
-        if found is not None:
-            closed, base = found
-            # reads in ascending order stream through the windows; a read
-            # below the last one is random access, which the memo serves
-            ascending = hi >= self._closed_reads.get(spec, hi)
-            self._closed_reads[spec] = hi
-            num = closed.scaled(hi + 1, self._windows if ascending else None) - base
-            return _quotient(num, closed.scale, None)
-        n_free = spec.n_free
-        k, num, den, steps = spec.lo - 1, 0, 1, None
-        if n_free:
-            cursor = self._cursors.get(spec)
-            if cursor is not None and cursor[0] <= hi:
-                k, num, den, steps = cursor
-        num, den, steps = _running_sums(spec, n, k + 1, hi, num, den, steps)
-        if n_free:
-            self._cursors[spec] = (hi, num, den, steps)
-        return _reduced(num, den)
+        if found is None:
+            return _reduced(*self.running_sum(spec, n))
+        closed, base = found
+        # reads in ascending order stream through the windows; a read below
+        # the last one is random access, which the memo serves
+        ascending = hi >= self._closed_reads.get(spec, hi)
+        self._closed_reads[spec] = hi
+        num = closed.scaled(hi + 1, self._windows if ascending else None) - base
+        return _quotient(num, closed.scale, None)
 
 
 def _checked_closed_form(cert: TelescoperCertificate | None) -> ClosedForm | None:
@@ -506,8 +549,9 @@ class _Compiler:
     evaluator. f(n, None) is the exact value at n (see the module docstring),
     with sums from `SumEvaluator.eval_sum`. For an integer m >= 1, f(n, m) is
     that value modulo m: a certified sum from its closed form modulo D m
-    (`ClosedForm.combine`), and divisors, Legendre arguments, binomials and
-    uncertified sums exactly. Only units are inverted; anything else raises,
+    (`ClosedForm.combine`), a running sum from its cursor's num den^-1
+    modulo m, and divisors, Legendre arguments and binomials exactly. Only
+    units are inverted; anything else raises,
     as does whatever f(n, None) raises, so a point that passes modulo m
     passes exactly. A subtree built from constants, n, +, -, x and division
     by a nonzero constant alone is folded into one polynomial
@@ -518,9 +562,11 @@ class _Compiler:
     `route` puts the evaluator's window in its place. Compiling records each
     (sequence, slope, offset) read in `reads` (see `_spans`), each read at
     n + offset once in `held`, the lcm of the scales D of the closed forms
-    read there in `lcm`, and whether every sum has a closed form in
-    `certified`, and the closures of the polynomial divisors of divisions in
-    `divisors`. `read_point(n, m)` reads each held term once and reduces it
+    read there in `lcm`, and the closures of the polynomial divisors of
+    divisions in `divisors`. The sequence factors of a sum without a closed
+    form go into `reads` alone, not into `held`: its cursor reads them
+    itself, through the evaluator's windows when its upper limit is n + c
+    (`streamed` lists those sums). `read_point(n, m)` reads each held term once and reduces it
     once modulo M = m `lcm` times the numerators of those divisors at n, into
     `frame`, so that M covers the moduli of the calls under a division too; a
     closure called at that n with a modulus that divides M takes its held
@@ -530,7 +576,7 @@ class _Compiler:
         self.ev = ev
         self.reads: list = []
         self.stores: dict = {}
-        self.certified = True
+        self.streamed: list[SumSpec] = []
         self.held: dict[tuple[SequenceDef, int], int] = {}
         self.lcm = 1
         self.divisors: list[_Compiled] = []
@@ -603,7 +649,8 @@ class _Compiler:
 
             return f
         if isinstance(e, BinomExpr):
-            return lambda n, m: ev.eval_binom(e, n) if m is None else ev.eval_binom(e, n) % m
+            read = ev.binom_reader(e)
+            return lambda n, m: read(n) if m is None else read(n) % m
         if isinstance(e, (Add, Mul)):
             kids = e.terms if isinstance(e, Add) else e.factors
             fixed = tuple(x for x in kids if _polynomial(x) is not None)
@@ -646,8 +693,22 @@ class _Compiler:
             spec = e.spec
             found = ev.closed_sum(spec)
             if found is None:
-                self.certified = False
-                return lambda n, m: ev.eval_sum(spec, n) if m is None else rat_mod(ev.eval_sum(spec, n), m)
+                upper = spec.upper
+                slope = upper.cn if upper.den == 1 and spec.n_free else None
+                reads = [(x.seq, slope, upper.c + x.shift) for x in spec.factors if isinstance(x, SeqFactor)]
+                self.reads += reads
+                if reads and slope == 1:
+                    self.streamed.append(spec)
+
+                def f(n, m):
+                    if m is None:
+                        return ev.eval_sum(spec, n)
+                    # num / den modulo m from the cursor: the reduced
+                    # denominator divides den, so a unit den gives the residue
+                    num, den = ev.running_sum(spec, n)
+                    return num % m if den == 1 else num % m * pow(den % m, -1, m) % m
+
+                return f
             closed, base = found
             scale, lo, upper, reads = closed.scale, spec.lo, spec.upper, closed.reads
             slope = upper.cn if upper.den == 1 else None
@@ -841,27 +902,29 @@ def verify_claim_range(
     are collected, not raised. Only the results that do not pass are kept, so
     the values of passing points are freed as soon as they are checked.
 
-    The claim is compiled once (see `_Compiler`). When every sum of the claim
-    has a certified closed form, which a claim without sums has too, a point
-    with a nonzero integer modulus m passes on a zero residue of lhs - rhs
-    modulo m, with each term read once through the evaluator's windows and
-    reduced once (`_Compiler.read_point`); every other point, and every
-    flagged point, is computed exactly by `_check_raw` from the same
-    closures, reading the same windows, so a report reads the same either
-    way. The points of an integer domain are taken one at a time, not
-    listed."""
+    The claim is compiled once (see `_Compiler`). A point with a nonzero
+    integer modulus m passes on a zero residue of lhs - rhs modulo m, with
+    each term read once through the evaluator's windows and reduced once
+    (`_Compiler.read_point`), and each running sum taken from its cursor
+    without a `Fraction`; every other point, and every flagged point, is
+    computed exactly by `_check_raw` from the same closures, reading the same
+    windows, so a report reads the same either way. At each point the
+    running sums that read windows read their new terms first. The points
+    of an integer domain are taken one at a time, not listed."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.each_point(lo, hi)
     compiler = _Compiler(ev)
     sides = compiler.sides(claim)
     lhs, rhs, modulus = sides
-    screen = compiler.certified
-    if screen:
-        compiler.route()
+    compiler.route()
 
     def passes(n: int) -> bool:
         try:
+            # the streamed running sums read their new terms first, before
+            # another read at n can move a window they share past them
+            for spec in compiler.streamed:
+                ev.running_sum(spec, n)
             m = modulus(n, None)
             if m == 0 or m.denominator != 1:
                 return False
@@ -874,7 +937,7 @@ def verify_claim_range(
     checked, failures = 0, []
     for n in points:
         checked += 1
-        if not (screen and passes(n)):
+        if not passes(n):
             result = _check_raw(claim, n, sides)
             if result.status != "pass":
                 failures.append(result)

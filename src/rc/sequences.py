@@ -304,9 +304,12 @@ class SeqFactor:
     def name(self) -> str:
         return self.seq.name
 
-    def stepper(self, n: int):
-        """step(k) as for `BinomFactor.stepper`: the memoized term."""
-        term, shift = self.seq.term, self.shift
+    def stepper(self, n: int, store=None):
+        """step(k) as for `BinomFactor.stepper`: the term seq(k + shift), read
+        from store, a `TermWindow` over seq, or by default from seq's memo.
+        `congruence.SumEvaluator` passes its window for a running sum whose
+        upper limit moves with n, so ascending reads step each term once."""
+        term, shift = (self.seq if store is None else store).term, self.shift
         return lambda k: term(k + shift)
 
     def to_json(self) -> dict:

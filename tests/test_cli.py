@@ -357,8 +357,17 @@ NINES = "9" * 5000
          "target shifts"),
         (("telescope", "--seq", "W", "--window=-2..0", "--p", "(" * 3000 + "k" + ")" * 3000),
          "nested more than 32 deep at position 32"),
+        (("verify", "--claim", "x" * 5000), "unknown claim"),
+        (("eval", "--seq", "x" * 5000), "unknown sequence"),
+        (("telescope", "--seq", "W", "--window=-2..0", "--p", "k", "--deg", "x" * 5000),
+         "argument --deg: invalid int value"),
+        (("telescope", "--seq", "W", "--window=-2..0", "--p", "k", "--deg", NINES), "--deg must be in 0..100"),
+        (("discover", "--seq", "W", "--window=-2..0", "--p-degree=-" + NINES), "--p-degree must be in 0..100"),
     ],
-    ids=["range-top", "range-reversed", "range-text", "window-top", "exclude", "target-shifts", "p-parentheses"],
+    ids=[
+        "range-top", "range-reversed", "range-text", "window-top", "exclude", "target-shifts", "p-parentheses",
+        "claim-id", "seq-name", "deg-text", "deg-digits", "p-degree-digits",
+    ],
 )
 def test_long_arguments_are_echoed_in_part(capsys, argv, shown):
     code, out, err = run_cli(capsys, *argv)

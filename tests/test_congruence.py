@@ -31,6 +31,7 @@ from rc.congruence import (
     SumEvaluator,
     SumNode,
     SumSpec,
+    VerificationReport,
     SUM_T_PRODUCTS_8K9,
     SUM_T_PRODUCTS_16K21,
     SUM_W_SQUARES,
@@ -67,6 +68,7 @@ from rc.sequences import (
     builtin_names,
     get_sequence,
     recurrence,
+    sequence_to_json,
 )
 from rc.telescoper import REFERENCE_SEARCHES, cert_from_json, cert_to_json, certify, partial_sum
 
@@ -666,8 +668,26 @@ CERTIFIED = {
 
 
 def _oracle() -> SumEvaluator:
-    """Running sums only: no certificate, so no closed form and no residues."""
+    """Running sums only: no certificate, so no closed form. A range check
+    through it still screens its points by residues (of the running sums)."""
     return SumEvaluator(certificates=())
+
+
+def _exact_walk(claim: CongruenceClaim, lo: int, hi: int) -> dict:
+    """The report JSON of `check_claim_at` at every point of [lo, hi] and at
+    the flagged points, with running sums only: exact values, no residues."""
+    ev = SumEvaluator(certificates=())
+    results = [check_claim_at(claim, n, ev) for n in claim.domain.points(lo, hi)]
+    flagged = tuple(
+        check_claim_at(dataclasses.replace(claim, domain=Domain("integers", n)), n, ev)
+        for n in claim.flag_points
+    )
+    failures = tuple(r for r in results if r.status != "pass")
+    return report_to_json(
+        VerificationReport(
+            claim.claim_id, claim.description, lo, hi, len(results), failures, flagged, 0.0, claim.notes
+        )
+    )
 
 
 # sha256 of `json.dumps(cert_to_json(c), indent=2) + "\n"` for the certificate c
@@ -715,6 +735,7 @@ def test_residue_path_reports_match_the_running_sum_oracle(claim_id, wrong_rhs):
     got = report_to_json(verify_claim_range(claim, 1, 2000, ev))
     want = report_to_json(verify_claim_range(claim, 1, 2000, _oracle()))
     assert got == want
+    assert got == _exact_walk(claim, 1, 2000)
     assert (got["verdict"] == "pass") == (wrong_rhs is None)
 
 
@@ -751,6 +772,7 @@ def test_a_certificate_that_fails_certify_is_never_used():
             claim = get_claim(claim_id)
             got = report_to_json(verify_claim_range(claim, 1, 300, ev))
             assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+            assert got == _exact_walk(claim, 1, 300)
             assert got["verdict"] == "pass"
 
 
@@ -806,6 +828,7 @@ def test_residue_points_fall_back_to_the_exact_path():
         claim = CongruenceClaim("fallback", "", lhs, rhs, modulus, Domain("integers", 0))
         got = report_to_json(verify_claim_range(claim, 0, 40, SumEvaluator()))
         assert got == report_to_json(verify_claim_range(claim, 0, 40, _oracle()))
+        assert got == _exact_walk(claim, 0, 40)
 
 
 def test_only_the_flagged_point_is_computed_exactly(monkeypatch):
@@ -815,7 +838,7 @@ def test_only_the_flagged_point_is_computed_exactly(monkeypatch):
     assert verify_claim_range(get_claim("theorem-1.3ii"), 2, 300).ok
     assert exact == [2]
     assert verify_claim_range(get_claim("theorem-1.3ii"), 2, 300, _oracle()).ok
-    assert len(exact) == 1 + 61
+    assert exact == [2, 2]  # the running sum is screened too
 
 
 _BOUNDS = st.builds(Bound, st.integers(-2, 2), st.integers(-6, 6), st.integers(1, 2))
@@ -922,6 +945,7 @@ def test_a_sequence_read_at_two_rates_is_read_from_the_memo():
     ev = SumEvaluator()
     got = report_to_json(verify_claim_range(claim, 1, 300, ev))
     assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+    assert got == _exact_walk(claim, 1, 300)
     assert got["verdict"] == "pass" and ev.window(W).steps == 0
 
 
@@ -1092,6 +1116,7 @@ def test_a_false_claim_is_reported_as_the_exact_path_reports_it(claim_id, change
     claim = dataclasses.replace(get_claim(claim_id), **change)
     got = report_to_json(verify_claim_range(claim, 1, 300, SumEvaluator()))
     assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
+    assert got == _exact_walk(claim, 1, 300)
     assert got["verdict"] == "fail"
 
 
@@ -1123,3 +1148,88 @@ def test_integer_points_are_streamed():
         tracemalloc.stop()
     assert rep.ok and rep.points_checked == 200_000
     assert peak < list_peak
+
+
+# -- running sums screened by residues ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "claim_id",
+    ["central-binom-over-k-full", "central-binom-over-k-half", "central-binom-2k-1", "central-binom-sum-half"],
+)
+@pytest.mark.parametrize("plus_one", [False, True], ids=["claim", "rhs-plus-1"])
+def test_running_sums_are_screened_by_residues(monkeypatch, claim_id, plus_one):
+    # these sums have no certificate: a point is decided from num / den of
+    # the cursor modulo p, and only the failing points are computed exactly
+    claim = get_claim(claim_id)
+    if plus_one:
+        claim = dataclasses.replace(claim, rhs=add(claim.rhs, C(1)))
+    lo, hi = suite_range(claim_id)
+    want = _exact_walk(claim, lo, 4 * hi)
+    ev = SumEvaluator()
+    assert all(ev.closed_sum(spec) is None for spec in _sum_specs(claim.lhs))
+    exact, check = [], congruence._check_raw
+    monkeypatch.setattr(congruence, "_check_raw", lambda c, n, sides: exact.append(n) or check(c, n, sides))
+    got = report_to_json(verify_claim_range(claim, lo, 4 * hi, ev))
+    assert got == want
+    assert exact == [r["n"] for r in got["failures"]]
+    assert got["verdict"] == ("fail" if plus_one else "pass")
+
+
+def test_a_denominator_that_is_not_a_unit_falls_back_to_the_exact_path(monkeypatch):
+    # H(n-1) = sum 1/k for k < n modulo n: the cursor's den, the lcm of
+    # 1..n-1, is a unit modulo a prime, where H(p-1) = 0 (p >= 3) passes on
+    # its residue; at a composite n it is not, and the exact path decides
+    harmonic = SumNode(SumSpec(lo=1, upper=Bound(1, -1, 1), den=Poly([0, 1])))
+    claim = CongruenceClaim("harmonic", "", harmonic, C(0), N, Domain("integers", 1))
+    want = _exact_walk(claim, 1, 400)
+    exact, check = [], congruence._check_raw
+    monkeypatch.setattr(congruence, "_check_raw", lambda c, n, sides: exact.append(n) or check(c, n, sides))
+    got = report_to_json(verify_claim_range(claim, 1, 400, SumEvaluator()))
+    assert got == want
+    composites = [n for n in range(4, 401) if n not in primes_in(4, 400)]
+    assert exact == [2] + composites == [r["n"] for r in got["failures"]]
+    assert "is not invertible" in got["failures"][1]["reason"]
+
+
+def _t2_document(extra: dict | None = None, kind: str = "integers") -> dict:
+    """A claims file with T2, a copy of T, and theorem-1.3i restated over it,
+    with extra added to both sides."""
+    claim = claim_to_json(get_claim("theorem-1.3i"))
+    text = json.dumps(claim).replace('"name": "T"', '"name": "T2"').replace('"seq": "T"', '"seq": "T2"')
+    claim = {**json.loads(text), "id": "theorem-1.3i-T2"}
+    claim["domain"]["kind"] = kind
+    if extra is not None:
+        claim["lhs"] = {"add": [claim["lhs"], extra]}
+        claim["rhs"] = {"add": [claim["rhs"], extra]}
+    return {"sequences": [{**sequence_to_json(T), "name": "T2"}], "claims": [claim]}
+
+
+def test_a_claims_file_sum_streams_through_the_windows():
+    # the sum of T2(k) T2(k+1) and the references T2(n-1), T2(n) share one
+    # window: each term is stepped once and T2's memo is never filled
+    (claim,) = load_claims_document(_t2_document())
+    got = report_to_json(verify_claim_range(claim, 1, 300, SumEvaluator()))
+    want = report_to_json(verify_claim_range(get_claim("theorem-1.3i"), 1, 300, SumEvaluator()))
+    assert got == {**want, "claim": "theorem-1.3i-T2"}
+    (claim,) = load_claims_document(_t2_document())
+    t2 = claim.rhs.factors[-1].seq
+    ev = SumEvaluator()
+    rep = verify_claim_range(claim, 1, 2000, ev)
+    assert rep.ok and rep.points_checked == 2000
+    assert ev.window(t2).steps == 2000 - t2.max_initial
+    assert len(t2._memo) == len(t2.initial)
+
+
+def test_a_running_sum_reads_its_new_terms_before_the_references():
+    # over the primes the cursor reads T2 from the previous prime on, while
+    # T2(p + 40) is read at each p: the sum reads first, so the window (of
+    # width 2 + 41) never falls behind and steps each term once
+    extra = {"sub": [{"seq": "T2", "shift": 40}, {"seq": "T2", "shift": 0}]}
+    (claim,) = load_claims_document(_t2_document(extra, "primes"))
+    t2 = claim.rhs.terms[-1].a.seq
+    ev = SumEvaluator()
+    rep = verify_claim_range(claim, 1, 2000, ev)
+    assert rep.ok and rep.points_checked == len(primes_in(1, 2000))
+    assert ev.window(t2).steps == 1999 + 40 - t2.max_initial
+    assert len(t2._memo) == len(t2.initial)
