@@ -29,7 +29,7 @@ from .congruence import (
     suite_range,
     verify_claim_range,
 )
-from .exactmath import MAX_LITERAL_DIGITS, ONE, Poly, PolyParseError, parse_poly, nullspace
+from .exactmath import MAX_LITERAL_DIGITS, ONE, Poly, PolyParseError, echo, parse_poly, nullspace
 from .sequences import (
     DerivedSequence,
     T,
@@ -63,29 +63,18 @@ class UsageError(Exception):
     pass
 
 
-# the most characters of an argument's repr that an error message echoes
-MAX_ECHO = 40
-
-
-def _echo(text: str) -> str:
-    """text as an error message quotes it: its repr, cut to `MAX_ECHO`
-    characters and marked by "..." when longer."""
-    r = repr(text)
-    return r if len(r) <= MAX_ECHO else r[:MAX_ECHO] + "..."
-
-
 def _int(text: str) -> int:
-    """The value of an integer option; a bad one is echoed by `_echo`."""
+    """The value of an integer option; a bad one is quoted by `echo`."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
 
 
 def _degree(flag: str, value: int) -> None:
     """Reject a degree bound of the command line outside 0..`MAX_DEGREE`."""
     if not 0 <= value <= MAX_DEGREE:
-        raise UsageError(f"{flag} must be in 0..{MAX_DEGREE}, got {_echo(str(value))}")
+        raise UsageError(f"{flag} must be in 0..{MAX_DEGREE}, got {echo(str(value))}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,11 +91,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
-        raise UsageError(f"expected a range like 1..500, got {_echo(text)}") from None
+        raise UsageError(f"expected a range like 1..500, got {echo(text)}") from None
     if hi < lo:
-        raise UsageError(f"the range {_echo(text)} is reversed")
+        raise UsageError(f"the range {echo(text)} is reversed")
     if hi > MAX_RANGE_TOP:
-        raise UsageError(f"the range {_echo(text)} ends above 10^6, the highest top rc checks")
+        raise UsageError(f"the range {echo(text)} ends above 10^6, the highest top rc checks")
     return lo, hi
 
 
@@ -114,7 +103,7 @@ def _parse_points(text: str) -> frozenset[int]:
     try:
         return frozenset(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated points like 7,11, got {_echo(text)}") from None
+        raise UsageError(f"expected comma-separated points like 7,11, got {echo(text)}") from None
 
 
 def _json_int_literal(text: str) -> int:
@@ -154,14 +143,14 @@ def _parse_shifts(text: str) -> tuple[int, int]:
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise UsageError(f"expected target shifts like 0,1 - got {_echo(text)}")
+    raise UsageError(f"expected target shifts like 0,1 - got {echo(text)}")
 
 
 def _parse_p(text: str) -> Poly:
     try:
         return parse_poly(text)
     except PolyParseError as e:  # one line, not the parser's caret diagram
-        raise UsageError(f"bad polynomial {_echo(e.text)}: {e.reason} at position {e.pos}") from None
+        raise UsageError(f"bad polynomial {echo(e.text)}: {e.reason} at position {e.pos}") from None
 
 
 def _solver_args(args) -> tuple:
@@ -275,7 +264,7 @@ def _cmd_verify(args) -> int:
         try:
             claims.append(get_claim(args.claim))
         except KeyError:
-            raise UsageError(f"unknown claim {_echo(args.claim)}") from None
+            raise UsageError(f"unknown claim {echo(args.claim)}") from None
     if not claims:
         claims = builtin_claims()
 
@@ -553,10 +542,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except UnknownSequence as e:
-        print(f"error: unknown sequence {_echo(e.name)}", file=sys.stderr)
-        return 2
-    except (UsageError, OSError) as e:
+    except (UsageError, UnknownSequence, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, UnicodeDecodeError) as e:

@@ -73,8 +73,9 @@ from .exactmath import (
     Poly,
     _json_text,
     clear_denominators,
+    echo,
+    evaluator,
     frac_to_str,
-    horner,
     legendre,
     prime_factors,
 )
@@ -536,12 +537,13 @@ def _polynomial(e: Expr) -> Poly | None:
 
 
 def _folded(p: Poly) -> _Compiled:
-    """The closure of a folded node: its integer numerator at n by one Horner
-    pass, over its positive denominator by `_quotient`."""
+    """The closure of a folded node: its integer numerator at n by its
+    `exactmath.evaluator`, over its positive denominator by `_quotient`."""
     den, (num,) = clear_denominators(p.coeffs)
+    value = evaluator(num)
     if den == 1:
-        return lambda n, m: horner(num, n) if m is None else horner(num, n) % m
-    return lambda n, m: _quotient(horner(num, n), den, m)
+        return lambda n, m: value(n) if m is None else value(n) % m
+    return lambda n, m: _quotient(value(n), den, m)
 
 
 class _Compiler:
@@ -578,6 +580,7 @@ class _Compiler:
         self.stores: dict = {}
         self.streamed: list[SumSpec] = []
         self.held: dict[tuple[SequenceDef, int], int] = {}
+        self.held_reads: list = []  # (the store's term, offset) per held read, set by `route`
         self.lcm = 1
         self.divisors: list[_Compiled] = []
         self.frame: list = [None, 1, []]  # n, the modulus M, the held terms modulo M
@@ -585,17 +588,18 @@ class _Compiler:
     def route(self) -> None:
         """Read each sequence read at n + shift alone through the evaluator's
         window, widened to the span of those shifts, and any other through its
-        memo."""
+        memo; bind each held read to its store's `term` for `read_point`."""
         for seq, span in _spans(self.reads).items():
             self.stores[seq] = seq if span is None else self.ev.window(seq, span)
+        self.held_reads = [(self.stores[seq].term, offset) for seq, offset in self.held]
 
     def read_point(self, n: int, m: int) -> None:
-        """Fill `frame` for the residue mode at n modulo m (see above)."""
+        """Fill `frame` for the residue mode at n modulo m (see above); after
+        `route`."""
         big = m * self.lcm
         for divisor in self.divisors:
             big *= abs(divisor(n, None).numerator)
-        stores = self.stores
-        self.frame[:] = n, big, [stores[seq].term(n + offset) % big for seq, offset in self.held]
+        self.frame[:] = n, big, [term(n + offset) % big for term, offset in self.held_reads]
 
     def hold(self, seq: SequenceDef, slope: int | None, offset: int) -> int | None:
         """Record a read of seq at slope * n + offset; the index of a held
@@ -1329,7 +1333,7 @@ def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) 
             return Div(node(a, depth), node(b, depth))
         if "sum" in d:
             return SumNode(SumSpec.from_json(d["sum"], sequences))
-        raise ValueError(f"unknown expression node {d!r}")
+        raise ValueError(f"unknown expression node {echo(d)}")
 
     return node(d, 1)
 
@@ -1354,13 +1358,13 @@ def claim_to_json(c: CongruenceClaim) -> dict:
 
 def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
     if not isinstance(d["id"], str):
-        raise ValueError(f"a claim id must be a string, got {d['id']!r}")
+        raise ValueError(f"a claim id must be a string, got {echo(d['id'])}")
     dom = d.get("domain", {})
     kind, parity = dom.get("kind", "integers"), dom.get("parity")
     if kind not in ("integers", "primes"):
-        raise ValueError(f"a domain kind must be 'integers' or 'primes', got {kind!r}")
+        raise ValueError(f"a domain kind must be 'integers' or 'primes', got {echo(kind)}")
     if parity not in (None, "odd"):
-        raise ValueError(f"a domain parity must be 'odd' or absent, got {parity!r}")
+        raise ValueError(f"a domain parity must be 'odd' or absent, got {echo(parity)}")
     return CongruenceClaim(
         claim_id=d["id"],
         description=d.get("description", d["id"]),
@@ -1390,12 +1394,12 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
     for seq_doc in doc.get("sequences", []):
         seq = sequence_from_json(seq_doc)
         if seq.name in defined:
-            raise ValueError(f"the sequence {seq.name!r} is defined twice")
+            raise ValueError(f"the sequence {echo(seq.name)} is defined twice")
         defined.add(seq.name)
         if seq.name not in BUILTINS:
             sequences[seq.name] = seq
         elif sequence_to_json(seq) != sequence_to_json(BUILTINS[seq.name]):
-            raise ValueError(f"the built-in sequence {seq.name!r} may not be redefined")
+            raise ValueError(f"the built-in sequence {echo(seq.name)} may not be redefined")
     return [claim_from_json(c, sequences) for c in doc.get("claims", [])]
 
 

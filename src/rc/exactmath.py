@@ -14,7 +14,14 @@ Every polynomial here, a `Poly` or an integer polynomial, lists its
 coefficients in one order, ascending by degree, the zero polynomial empty.
 The integer-polynomial kernel (`horner`, `imul`, `iadd`, `ishift`, `iquo`,
 `iprod`, `primitive`) works on such lists of ints, and `clear_denominators`
-is the one way from rational coefficients to them.
+is the one way from rational coefficients to them. A fixed polynomial that a
+hot loop evaluates again and again is built once into a closure by
+`evaluator`: the same value as `horner`, without its loop set-up per call
+(straight-line code up to degree 2).
+
+Values read from a JSON document are quoted in error messages by `echo`, a
+repr cut to `MAX_ECHO` characters, so a malformed value of any length gives
+a short message.
 
 No floating point anywhere.
 """
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "MAX_DEGREE",
@@ -39,6 +46,7 @@ __all__ = [
     "K",
     "poly",
     "horner",
+    "evaluator",
     "imul",
     "iadd",
     "ishift",
@@ -57,6 +65,8 @@ __all__ = [
     "prime_factors",
     "rat_mod",
     "frac_to_str",
+    "MAX_ECHO",
+    "echo",
 ]
 
 
@@ -80,6 +90,17 @@ MAX_POLY_BITS = 1 << 16
 MAX_POLY_NESTING = 32
 
 
+# the most characters of a value's repr that an error message quotes
+MAX_ECHO = 40
+
+
+def echo(value) -> str:
+    """value as an error message quotes it: its repr, cut to `MAX_ECHO`
+    characters and marked by "..." when longer."""
+    r = repr(value)
+    return r if len(r) <= MAX_ECHO else r[:MAX_ECHO] + "..."
+
+
 def _check_digits(what: str, text: str) -> str:
     # text read as numbers, refused without being echoed when it holds more
     # than MAX_LITERAL_DIGITS digits in a row
@@ -100,12 +121,17 @@ def _json_text(what: str, value, parse=Fraction):
     # a JSON string read by `parse`, which `frac_to_str` and `str` write: a
     # number or bool is refused, so no float is read as a rational, and so are
     # a literal too long to read (`_check_digits`) and an exponent, with which
-    # a short literal stands for a number of any length
+    # a short literal stands for a number of any length; a string `parse`
+    # refuses is quoted by `echo`
     if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {value!r}")
+        raise ValueError(f"{what} must be a string, got {echo(value)}")
     if "e" in value or "E" in value:
         raise ValueError(f"{what} must not have an exponent")
-    return parse(_check_digits(what, value))
+    text = _check_digits(what, value)
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{what} is not a number: {echo(value)}") from None
 
 
 class Poly:
@@ -241,7 +267,7 @@ class Poly:
     def from_json(cls, data: Sequence[str]) -> "Poly":
         # a JSON list: a string would otherwise be read digit by digit
         if not isinstance(data, list):
-            raise ValueError(f"a polynomial must be a list of coefficient strings, got {data!r}")
+            raise ValueError(f"a polynomial must be a list of coefficient strings, got {echo(data)}")
         return cls(_json_text("a polynomial coefficient", s) for s in data)
 
     def to_str(self, var: str = "k") -> str:
@@ -302,6 +328,31 @@ def horner(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def evaluator(coeffs: Sequence[int]) -> Callable[[int], int]:
+    """x -> horner(coeffs, x), built once for a polynomial evaluated at many
+    points: straight-line code up to degree 2, above it one loop over the
+    coefficients stored highest first."""
+    if len(coeffs) <= 1:
+        c0 = coeffs[0] if coeffs else 0
+        return lambda x: c0
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return lambda x: c1 * x + c0
+    if len(coeffs) == 3:
+        c0, c1, c2 = coeffs
+        return lambda x: (c2 * x + c1) * x + c0
+    lead, *rest = reversed(coeffs)
+    rest = tuple(rest)
+
+    def value(x: int) -> int:
+        acc = lead
+        for c in rest:
+            acc = acc * x + c
+        return acc
+
+    return value
 
 
 def imul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -3,10 +3,10 @@
 A sequence is a linear recurrence with polynomial coefficients plus enough
 initial values (negative indices allowed), optionally cross-checked against a
 direct formula. Terms are integers, stepped forward in integer arithmetic:
-the recurrence coefficients are integer polynomials evaluated by Horner's
-rule, and each new term is one exact division of an integer combination of
-the previous terms by the leading coefficient, with a nonzero remainder
-reported as `NonIntegerTerm` (`SequenceDef._step`, the one step).
+the recurrence coefficients are integer polynomials, each built once into an
+`exactmath.evaluator`, and each new term is one exact division of an integer
+combination of the previous terms by the leading coefficient, with a nonzero
+remainder reported as `NonIntegerTerm` (`SequenceDef._step`, the one step).
 
 Terms live in two stores. The memo (`SequenceDef.term`) is for random
 access: it keeps every term from the initial data up to the highest one
@@ -48,7 +48,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exactmath import ONE, Poly, _check_digits, _json_text, clear_denominators, frac_to_str, horner, lowest_terms, poly
+from .exactmath import ONE, Poly, _check_digits, _json_text, clear_denominators, echo, evaluator, frac_to_str, lowest_terms, poly
 
 __all__ = [
     "Affine",
@@ -122,7 +122,7 @@ class SequenceError(Exception):
 class UnknownSequence(SequenceError):
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"unknown sequence {name!r}")
+        super().__init__(f"unknown sequence {echo(name)}")
 
 
 class LeadingCoefficientVanishes(SequenceError):
@@ -196,10 +196,10 @@ class Bound:
         if m:
             s, den = m.group(1), int(m.group(2))
             if den not in (1, 2):
-                raise ValueError(f"unsupported bound denominator {den}")
+                raise ValueError(f"unsupported bound denominator {echo(den)}")
         m = re.fullmatch(r"(?:(-?\d*)\*?n)?([+-]?\d+)?", s)
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"cannot parse bound {s!r}")
+            raise ValueError(f"cannot parse bound {echo(s)}")
         cn = 0
         if m.group(1) is not None:
             cn = int(m.group(1)) if m.group(1) not in ("", "-") else (-1 if m.group(1) == "-" else 1)
@@ -326,7 +326,7 @@ def _factor_of(d: dict, sequences: Mapping[str, "SequenceDef"] | None = None):
     if "geom" in d:
         g = d["geom"]
         return GeomFactor(_json_int("a geom base", g["base"]), Affine.from_json(g["exp"]))
-    raise ValueError(f"unknown sum factor {d!r}")
+    raise ValueError(f"unknown sum factor {echo(d)}")
 
 
 @dataclass(frozen=True)
@@ -339,8 +339,8 @@ class SumSpec:
     sums of `congruence.SumEvaluator`, and a fresh hash would reach every
     `Fraction` coefficient. The coefficient is also kept as two integer
     polynomials (numerator and denominator with their denominators cleared
-    together, `exactmath.clear_denominators`) for `term` and
-    `_running_sums`.
+    together, `exactmath.clear_denominators`), and each built into an
+    `exactmath.evaluator`, for `term` and `_running_sums`.
     """
 
     coeff: Poly = ONE
@@ -350,6 +350,7 @@ class SumSpec:
     den: Poly = ONE
     _hash: int = field(init=False, repr=False, compare=False)
     _int_coeff: tuple = field(init=False, repr=False, compare=False)
+    _coeff_at: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num, den = lowest_terms(self.coeff, self.den)
@@ -358,6 +359,7 @@ class SumSpec:
         object.__setattr__(self, "_hash", hash(((num, den), self.factors, self.lo, self.upper)))
         _, ints = clear_denominators(num.coeffs, den.coeffs)
         object.__setattr__(self, "_int_coeff", tuple(map(tuple, ints)))
+        object.__setattr__(self, "_coeff_at", tuple(map(evaluator, ints)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -375,11 +377,11 @@ class SumSpec:
         """The summand at (n, k) as a `Fraction`, the reference for
         `_running_sums`. It stops at the first zero factor, so later factors
         are not evaluated."""
-        cnum, cden = self._int_coeff
-        b = horner(cden, k)
+        num_at, den_at = self._coeff_at
+        b = den_at(k)
         if b == 0:
             raise ZeroDivisionError(f"denominator vanishes at {k}")
-        v = Fraction(horner(cnum, k), b)
+        v = Fraction(num_at(k), b)
         for f in self.factors:
             if v == 0:
                 return v
@@ -432,13 +434,14 @@ def _running_sums(
     if stepped and steps is None:
         steps = [f.stepper(n) for f in spec.factors]
     cnum, cden = spec._int_coeff
+    num_at, den_at = spec._coeff_at
     const = len(cnum) == len(cden) == 1
     for k in range(k_lo, k_hi + 1):
         if not stepped:
             t = spec.term(n, k)
             a, b = t.numerator, t.denominator
         else:
-            a, b = (cnum[0], cden[0]) if const else (horner(cnum, k), horner(cden, k))
+            a, b = (cnum[0], cden[0]) if const else (num_at(k), den_at(k))
             if b == 0:
                 raise ZeroDivisionError(f"denominator vanishes at {k}")
             if a:
@@ -479,17 +482,21 @@ class Recurrence:
 
     Coefficients are normalized to integer polynomials with overall content 1;
     `int_coeffs` holds them as integer tuples, ascending as `Poly.coeffs`,
-    for `exactmath`'s integer-polynomial kernel.
+    for `exactmath`'s integer-polynomial kernel, and `evaluators` each built
+    into an `exactmath.evaluator`, the one way they are evaluated
+    (`coeffs_at`, `SequenceDef._step`).
     """
 
     coeffs: tuple[Poly, ...]
     int_coeffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    evaluators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         den, ints = clear_denominators(*(p.coeffs for p in self.coeffs))
         if den != 1:
             raise ValueError("recurrence coefficients must be integer polynomials")
         object.__setattr__(self, "int_coeffs", tuple(map(tuple, ints)))
+        object.__setattr__(self, "evaluators", tuple(map(evaluator, ints)))
 
     @property
     def order(self) -> int:
@@ -497,7 +504,7 @@ class Recurrence:
 
     def coeffs_at(self, n: int) -> list[int]:
         """The coefficient values c_0(n), ..., c_d(n)."""
-        return [horner(cs, n) for cs in self.int_coeffs]
+        return [c(n) for c in self.evaluators]
 
     def to_json(self) -> dict:
         return {"coeffs": [c.to_json() for c in self.coeffs]}
@@ -563,15 +570,15 @@ class SequenceDef:
         """The term at idx from terms[base], ..., terms[base + order - 1], the
         `order` terms before it: the one recurrence step of the memo and of
         every `TermWindow`."""
-        ints = self.recurrence.int_coeffs
-        d = len(ints) - 1
+        coeffs = self.recurrence.evaluators
+        d = len(coeffs) - 1
         n = idx - d
-        den = horner(ints[d], n)
+        den = coeffs[d](n)
         if den == 0:
             raise LeadingCoefficientVanishes(self.name, n)
         num = 0
         for i in range(d):
-            num -= horner(ints[i], n) * terms[base + i]
+            num -= coeffs[i](n) * terms[base + i]
         val, rem = divmod(num, den)
         if rem:
             raise NonIntegerTerm(self.name, idx, Fraction(num, den))
@@ -825,7 +832,7 @@ BUILTINS: Mapping[str, SequenceDef] = MappingProxyType({s.name: s for s in (W, T
 def get_sequence(name, sequences: Mapping[str, SequenceDef] | None = None) -> SequenceDef:
     """The sequence called name in `sequences` (default: the built-ins)."""
     if not isinstance(name, str):
-        raise ValueError(f"a sequence name must be a string, got {name!r}")
+        raise ValueError(f"a sequence name must be a string, got {echo(name)}")
     try:
         return (BUILTINS if sequences is None else sequences)[name]
     except KeyError:
@@ -842,14 +849,14 @@ def builtin_names() -> list[str]:
 def _list_of(what: str, kind: type, items: str, value) -> list:
     # a JSON list whose items all have exactly the type `kind`, so no bool for int
     if not isinstance(value, list) or any(type(x) is not kind for x in value):
-        raise ValueError(f"{what} must be a list of {items}, got {value!r}")
+        raise ValueError(f"{what} must be a list of {items}, got {echo(value)}")
     return value
 
 
 def _json_int(what: str, value) -> int:
     # a JSON integer: a float, bool or string is not read as one
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {echo(value)}")
     return value
 
 

@@ -63,6 +63,8 @@ from .exactmath import (
     Poly,
     ZERO,
     clear_denominators,
+    echo,
+    evaluator,
     horner,
     iadd,
     imul,
@@ -388,7 +390,8 @@ class ClosedForm:
     denominators of the g coefficients, and `terms` holds (i, j, D g_{i,j})
     with the integer coefficients ascending. `reads` holds the
     (sequence, shift) pairs S reads at n + shift, each once, in the order
-    the terms first need them."""
+    the terms first need them. Each D g_{i,j} is built once into an
+    `exactmath.evaluator` for `combine`."""
 
     __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products")
 
@@ -399,7 +402,7 @@ class ClosedForm:
         for i, j, coeffs in terms:
             for read in ((seq_a, i), (seq_b, j)):
                 index.setdefault(read, len(index))
-            products.append((index[seq_a, i], index[seq_b, j], coeffs))
+            products.append((index[seq_a, i], index[seq_b, j], evaluator(coeffs)))
         self.reads = tuple(index)
         self._products = tuple(products)
 
@@ -413,7 +416,10 @@ class ClosedForm:
         """D S(n) from `values`, whose first entries are the terms S reads at
         n, one per entry of `reads`. Given their residues modulo a multiple of
         M instead, the result is congruent to D S(n) modulo M."""
-        return sum(horner(coeffs, n) * values[x] * values[y] for x, y, coeffs in self._products)
+        total = 0
+        for x, y, g in self._products:
+            total += g(n) * values[x] * values[y]
+        return total
 
 
 def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
@@ -785,7 +791,7 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     )
     stray = set(cert.g) - set(pairs)
     if stray:
-        raise ValueError(f"certificate has g entries outside its windows: {sorted(stray)}")
+        raise ValueError(f"certificate has g entries outside its windows: {echo(sorted(stray))}")
 
     scale, (p_int, *g_ints) = clear_denominators(cert.p.coeffs, *(g.coeffs for g in cert.g.values()))
     # every balance over one common denominator: scale times each factor of the
@@ -826,10 +832,11 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     a, b = cert.seq_a, cert.seq_b
     sa, sb = cert.target_shifts
     s0 = closed.scaled(0)
+    weight = evaluator(p_int)
     running = 0  # scale times the sum of the summands below n
     for n in range(1, n_max + 1):
         k = n - 1
-        running += horner(p_int, k) * a.term(k + sa) * b.term(k + sb)
+        running += weight(k) * a.term(k + sa) * b.term(k + sb)
         got = closed.scaled(n) - s0  # D (S(n) - S(0))
         if got * scale != running * closed.scale:
             numeric_ok = False
@@ -976,7 +983,7 @@ def cert_from_json(
         raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
     symmetric = data.get("symmetric", data["seqA"] == data["seqB"])
     if type(symmetric) is not bool:
-        raise ValueError(f"symmetric must be true or false, got {symmetric!r}")
+        raise ValueError(f"symmetric must be true or false, got {echo(symmetric)}")
     return TelescoperCertificate(
         seq_a=get_sequence(data["seqA"], sequences),
         seq_b=get_sequence(data["seqB"], sequences),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rc.cli import MAX_ECHO, main
+from rc.cli import main
+from rc.exactmath import MAX_ECHO
 from rc.sequences import get_sequence, sequence_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -735,6 +736,58 @@ def test_long_number_literals_are_usage_errors(capsys, tmp_path, command, doc, o
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+_LONG = "x" * 5000
+
+
+def _sum_of(factors):
+    return {"sum": {"coeff": {"num": ["1"], "den": ["1"]}, "factors": factors, "upper": "n"}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, shown",
+    [
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"seq": {"name": _LONG}}}]},
+         "a sequence name must be a string"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"seq": _LONG}}]}, "unknown sequence"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": _sum_of([{"seq": {"name": _LONG}}])}]}, "unknown sequence"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {_LONG: 1}}]}, "unknown expression node"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "domain": {"kind": _LONG}}]}, "a domain kind must be"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "domain": {"parity": _LONG}}]}, "a domain parity must be"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"const": _LONG}}]}, "a const is not a number"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": {"pow": {"base": 2, "exp": _LONG}}}]}, "cannot parse bound"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "lhs": _sum_of([{_LONG: 1}])}]}, "unknown sum factor"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "id": [_LONG]}]}, "a claim id must be a string"),
+        ("verify", {"claims": [{**_N_EQUALS_N, "notes": [_LONG, 1]}]}, "notes must be a list of strings"),
+        ("verify", {"sequences": [{**_ONE_AS_Q, "initial": {"0": _LONG}}], "claims": []},
+         "an initial value is not a number"),
+        ("verify", {"sequences": [{**_ONE_AS_Q, "name": _LONG}] * 2, "claims": []}, "is defined twice"),
+        ("certify", {**W_CERT, "seqA": _LONG}, "unknown sequence"),
+        ("certify", {**W_CERT, "seqA": [_LONG]}, "a sequence name must be a string"),
+        ("certify", {**W_CERT, "symmetric": _LONG}, "symmetric must be true or false"),
+        ("certify", {**W_CERT, "p": _LONG}, "a polynomial must be a list of coefficient strings"),
+        ("certify", {**W_CERT, "p": [_LONG]}, "a polynomial coefficient is not a number"),
+        ("certify", {**W_CERT, "windows": {"a": [-2, _LONG], "b": [-2, 0]}}, "a window bound must be an integer"),
+        ("certify", {**W_CERT, "g": [{"i": 5, "j": j, "poly": ["1"]} for j in range(1000)]},
+         "certificate has g entries outside its windows"),
+    ],
+    ids=[
+        "seq-name-object", "seq-name-unknown", "seq-factor-unknown", "expr-node", "domain-kind", "domain-parity",
+        "const", "bound", "sum-factor", "claim-id", "notes", "initial-value", "defined-twice",
+        "cert-seq-unknown", "cert-seq-object", "cert-symmetric", "cert-p-text", "cert-p-coefficient",
+        "cert-window", "cert-stray-g",
+    ],
+)
+def test_long_document_values_are_echoed_in_part(capsys, tmp_path, command, doc, shown):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (command, str(path)) if command == "certify" else (command, "--claims-file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and shown in err
+    assert len(err.encode()) < 200 and "..." in err and "Traceback" not in err
 
 
 def test_flagged_points_note_whether_they_pass(capsys, tmp_path):

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rc import congruence, sequences
+from rc import congruence, exactmath, sequences, telescoper
 from rc.exactmath import Poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
@@ -1091,6 +1091,29 @@ def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, read
     rep = verify_claim_range(get_claim(claim_id), 1, 300, ev)
     assert rep.ok and rep.points_checked == 300
     assert exact == exact_points and len(read) == reads * 300
+
+
+@pytest.mark.parametrize("claim_id", ["theorem-1.1i", "sun-divisibility", "theorem-1.3i"])
+def test_the_residue_pass_makes_no_horner_call(monkeypatch, claim_id):
+    # the recurrence coefficients, the closed form's g and the folded nodes
+    # are built into evaluators once, so a point evaluates no polynomial
+    # through horner
+    calls = []
+    horner = exactmath.horner
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    for module in (exactmath, sequences, congruence, telescoper):
+        if hasattr(module, "horner"):
+            monkeypatch.setattr(module, "horner", counted)
+    claim, ev = get_claim(claim_id), SumEvaluator()
+    assert verify_claim_range(claim, 1, 5, ev).ok  # the certificate search and certify
+    calls.clear()
+    rep = verify_claim_range(claim, 1, 300, ev)
+    assert rep.ok and rep.points_checked == 300
+    assert calls == []
 
 
 def test_a_sum_under_a_division_reads_each_term_once(monkeypatch):

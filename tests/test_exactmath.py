@@ -17,6 +17,7 @@ from rc.exactmath import (
     PolyParseError,
     ZERO,
     clear_denominators,
+    evaluator,
     frac_to_str,
     horner,
     iadd,
@@ -130,6 +131,16 @@ def _ints(p: Poly) -> list[int]:
 
 
 int_polys = st.lists(st.integers(-60, 60), max_size=8).map(_trim)
+
+
+@pytest.mark.parametrize("length", range(9))  # the empty list, each straight-line branch, the loop
+@given(data=st.data())
+def test_an_evaluator_equals_horner(length, data):
+    coeffs = data.draw(st.lists(st.integers(-(10**20), 10**20), min_size=length, max_size=length))
+    x = data.draw(st.sampled_from([0]) | st.integers(-(10**30), -1) | st.integers(10, 10**30))
+    value = evaluator(coeffs)
+    assert value(x) == horner(coeffs, x) and type(value(x)) is int
+    assert value(-x) == horner(coeffs, -x)  # one evaluator, many points
 
 
 @given(
