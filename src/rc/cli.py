@@ -124,14 +124,24 @@ def _load_json(fh):
 
 
 def _decode(what: str, decode, doc):
-    """decode(doc) for a JSON document from outside; a missing field or a
-    malformed value is bad input."""
+    """decode(doc) for a JSON document from outside; a missing field, a value
+    of the wrong JSON type, a malformed value and an unknown sequence are bad
+    input. The message ends with the path of the field the decoder names
+    (`exactmath.json_field`), if any, such as " (at claims[1].lhs)"."""
     try:
         return decode(doc)
-    except KeyError as e:
-        raise UsageError(f"{what} lacks the field {e.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError, ArithmeticError) as e:
-        raise UsageError(f"malformed {what}: {e}") from None
+    except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError, UnknownSequence) as e:
+        path = getattr(e, "field_path", "")
+        at = f" (at {path})" if path else ""
+        if isinstance(e, KeyError):
+            message = f"{what} lacks the field {e.args[0]!r}"
+        elif isinstance(e, UnknownSequence):
+            message = str(e)
+        elif isinstance(e, (AttributeError, TypeError)):
+            message = f"malformed {what}: a value of the wrong JSON type"  # not Python's text
+        else:
+            message = f"malformed {what}: {e}"
+        raise UsageError(message + at) from None
 
 
 def _parse_shifts(text: str) -> tuple[int, int]:

@@ -33,9 +33,15 @@ polynomial over a positive denominator, evaluated by one Horner pass. The
 modulus m is evaluated exactly first. When m is a nonzero integer, lhs - rhs
 is evaluated modulo m alone. Each term the claim reads at n + shift, for its
 sequence references and for the closed forms of its sums, is read once from
-its window and reduced once, modulo m L (L the lcm of the closed forms'
-scales D); a sequence reference takes that residue modulo m, a certified sum
-modulo D m. A running sum is taken from its cursor's numerator and
+its window and reduced once, modulo the frame modulus M, the lcm of what its
+readers need: m for a sequence reference, and for a certified sum less than
+D m. Its closed form splits as D S = q H, q the gcd of the D g_ij (see
+`telescoper.ClosedForm`), so D S modulo D m is q times H modulo
+D m / gcd(q, D m), and its terms are needed modulo that alone: for
+`theorem-1.1i` (m = 2n, q = k, D = 2) M is 4 at every n. From one point to
+the next, where M does not change, a term held at offset o + 1 keeps its
+residue at offset o and is neither read nor reduced again. A running sum is
+taken from its cursor's numerator and
 denominator before they are reduced, num den^-1 modulo m: the reduced
 denominator divides den, so where den is a unit this is the residue of the
 sum. A quotient by d is taken from its numerator modulo m |d|, and a
@@ -70,12 +76,14 @@ from .exactmath import (
     ONE,
     ZERO,
     K,
+    FieldError,
     Poly,
     _json_text,
     clear_denominators,
     echo,
     evaluator,
     frac_to_str,
+    json_field,
     legendre,
     prime_factors,
 )
@@ -550,9 +558,11 @@ class _Compiler:
     """Turns expression nodes, once each, into closures f(n, m) over one
     evaluator. f(n, None) is the exact value at n (see the module docstring),
     with sums from `SumEvaluator.eval_sum`. For an integer m >= 1, f(n, m) is
-    that value modulo m: a certified sum from its closed form modulo D m
-    (`ClosedForm.combine`), a running sum from its cursor's num den^-1
-    modulo m, and divisors, Legendre arguments and binomials exactly. Only
+    that value modulo m: a certified sum read at u + 1 as q(u + 1) H(u + 1)
+    modulo D m (`ClosedForm.split`), from its terms modulo its need
+    D m / gcd(q(u + 1), D m) (1 where q(u + 1) = 0), a running sum from its
+    cursor's num den^-1 modulo m, and divisors, Legendre arguments and
+    binomials exactly. Only
     units are inverted; anything else raises,
     as does whatever f(n, None) raises, so a point that passes modulo m
     passes exactly. A subtree built from constants, n, +, -, x and division
@@ -563,16 +573,24 @@ class _Compiler:
     Sequence terms are read through `stores`: each sequence's memo, until
     `route` puts the evaluator's window in its place. Compiling records each
     (sequence, slope, offset) read in `reads` (see `_spans`), each read at
-    n + offset once in `held`, the lcm of the scales D of the closed forms
-    read there in `lcm`, and the closures of the polynomial divisors of
-    divisions in `divisors`. The sequence factors of a sum without a closed
-    form go into `reads` alone, not into `held`: its cursor reads them
-    itself, through the evaluator's windows when its upper limit is n + c
-    (`streamed` lists those sums). `read_point(n, m)` reads each held term once and reduces it
-    once modulo M = m `lcm` times the numerators of those divisors at n, into
-    `frame`, so that M covers the moduli of the calls under a division too; a
-    closure called at that n with a modulus that divides M takes its held
-    terms from there, and any other call reads and reduces its own."""
+    n + offset once in `held`, whether a sequence reference reads them in
+    `refs_held`, each closed form read at n + c + 1 (q's evaluator, D, c + 1)
+    in `closed`, and the closures of the polynomial divisors of divisions in
+    `divisors`. The sequence factors of a sum without a closed form go into
+    `reads` alone, not into `held`: its cursor reads them itself, through the
+    evaluator's windows when its upper limit is n + c (`streamed` lists those
+    sums).
+
+    `read_point(n, m)` reduces each held term once modulo M
+    (`frame_modulus`), into `frame`. With m' = m times the numerators of
+    those divisors at n, M is the lcm of m' where a sequence reference reads
+    the frame and of each closed form's need modulo D m', so that M covers
+    the moduli of the calls under a division too. Where the frame holds
+    n - 1 modulo the same M, a held read whose offset + 1 is held too takes
+    that read's residue (`route` maps each to it) and is not read again;
+    every other held term is read once. A closure called at n with a modulus
+    (a sequence reference) or a need (a closed form) that divides M takes its
+    held terms from the frame, and any other call reads and reduces its own."""
 
     def __init__(self, ev: SumEvaluator):
         self.ev = ev
@@ -580,26 +598,45 @@ class _Compiler:
         self.stores: dict = {}
         self.streamed: list[SumSpec] = []
         self.held: dict[tuple[SequenceDef, int], int] = {}
-        self.held_reads: list = []  # (the store's term, offset) per held read, set by `route`
-        self.lcm = 1
+        self.held_reads: list = []  # (the store's term, offset, carried from) per held read, set by `route`
+        self.refs_held = False  # whether a sequence reference reads the frame
+        self.closed: list = []  # (q's evaluator, D, c + 1) per closed form read at n + c + 1
         self.divisors: list[_Compiled] = []
         self.frame: list = [None, 1, []]  # n, the modulus M, the held terms modulo M
 
     def route(self) -> None:
         """Read each sequence read at n + shift alone through the evaluator's
         window, widened to the span of those shifts, and any other through its
-        memo; bind each held read to its store's `term` for `read_point`."""
+        memo; bind each held read to its store's `term` for `read_point`, with
+        the index of the read one place above it, whose residue it carries to
+        the next point."""
         for seq, span in _spans(self.reads).items():
             self.stores[seq] = seq if span is None else self.ev.window(seq, span)
-        self.held_reads = [(self.stores[seq].term, offset) for seq, offset in self.held]
+        held = self.held
+        self.held_reads = [
+            (self.stores[seq].term, offset, held.get((seq, offset + 1))) for seq, offset in held
+        ]
+
+    def frame_modulus(self, n: int, m: int) -> int:
+        """The modulus M of the frame at n modulo m (see above)."""
+        for divisor in self.divisors:
+            m *= abs(divisor(n, None).numerator)
+        big = m if self.refs_held else 1
+        for q, scale, c in self.closed:
+            mod = m * scale
+            big = math.lcm(big, mod // math.gcd(q(n + c), mod))
+        return big
 
     def read_point(self, n: int, m: int) -> None:
         """Fill `frame` for the residue mode at n modulo m (see above); after
         `route`."""
-        big = m * self.lcm
-        for divisor in self.divisors:
-            big *= abs(divisor(n, None).numerator)
-        self.frame[:] = n, big, [term(n + offset) % big for term, offset in self.held_reads]
+        big = self.frame_modulus(n, m)
+        at, was, old = self.frame
+        carry = at == n - 1 and was == big
+        self.frame[:] = n, big, [
+            old[j] if carry and j is not None else term(n + offset) % big
+            for term, offset, j in self.held_reads
+        ]
 
     def hold(self, seq: SequenceDef, slope: int | None, offset: int) -> int | None:
         """Record a read of seq at slope * n + offset; the index of a held
@@ -619,6 +656,7 @@ class _Compiler:
         if isinstance(e, SeqRef):
             seq, shift = e.seq, e.shift
             i = self.hold(seq, 1, shift)
+            self.refs_held = True
 
             def f(n, m):
                 if m is None:
@@ -715,10 +753,11 @@ class _Compiler:
                 return f
             closed, base = found
             scale, lo, upper, reads = closed.scale, spec.lo, spec.upper, closed.reads
+            _, _, q, cofactor = closed.split()
             slope = upper.cn if upper.den == 1 else None
             at_n = [self.hold(seq, slope, upper.c + 1 + s) for seq, s in reads]
             if slope == 1:
-                self.lcm = math.lcm(self.lcm, scale)
+                self.closed.append((q, scale, upper.c + 1))
             in_order = at_n == list(range(len(reads)))
 
             def f(n, m):
@@ -727,13 +766,16 @@ class _Compiler:
                 hi = upper.at(n)
                 if hi < lo:
                     return 0
+                # D S = q H modulo m D needs H, so the terms, modulo m D / gcd(q, m D)
                 mod = m * scale
+                qv = q(hi + 1)
+                need = mod // math.gcd(qv, mod)
                 at, big, held = frame
-                if at == n and slope == 1 and not big % mod:
+                if at == n and slope == 1 and not big % need:
                     values = held if in_order else [held[i] for i in at_n]
                 else:
-                    values = [stores[seq].term(hi + 1 + s) % mod for seq, s in reads]
-                return _quotient(closed.combine(hi + 1, values) % mod - base, scale, m)
+                    values = [stores[seq].term(hi + 1 + s) % need for seq, s in reads]
+                return _quotient(qv * cofactor(hi + 1, values) % mod - base, scale, m)
 
             return f
         raise TypeError(f"not an expression: {e!r}")
@@ -908,8 +950,9 @@ def verify_claim_range(
 
     The claim is compiled once (see `_Compiler`). A point with a nonzero
     integer modulus m passes on a zero residue of lhs - rhs modulo m, with
-    each term read once through the evaluator's windows and reduced once
-    (`_Compiler.read_point`), and each running sum taken from its cursor
+    each term read once through the evaluator's windows and reduced once, or
+    its residue carried from the point before (`_Compiler.read_point`), and
+    each running sum taken from its cursor
     without a `Fraction`; every other point, and every flagged point, is
     computed exactly by `_check_raw` from the same closures, reading the same
     windows, so a report reads the same either way. At each point the
@@ -1357,26 +1400,34 @@ def claim_to_json(c: CongruenceClaim) -> dict:
 
 
 def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> CongruenceClaim:
+    """Decode a claim; an error in one of its expressions or its domain gets
+    that field's path (`exactmath.json_field`)."""
     if not isinstance(d["id"], str):
         raise ValueError(f"a claim id must be a string, got {echo(d['id'])}")
-    dom = d.get("domain", {})
-    kind, parity = dom.get("kind", "integers"), dom.get("parity")
-    if kind not in ("integers", "primes"):
-        raise ValueError(f"a domain kind must be 'integers' or 'primes', got {echo(kind)}")
-    if parity not in (None, "odd"):
-        raise ValueError(f"a domain parity must be 'odd' or absent, got {echo(parity)}")
-    return CongruenceClaim(
-        claim_id=d["id"],
-        description=d.get("description", d["id"]),
-        lhs=expr_from_json(d["lhs"], sequences),
-        rhs=expr_from_json(d["rhs"], sequences),
-        modulus=expr_from_json(d["modulus"], sequences),
-        domain=Domain(
+    with json_field(".domain"):
+        dom = d.get("domain", {})
+        kind, parity = dom.get("kind", "integers"), dom.get("parity")
+        if kind not in ("integers", "primes"):
+            raise FieldError(f"a domain kind must be 'integers' or 'primes', got {echo(kind)}")
+        if parity not in (None, "odd"):
+            raise FieldError(f"a domain parity must be 'odd' or absent, got {echo(parity)}")
+        domain = Domain(
             kind=kind,
             start=_json_int("a domain start", dom.get("start", 1)),
             parity=parity,
             exclude=frozenset(_list_of("a domain exclude", int, "integers", dom.get("exclude", []))),
-        ),
+        )
+    sides = []
+    for side in ("lhs", "rhs", "modulus"):
+        with json_field(f".{side}"):
+            sides.append(expr_from_json(d[side], sequences))
+    return CongruenceClaim(
+        claim_id=d["id"],
+        description=d.get("description", d["id"]),
+        lhs=sides[0],
+        rhs=sides[1],
+        modulus=sides[2],
+        domain=domain,
         notes=tuple(_list_of("notes", str, "strings", d.get("notes", []))),
         flag_points=tuple(_list_of("flag_points", int, "integers", d.get("flag_points", []))),
     )
@@ -1391,8 +1442,10 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
     defining one name twice is an error."""
     sequences = dict(BUILTINS)
     defined = set()
-    for seq_doc in doc.get("sequences", []):
-        seq = sequence_from_json(seq_doc)
+    for i, seq_doc in enumerate(doc.get("sequences", [])):
+        with json_field(f"sequences[{i}]"):
+            seq = sequence_from_json(seq_doc)
+        # these two name the sequence, so they take no path
         if seq.name in defined:
             raise ValueError(f"the sequence {echo(seq.name)} is defined twice")
         defined.add(seq.name)
@@ -1400,7 +1453,11 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
             sequences[seq.name] = seq
         elif sequence_to_json(seq) != sequence_to_json(BUILTINS[seq.name]):
             raise ValueError(f"the built-in sequence {echo(seq.name)} may not be redefined")
-    return [claim_from_json(c, sequences) for c in doc.get("claims", [])]
+    claims = []
+    for i, claim_doc in enumerate(doc.get("claims", [])):
+        with json_field(f"claims[{i}]"):
+            claims.append(claim_from_json(claim_doc, sequences))
+    return claims
 
 
 # -- reports ---------------------------------------------------------------------------

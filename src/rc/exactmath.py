@@ -21,7 +21,10 @@ hot loop evaluates again and again is built once into a closure by
 
 Values read from a JSON document are quoted in error messages by `echo`, a
 repr cut to `MAX_ECHO` characters, so a malformed value of any length gives
-a short message.
+a short message. A value of the wrong type or form for its field raises
+`FieldError`, whose message names the field; any other error of a decoder
+is given the path of the field it arose in (`json_field`), such as
+`claims[0].lhs`, in its `field_path` attribute.
 
 No floating point anywhere.
 """
@@ -30,8 +33,9 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_DEGREE",
@@ -67,6 +71,8 @@ __all__ = [
     "frac_to_str",
     "MAX_ECHO",
     "echo",
+    "FieldError",
+    "json_field",
 ]
 
 
@@ -101,11 +107,30 @@ def echo(value) -> str:
     return r if len(r) <= MAX_ECHO else r[:MAX_ECHO] + "..."
 
 
+class FieldError(ValueError):
+    """A value read from a JSON document is not of its field's type or form;
+    the message names the field, so no path is added to it."""
+
+
+@contextmanager
+def json_field(path: str) -> Iterator[None]:
+    """Decode one field of a JSON document: an error other than a
+    `FieldError` raised inside gets `path` put in front of its `field_path`
+    (a nested field's path starts with "."), and goes on."""
+    try:
+        yield
+    except FieldError:
+        raise
+    except Exception as e:
+        e.field_path = path + getattr(e, "field_path", "")
+        raise
+
+
 def _check_digits(what: str, text: str) -> str:
     # text read as numbers, refused without being echoed when it holds more
     # than MAX_LITERAL_DIGITS digits in a row
     if any(len(run) > MAX_LITERAL_DIGITS for run in re.findall(r"\d+", text)):
-        raise ValueError(f"{what} has more than {MAX_LITERAL_DIGITS} digits")
+        raise FieldError(f"{what} has more than {MAX_LITERAL_DIGITS} digits")
     return text
 
 
@@ -124,14 +149,14 @@ def _json_text(what: str, value, parse=Fraction):
     # a short literal stands for a number of any length; a string `parse`
     # refuses is quoted by `echo`
     if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {echo(value)}")
+        raise FieldError(f"{what} must be a string, got {echo(value)}")
     if "e" in value or "E" in value:
-        raise ValueError(f"{what} must not have an exponent")
+        raise FieldError(f"{what} must not have an exponent")
     text = _check_digits(what, value)
     try:
         return parse(text)
     except ValueError:
-        raise ValueError(f"{what} is not a number: {echo(value)}") from None
+        raise FieldError(f"{what} is not a number: {echo(value)}") from None
 
 
 class Poly:
@@ -267,7 +292,7 @@ class Poly:
     def from_json(cls, data: Sequence[str]) -> "Poly":
         # a JSON list: a string would otherwise be read digit by digit
         if not isinstance(data, list):
-            raise ValueError(f"a polynomial must be a list of coefficient strings, got {echo(data)}")
+            raise FieldError(f"a polynomial must be a list of coefficient strings, got {echo(data)}")
         return cls(_json_text("a polynomial coefficient", s) for s in data)
 
     def to_str(self, var: str = "k") -> str:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .exactmath import ONE, Poly, _check_digits, _json_text, clear_denominators, echo, evaluator, frac_to_str, lowest_terms, poly
+from .exactmath import ONE, FieldError, Poly, _check_digits, _json_text, clear_denominators, echo, evaluator, frac_to_str, json_field, lowest_terms, poly
 
 __all__ = [
     "Affine",
@@ -849,14 +849,14 @@ def builtin_names() -> list[str]:
 def _list_of(what: str, kind: type, items: str, value) -> list:
     # a JSON list whose items all have exactly the type `kind`, so no bool for int
     if not isinstance(value, list) or any(type(x) is not kind for x in value):
-        raise ValueError(f"{what} must be a list of {items}, got {echo(value)}")
+        raise FieldError(f"{what} must be a list of {items}, got {echo(value)}")
     return value
 
 
 def _json_int(what: str, value) -> int:
     # a JSON integer: a float, bool or string is not read as one
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {echo(value)}")
+        raise FieldError(f"{what} must be an integer, got {echo(value)}")
     return value
 
 
@@ -872,12 +872,14 @@ def sequence_to_json(seq: SequenceDef) -> dict:
 
 
 def sequence_from_json(d: dict) -> SequenceDef:
-    return SequenceDef(
-        name=d["name"],
-        rec=Recurrence.from_json(d["recurrence"]),
-        initial={
+    name = d["name"]
+    with json_field(".recurrence"):
+        rec = Recurrence.from_json(d["recurrence"])
+    with json_field(".initial"):
+        initial = {
             _json_text("an initial index", i, int): _json_text("an initial value", v, int)
             for i, v in d["initial"].items()
-        },
-        direct=SumSpec.from_json(d["direct"]) if d.get("direct") else None,
-    )
+        }
+    with json_field(".direct"):
+        direct = SumSpec.from_json(d["direct"]) if d.get("direct") else None
+    return SequenceDef(name=name, rec=rec, initial=initial, direct=direct)

@@ -54,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactmath import (
     MAX_DEGREE,
@@ -72,10 +72,10 @@ from .exactmath import (
     iprod,
     iquo,
     ishift,
+    json_field,
     lowest_terms,
     nullspace,
     parse_poly,
-    poly_divmod,
     poly_gcd,
     primitive,
 )
@@ -391,9 +391,15 @@ class ClosedForm:
     with the integer coefficients ascending. `reads` holds the
     (sequence, shift) pairs S reads at n + shift, each once, in the order
     the terms first need them. Each D g_{i,j} is built once into an
-    `exactmath.evaluator` for `combine`."""
+    `exactmath.evaluator` for `combine`.
 
-    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products")
+    The split D S(n) = q(n) H(n), H(n) = sum h_{i,j}(n) a(n+i) b(n+j), is
+    built on the first call of `split` and kept: q is the gcd over Z[k] of
+    the D g_{i,j}, content included and its lead positive, and each h_{i,j}
+    is D g_{i,j} / q, an integer polynomial. Modulo M, D S(n) needs its
+    terms only modulo M / gcd(q(n), M) (see `congruence._Compiler`)."""
+
+    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products", "_split")
 
     def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, scale: int, terms: tuple):
         self.seq_a, self.seq_b, self.scale, self.terms = seq_a, seq_b, scale, terms
@@ -405,6 +411,34 @@ class ClosedForm:
             products.append((index[seq_a, i], index[seq_b, j], evaluator(coeffs)))
         self.reads = tuple(index)
         self._products = tuple(products)
+        self._split = None
+
+    def split(self) -> tuple[tuple[int, ...], tuple, Callable[[int], int], Callable]:
+        """(q, h, q(n), H(n, values)): q as ascending integer coefficients (the
+        zero polynomial () when every g is zero), h the terms (i, j, h_{i,j})
+        in the order of `terms`, q's `exactmath.evaluator`, and H at n from
+        `values` as `combine` reads them. Given residues modulo a multiple of
+        M, H is congruent to H(n) modulo M."""
+        if self._split is None:
+            fs = [coeffs for _, _, coeffs in self.terms]
+            q: tuple[int, ...] = ()
+            if fs:
+                g = Poly(fs[0])
+                for f in fs[1:]:
+                    g = poly_gcd(g, Poly(f))
+                content = math.gcd(*(x for f in fs for x in f))
+                q = tuple(content * x for x in primitive(clear_denominators(g.coeffs)[1][0]))
+            h = tuple((i, j, tuple(iquo(f, q))) for i, j, f in self.terms)
+            products = tuple((x, y, evaluator(hs)) for (x, y, _), (_, _, hs) in zip(self._products, h))
+
+            def cofactor(n: int, values: Sequence[int]) -> int:
+                total = 0
+                for x, y, hv in products:
+                    total += hv(n) * values[x] * values[y]
+                return total
+
+            self._split = (q, h, evaluator(q), cofactor)
+        return self._split
 
     def scaled(self, n: int, stores: Mapping | None = None) -> int:
         """D S(n) exactly. `stores` maps each sequence to what its terms are
@@ -898,18 +932,24 @@ def check_hl_mode(cert: TelescoperCertificate, q: Poly) -> bool:
     """Whether q(k) splits off every g_{i,j}: the primitive part of q must
     divide each g as a polynomial and the content of q must divide each g's
     content at each prime of a, the numerator of q's content: content(g) / a
-    has no such prime in its denominator."""
+    has no such prime in its denominator.
+
+    Read off the closed form's split (`ClosedForm.split`), D g = Q h with Q
+    the gcd of the D g over Z[k] and c its content: q's primitive part must
+    divide Q's, and a D / gcd(a D, c) must be prime to a."""
     if q.is_zero:
         raise ValueError("q must be nonzero")
-    q_prim = q.primitive()
+    closed = cert.closed_form()
+    big_q, *_ = closed.split()
+    if not big_q:
+        return True  # every g is zero
+    _, (q_ints,) = clear_denominators(q.coeffs)
     a = q.content().numerator
-    for g in cert.g.values():
-        if g.is_zero:
-            continue
-        _, rem = poly_divmod(g, q_prim)
-        if not rem.is_zero or math.gcd((g.content() / a).denominator, a) != 1:
-            return False
-    return True
+    ad = a * closed.scale
+    return (
+        iquo(primitive(big_q), primitive(q_ints)) is not None
+        and math.gcd(ad // math.gcd(ad, math.gcd(*big_q)), a) == 1
+    )
 
 
 # -- rendering and serialization -----------------------------------------------------
@@ -974,19 +1014,23 @@ def cert_from_json(
         return ShiftWindow(*(_json_int("a window bound", x) for x in bounds))
 
     wa, wb = window(data["windows"]["a"]), window(data["windows"]["b"])
-    g = {
-        (_json_int("a g index", e["i"]), _json_int("a g index", e["j"])): Poly.from_json(e["poly"])
-        for e in data["g"]
-    }
+    g = {}
+    for n, e in enumerate(data["g"]):
+        with json_field(f"g[{n}]"):
+            g[_json_int("a g index", e["i"]), _json_int("a g index", e["j"])] = Poly.from_json(e["poly"])
     target = tuple(_json_int("a target shift", x) for x in data["target_shifts"])
     if len(target) != 2:
         raise ValueError(f"target_shifts must hold two shifts, got {len(target)}")
     symmetric = data.get("symmetric", data["seqA"] == data["seqB"])
     if type(symmetric) is not bool:
         raise ValueError(f"symmetric must be true or false, got {echo(symmetric)}")
+    seqs = []
+    for key in ("seqA", "seqB"):
+        with json_field(key):
+            seqs.append(get_sequence(data[key], sequences))
     return TelescoperCertificate(
-        seq_a=get_sequence(data["seqA"], sequences),
-        seq_b=get_sequence(data["seqB"], sequences),
+        seq_a=seqs[0],
+        seq_b=seqs[1],
         window_a=wa,
         window_b=wb,
         target_shifts=target,

@@ -691,6 +691,54 @@ def _claim_with_sum(factors, lo=0):
             {**W_CERT, "symmetric": 0},
             "malformed certificate: symmetric must be true or false, got 0\n",
         ),
+        # an error whose message cannot name its field ends with the field's path
+        (
+            "verify",
+            {"claims": [_N_EQUALS_N, {**_N_EQUALS_N, "lhs": {"seq": {"name": "Q", "shift": 0}}}]},
+            "malformed claims file: a sequence name must be a string, got {'name': 'Q', 'shift': 0}"
+            " (at claims[1].lhs)\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": [["1"], ["x"]]}], "claims": []},
+            "malformed claims file: a value of the wrong JSON type (at sequences[0].recurrence)\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": {"coeffs": [["1"]]}}], "claims": []},
+            "malformed claims file: a recurrence needs order >= 1 (at sequences[0].recurrence)\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "rhs": {"bogus": 1}}]},
+            "malformed claims file: unknown expression node {'bogus': 1} (at claims[0].rhs)\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "modulus": {"sum": 5}}]},
+            "malformed claims file: a value of the wrong JSON type (at claims[0].modulus)\n",
+        ),
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "domain": 5}]},
+            "malformed claims file: a value of the wrong JSON type (at claims[0].domain)\n",
+        ),
+        (
+            "verify",
+            _claim_with_sum([{"seq": {"name": "Q"}}]),
+            "unknown sequence 'Q' (at claims[0].lhs)\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": W_CERT["g"][:2] + [{"i": -1, "j": -1}]},
+            "certificate lacks the field 'poly' (at g[2])\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": [W_CERT["g"][0], ["0", "1"]]},
+            "malformed certificate: a value of the wrong JSON type (at g[1])\n",
+        ),
+        ("certify", {**W_CERT, "seqB": "Q"}, "unknown sequence 'Q' (at seqB)\n"),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

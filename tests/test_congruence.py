@@ -1072,16 +1072,18 @@ def test_a_division_by_a_zero_constant_is_not_folded():
 @pytest.mark.parametrize(
     "claim_id, spec, reads, exact_points",
     [
-        ("theorem-1.1i", SUM_W_SQUARES, 3, []),
+        # the frame modulus is 4 at every n, so W(n-2) and W(n-1) keep their
+        # residues from n - 1: W(-1), ..., W(300) are read once each
+        ("theorem-1.1i", SUM_W_SQUARES, 302, []),
         # the modulus n^2 (n^2 - 1) / 6 is 0 at n = 1: equality, checked exactly
-        ("sun-divisibility", SUM_T_PRODUCTS_8K9, 2, [1]),
+        ("sun-divisibility", SUM_T_PRODUCTS_8K9, 2 * 300, [1]),
         # T(n-1) and T(n), for the closed form and for the rhs 9n T(n-1) T(n)
-        ("theorem-1.3i", SUM_T_PRODUCTS_16K21, 2, []),
+        ("theorem-1.3i", SUM_T_PRODUCTS_16K21, 2 * 300, []),
     ],
 )
 def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, reads, exact_points):
     # every point with a nonzero modulus passes on its residue, with one
-    # window read per term
+    # window read per term, and none for a residue carried from n - 1
     ev = SumEvaluator()
     assert ev.closed_sum(spec) is not None  # reads D S(lo) before counting
     exact, read = [], []
@@ -1090,7 +1092,7 @@ def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, read
     monkeypatch.setattr(congruence, "_check_raw", lambda c, n, sides: exact.append(n) or check(c, n, sides))
     rep = verify_claim_range(get_claim(claim_id), 1, 300, ev)
     assert rep.ok and rep.points_checked == 300
-    assert exact == exact_points and len(read) == reads * 300
+    assert exact == exact_points and len(read) == reads
 
 
 @pytest.mark.parametrize("claim_id", ["theorem-1.1i", "sun-divisibility", "theorem-1.3i"])
@@ -1125,7 +1127,60 @@ def test_a_sum_under_a_division_reads_each_term_once(monkeypatch):
     monkeypatch.setattr(sequences.TermWindow, "term", lambda w, i: read.append(i) or term(w, i))
     rep = verify_claim_range(get_claim("theorem-1.1ii"), 3, 997, SumEvaluator())
     assert rep.ok and rep.points_checked == 167
+    # the primes leave gaps, across which no residue is carried
     assert len(read) == 3 * 167 + 3
+
+
+@pytest.mark.parametrize(
+    "claim_id, bits",
+    # m = 2n, q = k, D = 2: 4; m = n^2 (n^2 - 1) / 6, q = k^2, D = 24: 4 (n^2 - 1);
+    # m = n^2 for the rhs's T(n-1) T(n), and q = k, D = 8 for the sum
+    [("theorem-1.1i", 3), ("sun-divisibility", 28), ("theorem-1.3i", 26)],
+)
+def test_the_frame_modulus_leaves_out_q(claim_id, bits):
+    # the sum's closed form needs its terms modulo m D / gcd(q(n), m D) only
+    compiler = congruence._Compiler(SumEvaluator())
+    _, _, modulus = compiler.sides(get_claim(claim_id))
+    assert compiler.frame_modulus(8000, int(modulus(8000, None))).bit_length() == bits
+
+
+def test_no_residue_is_carried_across_a_change_of_modulus_or_a_gap(monkeypatch):
+    # theorem-1.1i restated from a claims file modulo n (1 + (n|3)^2): 2n, or
+    # n where 3 divides n, so the frame modulus goes 4, 4, 2, 4, 4, 2, ...; a
+    # point reads one new term where the modulus did not change from n - 1,
+    # and all three where it did
+    doc = claim_to_json(get_claim("theorem-1.1i"))
+    leg3 = {"legendre": [{"var": "n"}, {"const": "3"}]}
+    doc["modulus"] = {"mul": [{"var": "n"}, {"add": [{"const": "1"}, {"mul": [leg3, leg3]}]}]}
+    (claim,) = load_claims_document({"claims": [doc]})
+    compiler = congruence._Compiler(SumEvaluator())
+    _, _, modulus = compiler.sides(claim)
+    assert [compiler.frame_modulus(n, int(modulus(n, None))) for n in range(1, 7)] == [4, 4, 2, 4, 4, 2]
+
+    read, frames = [], []
+    term, read_point = sequences.TermWindow.term, congruence._Compiler.read_point
+    monkeypatch.setattr(sequences.TermWindow, "term", lambda w, i: read.append(i) or term(w, i))
+
+    def recorded(self, n, m):
+        read_point(self, n, m)
+        frames.append(list(self.frame))
+
+    monkeypatch.setattr(congruence._Compiler, "read_point", recorded)
+    rep = verify_claim_range(claim, 1, 300, SumEvaluator())
+    assert rep.ok and rep.points_checked == 300
+    assert len(read) == 3 + 3 * 200 + 100  # D S(0), then n = 0 and 1 mod 3 in full
+    for n, big, held in frames:
+        assert held == [W.term(n + s) % big for s in (-2, -1, 0)]
+
+    # theorem-1.1i on the primes: the frame modulus is 4 at every point, but
+    # the points leave gaps, so each reads all three terms
+    read.clear()
+    frames.clear()
+    primes = dataclasses.replace(get_claim("theorem-1.1i"), domain=Domain("primes", 3))
+    rep = verify_claim_range(primes, 3, 997, SumEvaluator())
+    assert rep.ok and rep.points_checked == 167
+    assert len(read) == 3 + 3 * 167
+    assert {big for _, big, _ in frames} == {4}
 
 
 @pytest.mark.parametrize(

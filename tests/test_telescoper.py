@@ -813,6 +813,93 @@ def test_hl_mode_on_t_certificate(t_cert_lo):
     assert check_hl_mode(t_cert_lo, Poly([0, 0, 0, 1])) is False
 
 
+# -- the split D S = q H ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "index, q",
+    [(0, (0, 1)), (1, (0, 0, 1)), (2, (1, 1)), (3, (0, 1))],  # k, k^2, k + 1 for 0..1, k
+)
+def test_reference_closed_forms_split_off_q(index, q):
+    closed = _reference_cert(index).closed_form()
+    got_q, h, q_at, cofactor = closed.split()
+    assert got_q == q
+    assert [(i, j) for i, j, _ in h] == [(i, j) for i, j, _ in closed.terms]
+    for n in range(301):
+        values = [seq.term(n + s) for seq, s in closed.reads]
+        assert q_at(n) * cofactor(n, values) == closed.scaled(n)
+
+
+def _int_polys(max_degree: int):
+    return st.lists(st.integers(-20, 20), min_size=1, max_size=max_degree + 1).filter(any)
+
+
+def _cert_of(g: dict) -> TelescoperCertificate:
+    return TelescoperCertificate(W, W, ShiftWindow(-2, 0), ShiftWindow(-2, 0), (0, 0), P_W, g, True)
+
+
+_W_PAIRS = [(i, j) for i in range(-2, 1) for j in range(i, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted=_int_polys(3),
+    cofactors=st.lists(_int_polys(3), min_size=1, max_size=len(_W_PAIRS)),
+    dens=st.lists(st.integers(1, 12), min_size=len(_W_PAIRS), max_size=len(_W_PAIRS)),
+)
+def test_split_agrees_with_sympy_gcd(planted, cofactors, dens):
+    # random g's with a planted common factor: q is the gcd over Z[k] of the
+    # D g, content included, and D g = q h
+    sympy = pytest.importorskip("sympy")
+    k = sympy.Symbol("k")
+    g = {
+        pair: Poly(rc.exactmath.imul(planted, c)) * F(1, d)
+        for pair, c, d in zip(_W_PAIRS, cofactors, dens)
+    }
+    closed = _cert_of(g).closed_form()
+    q, h, _, _ = closed.split()
+    polys = [sympy.Poly(list(reversed(coeffs)), k, domain="ZZ") for _, _, coeffs in closed.terms]
+    want = polys[0]
+    for p in polys[1:]:
+        want = sympy.gcd(want, p)
+    if want.LC() < 0:
+        want = -want
+    assert q == tuple(int(c) for c in reversed(want.all_coeffs()))
+    for (_, _, dg), (_, _, hs) in zip(closed.terms, h):
+        assert rc.exactmath.imul(q, hs) == list(dg)
+
+
+def _check_hl_mode_by_g(cert: TelescoperCertificate, q: Poly) -> bool:
+    """`check_hl_mode` as it read before the split: one division and one
+    content test per g."""
+    q_prim = q.primitive()
+    a = q.content().numerator
+    for g in cert.g.values():
+        if g.is_zero:
+            continue
+        _, rem = rc.exactmath.poly_divmod(g, q_prim)
+        if not rem.is_zero or math.gcd((g.content() / a).denominator, a) != 1:
+            return False
+    return True
+
+
+_SMALL_RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    planted=_int_polys(2),
+    g_parts=st.lists(st.tuples(_int_polys(2), _SMALL_RATIONALS), max_size=len(_W_PAIRS)),
+    q_poly=_int_polys(2),
+    q_scale=_SMALL_RATIONALS.filter(bool),
+)
+def test_hl_mode_agrees_with_the_check_by_g(planted, g_parts, q_poly, q_scale):
+    g = {pair: Poly(rc.exactmath.imul(planted, c)) * s for pair, (c, s) in zip(_W_PAIRS, g_parts)}
+    cert = _cert_of(g)
+    for q in (Poly(q_poly) * q_scale, Poly(planted) * q_scale):
+        assert check_hl_mode(cert, q) == _check_hl_mode_by_g(cert, q)
+
+
 # -- serialization ----------------------------------------------------------------------
 
 
