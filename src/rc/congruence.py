@@ -582,10 +582,11 @@ class _Compiler:
     sums).
 
     `read_point(n, m)` reduces each held term once modulo M
-    (`frame_modulus`), into `frame`. With m' = m times the numerators of
-    those divisors at n, M is the lcm of m' where a sequence reference reads
-    the frame and of each closed form's need modulo D m', so that M covers
-    the moduli of the calls under a division too. Where the frame holds
+    (`frame_modulus`), by a mask where M is a power of two, into `frame`.
+    With m' = m times the numerators of those divisors at n, M is the lcm of
+    m' where a sequence reference reads the frame and of each closed form's
+    need modulo D m', so that M covers the moduli of the calls under a
+    division too. Where the frame holds
     n - 1 modulo the same M, a held read whose offset + 1 is held too takes
     that read's residue (`route` maps each to it) and is not read again;
     every other held term is read once. A closure called at n with a modulus
@@ -633,10 +634,18 @@ class _Compiler:
         big = self.frame_modulus(n, m)
         at, was, old = self.frame
         carry = at == n - 1 and was == big
-        self.frame[:] = n, big, [
-            old[j] if carry and j is not None else term(n + offset) % big
-            for term, offset, j in self.held_reads
-        ]
+        if big > 0 and not big & (big - 1):  # a power of two: x & (big - 1) == x % big for every int x
+            mask = big - 1
+            held = [
+                old[j] if carry and j is not None else term(n + offset) & mask
+                for term, offset, j in self.held_reads
+            ]
+        else:  # big is 0 where a divisor vanishes at n: % raises, and the point is checked exactly
+            held = [
+                old[j] if carry and j is not None else term(n + offset) % big
+                for term, offset, j in self.held_reads
+            ]
+        self.frame[:] = n, big, held
 
     def hold(self, seq: SequenceDef, slope: int | None, offset: int) -> int | None:
         """Record a read of seq at slope * n + offset; the index of a held
@@ -1341,41 +1350,55 @@ MAX_EXPR_DEPTH = 32
 
 
 def expr_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None) -> Expr:
-    """Decode an expression. Its `seq` nodes and factors name sequences of
-    `sequences` (default: the built-ins); an unknown name raises
-    `UnknownSequence` here, not when the expression is evaluated. Nodes
-    nested deeper than `MAX_EXPR_DEPTH` raise ValueError."""
+    """Decode an expression. Every node is a JSON object with exactly one key,
+    its kind (a `seq` node may add its `shift`); the one variable is
+    `{"var": "n"}`, and the operands of `legendre`, `binom`, `sub` and `div`
+    are a list of two, of `add` and `mul` a list.
+    Its `seq` nodes and factors name sequences of `sequences` (default: the
+    built-ins); an unknown name raises `UnknownSequence` here, not when the
+    expression is evaluated. Nodes nested deeper than `MAX_EXPR_DEPTH` raise
+    ValueError."""
+
+    def operands(kind: str, value, pair: bool = False) -> list:
+        if not isinstance(value, list) or (pair and len(value) != 2):
+            what = "a list of two" if pair else "a list"
+            raise ValueError(f"the operands of {kind} must be {what}, got {echo(value)}")
+        return value
 
     def node(d: dict, depth: int) -> Expr:
         if depth > MAX_EXPR_DEPTH:
             raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         depth += 1  # the depth of d's children
-        if "const" in d:
-            return Const(_json_text("a const", d["const"]))
-        if "var" in d:
+        if not isinstance(d, dict):
+            raise ValueError(f"an expression node must be a JSON object, got {echo(d)}")
+        keys = [k for k in d if k != "shift"] if "seq" in d else list(d)
+        if len(keys) != 1:
+            raise ValueError(f"an expression node must have exactly one key, got {echo(d)}")
+        kind, value = keys[0], d[keys[0]]
+        if kind == "const":
+            return Const(_json_text("a const", value))
+        if kind == "var":
+            if value != "n":
+                raise ValueError(f"the only variable is 'n', got {echo(value)}")
             return N
-        if "seq" in d:
-            return SeqRef(get_sequence(d["seq"], sequences), _json_int("a seq shift", d.get("shift", 0)))
-        if "legendre" in d:
-            t, b = d["legendre"]
+        if kind == "seq":
+            return SeqRef(get_sequence(value, sequences), _json_int("a seq shift", d.get("shift", 0)))
+        if kind == "legendre":
+            t, b = operands(kind, value, pair=True)
             return Legendre(node(t, depth), node(b, depth))
-        if "pow" in d:
-            return PowInt(_json_int("a pow base", d["pow"]["base"]), Bound.from_str(d["pow"]["exp"]))
-        if "binom" in d:
-            t, b = d["binom"]
+        if kind == "pow":
+            return PowInt(_json_int("a pow base", value["base"]), Bound.from_str(value["exp"]))
+        if kind == "binom":
+            t, b = operands(kind, value, pair=True)
             return BinomExpr(Bound.from_str(t), Bound.from_str(b))
-        if "add" in d:
-            return Add(tuple(node(t, depth) for t in d["add"]))
-        if "mul" in d:
-            return Mul(tuple(node(f, depth) for f in d["mul"]))
-        if "sub" in d:
-            a, b = d["sub"]
-            return Sub(node(a, depth), node(b, depth))
-        if "div" in d:
-            a, b = d["div"]
-            return Div(node(a, depth), node(b, depth))
-        if "sum" in d:
-            return SumNode(SumSpec.from_json(d["sum"], sequences))
+        if kind in ("add", "mul"):
+            kids = tuple(node(x, depth) for x in operands(kind, value))
+            return Add(kids) if kind == "add" else Mul(kids)
+        if kind in ("sub", "div"):
+            a, b = operands(kind, value, pair=True)
+            return (Sub if kind == "sub" else Div)(node(a, depth), node(b, depth))
+        if kind == "sum":
+            return SumNode(SumSpec.from_json(value, sequences))
         raise ValueError(f"unknown expression node {echo(d)}")
 
     return node(d, 1)

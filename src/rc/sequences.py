@@ -6,7 +6,10 @@ direct formula. Terms are integers, stepped forward in integer arithmetic:
 the recurrence coefficients are integer polynomials, each built once into an
 `exactmath.evaluator`, and each new term is one exact division of an integer
 combination of the previous terms by the leading coefficient, with a nonzero
-remainder reported as `NonIntegerTerm` (`SequenceDef._step`, the one step).
+remainder reported as `NonIntegerTerm`. `SequenceDef._terms_from` is the one
+stepping kernel: a generator of the terms from an index on, holding the last
+`order` terms and the evaluators in locals, straight-line for orders 2 and 3
+(T's and W's) and one loop for any other order.
 
 Terms live in two stores. The memo (`SequenceDef.term`) is for random
 access: it keeps every term from the initial data up to the highest one
@@ -14,7 +17,9 @@ read, so for W, whose n-th term has about 1.58 n bits, it holds about
 0.8 N^2 bits after a read at N. A window (`SequenceDef.window`, a
 `TermWindow`) is for streaming reads in ascending order: it steps past the
 memo and keeps only the last few terms, so reading every term up to N keeps
-O(N) bits. Both give the same values and raise the same errors.
+O(N) bits. Both give the same values and raise the same errors. The memo
+and each window keep their own generator while they step forward, and make
+a new one where they start again or after a step raised.
 
 `SumSpec` is the one finite sum over k: a coefficient in k, the quotient of
 two polynomials in lowest terms, times binomial, geometric and sequence-term
@@ -43,10 +48,11 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exactmath import ONE, FieldError, Poly, _check_digits, _json_text, clear_denominators, echo, evaluator, frac_to_str, json_field, lowest_terms, poly
 
@@ -484,7 +490,7 @@ class Recurrence:
     `int_coeffs` holds them as integer tuples, ascending as `Poly.coeffs`,
     for `exactmath`'s integer-polynomial kernel, and `evaluators` each built
     into an `exactmath.evaluator`, the one way they are evaluated
-    (`coeffs_at`, `SequenceDef._step`).
+    (`coeffs_at`, `SequenceDef._terms_from`).
     """
 
     coeffs: tuple[Poly, ...]
@@ -556,6 +562,8 @@ class SequenceDef:
         self.direct = direct
         self.min_index = lo
         self._memo: list[int] = [initial[i] for i in range(lo, hi + 1)]
+        self._gen: Iterator[int] | None = None  # the memo's generator (`_fill_to`)
+        self._gen_at: int | None = None  # the index it yields next, None when there is none
 
     @property
     def max_initial(self) -> int:
@@ -566,29 +574,71 @@ class SequenceDef:
         """Index n of the first recurrence instance used by forward evaluation."""
         return self.max_initial - self.recurrence.order + 1
 
-    def _step(self, terms, base: int, idx: int) -> int:
-        """The term at idx from terms[base], ..., terms[base + order - 1], the
-        `order` terms before it: the one recurrence step of the memo and of
-        every `TermWindow`."""
-        coeffs = self.recurrence.evaluators
-        d = len(coeffs) - 1
-        n = idx - d
-        den = coeffs[d](n)
-        if den == 0:
-            raise LeadingCoefficientVanishes(self.name, n)
-        num = 0
-        for i in range(d):
-            num -= coeffs[i](n) * terms[base + i]
-        val, rem = divmod(num, den)
-        if rem:
-            raise NonIntegerTerm(self.name, idx, Fraction(num, den))
-        return val
+    def _terms_from(self, last: list[int], i: int) -> Iterator[int]:
+        """The terms at i, i + 1, ... stepped from last, the `order` terms
+        before i: the one stepping kernel of the memo and of every
+        `TermWindow`. Each term is one exact division of an integer
+        combination of the terms before it by the leading coefficient, with
+        the coefficients' evaluators and the last `order` terms in locals;
+        straight-line for orders 2 and 3 (T's and W's; as
+        `exactmath.evaluator` is for low degrees), one loop for any other
+        order. A vanishing leading coefficient raises
+        `LeadingCoefficientVanishes`, a remainder `NonIntegerTerm`, and
+        either ends the generator."""
+        *lower, lead = self.recurrence.evaluators
+        d, failed = len(lower), self._failed_step
+        n = i - d  # the recurrence instance whose term is at n + d
+        # each loop below runs until the generator is dropped or a step raises;
+        # `den or 1` divides by 1 where den is 0, which then fails the step
+        if d == 2:
+            c0, c1 = lower
+            a, b = last
+            while True:
+                num, den = -(c0(n) * a + c1(n) * b), lead(n)
+                val, rem = divmod(num, den or 1)
+                if rem or not den:
+                    raise failed(n, num, den)
+                yield val
+                a, b, n = b, val, n + 1
+        if d == 3:
+            c0, c1, c2 = lower
+            a, b, c = last
+            while True:
+                num, den = -(c0(n) * a + c1(n) * b + c2(n) * c), lead(n)
+                val, rem = divmod(num, den or 1)
+                if rem or not den:
+                    raise failed(n, num, den)
+                yield val
+                a, b, c, n = b, c, val, n + 1
+        held = deque(last, maxlen=d)
+        while True:
+            num, den = -sum(cf(n) * t for cf, t in zip(lower, held)), lead(n)
+            val, rem = divmod(num, den or 1)
+            if rem or not den:
+                raise failed(n, num, den)
+            yield val
+            held.append(val)
+            n += 1
+
+    def _failed_step(self, n: int, num: int, den: int) -> SequenceError:
+        """The error of the step by the instance at n, num / den."""
+        if not den:
+            return LeadingCoefficientVanishes(self.name, n)
+        return NonIntegerTerm(self.name, n + self.recurrence.order, Fraction(num, den))
 
     def _fill_to(self, hi: int) -> None:
-        d = self.recurrence.order
+        """Extend the memo to index hi through its generator, kept from one
+        fill to the next and made again when it does not stand at the memo's
+        end (or has raised); the terms before a failing step are kept.
+        `certify` fills the memo one term at a time, where a generator made
+        per fill costs more than the step itself."""
         memo = self._memo
-        while self.min_index + len(memo) <= hi:
-            memo.append(self._step(memo, len(memo) - d, self.min_index + len(memo)))
+        top = self.min_index + len(memo)
+        if self._gen_at != top:
+            self._gen = self._terms_from(memo[-self.recurrence.order :], top)
+        self._gen_at = None
+        memo.extend(islice(self._gen, hi + 1 - top))
+        self._gen_at = hi + 1
 
     def term(self, i: int) -> int:
         if i < self.min_index:
@@ -638,18 +688,21 @@ class TermWindow:
     the window is stepped to from whichever of the memo and the window
     reaches further, so ascending reads step each term once; an index behind
     the window starts again from the memo, which holds at least the initial
-    data. The width starts at the recurrence order, and `keep(span)` widens
-    it to the order plus span, so reads that go back up to span indices from
-    the furthest one read never start again. `steps` counts the recurrence
-    steps taken here."""
+    data. Steps come from one generator (`SequenceDef._terms_from`), made
+    from the window's last terms when there is none, and dropped when the
+    window starts again or a step raises. The width starts at the recurrence
+    order, and `keep(span)` widens it to the order plus span, so reads that
+    go back up to span indices from the furthest one read never start again.
+    `steps` counts the recurrence steps taken here."""
 
-    __slots__ = ("seq", "steps", "_terms", "_hi")
+    __slots__ = ("seq", "steps", "_terms", "_hi", "_next")
 
     def __init__(self, seq: SequenceDef):
         self.seq = seq
         self.steps = 0
         self._terms: deque[int] = deque(maxlen=seq.recurrence.order)
         self._hi = seq.min_index  # one past the index of the last term held
+        self._next = None  # the generator's __next__, yielding the term at _hi
 
     @property
     def width(self) -> int:
@@ -663,7 +716,8 @@ class TermWindow:
 
     def term(self, i: int) -> int:
         terms = self._terms
-        back = self._hi - i
+        hi = self._hi
+        back = hi - i
         if 0 < back <= len(terms):  # held here (and the memo holds the same value)
             return terms[-back]
         seq = self.seq
@@ -672,15 +726,25 @@ class TermWindow:
         if j < len(memo):
             return memo[j] if j >= 0 else seq.term(i)  # below the initial data: raises
         top = seq.min_index + len(memo)
-        if back > 0 or top > self._hi:  # behind the window, or the memo reaches further
+        d = seq.recurrence.order
+        if back > 0 or top > hi:  # behind the window, or the memo reaches further
             terms.clear()
-            terms.extend(memo[-seq.recurrence.order :])
-            self._hi = top
-        d, step = seq.recurrence.order, seq._step
-        while self._hi <= i:
-            terms.append(step(terms, len(terms) - d, self._hi))
-            self._hi += 1
-            self.steps += 1
+            terms.extend(memo[-d:])
+            hi = self._hi = top
+            self._next = None
+        step = self._next
+        if step is None:
+            step = self._next = seq._terms_from(list(terms)[-d:], hi).__next__
+        try:
+            while hi <= i:
+                terms.append(step())
+                hi += 1
+        except BaseException:
+            self._next = None
+            raise
+        finally:
+            self.steps += hi - self._hi
+            self._hi = hi
         return terms[-1]
 
 

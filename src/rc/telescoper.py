@@ -399,7 +399,7 @@ class ClosedForm:
     is D g_{i,j} / q, an integer polynomial. Modulo M, D S(n) needs its
     terms only modulo M / gcd(q(n), M) (see `congruence._Compiler`)."""
 
-    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products", "_split")
+    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products", "_combine", "_split")
 
     def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, scale: int, terms: tuple):
         self.seq_a, self.seq_b, self.scale, self.terms = seq_a, seq_b, scale, terms
@@ -411,6 +411,7 @@ class ClosedForm:
             products.append((index[seq_a, i], index[seq_b, j], evaluator(coeffs)))
         self.reads = tuple(index)
         self._products = tuple(products)
+        self._combine = _bilinear(self._products)
         self._split = None
 
     def split(self) -> tuple[tuple[int, ...], tuple, Callable[[int], int], Callable]:
@@ -430,14 +431,7 @@ class ClosedForm:
                 q = tuple(content * x for x in primitive(clear_denominators(g.coeffs)[1][0]))
             h = tuple((i, j, tuple(iquo(f, q))) for i, j, f in self.terms)
             products = tuple((x, y, evaluator(hs)) for (x, y, _), (_, _, hs) in zip(self._products, h))
-
-            def cofactor(n: int, values: Sequence[int]) -> int:
-                total = 0
-                for x, y, hv in products:
-                    total += hv(n) * values[x] * values[y]
-                return total
-
-            self._split = (q, h, evaluator(q), cofactor)
+            self._split = (q, h, evaluator(q), _bilinear(products))
         return self._split
 
     def scaled(self, n: int, stores: Mapping | None = None) -> int:
@@ -450,10 +444,30 @@ class ClosedForm:
         """D S(n) from `values`, whose first entries are the terms S reads at
         n, one per entry of `reads`. Given their residues modulo a multiple of
         M instead, the result is congruent to D S(n) modulo M."""
+        return self._combine(n, values)
+
+
+def _bilinear(products: tuple) -> Callable:
+    """(n, values) -> the sum of h(n) values[x] values[y] over the products
+    (x, y, h), for `ClosedForm.combine` and the split's H: straight-line for
+    3 and 4 products (the reference certificates have 3 or 4), one loop for
+    any other count."""
+    if len(products) == 3:
+        (x0, y0, h0), (x1, y1, h1), (x2, y2, h2) = products
+        return lambda n, v: h0(n) * v[x0] * v[y0] + h1(n) * v[x1] * v[y1] + h2(n) * v[x2] * v[y2]
+    if len(products) == 4:
+        (x0, y0, h0), (x1, y1, h1), (x2, y2, h2), (x3, y3, h3) = products
+        return lambda n, v: (
+            h0(n) * v[x0] * v[y0] + h1(n) * v[x1] * v[y1] + h2(n) * v[x2] * v[y2] + h3(n) * v[x3] * v[y3]
+        )
+
+    def cofactor(n: int, values: Sequence[int]) -> int:
         total = 0
-        for x, y, g in self._products:
-            total += g(n) * values[x] * values[y]
+        for x, y, hv in products:
+            total += hv(n) * values[x] * values[y]
         return total
+
+    return cofactor
 
 
 def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:

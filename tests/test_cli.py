@@ -463,6 +463,25 @@ def _claim_with_sum(factors, lo=0):
     return {"claims": [{**_N_EQUALS_N, "lhs": {"sum": spec}}]}
 
 
+# every expression node is a JSON object with one key, its kind (a seq node
+# may add its shift), and a two-operand node takes a list of two
+_BAD_NODES = [
+    ({"legendre": [1, 2, 3]}, "the operands of legendre must be a list of two, got [1, 2, 3]"),
+    ({"binom": ["n", "1", "2"]}, "the operands of binom must be a list of two, got ['n', '1', '2']"),
+    ({"sub": [{"var": "n"}]}, "the operands of sub must be a list of two, got [{'var': 'n'}]"),
+    ({"div": {"a": {"var": "n"}}}, "the operands of div must be a list of two, got {'a': {'var': 'n'}}"),
+    ({"add": "ab"}, "the operands of add must be a list, got 'ab'"),
+    ({"add": ["var", "var"]}, "an expression node must be a JSON object, got 'var'"),
+    ({"var": "m"}, "the only variable is 'n', got 'm'"),
+    ("n", "an expression node must be a JSON object, got 'n'"),
+    ({"mul": [{"var": "n"}, 3]}, "an expression node must be a JSON object, got 3"),
+    ({"var": "n", "const": "1"}, "an expression node must have exactly one key, got {'var': 'n', 'const': '1'}"),
+    ({}, "an expression node must have exactly one key, got {}"),
+    ({"seq": "W", "shift": 0, "x": 1}, "an expression node must have exactly one key, got {'seq': 'W', 'shift': 0, 'x': 1}"),
+    ({"const": "1", "shift": 0}, "an expression node must have exactly one key, got {'const': '1', 'shift': 0}"),
+]
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -739,6 +758,11 @@ def _claim_with_sum(factors, lo=0):
             "malformed certificate: a value of the wrong JSON type (at g[1])\n",
         ),
         ("certify", {**W_CERT, "seqB": "Q"}, "unknown sequence 'Q' (at seqB)\n"),
+        *(
+            ("verify", {"claims": [_N_EQUALS_N, {**_N_EQUALS_N, "lhs": lhs}]},
+             f"malformed claims file: {message} (at claims[1].lhs)\n")
+            for lhs, message in _BAD_NODES
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

@@ -1095,6 +1095,73 @@ def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, read
     assert exact == exact_points and len(read) == reads
 
 
+def test_two_claims_read_t_in_turn(monkeypatch):
+    # sun-divisibility leaves the evaluator's T window at N + 1, so
+    # theorem-1.3i, starting again at n = 1, steps every T term past the
+    # memo a second time: this pins the count, whatever a step costs
+    monkeypatch.setattr(T, "_memo", T._memo[: len(T.initial)])
+    ev, hi = SumEvaluator(), 600
+    for claim_id in ("sun-divisibility", "theorem-1.3i"):
+        assert verify_claim_range(get_claim(claim_id), 1, hi, ev).ok
+    top = T.min_index + len(T._memo)  # certify filled the memo below this
+    assert top < hi and ev.window(T).steps == 2 * (hi + 1 - top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64), st.integers(-(1 << 13000), 1 << 13000))
+def test_a_power_of_two_residue_is_a_mask(a, x):
+    # read_point reduces by mask where the frame modulus is 2^a, also the
+    # negative terms (W's initial terms are negative)
+    m = 1 << a
+    assert x & (m - 1) == x % m
+
+
+@pytest.mark.parametrize("claim_id, lo, hi", [("theorem-1.1i", 1, 2000), ("w-adjacent-products", 2, 2000)])
+def test_a_power_of_two_frame_decides_every_point(monkeypatch, claim_id, lo, hi):
+    # the frame modulus is 4 at every point of both claims, so each held term
+    # is reduced by mask; every point passes on its residue
+    claim, bigs, exact = get_claim(claim_id), set(), []
+    read_point, check = congruence._Compiler.read_point, congruence._check_raw
+
+    def recorded(self, n, m):
+        read_point(self, n, m)
+        bigs.add(self.frame[1])
+
+    monkeypatch.setattr(congruence._Compiler, "read_point", recorded)
+    monkeypatch.setattr(congruence, "_check_raw", lambda c, n, sides: exact.append(n) or check(c, n, sides))
+    got = report_to_json(verify_claim_range(claim, lo, hi, SumEvaluator()))
+    assert bigs == {4} and exact == []
+    monkeypatch.undo()
+    assert got == _exact_walk(claim, lo, hi)
+
+
+def test_a_vanishing_divisor_is_not_masked(monkeypatch):
+    # w-adjacent-products with its lhs times and over n - 5, from a claims
+    # file: the frame modulus 4 |n - 5| is a power of two at n = 4 and 6 and
+    # 0 at n = 5, where reading the frame raises, as % 0 does, and the point
+    # is checked exactly; no frame is kept modulo 0
+    doc = claim_to_json(get_claim("w-adjacent-products"))
+    shifted = {"sub": [{"var": "n"}, {"const": "5"}]}
+    doc["lhs"] = {"div": [{"mul": [doc["lhs"], shifted]}, shifted]}
+    (claim,) = load_claims_document({"claims": [doc]})
+    read_point, bigs, raised = congruence._Compiler.read_point, {}, []
+
+    def recorded(self, n, m):
+        try:
+            read_point(self, n, m)
+        except ZeroDivisionError:
+            raised.append(n)
+            raise
+        bigs[n] = self.frame[1]
+
+    monkeypatch.setattr(congruence._Compiler, "read_point", recorded)
+    got = report_to_json(verify_claim_range(claim, 2, 12, SumEvaluator()))
+    assert raised == [5] and bigs[4] == bigs[6] == 4 and 0 not in bigs.values()
+    monkeypatch.undo()
+    assert got == _exact_walk(claim, 2, 12)
+    assert [f["n"] for f in got["failures"]] == [5]
+
+
 @pytest.mark.parametrize("claim_id", ["theorem-1.1i", "sun-divisibility", "theorem-1.3i"])
 def test_the_residue_pass_makes_no_horner_call(monkeypatch, claim_id):
     # the recurrence coefficients, the closed form's g and the folded nodes

@@ -160,7 +160,7 @@ def _fraction_forward(coeffs, initial, hi):
 
 @st.composite
 def _random_recurrences(draw):
-    order = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 5))
     polys = st.lists(st.integers(-6, 6), max_size=3).map(Poly)
     coeffs = draw(st.lists(polys, min_size=order, max_size=order))
     coeffs.append(draw(polys.filter(lambda p: not p.is_zero)))
@@ -255,7 +255,17 @@ def _outcome(read, i):
 
 # (n+1) a(n+1) = 6 a(n) from a(0)=1: a(n) = 6^n/n!, not an integer at n = 5
 _SIX_POWERS = (recurrence([Poly([-6]), Poly([1, 1])]), {0: 1})
-_WINDOWED = {"W": (W.recurrence, W.initial), "T": (T.recurrence, T.initial), "six": _SIX_POWERS}
+# (n-7) a(n+1) = (n-7) a(n) from a(0)=2: 2, until the leading coefficient vanishes at n = 7
+_LEAD_VANISHES = (recurrence([Poly([7, -1]), Poly([-7, 1])]), {0: 2})
+# 4 a(n+4) = a(n) + a(n+1) + a(n+2) + a(n+3) from 1, 1, 1, 5: 2, then 9/4 at n = 5
+_ORDER_FOUR = (recurrence([Poly([-1])] * 4 + [Poly([4])]), {0: 1, 1: 1, 2: 1, 3: 5})
+_WINDOWED = {
+    "W": (W.recurrence, W.initial),
+    "T": (T.recurrence, T.initial),
+    "six": _SIX_POWERS,
+    "lead": _LEAD_VANISHES,
+    "four": _ORDER_FOUR,
+}
 
 
 @st.composite
@@ -285,6 +295,24 @@ def test_window_reads_equal_the_memo(name, span, reads):
             assert _outcome(streamed.term, fill) == _outcome(reference.term, fill)
         assert _outcome(window.term, i) == _outcome(reference.term, i), (i, fill)
     assert len(streamed._memo) <= len(reference._memo)
+
+
+@pytest.mark.parametrize("name, bad", [("six", 5), ("lead", 8), ("four", 5)])
+def test_a_window_retries_after_an_error(name, bad):
+    # the step to bad raises; every later read at or above it raises the same
+    # error, from the window's own terms, and the terms below stay served
+    rec, initial = _WINDOWED[name]
+    reference = SequenceDef(name, rec, initial)
+    seq = SequenceDef(name, rec, initial)
+    window = seq.window()
+    error = _outcome(reference.term, bad)
+    assert type(error) is tuple  # an exception's type and text
+    for i in (bad, bad + 3, bad, bad - 1, bad + 1):
+        assert _outcome(window.term, i) == (error if i >= bad else reference.term(i)), i
+    assert window.steps == bad - 1 - seq.max_initial  # no step was taken twice
+    for i in range(seq.min_index, bad + 2):
+        assert _outcome(window.term, i) == _outcome(reference.term, i), i
+    assert len(seq._memo) == len(initial)
 
 
 def test_window_reads_at_its_edges():

@@ -857,7 +857,7 @@ def test_split_agrees_with_sympy_gcd(planted, cofactors, dens):
         for pair, c, d in zip(_W_PAIRS, cofactors, dens)
     }
     closed = _cert_of(g).closed_form()
-    q, h, _, _ = closed.split()
+    q, h, q_at, cofactor = closed.split()
     polys = [sympy.Poly(list(reversed(coeffs)), k, domain="ZZ") for _, _, coeffs in closed.terms]
     want = polys[0]
     for p in polys[1:]:
@@ -867,6 +867,10 @@ def test_split_agrees_with_sympy_gcd(planted, cofactors, dens):
     assert q == tuple(int(c) for c in reversed(want.all_coeffs()))
     for (_, _, dg), (_, _, hs) in zip(closed.terms, h):
         assert rc.exactmath.imul(q, hs) == list(dg)
+    # H from 1 to 6 products, straight-line for 3 and 4
+    for n in range(4):
+        values = [seq.term(n + s) for seq, s in closed.reads]
+        assert q_at(n) * cofactor(n, values) == closed.scaled(n)
 
 
 def _check_hl_mode_by_g(cert: TelescoperCertificate, q: Poly) -> bool:
