@@ -403,10 +403,6 @@ class SumEvaluator:
 
         return read
 
-    def eval_binom(self, e: BinomExpr, n: int) -> int:
-        """binom(top(n), bottom(n)) for the node e, by `binom_reader`."""
-        return self.binom_reader(e)(n)
-
     def running_sum(self, spec: SumSpec, n: int) -> tuple[int, int]:
         """The sum at n summed term by term, as (num, den): an integer
         numerator over den, the lcm (up to sign) of the denominators of its

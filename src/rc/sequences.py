@@ -17,9 +17,7 @@ read, so for W, whose n-th term has about 1.58 n bits, it holds about
 0.8 N^2 bits after a read at N. A window (`SequenceDef.window`, a
 `TermWindow`) is for streaming reads in ascending order: it steps past the
 memo and keeps only the last few terms, so reading every term up to N keeps
-O(N) bits. Both give the same values and raise the same errors. The memo
-and each window keep their own generator while they step forward, and make
-a new one where they start again or after a step raised.
+O(N) bits. Both give the same values and raise the same errors.
 
 `SumSpec` is the one finite sum over k: a coefficient in k, the quotient of
 two polynomials in lowest terms, times binomial, geometric and sequence-term
@@ -162,9 +160,12 @@ class Affine:
         return [self.cn, self.ck, self.c]
 
     @classmethod
-    def from_json(cls, data) -> "Affine":
-        cn, ck, c = (_json_int("an affine coefficient", x) for x in data)
-        return cls(cn, ck, c)
+    def from_json(cls, what: str, data) -> "Affine":
+        """The affine value of the field `what`: a JSON list of exactly three
+        integers."""
+        if type(data) is not list or len(data) != 3:
+            raise FieldError(f"{what} must be a list of three integers, got {echo(data)}")
+        return cls(*(_json_int("an affine coefficient", x) for x in data))
 
 
 @dataclass(frozen=True)
@@ -328,10 +329,11 @@ def _factor_of(d: dict, sequences: Mapping[str, "SequenceDef"] | None = None):
         return SeqFactor(get_sequence(s["name"], sequences), _json_int("a seq shift", s.get("shift", 0)))
     if "binom" in d:
         b = d["binom"]
-        return BinomFactor(Affine.from_json(b["top"]), Affine.from_json(b["bottom"]))
+        top, bottom = (Affine.from_json(f"a binomial's {key}", b[key]) for key in ("top", "bottom"))
+        return BinomFactor(top, bottom)
     if "geom" in d:
         g = d["geom"]
-        return GeomFactor(_json_int("a geom base", g["base"]), Affine.from_json(g["exp"]))
+        return GeomFactor(_json_int("a geom base", g["base"]), Affine.from_json("a geometric exp", g["exp"]))
     raise ValueError(f"unknown sum factor {echo(d)}")
 
 
@@ -562,8 +564,6 @@ class SequenceDef:
         self.direct = direct
         self.min_index = lo
         self._memo: list[int] = [initial[i] for i in range(lo, hi + 1)]
-        self._gen: Iterator[int] | None = None  # the memo's generator (`_fill_to`)
-        self._gen_at: int | None = None  # the index it yields next, None when there is none
 
     @property
     def max_initial(self) -> int:
@@ -626,28 +626,18 @@ class SequenceDef:
             return LeadingCoefficientVanishes(self.name, n)
         return NonIntegerTerm(self.name, n + self.recurrence.order, Fraction(num, den))
 
-    def _fill_to(self, hi: int) -> None:
-        """Extend the memo to index hi through its generator, kept from one
-        fill to the next and made again when it does not stand at the memo's
-        end (or has raised); the terms before a failing step are kept.
-        `certify` fills the memo one term at a time, where a generator made
-        per fill costs more than the step itself."""
-        memo = self._memo
-        top = self.min_index + len(memo)
-        if self._gen_at != top:
-            self._gen = self._terms_from(memo[-self.recurrence.order :], top)
-        self._gen_at = None
-        memo.extend(islice(self._gen, hi + 1 - top))
-        self._gen_at = hi + 1
-
     def term(self, i: int) -> int:
+        """The term at i, from the memo; a read past its end fills it up to i
+        by one generator, keeping the terms before a failing step."""
         if i < self.min_index:
             raise ValueError(
                 f"{self.name} is only defined from index {self.min_index} (asked for {i})"
             )
-        if i >= self.min_index + len(self._memo):
-            self._fill_to(i)
-        return self._memo[i - self.min_index]
+        memo = self._memo
+        top = self.min_index + len(memo)
+        if i >= top:
+            memo.extend(islice(self._terms_from(memo[-self.recurrence.order :], top), i + 1 - top))
+        return memo[i - self.min_index]
 
     def window(self) -> "TermWindow":
         """A fresh forward window over this sequence's terms (see `TermWindow`)."""

@@ -79,7 +79,7 @@ from .exactmath import (
     poly_gcd,
     primitive,
 )
-from .sequences import ONE_SEQ, Recurrence, SequenceDef, T, W, _json_int, get_sequence
+from .sequences import ONE_SEQ, Recurrence, SequenceDef, SequenceError, T, W, _json_int, get_sequence
 
 __all__ = [
     "MAX_DEGREE",
@@ -391,7 +391,7 @@ class ClosedForm:
     with the integer coefficients ascending. `reads` holds the
     (sequence, shift) pairs S reads at n + shift, each once, in the order
     the terms first need them. Each D g_{i,j} is built once into an
-    `exactmath.evaluator` for `combine`.
+    `exactmath.evaluator` for `scaled`.
 
     The split D S(n) = q(n) H(n), H(n) = sum h_{i,j}(n) a(n+i) b(n+j), is
     built on the first call of `split` and kept: q is the gcd over Z[k] of
@@ -418,8 +418,9 @@ class ClosedForm:
         """(q, h, q(n), H(n, values)): q as ascending integer coefficients (the
         zero polynomial () when every g is zero), h the terms (i, j, h_{i,j})
         in the order of `terms`, q's `exactmath.evaluator`, and H at n from
-        `values` as `combine` reads them. Given residues modulo a multiple of
-        M, H is congruent to H(n) modulo M."""
+        `values`, whose first entries are the terms S reads at n, one per
+        entry of `reads`. Given residues modulo a multiple of M, H is
+        congruent to H(n) modulo M."""
         if self._split is None:
             fs = [coeffs for _, _, coeffs in self.terms]
             q: tuple[int, ...] = ()
@@ -438,18 +439,12 @@ class ClosedForm:
         """D S(n) exactly. `stores` maps each sequence to what its terms are
         read from, the sequence itself (its memo, the default) or a
         `sequences.TermWindow`."""
-        return self.combine(n, [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads])
-
-    def combine(self, n: int, values) -> int:
-        """D S(n) from `values`, whose first entries are the terms S reads at
-        n, one per entry of `reads`. Given their residues modulo a multiple of
-        M instead, the result is congruent to D S(n) modulo M."""
-        return self._combine(n, values)
+        return self._combine(n, [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads])
 
 
 def _bilinear(products: tuple) -> Callable:
     """(n, values) -> the sum of h(n) values[x] values[y] over the products
-    (x, y, h), for `ClosedForm.combine` and the split's H: straight-line for
+    (x, y, h), for `ClosedForm.scaled` and the split's H: straight-line for
     3 and 4 products (the reference certificates have 3 or 4), one loop for
     any other count."""
     if len(products) == 3:
@@ -879,6 +874,17 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     closed = cert.closed_form()
     a, b = cert.seq_a, cert.seq_b
     sa, sb = cert.target_shifts
+    # read the highest term of each sequence first, so that its memo fills in
+    # one generator; a read that raises here raises again in the loop, at the
+    # same n
+    top: dict[SequenceDef, int] = {}
+    for seq, i in ((a, n_max - 1 + sa), (b, n_max - 1 + sb), *((q, n_max + s) for q, s in closed.reads)):
+        top[seq] = max(top.get(seq, i), i)
+    for seq, i in top.items():
+        try:
+            seq.term(i)
+        except (SequenceError, ValueError):
+            pass
     s0 = closed.scaled(0)
     weight = evaluator(p_int)
     running = 0  # scale times the sum of the summands below n

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rc.cli import main
 from rc.exactmath import MAX_ECHO
@@ -463,6 +463,16 @@ def _claim_with_sum(factors, lo=0):
     return {"claims": [{**_N_EQUALS_N, "lhs": {"sum": spec}}]}
 
 
+# an affine argument of a sum factor is a JSON list of exactly three integers
+_BAD_AFFINES = [
+    (_claim_with_sum([{"binom": {"top": [1, 0], "bottom": [0, 1, 0]}}]),
+     "a binomial's top must be a list of three integers, got [1, 0]"),
+    (_claim_with_sum([{"binom": {"top": [0, 1, 0], "bottom": [1, 0, 0, 0]}}]),
+     "a binomial's bottom must be a list of three integers, got [1, 0, 0, 0]"),
+    (_claim_with_sum([{"geom": {"base": 2, "exp": "n"}}]),
+     "a geometric exp must be a list of three integers, got 'n'"),
+]
+
 # every expression node is a JSON object with one key, its kind (a seq node
 # may add its shift), and a two-operand node takes a list of two
 _BAD_NODES = [
@@ -652,6 +662,7 @@ _BAD_NODES = [
             _claim_with_sum([{"binom": {"top": [0, 1, 0.5], "bottom": [0, 1, 0]}}]),
             "malformed claims file: an affine coefficient must be an integer, got 0.5\n",
         ),
+        *(("verify", doc, f"malformed claims file: {message}\n") for doc, message in _BAD_AFFINES),
         (
             "verify",
             {"claims": [{**_N_EQUALS_N, "domain": {"start": 4.7}}]},
@@ -1115,8 +1126,15 @@ def _mutated_claims_document(draw):
     return doc
 
 
+# Python's own texts, which no message of the program may show
+_PYTHON_TEXTS = ("unpack", "not subscriptable", "object has no attribute", "indices must be integers")
+
+
 @settings(max_examples=60, deadline=None)
 @given(_mutated_claims_document())
+@example(_BAD_AFFINES[0][0])
+@example(_BAD_AFFINES[1][0])
+@example(_BAD_AFFINES[2][0])
 def test_verify_claims_document_fuzz_exits_cleanly(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "claims.json"
@@ -1124,10 +1142,14 @@ def test_verify_claims_document_fuzz_exits_cleanly(doc):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["verify", "--claims-file", str(path), "--range", "1..30"])
+    text = out.getvalue() + err.getvalue()
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in text
+    assert not [t for t in _PYTHON_TEXTS if t in text], text
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        line = err.getvalue()
+        assert out.getvalue() == "" and line.count("\n") == 1 and line.startswith("error: ")
+        assert len(line) <= 4 * MAX_ECHO + 100
 
 
 # small solver inputs, and now and then a value past a cap: a target shift

@@ -284,11 +284,11 @@ def test_catalogue_sums_and_binomials_equal_the_reference():
                 want = oracles[spec][n] if spec.n_free else _term_oracle(spec, n)
                 assert ev.eval_sum(spec, n) == want, (claim.claim_id, n)
             for b in binoms:
-                assert ev.eval_binom(b, n) == binom(b.top.exact_at(n), b.bottom.exact_at(n))
+                assert ev.binom_reader(b)(n) == binom(b.top.exact_at(n), b.bottom.exact_at(n))
     # binom(p-1, (p-1)/2) read backward, across prime gaps, and by a long jump
     (middle,) = _nodes(get_claim("central-binom-middle").lhs, BinomExpr)
     for p in (7, 1009, 1013, 1019, 997, 1021, 5, 7919, 7927):
-        assert ev.eval_binom(middle, p) == binom(p - 1, (p - 1) // 2), p
+        assert ev.binom_reader(middle)(p) == binom(p - 1, (p - 1) // 2), p
 
 
 def test_range_verification_keeps_no_pass_values():

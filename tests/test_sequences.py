@@ -297,22 +297,30 @@ def test_window_reads_equal_the_memo(name, span, reads):
     assert len(streamed._memo) <= len(reference._memo)
 
 
+@pytest.mark.parametrize("reader", ["window", "memo"])
 @pytest.mark.parametrize("name, bad", [("six", 5), ("lead", 8), ("four", 5)])
-def test_a_window_retries_after_an_error(name, bad):
+def test_a_window_retries_after_an_error(name, bad, reader):
     # the step to bad raises; every later read at or above it raises the same
-    # error, from the window's own terms, and the terms below stay served
+    # error, stepped again from the window's own terms or from the memo's
+    # end, and the terms below stay served
     rec, initial = _WINDOWED[name]
     reference = SequenceDef(name, rec, initial)
     seq = SequenceDef(name, rec, initial)
     window = seq.window()
+    read = window.term if reader == "window" else seq.term
     error = _outcome(reference.term, bad)
     assert type(error) is tuple  # an exception's type and text
+    # the window keeps its terms to itself; the memo keeps those before bad,
+    # from the first failing read on
+    kept = len(initial) if reader == "window" else bad - seq.min_index
     for i in (bad, bad + 3, bad, bad - 1, bad + 1):
-        assert _outcome(window.term, i) == (error if i >= bad else reference.term(i)), i
-    assert window.steps == bad - 1 - seq.max_initial  # no step was taken twice
+        assert _outcome(read, i) == (error if i >= bad else reference.term(i)), i
+        assert len(seq._memo) == kept, i
+    if reader == "window":
+        assert window.steps == bad - 1 - seq.max_initial  # no step was taken twice
     for i in range(seq.min_index, bad + 2):
-        assert _outcome(window.term, i) == _outcome(reference.term, i), i
-    assert len(seq._memo) == len(initial)
+        assert _outcome(read, i) == _outcome(reference.term, i), i
+    assert len(seq._memo) == kept
 
 
 def test_window_reads_at_its_edges():

@@ -670,6 +670,29 @@ def test_reference_certificates_certify():
     assert certify(reference_t_certificate_hi(), 200).ok
 
 
+@pytest.mark.parametrize("index, memo_len", [(0, 203), (1, 202), (2, 203), (3, 202)])
+def test_certify_fills_each_memo_once(monkeypatch, index, memo_len):
+    # the numeric half reads the highest term of each sequence first, so each
+    # memo is filled by one generator, and to the highest index the loop
+    # reads: n_max plus the closed form's largest shift
+    stepping = SequenceDef._terms_from
+    fills = []
+
+    def counted(seq, last, i):
+        fills.append(seq.name)
+        return stepping(seq, last, i)
+
+    fresh = {s.name: SequenceDef(s.name, s.recurrence, s.initial) for s in (W, T)}
+    cert = cert_from_json(cert_to_json(_reference_cert(index)), fresh)
+    monkeypatch.setattr(SequenceDef, "_terms_from", counted)
+    assert certify(cert).ok
+    seq = cert.seq_a
+    assert fills == [seq.name]
+    assert len(seq._memo) == memo_len
+    other = fresh["T" if seq.name == "W" else "W"]
+    assert len(other._memo) == len(other.initial)
+
+
 def test_certify_detects_corruption(w_cert):
     bad_g = dict(w_cert.g)
     pair = (-1, 0)
