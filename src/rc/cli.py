@@ -310,8 +310,11 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     seq = get_sequence(args.seq)
     lo, hi = _parse_range(args.range) if args.range else (0, 20)
+    # streamed through a window, so the memo keeps no term read here
+    window = seq.window()
     try:
-        terms = seq.terms(lo, hi)
+        seq.term(min(hi, seq.min_index))  # a range wholly below the initial data is refused at its top
+        terms = [window.term(i) for i in range(lo, hi + 1)]
     except ValueError as e:  # an index below the initial data
         raise UsageError(str(e)) from None
     _emit({"seq": seq.name, "lo": lo, "hi": hi, "terms": [str(t) for t in terms]}, args.out)
@@ -526,8 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify congruence claims over a range")
     p.add_argument("--claim", help="built-in claim id, e.g. theorem-1.1i")
     p.add_argument("--claims-file", help="JSON document with custom claims")
-    p.add_argument("--range", help="integer range, e.g. 1..500")
-    p.add_argument("--primes", help="prime range, e.g. 5..300")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--range", help="integer range, e.g. 1..500")
+    points.add_argument("--primes", help="prime range, e.g. 5..300")
     p.add_argument("--exclude", help="comma-separated points to skip")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(fn=_cmd_verify)

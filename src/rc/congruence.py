@@ -38,22 +38,19 @@ readers need: m for a sequence reference, and for a certified sum less than
 D m. Its closed form splits as D S = q H, q the gcd of the D g_ij (see
 `telescoper.ClosedForm`), so D S modulo D m is q times H modulo
 D m / gcd(q, D m), and its terms are needed modulo that alone: for
-`theorem-1.1i` (m = 2n, q = k, D = 2) M is 4 at every n. From one point to
-the next, where M does not change, a term held at offset o + 1 keeps its
-residue at offset o and is neither read nor reduced again. A running sum is
-taken from its cursor's numerator and
-denominator before they are reduced, num den^-1 modulo m: the reduced
-denominator divides den, so where den is a unit this is the residue of the
-sum. A quotient by d is taken from its numerator modulo m |d|, and a
-rational only through the inverse of a unit. A zero residue passes the
-point and keeps nothing. Every other point (a nonzero residue, a non-unit,
-an evaluation error), every flagged point and every `check_claim_at` is
-computed exactly by the same closures, so every report reads as the exact
-path alone would write it. A range check keeps only the points that do not
-pass. It reads its terms through the evaluator's windows (see
-`SumEvaluator`) in both modes, the terms of its running sums too, so it
-keeps a few terms per sequence, not every term below its top, whether its
-points pass or fail.
+`theorem-1.1i` (m = 2n, q = k, D = 2) M is 4 at every n. A running sum is
+taken from its cursor's numerator and denominator before they are reduced,
+num den^-1 modulo m: the reduced denominator divides den, so where den is a
+unit this is the residue of the sum. A quotient by d is taken from its
+numerator modulo m |d|, and a rational only through the inverse of a unit.
+A zero residue passes the point and keeps nothing. Every other point (a
+nonzero residue, a non-unit, an evaluation error), every flagged point and
+every `check_claim_at` is computed exactly by the same closures, so every
+report reads as the exact path alone would write it. A range check keeps
+only the points that do not pass. It reads its terms through the
+evaluator's windows (see `SumEvaluator`) in both modes, the terms of its
+running sums too, so it keeps a few terms per sequence, not every term
+below its top, whether its points pass or fail.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -102,7 +99,6 @@ from .sequences import (
     T,
     TermWindow,
     W,
-    _MAX_STEP_FACTORS,
     _json_int,
     _list_of,
     _running_sums,
@@ -315,10 +311,6 @@ class SumEvaluator:
     exact division per factor instead of a `math.comb` of the full size.
     The cursor keeps the factors' step functions, so a resumed read steps
     on from the cursor; a summand that mentions n steps within one read.
-    A binomial node of an expression (`binom_reader`) steps from the value
-    this evaluator last read for it, across at most `_MAX_STEP_FACTORS`
-    small factors; a first read, a read below the last one and a longer
-    jump call `binom`.
     """
 
     def __init__(self, certificates: Iterable[TelescoperCertificate] | None = None):
@@ -334,7 +326,6 @@ class SumEvaluator:
             ]
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
-        self._binoms: dict[BinomExpr, list] = {}
         self._windows: dict[SequenceDef, TermWindow] = {}
         self._closed_reads: dict[SumSpec, int] = {}  # the last u read of each closed form
 
@@ -377,31 +368,6 @@ class SumEvaluator:
                     break
         self._closed[spec] = found
         return found
-
-    def binom_reader(self, e: BinomExpr) -> Callable[[int], int]:
-        """read(n) = binom(top(n), bottom(n)) for the node e: by `binom_step`
-        from the value last read for e (by any reader of a node equal to e)
-        when n is not below that read and at most `_MAX_STEP_FACTORS`
-        factors away from it, else by `binom`. The state is looked up here,
-        once per node, not at each read."""
-        state = self._binoms.setdefault(e, [None, 0, 0, 0])  # n, x, y and the value last read
-        top, bottom = e.top, e.bottom
-
-        def read(n: int) -> int:
-            x, y = top.exact_at(n), bottom.exact_at(n)
-            n0, x0, y0, value = state
-            if (
-                n0 is not None
-                and n0 <= n
-                and abs(x - x0) + abs(y - y0) + abs(x - y - x0 + y0) <= _MAX_STEP_FACTORS
-            ):
-                value = binom_step(value, x0, y0, x, y)
-            else:
-                value = binom(x, y)
-            state[:] = n, x, y, value
-            return value
-
-        return read
 
     def running_sum(self, spec: SumSpec, n: int) -> tuple[int, int]:
         """The sum at n summed term by term, as (num, den): an integer
@@ -558,13 +524,12 @@ class _Compiler:
     modulo D m (`ClosedForm.split`), from its terms modulo its need
     D m / gcd(q(u + 1), D m) (1 where q(u + 1) = 0), a running sum from its
     cursor's num den^-1 modulo m, and divisors, Legendre arguments and
-    binomials exactly. Only
-    units are inverted; anything else raises,
-    as does whatever f(n, None) raises, so a point that passes modulo m
-    passes exactly. A subtree built from constants, n, +, -, x and division
-    by a nonzero constant alone is folded into one polynomial
-    (`_polynomial`, `_folded`), and so are those terms of a sum and those
-    factors of a product.
+    binomials exactly. Only units are inverted; anything else raises, as
+    does whatever f(n, None) raises, so a point that passes modulo m passes
+    exactly. A subtree built from constants, n, +, -, x and division by a
+    nonzero constant alone is folded into one polynomial (`_polynomial`,
+    `_folded`), and so are those terms of a sum and those factors of a
+    product.
 
     Sequence terms are read through `stores`: each sequence's memo, until
     `route` puts the evaluator's window in its place. Compiling records each
@@ -582,12 +547,13 @@ class _Compiler:
     With m' = m times the numerators of those divisors at n, M is the lcm of
     m' where a sequence reference reads the frame and of each closed form's
     need modulo D m', so that M covers the moduli of the calls under a
-    division too. Where the frame holds
-    n - 1 modulo the same M, a held read whose offset + 1 is held too takes
-    that read's residue (`route` maps each to it) and is not read again;
-    every other held term is read once. A closure called at n with a modulus
-    (a sequence reference) or a need (a closed form) that divides M takes its
-    held terms from the frame, and any other call reads and reduces its own."""
+    division too. A closure called at n with a modulus (a sequence
+    reference) or a need (a closed form) that divides M takes its held terms
+    from the frame, and any other call reads and reduces its own.
+
+    A binomial node keeps its own last read (n, top, bottom, value) and
+    steps from it by `binom_step` when n is not below that read; a first
+    read and a read below it call `binom`."""
 
     def __init__(self, ev: SumEvaluator):
         self.ev = ev
@@ -595,7 +561,7 @@ class _Compiler:
         self.stores: dict = {}
         self.streamed: list[SumSpec] = []
         self.held: dict[tuple[SequenceDef, int], int] = {}
-        self.held_reads: list = []  # (the store's term, offset, carried from) per held read, set by `route`
+        self.held_reads: list = []  # (the store's term, offset) per held read, set by `route`
         self.refs_held = False  # whether a sequence reference reads the frame
         self.closed: list = []  # (q's evaluator, D, c + 1) per closed form read at n + c + 1
         self.divisors: list[_Compiled] = []
@@ -604,15 +570,10 @@ class _Compiler:
     def route(self) -> None:
         """Read each sequence read at n + shift alone through the evaluator's
         window, widened to the span of those shifts, and any other through its
-        memo; bind each held read to its store's `term` for `read_point`, with
-        the index of the read one place above it, whose residue it carries to
-        the next point."""
+        memo; bind each held read to its store's `term` for `read_point`."""
         for seq, span in _spans(self.reads).items():
             self.stores[seq] = seq if span is None else self.ev.window(seq, span)
-        held = self.held
-        self.held_reads = [
-            (self.stores[seq].term, offset, held.get((seq, offset + 1))) for seq, offset in held
-        ]
+        self.held_reads = [(self.stores[seq].term, offset) for seq, offset in self.held]
 
     def frame_modulus(self, n: int, m: int) -> int:
         """The modulus M of the frame at n modulo m (see above)."""
@@ -628,19 +589,11 @@ class _Compiler:
         """Fill `frame` for the residue mode at n modulo m (see above); after
         `route`."""
         big = self.frame_modulus(n, m)
-        at, was, old = self.frame
-        carry = at == n - 1 and was == big
         if big > 0 and not big & (big - 1):  # a power of two: x & (big - 1) == x % big for every int x
             mask = big - 1
-            held = [
-                old[j] if carry and j is not None else term(n + offset) & mask
-                for term, offset, j in self.held_reads
-            ]
+            held = [term(n + offset) & mask for term, offset in self.held_reads]
         else:  # big is 0 where a divisor vanishes at n: % raises, and the point is checked exactly
-            held = [
-                old[j] if carry and j is not None else term(n + offset) % big
-                for term, offset, j in self.held_reads
-            ]
+            held = [term(n + offset) % big for term, offset in self.held_reads]
         self.frame[:] = n, big, held
 
     def hold(self, seq: SequenceDef, slope: int | None, offset: int) -> int | None:
@@ -696,8 +649,17 @@ class _Compiler:
 
             return f
         if isinstance(e, BinomExpr):
-            read = ev.binom_reader(e)
-            return lambda n, m: read(n) if m is None else read(n) % m
+            top, bottom = e.top, e.bottom
+            n0, x0, y0, value = None, 0, 0, 0  # the last read: n, top, bottom and the value
+
+            def f(n, m):
+                nonlocal n0, x0, y0, value
+                x, y = top.exact_at(n), bottom.exact_at(n)
+                value = binom(x, y) if n0 is None or n < n0 else binom_step(value, x0, y0, x, y)
+                n0, x0, y0 = n, x, y
+                return value if m is None else value % m
+
+            return f
         if isinstance(e, (Add, Mul)):
             kids = e.terms if isinstance(e, Add) else e.factors
             fixed = tuple(x for x in kids if _polynomial(x) is not None)
@@ -955,9 +917,8 @@ def verify_claim_range(
 
     The claim is compiled once (see `_Compiler`). A point with a nonzero
     integer modulus m passes on a zero residue of lhs - rhs modulo m, with
-    each term read once through the evaluator's windows and reduced once, or
-    its residue carried from the point before (`_Compiler.read_point`), and
-    each running sum taken from its cursor
+    each term read once through the evaluator's windows and reduced once
+    (`_Compiler.read_point`), and each running sum taken from its cursor
     without a `Fraction`; every other point, and every flagged point, is
     computed exactly by `_check_raw` from the same closures, reading the same
     windows, so a report reads the same either way. At each point the

@@ -28,11 +28,12 @@ JSON codec and one accumulation loop (`_running_sums`) for both.
 Terms are stepped, not recomputed. A binomial or geometric factor with
 affine arguments is hypergeometric in k: its value at k is its value at
 k - 1 times a few small affine factors, then one exact division.
-`binom_step` is the one binomial step: `BinomFactor.stepper` and the
-claims' binomial nodes both call it.
+`binom_step` is the one binomial step, and the one place that caps its
+work: `BinomFactor.stepper` and the claims' binomial nodes both call it.
 A factor is computed directly (`math.comb`, a power) at its first k, after
-a zero value or a k where it was not read, outside 0 <= bottom <= top, and
-below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step. A
+a zero value or a k where it was not read, outside 0 <= bottom <= top,
+below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step, and
+where a step would multiply more than `_MAX_STEP_FACTORS` factors. A
 read over which a geometric exponent turns negative is summed by
 `SumSpec.term`, which stays the reference.
 
@@ -97,14 +98,22 @@ def binom(x: int, y: int) -> int:
     return math.comb(x, y)
 
 
+# a step multiplies at most this many small factors: past that, math.comb
+# costs as much at tops of a few hundred, and a step's work must not grow
+# with the coefficients of a claims file
+_MAX_STEP_FACTORS = 128
+
+
 def binom_step(value: int, x0: int, y0: int, x1: int, y1: int) -> int:
     """binom(x1, y1) from value = binom(x0, y0): value times the factorial
     ratio x1!/x0! * y0!/y1! * (x0-y0)!/(x1-y1)!, whose parts are products of
     |x1-x0|, |y1-y0| and |(x1-y1)-(x0-y0)| consecutive integers
     (`math.perm`), then one exact division. `binom` itself when value is 0,
-    which covers an (x0, y0) outside 0 <= y0 <= x0, or when (x1, y1) lies
-    outside 0 <= y1 <= x1."""
-    if not value or y1 < 0 or y1 > x1:
+    which covers an (x0, y0) outside 0 <= y0 <= x0, when (x1, y1) lies
+    outside 0 <= y1 <= x1, and when the step would multiply more than
+    `_MAX_STEP_FACTORS` factors."""
+    factors = abs(x1 - x0) + abs(y1 - y0) + abs(x1 - y1 - x0 + y0)
+    if not value or y1 < 0 or y1 > x1 or factors > _MAX_STEP_FACTORS:
         return binom(x1, y1)
     num, den = value, 1
     for new, old, sign in ((x1, x0, 1), (y1, y0, -1), (x1 - y1, x0 - y0, -1)):
@@ -219,10 +228,6 @@ class Bound:
 
 # below this top, math.comb costs a few word operations and no more than a step
 _STEP_FROM = 64
-# a step multiplies at most this many small factors: past that, math.comb
-# costs as much at tops of a few hundred, and a step's work must not grow
-# with the coefficients of a claims file
-_MAX_STEP_FACTORS = 128
 
 
 @dataclass(frozen=True)
@@ -236,18 +241,16 @@ class BinomFactor:
     def stepper(self, n: int):
         """step(k): the factor at (n, k). When step last read k - 1 and the
         top is at least `_STEP_FROM`, the value is stepped from the one there
-        by `binom_step`; otherwise, and always when a step would multiply
-        more than `_MAX_STEP_FACTORS` factors, it is `binom`."""
+        by `binom_step`; otherwise it is `binom`."""
         t0, tk = self.top.at(n, 0), self.top.ck
         b0, bk = self.bottom.at(n, 0), self.bottom.ck
-        small = abs(tk) + abs(bk) + abs(tk - bk) <= _MAX_STEP_FACTORS
         last, v = None, 0  # the k last read and the value there
 
         def step(k):
             nonlocal last, v
             t = t0 + tk * k
             b = b0 + bk * k
-            if small and last == k - 1 and t >= _STEP_FROM:
+            if last == k - 1 and t >= _STEP_FROM:
                 v = binom_step(v, t - tk, b - bk, t, b)
             else:
                 v = binom(t, b)

@@ -874,17 +874,19 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     closed = cert.closed_form()
     a, b = cert.seq_a, cert.seq_b
     sa, sb = cert.target_shifts
-    # read the highest term of each sequence first, so that its memo fills in
-    # one generator; a read that raises here raises again in the loop, at the
-    # same n
-    top: dict[SequenceDef, int] = {}
-    for seq, i in ((a, n_max - 1 + sa), (b, n_max - 1 + sb), *((q, n_max + s) for q, s in closed.reads)):
-        top[seq] = max(top.get(seq, i), i)
-    for seq, i in top.items():
-        try:
-            seq.term(i)
-        except (SequenceError, ValueError):
-            pass
+    if symbolic_ok:
+        # the loop is expected to run to n_max: read the highest term of each
+        # sequence first, so that its memo fills in one generator; a read that
+        # raises here raises again in the loop, at the same n. A certificate
+        # whose symbolic half fails reads term by term up to its first mismatch.
+        top: dict[SequenceDef, int] = {}
+        for seq, i in ((a, n_max - 1 + sa), (b, n_max - 1 + sb), *((q, n_max + s) for q, s in closed.reads)):
+            top[seq] = max(top.get(seq, i), i)
+        for seq, i in top.items():
+            try:
+                seq.term(i)
+            except (SequenceError, ValueError):
+                pass
     s0 = closed.scaled(0)
     weight = evaluator(p_int)
     running = 0  # scale times the sum of the summands below n

@@ -144,6 +144,16 @@ def test_eval_prints_a_term_of_more_than_4300_digits_in_full(capsys):
     assert len(term) > 4300 and term == str(get_sequence("W").term(10000))
 
 
+def test_eval_streams_past_the_memo(capsys, monkeypatch):
+    # the terms above the memo top are stepped through a window, so the memo
+    # keeps only its initial terms
+    w = get_sequence("W")
+    monkeypatch.setattr(w, "_memo", w._memo[: len(w.initial)])
+    code, out, _ = run_cli(capsys, "eval", "--seq", "W", "--range=-1..300")
+    assert code == 0 and len(w._memo) == len(w.initial)
+    assert json.loads(out)["terms"] == [str(w.term(i)) for i in range(-1, 301)]
+
+
 def test_a_failure_with_a_huge_difference_is_reported_in_full(capsys, tmp_path):
     w = {"seq": "W", "shift": 0}
     claim = {
@@ -277,6 +287,8 @@ def test_bad_solver_input_is_usage_error(capsys, argv):
         ("certify", "{cert}", "--range", "1..1000001"),
         ("verify", "--claim", "t-difference", "--range", "2..1000001"),
         ("verify", "--claim", "theorem-1.1i", "--range", "1..1000000000000"),
+        # --range and --primes exclude each other
+        ("verify", "--claim", "theorem-1.1i", "--range", "1..3", "--primes", "2..5"),
     ],
 )
 def test_bad_range_is_usage_error(capsys, tmp_path, argv):

@@ -269,8 +269,10 @@ def test_a_large_k_coefficient_gets_no_step_plan():
 
 
 def test_catalogue_sums_and_binomials_equal_the_reference():
-    # one evaluator, each claim at ascending domain points of its suite range
+    # one evaluator, each claim at ascending domain points of its suite range,
+    # and one compiled reader per binomial node
     ev = SumEvaluator()
+    compiler, readers = congruence._Compiler(ev), {}
     for claim in builtin_claims():
         lo, hi = suite_range(claim.claim_id)
         if claim.claim_id.startswith("trinomial-transform-"):
@@ -279,16 +281,18 @@ def test_catalogue_sums_and_binomials_equal_the_reference():
         specs = {spec for side in sides for spec in _sum_specs(side)}
         binoms = {b for side in sides for b in _nodes(side, BinomExpr)}
         oracles = {spec: _fraction_oracle(spec, hi) for spec in specs if spec.n_free}
+        readers.update({b: compiler(b) for b in binoms if b not in readers})
         for n in claim.domain.points(lo, hi):
             for spec in specs:
                 want = oracles[spec][n] if spec.n_free else _term_oracle(spec, n)
                 assert ev.eval_sum(spec, n) == want, (claim.claim_id, n)
             for b in binoms:
-                assert ev.binom_reader(b)(n) == binom(b.top.exact_at(n), b.bottom.exact_at(n))
-    # binom(p-1, (p-1)/2) read backward, across prime gaps, and by a long jump
+                assert readers[b](n, None) == binom(b.top.exact_at(n), b.bottom.exact_at(n))
+    # binom(p-1, (p-1)/2) read on by the same reader: backward, across prime
+    # gaps, and by a long jump
     (middle,) = _nodes(get_claim("central-binom-middle").lhs, BinomExpr)
     for p in (7, 1009, 1013, 1019, 997, 1021, 5, 7919, 7927):
-        assert ev.binom_reader(middle)(p) == binom(p - 1, (p - 1) // 2), p
+        assert readers[middle](p, None) == binom(p - 1, (p - 1) // 2), p
 
 
 def test_range_verification_keeps_no_pass_values():
@@ -1072,9 +1076,8 @@ def test_a_division_by_a_zero_constant_is_not_folded():
 @pytest.mark.parametrize(
     "claim_id, spec, reads, exact_points",
     [
-        # the frame modulus is 4 at every n, so W(n-2) and W(n-1) keep their
-        # residues from n - 1: W(-1), ..., W(300) are read once each
-        ("theorem-1.1i", SUM_W_SQUARES, 302, []),
+        # W(n-2), W(n-1) and W(n) for the closed form
+        ("theorem-1.1i", SUM_W_SQUARES, 3 * 300, []),
         # the modulus n^2 (n^2 - 1) / 6 is 0 at n = 1: equality, checked exactly
         ("sun-divisibility", SUM_T_PRODUCTS_8K9, 2 * 300, [1]),
         # T(n-1) and T(n), for the closed form and for the rhs 9n T(n-1) T(n)
@@ -1083,7 +1086,7 @@ def test_a_division_by_a_zero_constant_is_not_folded():
 )
 def test_a_screened_point_reads_each_term_once(monkeypatch, claim_id, spec, reads, exact_points):
     # every point with a nonzero modulus passes on its residue, with one
-    # window read per term, and none for a residue carried from n - 1
+    # window read per term it holds
     ev = SumEvaluator()
     assert ev.closed_sum(spec) is not None  # reads D S(lo) before counting
     exact, read = [], []
@@ -1194,7 +1197,6 @@ def test_a_sum_under_a_division_reads_each_term_once(monkeypatch):
     monkeypatch.setattr(sequences.TermWindow, "term", lambda w, i: read.append(i) or term(w, i))
     rep = verify_claim_range(get_claim("theorem-1.1ii"), 3, 997, SumEvaluator())
     assert rep.ok and rep.points_checked == 167
-    # the primes leave gaps, across which no residue is carried
     assert len(read) == 3 * 167 + 3
 
 
@@ -1213,9 +1215,8 @@ def test_the_frame_modulus_leaves_out_q(claim_id, bits):
 
 def test_no_residue_is_carried_across_a_change_of_modulus_or_a_gap(monkeypatch):
     # theorem-1.1i restated from a claims file modulo n (1 + (n|3)^2): 2n, or
-    # n where 3 divides n, so the frame modulus goes 4, 4, 2, 4, 4, 2, ...; a
-    # point reads one new term where the modulus did not change from n - 1,
-    # and all three where it did
+    # n where 3 divides n, so the frame modulus goes 4, 4, 2, 4, 4, 2, ...;
+    # every point reads all three terms, each modulo its own frame modulus
     doc = claim_to_json(get_claim("theorem-1.1i"))
     leg3 = {"legendre": [{"var": "n"}, {"const": "3"}]}
     doc["modulus"] = {"mul": [{"var": "n"}, {"add": [{"const": "1"}, {"mul": [leg3, leg3]}]}]}
@@ -1235,12 +1236,12 @@ def test_no_residue_is_carried_across_a_change_of_modulus_or_a_gap(monkeypatch):
     monkeypatch.setattr(congruence._Compiler, "read_point", recorded)
     rep = verify_claim_range(claim, 1, 300, SumEvaluator())
     assert rep.ok and rep.points_checked == 300
-    assert len(read) == 3 + 3 * 200 + 100  # D S(0), then n = 0 and 1 mod 3 in full
+    assert len(read) == 3 + 3 * 300  # D S(0), then three terms per point
     for n, big, held in frames:
         assert held == [W.term(n + s) % big for s in (-2, -1, 0)]
 
-    # theorem-1.1i on the primes: the frame modulus is 4 at every point, but
-    # the points leave gaps, so each reads all three terms
+    # theorem-1.1i on the primes: the frame modulus is 4 at every point, and
+    # each point across a gap reads all three terms too
     read.clear()
     frames.clear()
     primes = dataclasses.replace(get_claim("theorem-1.1i"), domain=Domain("primes", 3))
@@ -1263,6 +1264,59 @@ def test_a_false_claim_is_reported_as_the_exact_path_reports_it(claim_id, change
     assert got == report_to_json(verify_claim_range(claim, 1, 300, _oracle()))
     assert got == _exact_walk(claim, 1, 300)
     assert got["verdict"] == "fail"
+
+
+# claims over W and T at shifts -1..2, the catalogue's sums, Legendre symbols
+# on primes, +, -, x and division by constants and by n +- 1, modulo a fixed
+# list of moduli, on both domains
+_SCREEN_SUMS = (SUM_W_SQUARES, SUM_T_PRODUCTS_8K9, SUM_T_PRODUCTS_16K21) + tuple(
+    spec
+    for claim_id in ("central-binom-over-k-half", "central-binom-over-k-full", "central-binom-sum-half", "central-binom-2k-1")
+    for spec in _sum_specs(get_claim(claim_id).lhs)
+)
+_SCREEN_LEAVES = st.one_of(
+    st.builds(C, st.integers(-4, 4)),
+    st.just(N),
+    st.builds(SeqRef, st.sampled_from([W, T]), st.integers(-1, 2)),
+    st.sampled_from(_SCREEN_SUMS).map(SumNode),
+    st.sampled_from([leg(N, C(3)), leg(N, C(5)), leg(C(-3), N), leg(C(-1), N)]),
+)
+_SCREEN_TREES = st.recursive(
+    _SCREEN_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
+        st.builds(sub, kids, kids),
+        st.builds(div, kids, st.sampled_from([C(2), C(3), C(-4), add(N, C(1)), sub(N, C(1))])),
+    ),
+    max_leaves=6,
+)
+_SCREEN_MODULI = (
+    C(2), C(4), C(12), N, mul(C(2), N), mul(N, N), sub(N, C(1)), div(mul(N, N, sub(mul(N, N), C(1))), C(6)),
+)
+
+
+@st.composite
+def _screened_claims(draw):
+    """A claim lhs = rhs modulo one of `_SCREEN_MODULI`: rhs is lhs plus the
+    modulus times a tree, which passes wherever that tree is integral, or any
+    tree, which fails most points."""
+    lhs, modulus = draw(_SCREEN_TREES), draw(st.sampled_from(_SCREEN_MODULI))
+    rhs = draw(st.one_of(_SCREEN_TREES.map(lambda f: add(lhs, mul(modulus, f))), _SCREEN_TREES))
+    domain = Domain(draw(st.sampled_from(["integers", "primes"])), draw(st.integers(0, 3)))
+    return CongruenceClaim("screened", "", lhs, rhs, modulus, domain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_screened_claims(), st.integers(0, 6), st.integers(0, 54))
+# W(2) = 1 is odd: a residue of W kept from n = 1, modulo 1, would pass n = 2
+@example(CongruenceClaim("screened", "", C(0), SeqRef(W), N, Domain("integers", 0)), 0, 2)
+def test_screened_reports_equal_the_exact_walk(claim, lo, width):
+    # the residue pass, with and without certificates, against every point
+    # computed exactly
+    want = _exact_walk(claim, lo, lo + width)
+    for ev in (SumEvaluator(), SumEvaluator(certificates=())):
+        assert report_to_json(verify_claim_range(claim, lo, lo + width, ev)) == want
 
 
 def test_integer_points_are_streamed():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -691,6 +692,19 @@ def test_certify_fills_each_memo_once(monkeypatch, index, memo_len):
     assert len(seq._memo) == memo_len
     other = fresh["T" if seq.name == "W" else "W"]
     assert len(other._memo) == len(other.initial)
+
+
+def test_a_failing_certificate_reads_only_up_to_its_mismatch():
+    # the symbolic half fails, so the numeric half reads no term ahead: it
+    # stops at n = 1, and W's memo keeps its initial terms
+    fresh = {s.name: SequenceDef(s.name, s.recurrence, s.initial) for s in (W, T)}
+    cert = cert_from_json(cert_to_json(_reference_cert(0)), fresh)
+    g = dict(cert.g)
+    g[(-2, 0)] += ONE
+    report = certify(dataclasses.replace(cert, g=g), 5000)
+    assert not report.symbolic_ok and not report.numeric_ok
+    assert report.mismatch[0] == 1
+    assert len(fresh["W"]._memo) == len(W.initial) == 4
 
 
 def test_certify_detects_corruption(w_cert):
