@@ -9,7 +9,8 @@ equality, which also covers degenerate domain points such as a modulus
 expression vanishing at n = 1.
 
 Sums are `sequences.SumSpec` values (re-exported here with `SeqFactor`),
-read through a `SumEvaluator`. A sum whose summand has a certified
+evaluated by their compiled nodes over a `SumEvaluator`, which holds what
+the claims that share it share. A sum whose summand has a certified
 telescoping certificate (by default the one the reference searches of
 `telescoper.REFERENCE_SEARCHES` find for the W and T theorem sums, searched
 and rechecked once per evaluator) is read from the certificate's closed form,
@@ -47,10 +48,11 @@ A zero residue passes the point and keeps nothing. Every other point (a
 nonzero residue, a non-unit, an evaluation error), every flagged point and
 every `check_claim_at` is computed exactly by the same closures, so every
 report reads as the exact path alone would write it. A range check keeps
-only the points that do not pass. It reads its terms through the
-evaluator's windows (see `SumEvaluator`) in both modes, the terms of its
-running sums too, so it keeps a few terms per sequence, not every term
-below its top, whether its points pass or fail.
+only the points that do not pass. It reads its terms where
+`SumEvaluator.stores` sends them, the evaluator's windows for the reads at
+n + c, in both modes, the terms of its running sums too, so it keeps a few
+terms per sequence, not every term below its top, whether its points pass
+or fail.
 
 An evaluation error at one point (a vanishing divisor, a non-integral
 exponent or Legendre argument, a sequence index below its initial data)
@@ -263,8 +265,9 @@ def _reduced(num: int, den: int) -> int | Fraction:
 
 
 class SumEvaluator:
-    """Exact sum evaluation: a certified closed form where one applies, else
-    one running sum per n-free summand.
+    """What the sums of several claims share: certified closed forms, one
+    running-sum cursor per n-free summand and one window per sequence. A sum
+    is evaluated by its compiled node alone (`_Compiler`, and `eval_sum`).
 
     `certificates` holds `TelescoperCertificate`s; by default (None) they
     are found by the reference searches (`telescoper.REFERENCE_SEARCHES`),
@@ -281,23 +284,23 @@ class SumEvaluator:
     Cost model. A certified sum over lo..u is (D S(u+1) - D S(lo)) / D (see
     `telescoper.ClosedForm`): a few products of window terms, whatever u is,
     and modulo an integer M only linear-time reductions of those terms
-    (the residue mode of `_Compiler`). Those terms, the sequence references
-    of a claim checked by `verify_claim_range`, and the sequence factors of
-    a running sum whose upper limit is n + c, are read through one
-    `TermWindow` per sequence (`window`), which this evaluator owns:
-    ascending reads step each term once past the memo and keep only the
-    recurrence order plus the span of shifts read at one point, so the
-    memory of a range check does not grow with its top term. A read behind a
-    window steps again from the memo, which happens once when two claims read
-    one sequence in turn; a certified sum read below its last read
-    (`eval_sum` in descending order) reads the memo instead. The sequence
-    references of `eval_expr` and of `check_claim_at`, any other running
-    sum, and `certify`, read the memo. Otherwise, when the summand does not
+    (the residue mode of `_Compiler`). Where a term is read from is one
+    rule, `stores`: a sequence all of whose reads in a compiled claim or sum
+    are at n + c is read through this evaluator's `TermWindow` over it
+    (`window`), and any other from its memo. Ascending reads step each
+    window term once past the memo and keep only the recurrence order plus
+    the span of shifts read at one point, so the memory of a range check
+    does not grow with its top term. `verify_claim_range` and `eval_sum`
+    route their nodes so; `eval_expr`, `check_claim_at` and `certify` read
+    the memo. A read behind a window steps again from the memo, which
+    happens once when two claims read one sequence in turn; a certified sum
+    read exactly below its node's last exact read (`eval_sum` in descending
+    order) reads the memo instead. Otherwise, when the summand does not
     mention n (all theorem sums are like that), the evaluator keeps a cursor
     (k, num, den) per spec (`running_sum`): the sum over lo..k as an integer
     numerator num over den, the lcm (up to sign) of the denominators of its
     terms. For an integer summand den stays 1 and the sum is read as an int;
-    otherwise `eval_sum` reduces it to a `Fraction`, and the residue mode
+    otherwise the exact mode reduces it to a `Fraction`, and the residue mode
     takes num den^-1 modulo m without reducing it. A read at or above the
     cursor adds only the terms between the cursor and the read and moves
     the cursor there, so ascending reads add each term once, O(1) per point
@@ -309,12 +312,13 @@ class SumEvaluator:
     Each term's binomial and geometric factors are stepped from their
     values at k - 1 (see `rc.sequences`): a big-by-small product and one
     exact division per factor instead of a `math.comb` of the full size.
-    The cursor keeps the factors' step functions, so a resumed read steps
-    on from the cursor; a summand that mentions n steps within one read.
+    The cursor keeps the factors' step functions, made when it starts from
+    the stores the reading node was routed to, so a resumed read steps on
+    from the cursor; a summand that mentions n steps within one read.
     """
 
     def __init__(self, certificates: Iterable[TelescoperCertificate] | None = None):
-        self._cursors: dict[SumSpec, tuple[int, int, int, list | None]] = {}
+        self._cursors: dict[SumSpec, tuple[int, int, int, list]] = {}
         # (seq_a, seq_b, target shifts, weight) of each certificate, and how to get it
         if certificates is None:
             self._sources = [
@@ -327,7 +331,7 @@ class SumEvaluator:
         self._verdicts: dict[int, ClosedForm | None] = {}
         self._closed: dict[SumSpec, tuple[ClosedForm, int] | None] = {}
         self._windows: dict[SequenceDef, TermWindow] = {}
-        self._closed_reads: dict[SumSpec, int] = {}  # the last u read of each closed form
+        self._readers: dict[SumSpec, _Compiled] = {}  # eval_sum's compiled node per spec
 
     def window(self, seq: SequenceDef, span: int = 0) -> TermWindow:
         """This evaluator's window over seq, widened to hold at least its
@@ -337,6 +341,23 @@ class SumEvaluator:
             w = self._windows[seq] = seq.window()
         w.keep(span)
         return w
+
+    def stores(self, reads: Iterable[tuple[SequenceDef, int | None, int]]) -> dict:
+        """Where each sequence's terms are read from. reads holds (sequence,
+        slope, offset) for each read of a sequence at index slope * n +
+        offset, the slope None where the index is not affine in n. A
+        sequence all of whose reads move with n alone (slope 1) is read
+        through this evaluator's window, widened to the span of its offsets,
+        so that it holds them all at one point; any other through its memo."""
+        by_seq: dict[SequenceDef, list] = {}
+        for seq, slope, offset in reads:
+            by_seq.setdefault(seq, []).append((slope, offset))
+        return {
+            seq: self.window(seq, max(o for _, o in rs) - min(o for _, o in rs))
+            if all(slope == 1 for slope, _ in rs)
+            else seq
+            for seq, rs in by_seq.items()
+        }
 
     def closed_sum(self, spec: SumSpec) -> tuple[ClosedForm, int] | None:
         """(the certified closed form of spec's summand, D S(lo)), or None."""
@@ -362,60 +383,44 @@ class SumEvaluator:
                     self._verdicts[idx] = _checked_closed_form(get())
                 closed = self._verdicts[idx]
                 if closed is not None:
-                    for seq, span in _spans((seq, 1, s) for seq, s in closed.reads).items():
-                        self.window(seq, span)
-                    found = (closed, closed.scaled(spec.lo, self._windows))
+                    stores = self.stores((seq, 1, s) for seq, s in closed.reads)
+                    found = (closed, closed.scaled(spec.lo, stores))
                     break
         self._closed[spec] = found
         return found
 
-    def running_sum(self, spec: SumSpec, n: int) -> tuple[int, int]:
+    def running_sum(self, spec: SumSpec, n: int, stores: Mapping) -> tuple[int, int]:
         """The sum at n summed term by term, as (num, den): an integer
         numerator over den, the lcm (up to sign) of the denominators of its
         terms, not reduced (see `_running_sums`). An n-free spec reads and
-        moves its cursor; a fresh cursor whose upper limit is n + c reads its
-        sequence factors through this evaluator's windows."""
+        moves its cursor. A fresh cursor, and every read of a spec that
+        mentions n, reads each sequence factor from where its node's `stores`
+        send it."""
         hi = spec.upper.at(n)
         if hi < spec.lo:
             return 0, 1
-        if not spec.n_free:
-            num, den, _ = _running_sums(spec, n, spec.lo, hi, 0, 1)
-            return num, den
-        cursor = self._cursors.get(spec)
+        cursor = self._cursors.get(spec) if spec.n_free else None
         if cursor is None or cursor[0] > hi:
-            cursor = (spec.lo - 1, 0, 1, self._streamed_steps(spec, n))
+            steps = [
+                f.stepper(n, stores[f.seq]) if isinstance(f, SeqFactor) else f.stepper(n)
+                for f in spec.factors
+            ]
+            cursor = (spec.lo - 1, 0, 1, steps)
         k, num, den, steps = cursor
         num, den, steps = _running_sums(spec, n, k + 1, hi, num, den, steps)
-        self._cursors[spec] = (hi, num, den, steps)
+        if spec.n_free:
+            self._cursors[spec] = (hi, num, den, steps)
         return num, den
 
-    def _streamed_steps(self, spec: SumSpec, n: int) -> list | None:
-        """The step functions of a fresh cursor of spec whose upper limit is
-        n + c, its sequence factors reading this evaluator's windows, widened
-        to the span of their shifts; None for any other upper limit, whose
-        reads `_running_sums` serves from the memo."""
-        if spec.upper.cn != 1 or spec.upper.den != 1:
-            return None
-        spans = _spans((f.seq, 1, f.shift) for f in spec.factors if isinstance(f, SeqFactor))
-        return [
-            f.stepper(n, self.window(f.seq, spans[f.seq])) if isinstance(f, SeqFactor) else f.stepper(n)
-            for f in spec.factors
-        ]
-
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:
-        hi = spec.upper.at(n)
-        if hi < spec.lo:
-            return 0
-        found = self.closed_sum(spec)
-        if found is None:
-            return _reduced(*self.running_sum(spec, n))
-        closed, base = found
-        # reads in ascending order stream through the windows; a read below
-        # the last one is random access, which the memo serves
-        ascending = hi >= self._closed_reads.get(spec, hi)
-        self._closed_reads[spec] = hi
-        num = closed.scaled(hi + 1, self._windows if ascending else None) - base
-        return _quotient(num, closed.scale, None)
+        """The sum at n, exactly, through `SumNode(spec)` compiled and routed
+        once per spec (`_Compiler`)."""
+        read = self._readers.get(spec)
+        if read is None:
+            compiler = _Compiler(self)
+            read = self._readers[spec] = compiler(SumNode(spec))
+            compiler.route()
+        return read(n, None)
 
 
 def _checked_closed_form(cert: TelescoperCertificate | None) -> ClosedForm | None:
@@ -463,22 +468,6 @@ def _quotient(x: int | Fraction, d: int | Fraction, m: int | None) -> int | Frac
     return (q if d > 0 else -q) % m
 
 
-def _spans(reads) -> dict[SequenceDef, int | None]:
-    """reads holds (sequence, slope, offset) for each read of a sequence at
-    index slope * n + offset, the slope None where the index is not affine in
-    n. Per sequence: the span of its offsets, or None when its reads do not
-    all move with n alone (slope 1), so that no fixed window holds them."""
-    by_seq: dict[SequenceDef, list] = {}
-    for seq, slope, offset in reads:
-        by_seq.setdefault(seq, []).append((slope, offset))
-    return {
-        seq: max(o for _, o in rs) - min(o for _, o in rs)
-        if all(slope == 1 for slope, _ in rs)
-        else None
-        for seq, rs in by_seq.items()
-    }
-
-
 # f(n, m): the value of an expression at n, exactly when m is None, else modulo m
 _Compiled = Callable[[int, "int | None"], "int | Fraction"]
 
@@ -518,8 +507,9 @@ def _folded(p: Poly) -> _Compiled:
 
 class _Compiler:
     """Turns expression nodes, once each, into closures f(n, m) over one
-    evaluator. f(n, None) is the exact value at n (see the module docstring),
-    with sums from `SumEvaluator.eval_sum`. For an integer m >= 1, f(n, m) is
+    evaluator. f(n, None) is the exact value at n (see the module docstring);
+    a compiled sum node is the one evaluator of its sum, in both modes, and
+    `SumEvaluator.eval_sum` reads one too. For an integer m >= 1, f(n, m) is
     that value modulo m: a certified sum read at u + 1 as q(u + 1) H(u + 1)
     modulo D m (`ClosedForm.split`), from its terms modulo its need
     D m / gcd(q(u + 1), D m) (1 where q(u + 1) = 0), a running sum from its
@@ -532,15 +522,15 @@ class _Compiler:
     product.
 
     Sequence terms are read through `stores`: each sequence's memo, until
-    `route` puts the evaluator's window in its place. Compiling records each
-    (sequence, slope, offset) read in `reads` (see `_spans`), each read at
-    n + offset once in `held`, whether a sequence reference reads them in
-    `refs_held`, each closed form read at n + c + 1 (q's evaluator, D, c + 1)
-    in `closed`, and the closures of the polynomial divisors of divisions in
-    `divisors`. The sequence factors of a sum without a closed form go into
-    `reads` alone, not into `held`: its cursor reads them itself, through the
-    evaluator's windows when its upper limit is n + c (`streamed` lists those
-    sums).
+    `route` puts there what `SumEvaluator.stores` sends its reads to.
+    Compiling records each (sequence, slope, offset) read in `reads`, each
+    read at n + offset once in `held`, whether a sequence reference reads
+    them in `refs_held`, each closed form read at n + c + 1 (q's evaluator,
+    D, c + 1) in `closed`, and the closures of the polynomial divisors of
+    divisions in `divisors`. The sequence factors of a sum without a closed
+    form go into `reads` alone, not into `held`: its cursor reads them
+    itself, from `stores` (`streamed` lists those whose upper limit is
+    n + c).
 
     `read_point(n, m)` reduces each held term once modulo M
     (`frame_modulus`), by a mask where M is a power of two, into `frame`.
@@ -568,11 +558,9 @@ class _Compiler:
         self.frame: list = [None, 1, []]  # n, the modulus M, the held terms modulo M
 
     def route(self) -> None:
-        """Read each sequence read at n + shift alone through the evaluator's
-        window, widened to the span of those shifts, and any other through its
-        memo; bind each held read to its store's `term` for `read_point`."""
-        for seq, span in _spans(self.reads).items():
-            self.stores[seq] = seq if span is None else self.ev.window(seq, span)
+        """Read each sequence where `SumEvaluator.stores` sends its reads;
+        bind each held read to its store's `term` for `read_point`."""
+        self.stores.update(self.ev.stores(self.reads))
         self.held_reads = [(self.stores[seq].term, offset) for seq, offset in self.held]
 
     def frame_modulus(self, n: int, m: int) -> int:
@@ -706,15 +694,17 @@ class _Compiler:
                 slope = upper.cn if upper.den == 1 and spec.n_free else None
                 reads = [(x.seq, slope, upper.c + x.shift) for x in spec.factors if isinstance(x, SeqFactor)]
                 self.reads += reads
+                for seq, _, _ in reads:
+                    stores.setdefault(seq, seq)
                 if reads and slope == 1:
                     self.streamed.append(spec)
 
                 def f(n, m):
                     if m is None:
-                        return ev.eval_sum(spec, n)
+                        return _reduced(*ev.running_sum(spec, n, stores))
                     # num / den modulo m from the cursor: the reduced
                     # denominator divides den, so a unit den gives the residue
-                    num, den = ev.running_sum(spec, n)
+                    num, den = ev.running_sum(spec, n, stores)
                     return num % m if den == 1 else num % m * pow(den % m, -1, m) % m
 
                 return f
@@ -726,13 +716,20 @@ class _Compiler:
             if slope == 1:
                 self.closed.append((q, scale, upper.c + 1))
             in_order = at_n == list(range(len(reads)))
+            last = None  # the last u read exactly
 
             def f(n, m):
-                if m is None:
-                    return ev.eval_sum(spec, n)
+                nonlocal last
                 hi = upper.at(n)
                 if hi < lo:
                     return 0
+                if m is None:
+                    # ascending reads stream through the stores; a read below
+                    # the last one is random access, which the memo serves
+                    ascending = last is None or hi >= last
+                    last = hi
+                    num = closed.scaled(hi + 1, stores if ascending else None) - base
+                    return _quotient(num, scale, None)
                 # D S = q H modulo m D needs H, so the terms, modulo m D / gcd(q, m D)
                 mod = m * scale
                 qv = q(hi + 1)
@@ -917,13 +914,13 @@ def verify_claim_range(
 
     The claim is compiled once (see `_Compiler`). A point with a nonzero
     integer modulus m passes on a zero residue of lhs - rhs modulo m, with
-    each term read once through the evaluator's windows and reduced once
+    each term read once where `SumEvaluator.stores` sends it and reduced once
     (`_Compiler.read_point`), and each running sum taken from its cursor
     without a `Fraction`; every other point, and every flagged point, is
     computed exactly by `_check_raw` from the same closures, reading the same
-    windows, so a report reads the same either way. At each point the
-    running sums that read windows read their new terms first. The points
-    of an integer domain are taken one at a time, not listed."""
+    stores, so a report reads the same either way. At each point the
+    running sums whose upper limit is n + c read their new terms first. The
+    points of an integer domain are taken one at a time, not listed."""
     ev = evaluator or SumEvaluator()
     t0 = time.perf_counter()
     points = claim.domain.each_point(lo, hi)
@@ -937,7 +934,7 @@ def verify_claim_range(
             # the streamed running sums read their new terms first, before
             # another read at n can move a window they share past them
             for spec in compiler.streamed:
-                ev.running_sum(spec, n)
+                ev.running_sum(spec, n, compiler.stores)
             m = modulus(n, None)
             if m == 0 or m.denominator != 1:
                 return False

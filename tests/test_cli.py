@@ -57,6 +57,23 @@ def test_telescope_certify_round_trip(capsys, tmp_path):
     assert doc["symbolic_ok"] and doc["numeric_ok"]
 
 
+W_GOLDEN = ROOT / "perfbench" / "golden" / "cert_W_8k9_win-2..0.json"
+
+
+def test_one_target_shift_means_a_second_shift_of_zero(capsys):
+    args = ("telescope", "--seq", "W", "--p", "8*k+9", "--window=-2..0", "--target-shifts")
+    for shifts in ("0", "0,0"):
+        code, out, _ = run_cli(capsys, *args, shifts)
+        assert code == 0 and out == W_GOLDEN.read_text(), shifts
+
+
+def test_certify_reads_a_certificate_from_stdin(capsys, monkeypatch):
+    _, want, _ = run_cli(capsys, "certify", str(W_GOLDEN))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(W_GOLDEN.read_text()))
+    code, out, _ = run_cli(capsys, "certify", "-")
+    assert code == 0 and out == want
+
+
 def test_telescope_not_found_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "telescope", "--seq", "W", "--p", "8*k+9", "--window=-2..0", "--deg", "1"
@@ -87,6 +104,20 @@ def test_verify_primes_range(capsys):
     assert code == 0
     (doc,) = json.loads(out)
     assert doc["verdict"] == "pass" and doc["points_checked"] == 60
+
+
+def test_verify_excluded_points_and_primes_of_an_integer_claim(capsys):
+    # --exclude drops 7 and 11 from the 13 primes of 5..50; --primes moves a
+    # claim over the integers onto the primes of its range
+    for argv, points in [
+        (("--claim", "t-prime", "--primes", "5..50"), 13),
+        (("--claim", "t-prime", "--primes", "5..50", "--exclude", "7,11"), 11),
+        (("--claim", "t-difference", "--primes", "2..30"), 10),
+    ]:
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0, argv
+        (doc,) = json.loads(out)
+        assert doc["verdict"] == "pass" and doc["points_checked"] == points, argv
 
 
 def test_verify_corrupted_claim_fails_with_points(capsys, tmp_path):

@@ -230,6 +230,8 @@ _FALLING_TOP = BinomFactor(Affine(2, -3, 40), Affine(0, 3, 0))
 # steps of several factors each, n-free and n-dependent, past both step starts
 @example(SumSpec(factors=(_3K1_OVER_2K,)), [24, 9, 24])
 @example(SumSpec(factors=(BinomFactor(Affine(1, 3, 1), Affine(0, 2, 0)), _FALLING_TOP)), [24, 20])
+# term denominators 7, 3, 1 at k = 0, 1, 2: a unit one after larger ones (31/21 at n = 3)
+@example(SumSpec(den=Poly([7, -5, 1])), [3, 5])
 def test_stepped_sums_equal_the_term_oracle(step_from, spec, reads):
     # the cursor path (n-free) and the n-dependent path, each read order on
     # its own evaluator: as drawn, ascending, each point twice, descending;
@@ -389,6 +391,7 @@ def test_primes_in():
     assert primes_in(2, 20, exclude={3}) == [2, 5, 7, 11, 13, 17, 19]
     assert primes_in(3, 10, parity="odd") == [3, 5, 7]
     assert primes_in(990, 1000) == [991, 997]
+    assert primes_in(2, 20, parity="odd")[0] == 3
     with pytest.raises(ValueError):
         primes_in(2, 10**7)
 
@@ -398,6 +401,8 @@ def test_domain_membership():
     assert d.contains(11) and not d.contains(7) and not d.contains(2)
     assert not d.contains(9)
     assert d.points(1, 20) == [5, 11, 13, 17, 19]
+    assert Domain("integers", 1, parity="odd").points(1, 9) == [1, 3, 5, 7, 9]
+    assert not Domain("primes", 2, parity="odd").contains(2)
 
 
 def test_telescoping_consistency_with_certificates():

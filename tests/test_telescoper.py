@@ -445,6 +445,15 @@ def test_a_small_screen_prime_falls_back_to_exact_solves(monkeypatch, solves, pr
     assert solves[0] > len(REFERENCE_SEARCHES)
 
 
+def test_a_screen_that_clears_nothing_bisects_to_the_same_certificate(monkeypatch, solves):
+    # the exact solves then start at degree 0 and go on at 1, 2 and 4, where
+    # the certificate is found; bisection finds it again at 3
+    monkeypatch.setattr(rc.telescoper, "independent_prefix", lambda *args: 0)
+    cert = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=MAX_DEGREE)
+    assert _cert_bytes(cert) == (GOLDEN / GOLDEN_CERTS[3]).read_bytes()
+    assert solves[0] == 5
+
+
 def test_a_loose_degree_bound_costs_one_exact_solve(solves):
     cert = find_telescoper("T", "T", P_T2, (0, 1), (-1, 0), deg_bound=MAX_DEGREE)
     assert _cert_bytes(cert) == (GOLDEN / GOLDEN_CERTS[3]).read_bytes()
