@@ -297,17 +297,18 @@ class SumEvaluator:
     read exactly below its node's last exact read (`eval_sum` in descending
     order) reads the memo instead. Otherwise, when the summand does not
     mention n (all theorem sums are like that), the evaluator keeps a cursor
-    (k, num, den) per spec (`running_sum`): the sum over lo..k as an integer
-    numerator num over den, the lcm (up to sign) of the denominators of its
-    terms. For an integer summand den stays 1 and the sum is read as an int;
-    otherwise the exact mode reduces it to a `Fraction`, and the residue mode
-    takes num den^-1 modulo m without reducing it. A read at or above the
-    cursor adds only the terms between the cursor and the read and moves
-    the cursor there, so ascending reads add each term once, O(1) per point
-    when n steps by one. A read below the cursor starts again from the
-    spec's lower limit and leaves the cursor at the read. A summand that
-    mentions n is summed from the lower limit at every read, and nothing is
-    kept.
+    (k, num, den, steps) per spec (`running_sum`): the sum over lo..k as an
+    integer numerator num over den, the lcm (up to sign) of the denominators
+    of its terms, and its factors' step functions. For an integer summand den
+    stays 1 and the sum is read as an int; otherwise the exact mode reduces
+    it to a `Fraction`, and the residue mode takes num den^-1 modulo m
+    without reducing it. A read at or above the cursor adds only the terms
+    between the cursor and the read, over their own denominator and then to
+    num/den once (`_running_sums`), and moves the cursor there, so ascending
+    reads add each term once, O(1) terms per point when n steps by one. A
+    read below the cursor starts again from the spec's lower limit and
+    leaves the cursor at the read. A summand that mentions n is summed from
+    the lower limit at every read, and nothing is kept.
 
     Each term's binomial and geometric factors are stepped from their
     values at k - 1 (see `rc.sequences`): a big-by-small product and one
@@ -653,6 +654,11 @@ class _Compiler:
             fixed = tuple(x for x in kids if _polynomial(x) is not None)
             parts = [self(type(e)(fixed))] if fixed else []
             parts += [self(x) for x in kids if _polynomial(x) is None]
+            if len(parts) == 2:  # the common case, straight-line
+                a, b = parts
+                if isinstance(e, Add):
+                    return lambda n, m: a(n, m) + b(n, m) if m is None else (a(n, m) + b(n, m)) % m
+                return lambda n, m: a(n, m) * b(n, m) if m is None else a(n, m) * b(n, m) % m
             if isinstance(e, Add):
 
                 def f(n, m):
@@ -801,10 +807,13 @@ class Domain:
 
     def each_point(self, lo: int, hi: int) -> Iterable[int]:
         """The points of [lo, hi] in the domain, ascending: the primes as a
-        list, the integers one at a time."""
+        list, the integers as a range, filtered by `contains` where a parity
+        or exclusions leave some out."""
         lo = max(lo, self.start)
         if self.kind == "primes":
             return primes_in(lo, hi, self.exclude, self.parity)
+        if self.parity is None and not self.exclude:
+            return range(lo, hi + 1)
         return filter(self.contains, range(lo, hi + 1))
 
     def points(self, lo: int, hi: int) -> list[int]:
@@ -1466,6 +1475,7 @@ def report_to_json(rep: VerificationReport) -> dict:
 
 def format_report_table(reports: list[VerificationReport]) -> str:
     width = max((len(r.claim_id) for r in reports), default=10)
+    width = max(width, len("claim"))  # a shorter id would shift the rows against the header
     lines = [f"{'claim':<{width}}  {'verdict':<7}  {'points':>6}  {'time':>8}"]
     lines.append("-" * (width + 29))
     for rep in reports:

@@ -348,10 +348,12 @@ class SumSpec:
     terms at construction (`exactmath.lowest_terms`), so two specs of one sum
     are equal. A spec is hashed once, at construction: it keys the running
     sums of `congruence.SumEvaluator`, and a fresh hash would reach every
-    `Fraction` coefficient. The coefficient is also kept as two integer
-    polynomials (numerator and denominator with their denominators cleared
-    together, `exactmath.clear_denominators`), and each built into an
-    `exactmath.evaluator`, for `term` and `_running_sums`.
+    `Fraction` coefficient. `n_free`, true when no factor mentions n, is
+    also found once: every running-sum read asks it. The coefficient is
+    also kept as two integer polynomials (numerator and denominator with
+    their denominators cleared together, `exactmath.clear_denominators`),
+    and each built into an `exactmath.evaluator`, for `term` and
+    `_running_sums`.
     """
 
     coeff: Poly = ONE
@@ -360,6 +362,7 @@ class SumSpec:
     upper: Bound = Bound(1, -1, 1)  # k = lo .. n-1
     den: Poly = ONE
     _hash: int = field(init=False, repr=False, compare=False)
+    n_free: bool = field(init=False, repr=False, compare=False)  # no factor mentions n
     _int_coeff: tuple = field(init=False, repr=False, compare=False)
     _coeff_at: tuple = field(init=False, repr=False, compare=False)
 
@@ -368,21 +371,17 @@ class SumSpec:
         object.__setattr__(self, "coeff", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", hash(((num, den), self.factors, self.lo, self.upper)))
+        n_free = not any(
+            (f.top.cn or f.bottom.cn) if isinstance(f, BinomFactor) else isinstance(f, GeomFactor) and f.exp.cn
+            for f in self.factors
+        )
+        object.__setattr__(self, "n_free", n_free)
         _, ints = clear_denominators(num.coeffs, den.coeffs)
         object.__setattr__(self, "_int_coeff", tuple(map(tuple, ints)))
         object.__setattr__(self, "_coeff_at", tuple(map(evaluator, ints)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def n_free(self) -> bool:
-        for f in self.factors:
-            if isinstance(f, BinomFactor) and (f.top.cn or f.bottom.cn):
-                return False
-            if isinstance(f, GeomFactor) and f.exp.cn:
-                return False
-        return True
 
     def term(self, n: int, k: int) -> Fraction:
         """The summand at (n, k) as a `Fraction`, the reference for
@@ -426,7 +425,7 @@ class SumSpec:
 def _running_sums(
     spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int, steps: list | None = None
 ) -> tuple[int, int, list | None]:
-    """(num, den, steps) after adding each term k = k_lo..k_hi to num/den.
+    """(num, den, steps) after adding the terms k = k_lo..k_hi to num/den.
 
     steps are the factors' step functions at n (`BinomFactor.stepper`),
     made here when None, and carry each factor's last value from one read
@@ -434,9 +433,11 @@ def _running_sums(
     is summed by `SumSpec.term`. As there, a zero coefficient or factor ends
     the term, and the factors after it are not read at that k.
 
-    den is the lcm (up to sign) of the term denominators so far and num is
-    not reduced against it, so an integer summand keeps den = 1 and runs no
-    gcd."""
+    The terms of a read are added over their own denominator, starting from
+    0/1, and that block is then added to num/den once (`_plus`), so a read
+    pays one product with den, however many terms it adds. den is the lcm
+    (up to sign) of the term denominators so far and num is not reduced
+    against it, so an integer summand keeps den = 1 and runs no gcd."""
     stepped = all(
         min(f.exp.at(n, k_lo), f.exp.at(n, k_hi)) >= 0
         for f in spec.factors
@@ -447,6 +448,7 @@ def _running_sums(
     cnum, cden = spec._int_coeff
     num_at, den_at = spec._coeff_at
     const = len(cnum) == len(cden) == 1
+    bnum, bden = 0, 1  # the terms of this read
     for k in range(k_lo, k_hi + 1):
         if not stepped:
             t = spec.term(n, k)
@@ -464,16 +466,25 @@ def _running_sums(
                     a *= v
         if not a:
             continue
-        if b != 1:
-            if den % b:
-                scale = b // math.gcd(den, b)
-                num *= scale
-                den *= scale
-            a *= den // b
-        elif den != 1:
-            a *= den
-        num += a
-    return num, den, steps
+        if b == bden == 1:
+            bnum += a
+        else:
+            bnum, bden = _plus(bnum, bden, a, b)
+    return (*_plus(num, den, bnum, bden), steps)
+
+
+def _plus(num: int, den: int, a: int, b: int) -> tuple[int, int]:
+    """num/den + a/b as an integer numerator over the lcm (up to sign) of
+    den and b, not reduced."""
+    if b != 1:
+        if den % b:
+            scale = b // math.gcd(den, b)
+            num *= scale
+            den *= scale
+        a *= den // b
+    elif den != 1:
+        a *= den
+    return num + a, den
 
 
 def eval_direct(spec: SumSpec, n: int) -> Fraction:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import runpy
 import subprocess
 import sys
@@ -147,6 +148,31 @@ def test_running_sums_follow_any_read_order():
         for spec, at in zip(specs, (n, m)):
             got, oracle = ev.eval_sum(spec, at), want[spec][at]
             assert (got.numerator, got.denominator) == (oracle.numerator, oracle.denominator)
+
+
+_READ = st.tuples(st.booleans(), st.integers(0, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([Poly([0, 1]), Poly([-5, 2]), Poly([7, -5, 1])]),
+    st.sampled_from([(), (BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0)),)]),
+    st.lists(_READ, min_size=1, max_size=12),
+)
+def test_rational_running_sums_keep_the_lcm_of_their_denominators(den, factors, reads):
+    # reads (restart, step): at step when restart, else step past the last
+    # read: ascending gaps, repeated reads (step 0) and reads below the cursor;
+    # term denominators k, 2k - 5 (of both signs) and k^2 - 5k + 7
+    spec = SumSpec(factors=factors, lo=1, den=den)
+    want = _fraction_oracle(spec, 300)
+    den_at = spec._coeff_at[1]
+    ev, n = SumEvaluator(), 0
+    for restart, step in reads:
+        n = step if restart else min(n + step, 300)
+        num, d = ev.running_sum(spec, n, {})
+        assert F(num, d) == want[n]
+        # den is the lcm of the term denominators read, not their product
+        assert abs(d) == math.lcm(*(den_at(k) for k in range(1, n)))
 
 
 def _term_oracle(spec, n):
@@ -405,6 +431,21 @@ def test_domain_membership():
     assert not Domain("primes", 2, parity="odd").contains(2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-5, 30),
+    st.sampled_from([None, "odd"]),
+    st.frozensets(st.integers(-5, 40), max_size=4),
+    st.integers(-10, 40),
+    st.integers(-10, 40),
+)
+@example(1, None, frozenset(), 5, 4)  # an empty range
+@example(1, None, frozenset(), 9, 2)  # a reversed one
+def test_integer_domain_points_are_the_filtered_range(start, parity, exclude, lo, hi):
+    d = Domain("integers", start, parity=parity, exclude=exclude)
+    assert list(d.each_point(lo, hi)) == list(filter(d.contains, range(lo, hi + 1)))
+
+
 def test_telescoping_consistency_with_certificates():
     # two independent routes: direct summation vs certificate difference
     w_search, t_lo_search, _, t16_search = REFERENCE_SEARCHES
@@ -646,6 +687,13 @@ def test_report_rendering():
     assert doc["flagged"][0]["n"] == 2
     table = format_report_table([rep])
     assert "theorem-1.3ii" in table and "pass" in table and "note:" in table
+
+
+def test_report_table_rows_line_up_with_a_short_id():
+    rep = VerificationReport("x", "", 1, 2, 2, (), (), 0.5)
+    header, _, row = format_report_table([rep]).splitlines()
+    assert header.index("verdict") == row.index("pass")
+    assert len(header) == len(row)
 
 
 def test_failures_are_data_with_deterministic_details():
