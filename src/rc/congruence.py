@@ -65,6 +65,7 @@ plus its own sequences, so loading one changes nothing else.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -654,26 +655,14 @@ class _Compiler:
             fixed = tuple(x for x in kids if _polynomial(x) is not None)
             parts = [self(type(e)(fixed))] if fixed else []
             parts += [self(x) for x in kids if _polynomial(x) is None]
-            if len(parts) == 2:  # the common case, straight-line
-                a, b = parts
-                if isinstance(e, Add):
+            add = isinstance(e, Add)
+
+            def pair(a, b):  # a left fold: reduced at each step, the same residue
+                if add:
                     return lambda n, m: a(n, m) + b(n, m) if m is None else (a(n, m) + b(n, m)) % m
                 return lambda n, m: a(n, m) * b(n, m) if m is None else a(n, m) * b(n, m) % m
-            if isinstance(e, Add):
 
-                def f(n, m):
-                    total = sum(part(n, m) for part in parts)
-                    return total if m is None else total % m
-
-                return f
-
-            def f(n, m):
-                out = 1
-                for part in parts:
-                    out = out * part(n, m) if m is None else out * part(n, m) % m
-                return out
-
-            return f
+            return functools.reduce(pair, parts)
         if isinstance(e, Sub):
             a, b = self(e.a), self(e.b)
             return lambda n, m: a(n, m) - b(n, m) if m is None else (a(n, m) - b(n, m)) % m
@@ -807,13 +796,10 @@ class Domain:
 
     def each_point(self, lo: int, hi: int) -> Iterable[int]:
         """The points of [lo, hi] in the domain, ascending: the primes as a
-        list, the integers as a range, filtered by `contains` where a parity
-        or exclusions leave some out."""
+        list, the integers one at a time."""
         lo = max(lo, self.start)
         if self.kind == "primes":
             return primes_in(lo, hi, self.exclude, self.parity)
-        if self.parity is None and not self.exclude:
-            return range(lo, hi + 1)
         return filter(self.contains, range(lo, hi + 1))
 
     def points(self, lo: int, hi: int) -> list[int]:
@@ -1477,7 +1463,7 @@ def format_report_table(reports: list[VerificationReport]) -> str:
     width = max((len(r.claim_id) for r in reports), default=10)
     width = max(width, len("claim"))  # a shorter id would shift the rows against the header
     lines = [f"{'claim':<{width}}  {'verdict':<7}  {'points':>6}  {'time':>8}"]
-    lines.append("-" * (width + 29))
+    lines.append("-" * (width + 27))
     for rep in reports:
         verdict = "pass" if rep.ok else "FAIL"
         lines.append(

@@ -691,9 +691,9 @@ def test_report_rendering():
 
 def test_report_table_rows_line_up_with_a_short_id():
     rep = VerificationReport("x", "", 1, 2, 2, (), (), 0.5)
-    header, _, row = format_report_table([rep]).splitlines()
+    header, rule, row = format_report_table([rep]).splitlines()
     assert header.index("verdict") == row.index("pass")
-    assert len(header) == len(row)
+    assert len(header) == len(rule) == len(row)
 
 
 def test_failures_are_data_with_deterministic_details():
