@@ -1410,8 +1410,8 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
     decoded against the built-in sequences plus the file's own, so loading
     a file changes nothing outside its claims. A file may repeat the
     definition of a built-in sequence (an exported catalogue does), and its
-    claims then use the built-in itself; changing a built-in's definition or
-    defining one name twice is an error."""
+    claims then use the built-in itself; changing a built-in's definition,
+    defining one name twice or giving two claims one id is an error."""
     sequences = dict(BUILTINS)
     defined = set()
     for i, seq_doc in enumerate(doc.get("sequences", [])):
@@ -1425,11 +1425,14 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
             sequences[seq.name] = seq
         elif sequence_to_json(seq) != sequence_to_json(BUILTINS[seq.name]):
             raise ValueError(f"the built-in sequence {echo(seq.name)} may not be redefined")
-    claims = []
+    claims: dict[str, CongruenceClaim] = {}
     for i, claim_doc in enumerate(doc.get("claims", [])):
         with json_field(f"claims[{i}]"):
-            claims.append(claim_from_json(claim_doc, sequences))
-    return claims
+            claim = claim_from_json(claim_doc, sequences)
+        if claim.claim_id in claims:  # the id names the claim, so it takes no path
+            raise ValueError(f"the claim {echo(claim.claim_id)} is defined twice")
+        claims[claim.claim_id] = claim
+    return list(claims.values())
 
 
 # -- reports ---------------------------------------------------------------------------

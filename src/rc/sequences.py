@@ -8,8 +8,9 @@ the recurrence coefficients are integer polynomials, each built once into an
 combination of the previous terms by the leading coefficient, with a nonzero
 remainder reported as `NonIntegerTerm`. `SequenceDef._terms_from` is the one
 stepping kernel: a generator of the terms from an index on, holding the last
-`order` terms and the evaluators in locals, straight-line for orders 2 and 3
-(T's and W's) and one loop for any other order.
+`order` terms in locals; for orders 2 and 3 with coefficients of degree at
+most 1 (T's and W's) it is straight-line and steps each coefficient's value
+by its slope, and any other recurrence takes one loop over the evaluators.
 
 Terms live in two stores. The memo (`SequenceDef.term`) is for random
 access: it keeps every term from the initial data up to the highest one
@@ -28,14 +29,16 @@ JSON codec and one accumulation loop (`_running_sums`) for both.
 Terms are stepped, not recomputed. A binomial or geometric factor with
 affine arguments is hypergeometric in k: its value at k is its value at
 k - 1 times a few small affine factors, then one exact division.
-`binom_step` is the one binomial step, and the one place that caps its
-work: `BinomFactor.stepper` and the claims' binomial nodes both call it.
+`_binom_ratio` is the one binomial step, fixed once for the increments of
+top and bottom, and the one place that caps its work: `BinomFactor.stepper`
+holds the ratio of its k-step, and `binom_step`, which the claims' binomial
+nodes call, looks up the ratio of its own increments.
 A factor is computed directly (`math.comb`, a power) at its first k, after
-a zero value or a k where it was not read, outside 0 <= bottom <= top,
-below a top of `_STEP_FROM`, where `math.comb` is as cheap as a step, and
-where a step would multiply more than `_MAX_STEP_FACTORS` factors. A
-read over which a geometric exponent turns negative is summed by
-`SumSpec.term`, which stays the reference.
+a zero value or a k where it was not read, below a top of `_STEP_FROM`,
+where `math.comb` is as cheap as a step, and where a step would multiply
+more than `_MAX_STEP_FACTORS` factors; a binomial outside
+0 <= bottom <= top is 0. A read over which a geometric exponent turns
+negative is summed by `SumSpec.term`, which stays the reference.
 
 A `SeqFactor` holds its `SequenceDef`. Names are resolved once, when a sum
 is decoded, against a name-to-sequence mapping; the default is `BUILTINS`,
@@ -44,6 +47,7 @@ the fixed table of W, T and one.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import deque
@@ -105,27 +109,49 @@ _MAX_STEP_FACTORS = 128
 
 
 def binom_step(value: int, x0: int, y0: int, x1: int, y1: int) -> int:
-    """binom(x1, y1) from value = binom(x0, y0): value times the factorial
-    ratio x1!/x0! * y0!/y1! * (x0-y0)!/(x1-y1)!, whose parts are products of
-    |x1-x0|, |y1-y0| and |(x1-y1)-(x0-y0)| consecutive integers
-    (`math.perm`), then one exact division. `binom` itself when value is 0,
-    which covers an (x0, y0) outside 0 <= y0 <= x0, when (x1, y1) lies
+    """binom(x1, y1) from value = binom(x0, y0), by the ratio `_binom_ratio`
+    fixes for the increments (x1 - x0, y1 - y0). `binom` itself when value
+    is 0, which covers an (x0, y0) outside 0 <= y0 <= x0, when (x1, y1) lies
     outside 0 <= y1 <= x1, and when the step would multiply more than
     `_MAX_STEP_FACTORS` factors."""
-    factors = abs(x1 - x0) + abs(y1 - y0) + abs(x1 - y1 - x0 + y0)
-    if not value or y1 < 0 or y1 > x1 or factors > _MAX_STEP_FACTORS:
+    ratio = _binom_ratio(x1 - x0, y1 - y0)
+    if not value or y1 < 0 or y1 > x1 or ratio is None:
         return binom(x1, y1)
-    num, den = value, 1
-    for new, old, sign in ((x1, x0, 1), (y1, y0, -1), (x1 - y1, x0 - y0, -1)):
-        if new == old:
-            continue
-        if new < old:
-            new, old, sign = old, new, -sign
-        if sign > 0:
-            num *= math.perm(new, new - old)
-        else:
-            den *= math.perm(new, new - old)
-    return num // den
+    return ratio(value, x1, y1)
+
+
+# cached: a ratio depends on the increments alone and costs more to build than
+# a step, and the reads of a sum or a claim step by a few increments
+@functools.lru_cache(maxsize=128)
+def _binom_ratio(dx: int, dy: int):
+    """ratio(value, x, y): binom(x, y) from value = binom(x - dx, y - dy),
+    both inside 0 <= bottom <= top, or None when the step would multiply more
+    than `_MAX_STEP_FACTORS` factors. With z = x - y and dz = dx - dy the
+    ratio is x!/(x-dx)! * (y-dy)!/y! * (z-dz)!/z!, and each of its parts is
+    a product of |increment| consecutive integers (`math.perm`) above or
+    below the line. The three never fall on one side (dx = dy + dz), so each
+    side is at most two parts, and a step is one product of value and one
+    exact division."""
+    if abs(dx) + abs(dy) + abs(dx - dy) > _MAX_STEP_FACTORS:
+        return None
+    up, down = [], []  # (index into (x, y, z), offset, count): perm(u + offset, count)
+    for i, e, sign in ((0, dx, 1), (1, dy, -1), (2, dx - dy, -1)):
+        if e:
+            (up if e * sign > 0 else down).append((i, max(-e, 0), abs(e)))
+    pad = [(0, 0, 0)] * 2  # perm(x, 0) = 1
+    (i1, o1, n1), (i2, o2, n2) = (up + pad)[:2]
+    (i3, o3, n3), (i4, o4, n4) = (down + pad)[:2]
+    perm = math.perm
+
+    def ratio(value, x, y):
+        u = x, y, x - y
+        return (
+            value
+            * (perm(u[i1] + o1, n1) * perm(u[i2] + o2, n2))
+            // (perm(u[i3] + o3, n3) * perm(u[i4] + o4, n4))
+        )
+
+    return ratio
 
 
 class SequenceError(Exception):
@@ -239,21 +265,26 @@ class BinomFactor:
         return binom(self.top.at(n, k), self.bottom.at(n, k))
 
     def stepper(self, n: int):
-        """step(k): the factor at (n, k). When step last read k - 1 and the
-        top is at least `_STEP_FROM`, the value is stepped from the one there
-        by `binom_step`; otherwise it is `binom`."""
+        """step(k): the factor at (n, k). It is 0 outside 0 <= bottom <= top;
+        when the top is at least `_STEP_FROM` and step last read k - 1, where
+        the value is nonzero, it is stepped from that value by the ratio
+        fixed here for the increments (top.ck, bottom.ck) (`_binom_ratio`);
+        otherwise, and past `_MAX_STEP_FACTORS`, it is `math.comb`."""
         t0, tk = self.top.at(n, 0), self.top.ck
         b0, bk = self.bottom.at(n, 0), self.bottom.ck
+        ratio, step_from, comb = _binom_ratio(tk, bk), _STEP_FROM, math.comb
         last, v = None, 0  # the k last read and the value there
 
         def step(k):
             nonlocal last, v
             t = t0 + tk * k
             b = b0 + bk * k
-            if last == k - 1 and t >= _STEP_FROM:
-                v = binom_step(v, t - tk, b - bk, t, b)
+            if b < 0 or b > t:
+                v = 0
+            elif t >= step_from and v and last == k - 1 and ratio:
+                v = ratio(v, t, b)
             else:
-                v = binom(t, b)
+                v = comb(t, b)
             last = k
             return v
 
@@ -506,12 +537,15 @@ class Recurrence:
     `int_coeffs` holds them as integer tuples, ascending as `Poly.coeffs`,
     for `exactmath`'s integer-polynomial kernel, and `evaluators` each built
     into an `exactmath.evaluator`, the one way they are evaluated
-    (`coeffs_at`, `SequenceDef._terms_from`).
+    (`coeffs_at`, `SequenceDef._terms_from`). When every coefficient has
+    degree at most 1, `slopes` holds their slopes (else it is None), by
+    which `SequenceDef._terms_from` steps their values.
     """
 
     coeffs: tuple[Poly, ...]
     int_coeffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     evaluators: tuple = field(init=False, repr=False, compare=False)
+    slopes: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         den, ints = clear_denominators(*(p.coeffs for p in self.coeffs))
@@ -519,6 +553,8 @@ class Recurrence:
             raise ValueError("recurrence coefficients must be integer polynomials")
         object.__setattr__(self, "int_coeffs", tuple(map(tuple, ints)))
         object.__setattr__(self, "evaluators", tuple(map(evaluator, ints)))
+        linear = all(len(c) <= 2 for c in ints)
+        object.__setattr__(self, "slopes", tuple(sum(c[1:]) for c in ints) if linear else None)
 
     @property
     def order(self) -> int:
@@ -593,37 +629,42 @@ class SequenceDef:
         before i: the one stepping kernel of the memo and of every
         `TermWindow`. Each term is one exact division of an integer
         combination of the terms before it by the leading coefficient, with
-        the coefficients' evaluators and the last `order` terms in locals;
-        straight-line for orders 2 and 3 (T's and W's; as
-        `exactmath.evaluator` is for low degrees), one loop for any other
-        order. A vanishing leading coefficient raises
-        `LeadingCoefficientVanishes`, a remainder `NonIntegerTerm`, and
-        either ends the generator."""
-        *lower, lead = self.recurrence.evaluators
-        d, failed = len(lower), self._failed_step
+        the last `order` terms in locals. A recurrence of order 2 or 3 whose
+        coefficients all have degree at most 1 (T's and W's) is stepped by
+        straight-line code that holds each coefficient's value in a local
+        and adds its slope once per step; any other recurrence takes one
+        loop that calls the coefficients' evaluators. A vanishing leading
+        coefficient raises `LeadingCoefficientVanishes`, a remainder
+        `NonIntegerTerm`, and either ends the generator."""
+        rec, failed = self.recurrence, self._failed_step
+        d = rec.order
         n = i - d  # the recurrence instance whose term is at n + d
         # each loop below runs until the generator is dropped or a step raises;
         # `den or 1` divides by 1 where den is 0, which then fails the step
-        if d == 2:
-            c0, c1 = lower
-            a, b = last
-            while True:
-                num, den = -(c0(n) * a + c1(n) * b), lead(n)
-                val, rem = divmod(num, den or 1)
-                if rem or not den:
-                    raise failed(n, num, den)
-                yield val
-                a, b, n = b, val, n + 1
-        if d == 3:
-            c0, c1, c2 = lower
+        if d in (2, 3) and rec.slopes is not None:
+            values, slopes = [c(n) for c in rec.evaluators], rec.slopes
+            if d == 2:
+                (c0, c1, den), (s0, s1, sd) = values, slopes
+                a, b = last
+                while True:
+                    num = -(c0 * a + c1 * b)
+                    val, rem = divmod(num, den or 1)
+                    if rem or not den:
+                        raise failed(n, num, den)
+                    yield val
+                    a, b, n = b, val, n + 1
+                    c0, c1, den = c0 + s0, c1 + s1, den + sd
+            (c0, c1, c2, den), (s0, s1, s2, sd) = values, slopes
             a, b, c = last
             while True:
-                num, den = -(c0(n) * a + c1(n) * b + c2(n) * c), lead(n)
+                num = -(c0 * a + c1 * b + c2 * c)
                 val, rem = divmod(num, den or 1)
                 if rem or not den:
                     raise failed(n, num, den)
                 yield val
                 a, b, c, n = b, c, val, n + 1
+                c0, c1, c2, den = c0 + s0, c1 + s1, c2 + s2, den + sd
+        *lower, lead = rec.evaluators
         held = deque(last, maxlen=d)
         while True:
             num, den = -sum(cf(n) * t for cf, t in zip(lower, held)), lead(n)

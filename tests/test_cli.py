@@ -817,6 +817,8 @@ _BAD_NODES = [
              f"malformed claims file: {message} (at claims[1].lhs)\n")
             for lhs, message in _BAD_NODES
         ),
+        # two reports under one id could not be told apart
+        ("verify", {"claims": [_N_EQUALS_N, _N_EQUALS_N]}, "malformed claims file: the claim 'x' is defined twice\n"),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rc import sequences
 from rc.exactmath import Poly
 from rc.sequences import (
     Affine,
@@ -20,6 +21,7 @@ from rc.sequences import (
     UnknownSequence,
     W,
     binom,
+    binom_step,
     check_derived_recurrence,
     check_parity_odd,
     check_recurrence_consistency,
@@ -73,6 +75,32 @@ def test_binom_convention():
 def test_oracle_equivalence_to_60():
     assert check_recurrence_consistency(W, 60).ok
     assert check_recurrence_consistency(T, 60).ok
+
+
+def test_oracle_equivalence_to_200():
+    # past `_STEP_FROM`, so the direct formulas' binomials are stepped: the
+    # recurrence kernel and the binomial steps are checked against each other
+    assert check_recurrence_consistency(W, 200).ok
+    assert check_recurrence_consistency(T, 200).ok
+
+
+# every increment pair in -3..3, the largest step `_MAX_STEP_FACTORS` allows and
+# the smallest past it
+_INCREMENTS = [(tk, bk) for tk in range(-3, 4) for bk in range(-3, 4)] + [(64, 1), (65, 1)]
+
+
+@pytest.mark.parametrize("tk, bk", _INCREMENTS)
+def test_binomial_steps_equal_binom(tk, bk):
+    # the top crosses `_STEP_FROM` at k = 0, and unless both are constant the
+    # bottom leaves [0, top] on one side or both
+    factor = BinomFactor(Affine(0, tk, sequences._STEP_FROM), Affine(0, bk, 32))
+    step = factor.stepper(0)
+    points = [(factor.top.at(0, k), factor.bottom.at(0, k)) for k in range(-40, 41)]
+    assert [step(k) for k in range(-40, 41)] == [binom(x, y) for x, y in points]
+    assert any(not 0 <= y <= x for x, y in points) == ((tk, bk) != (0, 0))
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        assert binom_step(binom(x0, y0), x0, y0, x1, y1) == binom(x1, y1), (x0, y0, x1, y1)
+    assert (sequences._binom_ratio(tk, bk) is None) == (tk == 65)
 
 
 def test_all_three_trinomial_definitions_agree():
@@ -171,6 +199,13 @@ def _random_recurrences(draw):
 
 @given(_random_recurrences())
 @settings(max_examples=300, deadline=None)
+# coefficients of degree <= 1, stepped by their slopes: orders 2 and 3 ending
+# in a non-integer term, order 2 in a vanishing leading coefficient
+@example(([Poly([-1, 1]), Poly([4]), Poly([1, 1])], {0: 1, 1: 1}))
+@example(([Poly([-1, 3]), Poly([-3]), Poly([2, -1]), Poly([-2])], {0: 1, 1: 1, 2: 2}))
+@example(([Poly([-4, 1]), Poly([8, -2]), Poly([-4, 1])], {0: 1, 1: 2}))
+# a quadratic coefficient: order 3 by the loop over the evaluators
+@example(([Poly([1, 0, 1]), Poly([]), Poly([1]), Poly([1])], {0: 1, 1: 1, 2: 2}))
 def test_integer_fill_matches_fraction_step(case):
     coeffs, initial = case
     seq = SequenceDef("r", recurrence(coeffs), initial)
