@@ -562,6 +562,9 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: invalid JSON input: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -103,6 +103,7 @@ from .sequences import (
     TermWindow,
     W,
     _json_int,
+    _Summand,
     _list_of,
     _running_sums,
     binom,
@@ -298,9 +299,9 @@ class SumEvaluator:
     read exactly below its node's last exact read (`eval_sum` in descending
     order) reads the memo instead. Otherwise, when the summand does not
     mention n (all theorem sums are like that), the evaluator keeps a cursor
-    (k, num, den, steps) per spec (`running_sum`): the sum over lo..k as an
+    (k, num, den, summand) per spec (`running_sum`): the sum over lo..k as an
     integer numerator num over den, the lcm (up to sign) of the denominators
-    of its terms, and its factors' step functions. For an integer summand den
+    of its terms, and its `sequences._Summand`. For an integer summand den
     stays 1 and the sum is read as an int; otherwise the exact mode reduces
     it to a `Fraction`, and the residue mode takes num den^-1 modulo m
     without reducing it. A read at or above the cursor adds only the terms
@@ -311,12 +312,12 @@ class SumEvaluator:
     leaves the cursor at the read. A summand that mentions n is summed from
     the lower limit at every read, and nothing is kept.
 
-    Each term's binomial and geometric factors are stepped from their
-    values at k - 1 (see `rc.sequences`): a big-by-small product and one
-    exact division per factor instead of a `math.comb` of the full size.
-    The cursor keeps the factors' step functions, made when it starts from
-    the stores the reading node was routed to, so a resumed read steps on
-    from the cursor; a summand that mentions n steps within one read.
+    The product of each term's binomial and geometric factors is stepped
+    from its value at k - 1 (see `rc.sequences`): one product and one exact
+    division by small integers instead of a `math.comb` of the full size.
+    The cursor keeps its summand, made when it starts, with the stores the
+    reading node was routed to, so a resumed read steps on from the cursor;
+    a summand that mentions n steps within one read.
     """
 
     def __init__(self, certificates: Iterable[TelescoperCertificate] | None = None):
@@ -403,15 +404,11 @@ class SumEvaluator:
             return 0, 1
         cursor = self._cursors.get(spec) if spec.n_free else None
         if cursor is None or cursor[0] > hi:
-            steps = [
-                f.stepper(n, stores[f.seq]) if isinstance(f, SeqFactor) else f.stepper(n)
-                for f in spec.factors
-            ]
-            cursor = (spec.lo - 1, 0, 1, steps)
-        k, num, den, steps = cursor
-        num, den, steps = _running_sums(spec, n, k + 1, hi, num, den, steps)
+            cursor = (spec.lo - 1, 0, 1, _Summand(spec, n, stores))
+        k, num, den, summand = cursor
+        num, den, summand = _running_sums(spec, n, k + 1, hi, num, den, summand)
         if spec.n_free:
-            self._cursors[spec] = (hi, num, den, steps)
+            self._cursors[spec] = (hi, num, den, summand)
         return num, den
 
     def eval_sum(self, spec: SumSpec, n: int) -> int | Fraction:

@@ -26,19 +26,18 @@ factors. It serves as a sequence's direct formula (which takes no
 sequence-term factors) and as the sum node of a congruence claim, with one
 JSON codec and one accumulation loop (`_running_sums`) for both.
 
-Terms are stepped, not recomputed. A binomial or geometric factor with
-affine arguments is hypergeometric in k: its value at k is its value at
-k - 1 times a few small affine factors, then one exact division.
-`_binom_ratio` is the one binomial step, fixed once for the increments of
-top and bottom, and the one place that caps its work: `BinomFactor.stepper`
-holds the ratio of its k-step, and `binom_step`, which the claims' binomial
-nodes call, looks up the ratio of its own increments.
-A factor is computed directly (`math.comb`, a power) at its first k, after
-a zero value or a k where it was not read, below a top of `_STEP_FROM`,
-where `math.comb` is as cheap as a step, and where a step would multiply
-more than `_MAX_STEP_FACTORS` factors; a binomial outside
-0 <= bottom <= top is 0. A read over which a geometric exponent turns
-negative is summed by `SumSpec.term`, which stays the reference.
+Terms are stepped, not recomputed. The product of a summand's binomial
+and geometric factors with affine arguments, its block, is hypergeometric
+in k: once per spec, its value at k over its value at k - 1 is written as
+P(k)/Q(k), each a product of linear forms cn*n + ck*k + c (`_block_ratio`),
+and at each n, P and Q step by forward differences, so a term costs one
+product and one exact division by small integers (`_Summand`). The block
+is nonzero on an interval of k, and is computed directly (`math.comb`,
+powers) at the first k read there. `_binom_parts` describes a binomial's
+step once, for the block's forms and for `binom_step`, which the claims'
+binomial nodes call; past `_MAX_STEP_FACTORS` factors a block is not
+stepped. A read over which a geometric exponent turns negative is summed
+by `SumSpec.term`, which stays the reference.
 
 A `SeqFactor` holds its `SequenceDef`. Names are resolved once, when a sum
 is decoded, against a name-to-sequence mapping; the default is `BUILTINS`,
@@ -49,9 +48,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
-from collections import deque
-from itertools import islice
+from collections import Counter, deque
+from itertools import accumulate, islice, repeat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -126,18 +126,12 @@ def binom_step(value: int, x0: int, y0: int, x1: int, y1: int) -> int:
 def _binom_ratio(dx: int, dy: int):
     """ratio(value, x, y): binom(x, y) from value = binom(x - dx, y - dy),
     both inside 0 <= bottom <= top, or None when the step would multiply more
-    than `_MAX_STEP_FACTORS` factors. With z = x - y and dz = dx - dy the
-    ratio is x!/(x-dx)! * (y-dy)!/y! * (z-dz)!/z!, and each of its parts is
-    a product of |increment| consecutive integers (`math.perm`) above or
-    below the line. The three never fall on one side (dx = dy + dz), so each
-    side is at most two parts, and a step is one product of value and one
-    exact division."""
-    if abs(dx) + abs(dy) + abs(dx - dy) > _MAX_STEP_FACTORS:
+    than `_MAX_STEP_FACTORS` factors (see `_binom_parts`). A step is one
+    product of value and one exact division."""
+    parts = _binom_parts(dx, dy)
+    if parts is None:
         return None
-    up, down = [], []  # (index into (x, y, z), offset, count): perm(u + offset, count)
-    for i, e, sign in ((0, dx, 1), (1, dy, -1), (2, dx - dy, -1)):
-        if e:
-            (up if e * sign > 0 else down).append((i, max(-e, 0), abs(e)))
+    up, down = parts
     pad = [(0, 0, 0)] * 2  # perm(x, 0) = 1
     (i1, o1, n1), (i2, o2, n2) = (up + pad)[:2]
     (i3, o3, n3), (i4, o4, n4) = (down + pad)[:2]
@@ -152,6 +146,23 @@ def _binom_ratio(dx: int, dy: int):
         )
 
     return ratio
+
+
+def _binom_parts(dx: int, dy: int) -> tuple[list, list] | None:
+    """(up, down): binom(x, y) / binom(x - dx, y - dy) as the product of the
+    parts in up over that of the parts in down, or None when the step would
+    multiply more than `_MAX_STEP_FACTORS` factors. With z = x - y and
+    dz = dx - dy the ratio is x!/(x-dx)! * (y-dy)!/y! * (z-dz)!/z!, and each
+    of its parts, (index into (x, y, z), offset, count), is a product of
+    count consecutive integers, perm(u + offset, count). The three never fall
+    on one side (dx = dy + dz), so each side is at most two parts."""
+    if abs(dx) + abs(dy) + abs(dx - dy) > _MAX_STEP_FACTORS:
+        return None
+    up, down = [], []
+    for i, e, sign in ((0, dx, 1), (1, dy, -1), (2, dx - dy, -1)):
+        if e:
+            (up if e * sign > 0 else down).append((i, max(-e, 0), abs(e)))
+    return up, down
 
 
 class SequenceError(Exception):
@@ -252,10 +263,6 @@ class Bound:
 # -- finite sums ---------------------------------------------------------------
 
 
-# below this top, math.comb costs a few word operations and no more than a step
-_STEP_FROM = 64
-
-
 @dataclass(frozen=True)
 class BinomFactor:
     top: Affine
@@ -263,32 +270,6 @@ class BinomFactor:
 
     def value(self, n: int, k: int) -> int:
         return binom(self.top.at(n, k), self.bottom.at(n, k))
-
-    def stepper(self, n: int):
-        """step(k): the factor at (n, k). It is 0 outside 0 <= bottom <= top;
-        when the top is at least `_STEP_FROM` and step last read k - 1, where
-        the value is nonzero, it is stepped from that value by the ratio
-        fixed here for the increments (top.ck, bottom.ck) (`_binom_ratio`);
-        otherwise, and past `_MAX_STEP_FACTORS`, it is `math.comb`."""
-        t0, tk = self.top.at(n, 0), self.top.ck
-        b0, bk = self.bottom.at(n, 0), self.bottom.ck
-        ratio, step_from, comb = _binom_ratio(tk, bk), _STEP_FROM, math.comb
-        last, v = None, 0  # the k last read and the value there
-
-        def step(k):
-            nonlocal last, v
-            t = t0 + tk * k
-            b = b0 + bk * k
-            if b < 0 or b > t:
-                v = 0
-            elif t >= step_from and v and last == k - 1 and ratio:
-                v = ratio(v, t, b)
-            else:
-                v = comb(t, b)
-            last = k
-            return v
-
-        return step
 
     def to_json(self) -> dict:
         return {"binom": {"top": self.top.to_json(), "bottom": self.bottom.to_json()}}
@@ -299,35 +280,13 @@ class GeomFactor:
     base: int
     exp: Affine
 
-    def value(self, n: int, k: int) -> Fraction:
+    def value(self, n: int, k: int) -> int | Fraction:
         e = self.exp.at(n, k)
         if e >= 0:
-            return Fraction(self.base**e)
+            return self.base**e
         if self.base == 0:
             raise ZeroDivisionError("0 raised to a negative power")
         return Fraction(1, self.base**-e)
-
-    def stepper(self, n: int):
-        """step(k) as for `BinomFactor.stepper`, for reads whose exponents
-        are never negative: the value at k - 1 times or exactly over
-        base^|exp.ck|, or base^exp itself (always when the base is 0 or
-        |exp.ck| exceeds `_MAX_STEP_FACTORS`)."""
-        base, e0, ek = self.base, self.exp.at(n, 0), self.exp.ck
-        if base == 0 or abs(ek) > _MAX_STEP_FACTORS:
-            return lambda k: base ** (e0 + ek * k)
-        pw = base ** abs(ek)
-        last, v = None, 0
-
-        def step(k):
-            nonlocal last, v
-            if last == k - 1:
-                v = v // pw if ek < 0 else v * pw
-            else:
-                v = base ** (e0 + ek * k)
-            last = k
-            return v
-
-        return step
 
     def to_json(self) -> dict:
         return {"geom": {"base": self.base, "exp": self.exp.to_json()}}
@@ -344,14 +303,6 @@ class SeqFactor:
     @property
     def name(self) -> str:
         return self.seq.name
-
-    def stepper(self, n: int, store=None):
-        """step(k) as for `BinomFactor.stepper`: the term seq(k + shift), read
-        from store, a `TermWindow` over seq, or by default from seq's memo.
-        `congruence.SumEvaluator` passes its window for a running sum whose
-        upper limit moves with n, so ascending reads step each term once."""
-        term, shift = (self.seq if store is None else store).term, self.shift
-        return lambda k: term(k + shift)
 
     def to_json(self) -> dict:
         return {"seq": {"name": self.name, "shift": self.shift}}
@@ -414,6 +365,12 @@ class SumSpec:
     def __hash__(self) -> int:
         return self._hash
 
+    @functools.cached_property
+    def _ratio(self) -> tuple | None:
+        """The k-step ratio of the product of the binomial and geometric
+        factors (`_block_ratio`), found at the first stepped read."""
+        return _block_ratio(self.factors)
+
     def term(self, n: int, k: int) -> Fraction:
         """The summand at (n, k) as a `Fraction`, the reference for
         `_running_sums`. It stops at the first zero factor, so later factors
@@ -422,15 +379,12 @@ class SumSpec:
         b = den_at(k)
         if b == 0:
             raise ZeroDivisionError(f"denominator vanishes at {k}")
-        v = Fraction(num_at(k), b)
+        v = num_at(k)  # an int until a negative power
         for f in self.factors:
             if v == 0:
-                return v
-            if isinstance(f, SeqFactor):
-                v = v * f.seq.term(k + f.shift)
-            else:
-                v = v * f.value(n, k)
-        return v
+                break
+            v *= f.seq.term(k + f.shift) if isinstance(f, SeqFactor) else f.value(n, k)
+        return Fraction(v, b)
 
     def to_json(self) -> dict:
         return {
@@ -453,55 +407,200 @@ class SumSpec:
         )
 
 
-def _running_sums(
-    spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int, steps: list | None = None
-) -> tuple[int, int, list | None]:
-    """(num, den, steps) after adding the terms k = k_lo..k_hi to num/den.
+def _block_ratio(factors) -> tuple | None:
+    """The k-step ratio of the block, the product of the binomial and
+    geometric factors, as (up, down, c_up, c_down): the block at (n, k) is
+    that at (n, k - 1) times c_up * prod(up) / (c_down * prod(down)) where
+    both are nonzero and no exponent is negative. A form (cn, ck, c) of up
+    or down is cn*n + ck*k + c, reduced by its content and sign; a binomial
+    gives the forms of its `_binom_parts`, a geometric factor base^|exp.ck|
+    to c_up or c_down (base 0 nothing: it steps only where its exponent stays
+    0), and a form on both sides cancels. None past `_MAX_STEP_FACTORS`."""
+    sides, consts = (Counter(), Counter()), [1, 1]
+    for f in factors:
+        if isinstance(f, BinomFactor):
+            parts = _binom_parts(f.top.ck, f.bottom.ck)
+            if parts is None:
+                return None
+            t, b = f.top, f.bottom
+            u = (t.cn, t.ck, t.c), (b.cn, b.ck, b.c), (t.cn - b.cn, t.ck - b.ck, t.c - b.c)
+            for side, side_parts in enumerate(parts):
+                for i, offset, count in side_parts:
+                    cn, ck, c0 = u[i]
+                    for c in range(c0 + offset, c0 + offset - count, -1):  # perm's factors
+                        g = math.gcd(cn, ck, c) if ck > 0 else -math.gcd(cn, ck, c)  # ck != 0
+                        sides[side][cn // g, ck // g, c // g] += 1
+                        consts[side] *= g
+        elif isinstance(f, GeomFactor) and f.base:
+            if abs(f.base) > 1 and abs(f.exp.ck) > _MAX_STEP_FACTORS:
+                return None
+            consts[f.exp.ck < 0] *= f.base ** abs(f.exp.ck)
+    common = sides[0] & sides[1]
+    g = math.gcd(*consts) if consts[1] > 0 else -math.gcd(*consts)
+    return tuple((sides[0] - common).elements()), tuple((sides[1] - common).elements()), consts[0] // g, consts[1] // g
 
-    steps are the factors' step functions at n (`BinomFactor.stepper`),
-    made here when None, and carry each factor's last value from one read
-    to the next; a read over which a geometric exponent is negative somewhere
-    is summed by `SumSpec.term`. As there, a zero coefficient or factor ends
-    the term, and the factors after it are not read at that k.
+
+def _interval(conds, lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) cut down to the k at which c0 + c1*k >= 0 for every (c0, c1)
+    in conds; empty when lo > hi."""
+    for c0, c1 in conds:
+        if c1 > 0:
+            lo = max(lo, -(c0 // c1))
+        elif c1 < 0:
+            hi = min(hi, c0 // -c1)
+        elif c0 < 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _values(forms, const: int, n: int, k: int) -> Iterator[int]:
+    """const * prod(forms) at n and k, k + 1, ..., without end, by forward
+    differences: d = len(forms) nested running sums of the constant d-th
+    difference. The differences at k are the coefficients of the product
+    at k + j in the basis binom(j, i), multiplied in one form at a time by
+    (a + s*j) binom(j, i) = (a + s*i) binom(j, i) + s*(i + 1) binom(j, i + 1)."""
+    diffs = [const]
+    for cn, ck, c in forms:
+        a, carry = cn * n + ck * k + c, 0
+        for i, x in enumerate(diffs):
+            diffs[i] = x * (a + ck * i) + carry
+            carry = x * ck * (i + 1)
+        diffs.append(carry)
+    values = repeat(diffs.pop())
+    for x in reversed(diffs):
+        values = accumulate(values, initial=x)
+    return values
+
+
+class _Summand:
+    """A spec's summand at one n, for `_running_sums`.
+
+    The block, the product of the binomial and geometric factors, is nonzero
+    on an interval of k, its support. There it is computed directly
+    (`math.comb`, powers) at the first k read and then stepped by the spec's
+    `_ratio`, whose two sides step by forward differences (`_values`): a
+    term costs one product by a small integer and one exact division by
+    another. Reads that go on where the last one ended step on, so a cursor
+    that holds the summand steps across reads.
+
+    As in `SumSpec.term`, the first zero, of the coefficient and then of the
+    factors in declared order, ends the term: a sequence factor is read at k
+    only where the coefficient, the sequence factors before it and the
+    block's factors before it (their own interval) are nonzero, from its
+    store in `stores` (a `SequenceDef` or a `TermWindow`; default its memo)."""
+
+    __slots__ = ("spec", "n", "support", "binoms", "powers", "seqs", "next_k", "h", "steps")
+
+    def __init__(self, spec: SumSpec, n: int, stores: Mapping | None = None):
+        conds: list[tuple[int, int]] = []  # the support: c0 + c1*k >= 0 for each
+        self.binoms, self.powers, self.seqs = [], [], []
+        for f in spec.factors:
+            if isinstance(f, SeqFactor):
+                store = f.seq if stores is None else stores[f.seq]
+                self.seqs.append((tuple(conds), store.term, f.shift))
+            elif isinstance(f, BinomFactor):
+                t0, tk = f.top.cn * n + f.top.c, f.top.ck
+                b0, bk = f.bottom.cn * n + f.bottom.c, f.bottom.ck
+                conds += [(b0, bk), (t0 - b0, tk - bk)]
+                self.binoms.append((t0, tk, b0, bk))
+            else:
+                e0, ek = f.exp.cn * n + f.exp.c, f.exp.ck
+                if not f.base:
+                    conds.append((-e0, -ek))
+                self.powers.append((f.base, e0, ek))
+        self.spec, self.n, self.support = spec, n, tuple(conds)
+        # the last block read, h at next_k - 1, and steps, the ratio's
+        # (numerator, denominator) at next_k, next_k + 1, ... (None without one)
+        self.next_k, self.h, self.steps = None, 0, None
+
+    def block(self, k: int) -> int:
+        """The block at k, computed directly."""
+        comb, v = math.comb, 1
+        for t0, tk, b0, bk in self.binoms:
+            v *= comb(t0 + tk * k, b0 + bk * k)
+        for base, e0, ek in self.powers:
+            v *= base ** (e0 + ek * k)
+        return v
+
+    def _at(self, k: int) -> int:
+        """The block at k, inside the support: stepped from k - 1 when that is
+        the last k read, else computed directly, and then `steps` starts at
+        k + 1."""
+        if self.next_k == k and self.steps is not None:
+            p, q = next(self.steps)
+            h = self.h * p // q
+        else:
+            h = self.block(k)
+            if self.spec._ratio is not None:
+                up, down, c_up, c_down = self.spec._ratio
+                self.steps = zip(_values(up, c_up, self.n, k + 1), _values(down, c_down, self.n, k + 1))
+        self.next_k, self.h = k + 1, h
+        return h
+
+    def sum(self, lo: int, hi: int) -> tuple[int, int]:
+        """The terms at k = lo..hi, added as in `_running_sums`."""
+        ka, kb = _interval(self.support, lo, hi)
+        cnum, cden = self.spec._int_coeff
+        if not self.seqs and len(cnum) == len(cden) == 1:
+            if ka > kb:
+                return 0, 1
+            h = s = self._at(ka)
+            if self.steps is None:
+                s += sum(map(self._at, range(ka + 1, kb + 1)))
+            else:  # `_at` inlined
+                self.next_k = None  # until the run is done
+                for p, q in islice(self.steps, kb - ka):
+                    h = h * p // q
+                    s += h
+                self.next_k, self.h = kb + 1, h
+            return _plus(0, 1, cnum[0] * s, cden[0]) if s else (0, 1)
+        bnum, bden = 0, 1
+        num_at, den_at = self.spec._coeff_at
+        seqs = [(*_interval(conds, lo, hi), term, shift) for conds, term, shift in self.seqs]
+        for k in range(lo, hi + 1):
+            b = den_at(k)
+            if b == 0:
+                raise ZeroDivisionError(f"denominator vanishes at {k}")
+            h = self._at(k) if ka <= k <= kb else 0
+            a = num_at(k)
+            for s_lo, s_hi, term, shift in seqs:
+                if not a:
+                    break
+                a = a * term(k + shift) if s_lo <= k <= s_hi else 0
+            if not a or not h:
+                continue
+            a *= h
+            if b == bden == 1:
+                bnum += a
+            else:
+                bnum, bden = _plus(bnum, bden, a, b)
+        return bnum, bden
+
+
+def _running_sums(
+    spec: SumSpec, n: int, k_lo: int, k_hi: int, num: int, den: int, summand: _Summand | None = None
+) -> tuple[int, int, _Summand]:
+    """(num, den, summand) after adding the terms k = k_lo..k_hi to num/den.
+
+    summand is the spec's `_Summand` at n, made here when None, and carries
+    the block's steps from one read to the next; a read over which a
+    geometric exponent is negative somewhere is summed by `SumSpec.term`.
 
     The terms of a read are added over their own denominator, starting from
     0/1, and that block is then added to num/den once (`_plus`), so a read
     pays one product with den, however many terms it adds. den is the lcm
     (up to sign) of the term denominators so far and num is not reduced
     against it, so an integer summand keeps den = 1 and runs no gcd."""
-    stepped = all(
-        min(f.exp.at(n, k_lo), f.exp.at(n, k_hi)) >= 0
-        for f in spec.factors
-        if isinstance(f, GeomFactor)
-    )
-    if stepped and steps is None:
-        steps = [f.stepper(n) for f in spec.factors]
-    cnum, cden = spec._int_coeff
-    num_at, den_at = spec._coeff_at
-    const = len(cnum) == len(cden) == 1
-    bnum, bden = 0, 1  # the terms of this read
+    if summand is None:
+        summand = _Summand(spec, n)
+    if all(e0 + ek * k_lo >= 0 and e0 + ek * k_hi >= 0 for _, e0, ek in summand.powers):
+        return (*_plus(num, den, *summand.sum(k_lo, k_hi)), summand)
+    bnum, bden = 0, 1
     for k in range(k_lo, k_hi + 1):
-        if not stepped:
-            t = spec.term(n, k)
-            a, b = t.numerator, t.denominator
-        else:
-            a, b = (cnum[0], cden[0]) if const else (num_at(k), den_at(k))
-            if b == 0:
-                raise ZeroDivisionError(f"denominator vanishes at {k}")
-            if a:
-                for step in steps:
-                    v = step(k)
-                    if not v:
-                        a = 0
-                        break
-                    a *= v
-        if not a:
-            continue
-        if b == bden == 1:
-            bnum += a
-        else:
-            bnum, bden = _plus(bnum, bden, a, b)
-    return (*_plus(num, den, bnum, bden), steps)
+        t = spec.term(n, k)
+        if t:
+            bnum, bden = _plus(bnum, bden, t.numerator, t.denominator)
+    return (*_plus(num, den, bnum, bden), summand)
 
 
 def _plus(num: int, den: int, a: int, b: int) -> tuple[int, int]:
@@ -707,8 +806,7 @@ class SequenceDef:
 
     def residual(self, n: int) -> int:
         """Exact value of sum_i c_i(n) a(n+i); zero iff the instance at n holds."""
-        cs = self.recurrence.coeffs_at(n)
-        return sum(c * self.term(n + i) for i, c in enumerate(cs))
+        return sum(map(operator.mul, self.recurrence.coeffs_at(n), self.terms(n, n + self.recurrence.order)))
 
     def instance_holds(self, n: int) -> bool:
         """Whether the recurrence instance at n holds numerically; instances that
@@ -826,9 +924,8 @@ def check_recurrence_consistency(seq: SequenceDef, n_max: int) -> ConsistencyRep
     if seq.direct is None:
         raise ValueError(f"{seq.name} has no direct formula to check against")
     bad: list[Mismatch] = []
-    for n in range(0, n_max + 1):
-        want = eval_direct(seq.direct, n)
-        got = Fraction(seq.term(n))
+    for n, term in enumerate(seq.terms(0, n_max)):
+        want, got = eval_direct(seq.direct, n), Fraction(term)
         if want != got:
             bad.append(Mismatch(n, want, got, "direct"))
     for n in range(seq.forward_start, n_max - seq.recurrence.order + 1):

@@ -465,6 +465,29 @@ def _bilinear(products: tuple) -> Callable:
     return cofactor
 
 
+def _by_first(products: tuple) -> Callable:
+    """(n, values) -> the sum of h(n) values[x] values[y] over the products
+    (x, y, h) of a `ClosedForm`, as the sum over each distinct x of
+    values[x] times the sum of h(n) values[y]: one product of two terms per
+    x, where `_bilinear` has one per product. For `certify`'s numeric half,
+    whose terms grow with its range."""
+    by_x: dict[int, list] = {}
+    for x, y, h in products:
+        by_x.setdefault(x, []).append((y, h))
+    rows = tuple(by_x.items())
+
+    def combine(n: int, values: Sequence[int]) -> int:
+        total = 0
+        for x, row in rows:
+            inner = 0
+            for y, h in row:
+                inner += h(n) * values[y]
+            total += values[x] * inner
+        return total
+
+    return combine
+
+
 def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
     """S(n) - S(0); equals sum_{k=0}^{n-1} p(k) a(k+sa) b(k+sb) for a valid
     certificate. S itself is only pinned up to an additive constant, so all
@@ -872,28 +895,33 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     numeric_ok = True
     mismatch = None
     closed = cert.closed_form()
-    a, b = cert.seq_a, cert.seq_b
     sa, sb = cert.target_shifts
+    # the terms the loop reads: the summand's at k + sa and k + sb, and S's
+    # at n + s, each term i of a list at its lo + i
+    spans = [(cert.seq_a, sa, sa + n_max - 1), (cert.seq_b, sb, sb + n_max - 1)]
+    spans += [(seq, s, s + n_max) for seq, s in closed.reads]
+    reads = None
     if symbolic_ok:
-        # the loop is expected to run to n_max: read the highest term of each
-        # sequence first, so that its memo fills in one generator; a read that
-        # raises here raises again in the loop, at the same n. A certificate
-        # whose symbolic half fails reads term by term up to its first mismatch.
-        top: dict[SequenceDef, int] = {}
-        for seq, i in ((a, n_max - 1 + sa), (b, n_max - 1 + sb), *((q, n_max + s) for q, s in closed.reads)):
-            top[seq] = max(top.get(seq, i), i)
-        for seq, i in top.items():
-            try:
-                seq.term(i)
-            except (SequenceError, ValueError):
-                pass
-    s0 = closed.scaled(0)
+        # the loop is expected to run to n_max: each list is one memo slice,
+        # and the highest read of each sequence comes first, so that its memo
+        # fills in one generator
+        try:
+            for seq, _, hi in sorted(spans, key=lambda span: -span[2]):
+                seq.term(hi)
+            reads = [seq.terms(lo, hi).__getitem__ for seq, lo, hi in spans]
+        except (SequenceError, ValueError):  # the loop raises again at the same n, or fails first
+            pass
+    if reads is None:  # term by term, so a failing certificate reads up to its first mismatch
+        reads = [lambda i, seq=seq, lo=lo: seq.term(lo + i) for seq, lo, _ in spans]
+    read_a, read_b, *read_s = reads
+    combine = _by_first(closed._products)
+    s0 = combine(0, [read(0) for read in read_s])
     weight = evaluator(p_int)
     running = 0  # scale times the sum of the summands below n
     for n in range(1, n_max + 1):
         k = n - 1
-        running += weight(k) * a.term(k + sa) * b.term(k + sb)
-        got = closed.scaled(n) - s0  # D (S(n) - S(0))
+        running += weight(k) * read_a(k) * read_b(k)
+        got = combine(n, [read(n) for read in read_s]) - s0  # D (S(n) - S(0))
         if got * scale != running * closed.scale:
             numeric_ok = False
             mismatch = (n, Fraction(running, scale), Fraction(got, closed.scale))

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import resource
 import runpy
 import subprocess
 import sys
@@ -1028,6 +1029,22 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["terms"] == ["1", "1", "3", "7", "19", "51"]
+
+
+def test_running_out_of_memory_is_one_error_line():
+    # a certify range the CLI accepts, whose memo outgrows a 400 MB address
+    # space; the limit is set on the child process alone
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rc.cli", "certify", str(W_GOLDEN), "--range", "1..1000000"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -9,7 +10,6 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -240,10 +240,18 @@ _2K_OVER_K = BinomFactor(Affine(0, 2, 0), Affine(0, 1, 0))
 _3K1_OVER_2K = BinomFactor(Affine(0, 3, 1), Affine(0, 2, 0))
 # binom(2n-3k+40, 3k): a top that falls with k, read past bottom > top
 _FALLING_TOP = BinomFactor(Affine(2, -3, 40), Affine(0, 3, 0))
+# binom(k, 3): 0 for k < 3
+_K_OVER_3 = BinomFactor(Affine(0, 1, 0), Affine(0, 0, 3))
+# binom(65k, k): a step would multiply 65 + 1 + 64 factors, past `_MAX_STEP_FACTORS`
+_PAST_CAP = BinomFactor(Affine(0, 65, 0), Affine(0, 1, 0))
+_TRINOMIAL_SPECS = {
+    claim.claim_id: (claim.lhs.spec, claim.rhs.spec)
+    for claim in builtin_claims()
+    if claim.claim_id.startswith("trinomial-transform-")
+}
 
 
-@pytest.mark.parametrize("step_from", [0, sequences._STEP_FROM])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.booleans().flatmap(_stepped_spec),
     st.lists(st.integers(0, 24), min_size=1, max_size=8),
@@ -258,17 +266,61 @@ _FALLING_TOP = BinomFactor(Affine(2, -3, 40), Affine(0, 3, 0))
 @example(SumSpec(factors=(BinomFactor(Affine(1, 3, 1), Affine(0, 2, 0)), _FALLING_TOP)), [24, 20])
 # term denominators 7, 3, 1 at k = 0, 1, 2: a unit one after larger ones (31/21 at n = 3)
 @example(SumSpec(den=Poly([7, -5, 1])), [3, 5])
-def test_stepped_sums_equal_the_term_oracle(step_from, spec, reads):
+# binom(n-1-k, k): a top that falls until bottom > top, within the range
+@example(SumSpec(factors=(BinomFactor(Affine(1, -1, -1), Affine(0, 1, 0)),), upper=Bound(1, 0, 1)), [24, 9, 1])
+# geometric bases 0, 1 and -1: the trinomial transforms at m = 0, 1, 2 and 3
+@example(_TRINOMIAL_SPECS["trinomial-transform-m0"][0], [24, 1, 2, 9])
+@example(_TRINOMIAL_SPECS["trinomial-transform-m1"][0], [24, 9])
+@example(_TRINOMIAL_SPECS["trinomial-transform-m1"][1], [24, 9])
+@example(_TRINOMIAL_SPECS["trinomial-transform-m2"][1], [24, 1, 2, 9])
+@example(_TRINOMIAL_SPECS["trinomial-transform-m3"][1], [24, 9])
+# binom(k, 1) from k = -2: the ratio's denominator k - 1 is 0 at k = 1,
+# where the block starts again from 0
+@example(SumSpec(factors=(BinomFactor(Affine(0, 1, 0), Affine(0, 0, 1)),), lo=-2), [3, 6])
+# a factor past `_MAX_STEP_FACTORS` among stepped ones, n-free and not
+@example(SumSpec(factors=(_2K_OVER_K, _PAST_CAP, GeomFactor(3, Affine(0, 1, 0)))), [4, 2, 5])
+@example(SumSpec(factors=(_PAST_CAP, BinomFactor(Affine(1, 0, 0), Affine(0, 1, 0)))), [6, 3])
+# the first zero factor, in declared order, ends the term: a sequence read
+# below the first index raises before binom(k, 3) is 0, and not after it
+@example(SumSpec(factors=(SeqFactor(_COS, -3), _K_OVER_3)), [2, 6])
+@example(SumSpec(factors=(_K_OVER_3, SeqFactor(_COS, -3))), [2, 6])
+@example(SumSpec(factors=(SeqFactor(_COS, -3), BinomFactor(Affine(1, 0, -5), Affine(0, 1, 0)))), [3, 8])
+def test_stepped_sums_equal_the_term_oracle(spec, reads):
     # the cursor path (n-free) and the n-dependent path, each read order on
-    # its own evaluator: as drawn, ascending, each point twice, descending;
-    # binomials stepped at every top, then only from the default `_STEP_FROM`
+    # its own evaluator: as drawn, ascending, each point twice, descending
     orders = (reads, sorted(reads), [n for n in sorted(reads) for _ in (0, 1)], sorted(reads)[::-1])
     want = {n: _term_oracle(spec, n) for n in reads}
-    with mock.patch.object(sequences, "_STEP_FROM", step_from):
-        for order in orders:
-            ev = SumEvaluator()
-            for n in order:
-                assert _read(ev, spec, n) == want[n], (order, n)
+    for order in orders:
+        ev = SumEvaluator()
+        for n in order:
+            assert _read(ev, spec, n) == want[n], (order, n)
+
+
+@functools.cache
+def _term_sum(spec, n, k_lo, k_hi):
+    """The terms k = k_lo..k_hi of spec at n, summed from `SumSpec.term`."""
+    terms = [spec.term(n, k) for k in range(k_lo, k_hi + 1)]
+    return sum(t.numerator for t in terms if t.denominator == 1) + sum((t for t in terms if t.denominator != 1), F(0))
+
+
+def _term_running_sums(spec, n, k_lo, k_hi, num, den, summand=None):
+    """`sequences._running_sums` from `_term_sum`."""
+    total = F(num, den) + _term_sum(spec, n, k_lo, k_hi)
+    return total.numerator, total.denominator, summand
+
+
+@pytest.mark.parametrize("claim_id", sorted(_TRINOMIAL_SPECS))
+def test_trinomial_transforms_equal_the_term_oracle(monkeypatch, claim_id):
+    # the stepped sums decide every point as the `SumSpec.term` oracle does,
+    # and failure for failure when the rhs is one more
+    assert len(_TRINOMIAL_SPECS) == 11
+    claim = get_claim(claim_id)
+    claims = (claim, dataclasses.replace(claim, rhs=add(claim.rhs, C(1))))
+    got = [report_to_json(verify_claim_range(c, 1, 400, SumEvaluator())) for c in claims]
+    monkeypatch.setattr(congruence, "_running_sums", _term_running_sums)
+    want = [report_to_json(verify_claim_range(c, 1, 400, SumEvaluator())) for c in claims]
+    assert got == want
+    assert [len(r["failures"]) for r in got] == [0, 400]
 
 
 @settings(max_examples=300, deadline=None)

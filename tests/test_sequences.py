@@ -78,10 +78,24 @@ def test_oracle_equivalence_to_60():
 
 
 def test_oracle_equivalence_to_200():
-    # past `_STEP_FROM`, so the direct formulas' binomials are stepped: the
-    # recurrence kernel and the binomial steps are checked against each other
+    # the recurrence kernel and the stepped direct formulas are checked
+    # against each other past the tops of the tests to 60
     assert check_recurrence_consistency(W, 200).ok
     assert check_recurrence_consistency(T, 200).ok
+
+
+def test_a_consistency_check_fills_the_memo_in_one_generator(monkeypatch):
+    # the direct values and the residuals read the terms as one memo slice
+    stepping, fills = SequenceDef._terms_from, []
+
+    def counted(seq, last, i):
+        fills.append(i)
+        return stepping(seq, last, i)
+
+    monkeypatch.setattr(SequenceDef, "_terms_from", counted)
+    fresh = SequenceDef("W", W.recurrence, W.initial, W.direct)
+    assert check_recurrence_consistency(fresh, 300).ok
+    assert len(fills) <= 1 and len(fresh._memo) == 303
 
 
 # every increment pair in -3..3, the largest step `_MAX_STEP_FACTORS` allows and
@@ -91,12 +105,15 @@ _INCREMENTS = [(tk, bk) for tk in range(-3, 4) for bk in range(-3, 4)] + [(64, 1
 
 @pytest.mark.parametrize("tk, bk", _INCREMENTS)
 def test_binomial_steps_equal_binom(tk, bk):
-    # the top crosses `_STEP_FROM` at k = 0, and unless both are constant the
-    # bottom leaves [0, top] on one side or both
-    factor = BinomFactor(Affine(0, tk, sequences._STEP_FROM), Affine(0, bk, 32))
-    step = factor.stepper(0)
+    # unless both are constant, the bottom leaves [0, top] on one side or
+    # both; a sum of the one factor, read one k at a time by one summand
+    factor = BinomFactor(Affine(0, tk, 64), Affine(0, bk, 32))
+    spec, summand, steps = SumSpec(factors=(factor,)), None, []
+    for k in [*range(-40, 41), *range(40, -41, -1)]:  # then each k again, not after k - 1
+        value, _, summand = sequences._running_sums(spec, 0, k, k, 0, 1, summand)
+        steps.append(value)
     points = [(factor.top.at(0, k), factor.bottom.at(0, k)) for k in range(-40, 41)]
-    assert [step(k) for k in range(-40, 41)] == [binom(x, y) for x, y in points]
+    assert steps == [binom(x, y) for x, y in points + points[::-1]]
     assert any(not 0 <= y <= x for x, y in points) == ((tk, bk) != (0, 0))
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         assert binom_step(binom(x0, y0), x0, y0, x1, y1) == binom(x1, y1), (x0, y0, x1, y1)

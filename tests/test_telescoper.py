@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import rc.exactmath
 import rc.telescoper
 from rc.exactmath import ONE, Poly, ZERO, lowest_terms, nullspace, parse_poly
-from rc.sequences import ONE_SEQ, SequenceDef, T, UnknownSequence, W, recurrence
+from rc.sequences import ONE_SEQ, NonIntegerTerm, SequenceDef, T, UnknownSequence, W, recurrence
 from rc.telescoper import (
     MAX_DEGREE,
     MAX_SHIFT_DISTANCE,
@@ -714,6 +714,23 @@ def test_a_failing_certificate_reads_only_up_to_its_mismatch():
     assert not report.symbolic_ok and not report.numeric_ok
     assert report.mismatch[0] == 1
     assert len(fresh["W"]._memo) == len(W.initial) == 4
+
+
+def test_a_term_that_cannot_be_read_leaves_certify_to_read_term_by_term():
+    # T(1) = 2 breaks the instance at n = -1 and makes T(2) = 9/2: the
+    # symbolic half passes, reading the terms up to n_max raises, and the
+    # numeric half reads term by term, so it reports the mismatch at n = 1
+    # before any read of T(2)
+    bad = SequenceDef("T", T.recurrence, {-1: 0, 0: 1, 1: 2})
+    cert = cert_from_json(cert_to_json(_reference_cert(1)), {"W": W, "T": bad})
+    report = certify(cert, 300)
+    assert report.symbolic_ok and not report.numeric_ok
+    assert report.mismatch == (1, F(0), F(-3, 8))
+    assert len(bad._memo) == 3
+    # the window 0..1 reads T(2) at n = 1: the read raises there
+    cert = cert_from_json(cert_to_json(_reference_cert(2)), {"W": W, "T": bad})
+    with pytest.raises(NonIntegerTerm, match="n=2"):
+        certify(cert, 300)
 
 
 def test_certify_detects_corruption(w_cert):
