@@ -10,7 +10,6 @@ from .exactmath import (
     nullspace,
     parse_poly,
     poly_divmod,
-    poly_gcd,
     rat_mod,
 )
 from .sequences import (

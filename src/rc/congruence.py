@@ -108,6 +108,7 @@ from .sequences import (
     _running_sums,
     binom,
     binom_step,
+    eval_direct,
     get_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -151,6 +152,7 @@ __all__ = [
     "expr_from_json",
     "MAX_EXPR_DEPTH",
     "MAX_RANGE_TOP",
+    "DIRECT_CHECK_TOP",
     "claim_to_json",
     "claim_from_json",
     "load_claims_document",
@@ -1402,13 +1404,44 @@ def claim_from_json(d: dict, sequences: Mapping[str, SequenceDef] | None = None)
     )
 
 
+# the highest index at which loading a claims file checks a sequence's direct
+# formula: the sum at n has about n terms, so initial data placed far out
+# would otherwise make loading slow without bound
+DIRECT_CHECK_TOP = 1000
+
+
+def _check_direct(seq: SequenceDef) -> None:
+    """Refuse a sequence whose direct formula disagrees with its recurrence
+    at an index from max(0, min_index) to max_initial + order (at most
+    `DIRECT_CHECK_TOP`): the initial data and the first terms stepped past
+    it. The terms are read through a fresh `TermWindow`, so the memo keeps
+    only the initial data. A recurrence step that raises ends the check;
+    a claim that reads that term fails there."""
+    window = TermWindow(seq)
+    for n in range(max(0, seq.min_index), min(seq.max_initial + seq.recurrence.order, DIRECT_CHECK_TOP) + 1):
+        try:
+            term = window.term(n)
+        except SequenceError:
+            return
+        try:
+            agree = eval_direct(seq.direct, n) == term
+        except (ArithmeticError, ValueError) as e:
+            raise ValueError(f"the direct formula of the sequence {echo(seq.name)} fails at n = {n}: {e}") from None
+        if not agree:
+            raise ValueError(
+                f"the direct formula of the sequence {echo(seq.name)} disagrees with its recurrence at n = {n}"
+            )
+
+
 def load_claims_document(doc: dict) -> list[CongruenceClaim]:
     """Claims file: {"sequences": [...], "claims": [...]}. The claims are
     decoded against the built-in sequences plus the file's own, so loading
     a file changes nothing outside its claims. A file may repeat the
     definition of a built-in sequence (an exported catalogue does), and its
     claims then use the built-in itself; changing a built-in's definition,
-    defining one name twice or giving two claims one id is an error."""
+    defining one name twice, giving two claims one id or a direct formula
+    that contradicts its sequence's recurrence (`_check_direct`) is an
+    error."""
     sequences = dict(BUILTINS)
     defined = set()
     for i, seq_doc in enumerate(doc.get("sequences", [])):
@@ -1419,6 +1452,8 @@ def load_claims_document(doc: dict) -> list[CongruenceClaim]:
             raise ValueError(f"the sequence {echo(seq.name)} is defined twice")
         defined.add(seq.name)
         if seq.name not in BUILTINS:
+            if seq.direct is not None:
+                _check_direct(seq)
             sequences[seq.name] = seq
         elif sequence_to_json(seq) != sequence_to_json(BUILTINS[seq.name]):
             raise ValueError(f"the built-in sequence {echo(seq.name)} may not be redefined")

@@ -13,11 +13,12 @@ function, so values can be shared freely between threads.
 Every polynomial here, a `Poly` or an integer polynomial, lists its
 coefficients in one order, ascending by degree, the zero polynomial empty.
 The integer-polynomial kernel (`horner`, `imul`, `iadd`, `ishift`, `iquo`,
-`iprod`, `primitive`) works on such lists of ints, and `clear_denominators`
-is the one way from rational coefficients to them. A fixed polynomial that a
-hot loop evaluates again and again is built once into a closure by
-`evaluator`: the same value as `horner`, without its loop set-up per call
-(straight-line code up to degree 2).
+`iprod`, `primitive`, and `igcd`, the one polynomial gcd, which
+`lowest_terms` applies to rationals) works on such lists of ints, and
+`clear_denominators` is the one way from rational coefficients to them. A
+fixed polynomial that a hot loop evaluates again and again is built once
+into a closure by `evaluator`: the same value as `horner`, without its loop
+set-up per call (straight-line code up to degree 2).
 
 Values read from a JSON document are quoted in error messages by `echo`, a
 repr cut to `MAX_ECHO` characters, so a malformed value of any length gives
@@ -57,10 +58,10 @@ __all__ = [
     "iquo",
     "iprod",
     "primitive",
+    "igcd",
     "clear_denominators",
     "parse_poly",
     "poly_divmod",
-    "poly_gcd",
     "lowest_terms",
     "nullspace",
     "SCREEN_PRIME",
@@ -278,11 +279,6 @@ class Poly:
             return ZERO
         return self * (1 / c)
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return ZERO
-        return self * (1 / self.lead)
-
     # -- io -------------------------------------------------------------------
 
     def to_json(self) -> list[str]:
@@ -293,6 +289,10 @@ class Poly:
         # a JSON list: a string would otherwise be read digit by digit
         if not isinstance(data, list):
             raise FieldError(f"a polynomial must be a list of coefficient strings, got {echo(data)}")
+        # polynomial text's degree cap, before any coefficient is read: no
+        # FieldError, so `json_field` adds the path that says which polynomial
+        if len(data) > MAX_DEGREE + 1:
+            raise ValueError(f"a polynomial has more than {MAX_DEGREE + 1} coefficients")
         return cls(_json_text("a polynomial coefficient", s) for s in data)
 
     def to_str(self, var: str = "k") -> str:
@@ -445,6 +445,28 @@ def primitive(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in a)
 
 
+def igcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The gcd in Z[k] of two integer polynomials, not both zero, with a
+    positive lead: the gcd of all their coefficients times the last nonzero
+    entry of their primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2,
+    4.6.1), which divides each remainder by its content to keep it small."""
+    g = math.gcd(*a, *b)
+    if not g:
+        raise ValueError("gcd of two zero polynomials")
+    a, b = (primitive(p) if p else () for p in sorted((a, b), key=len, reverse=True))
+    while len(b) > 1:
+        r, lead = list(a), b[-1]
+        while len(r) >= len(b):  # r <- lead r - c k^s b, so deg r falls
+            c = r.pop()
+            r = [lead * x for x in r]
+            for i, y in enumerate(b[:-1], len(r) - len(b) + 1):
+                r[i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, primitive(r) if r else ()
+    return tuple(g * x for x in b or a)
+
+
 def clear_denominators(*coeff_lists: Sequence[Fraction | int]) -> tuple[int, list[list[int]]]:
     """den, the lcm of the denominators of all the coefficients of all the
     lists (1 for none), and each list times den, as ints."""
@@ -473,30 +495,16 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(rem)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd. Raises on gcd(0, 0)."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return a.monic()
-
-
 def lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num / den in lowest terms: gcd(num, den) = 1 and the denominator monic
     (so its leading coefficient is positive); the zero numerator gives
-    (ZERO, ONE)."""
+    (ZERO, ONE). Both are cleared to integers and divided by their `igcd`."""
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
-    if num.is_zero:
-        return ZERO, ONE
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, _ = poly_divmod(num, g)
-        den, _ = poly_divmod(den, g)
-    lc = den.lead
-    return num * (1 / lc), den * (1 / lc)
+    _, ints = clear_denominators(num.coeffs, den.coeffs)
+    g = igcd(*ints)
+    a, b = (iquo(p, g) for p in ints)
+    return Poly(Fraction(x, b[-1]) for x in a), Poly(Fraction(x, b[-1]) for x in b)
 
 
 # -- exact linear algebra ----------------------------------------------------

@@ -50,6 +50,7 @@ searches that find them, and every user of those certificates runs them.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from .exactmath import (
     evaluator,
     horner,
     iadd,
+    igcd,
     imul,
     independent_prefix,
     iprod,
@@ -76,7 +78,6 @@ from .exactmath import (
     lowest_terms,
     nullspace,
     parse_poly,
-    poly_gcd,
     primitive,
 )
 from .sequences import ONE_SEQ, Recurrence, SequenceDef, SequenceError, T, W, _json_int, get_sequence
@@ -324,7 +325,7 @@ class _Denominators:
         all up to one common constant factor. A linear factor is divided out
         of a numerator as often as it goes into both, without a gcd; only
         rests of degree 2 or more, which no built-in recurrence has, are
-        cancelled by polynomial gcds."""
+        cancelled by `igcd`."""
         reduced = {}
         for key, (num, den) in entries.items():
             const, exps, rest = 1, [0] * len(self.linear), Counter()
@@ -349,12 +350,9 @@ class _Denominators:
             cofactor = [*self._powers([t - e for t, e in zip(top, exps)]), *(rest_top - rest).elements()]
             cleared[key] = [(scale // const) * x for x in imul(num, iprod(cofactor))]
         if rest_top:
-            g = Poly(den)
-            for num in cleared.values():
-                g = poly_gcd(g, Poly(num))
-            g_int = primitive(clear_denominators(g.coeffs)[1][0])
-            den = iquo(den, g_int)
-            cleared = {key: iquo(num, g_int) for key, num in cleared.items()}
+            g = primitive(functools.reduce(igcd, cleared.values(), den))
+            den = iquo(den, g)
+            cleared = {key: iquo(num, g) for key, num in cleared.items()}
         return den, cleared
 
 
@@ -422,14 +420,7 @@ class ClosedForm:
         entry of `reads`. Given residues modulo a multiple of M, H is
         congruent to H(n) modulo M."""
         if self._split is None:
-            fs = [coeffs for _, _, coeffs in self.terms]
-            q: tuple[int, ...] = ()
-            if fs:
-                g = Poly(fs[0])
-                for f in fs[1:]:
-                    g = poly_gcd(g, Poly(f))
-                content = math.gcd(*(x for f in fs for x in f))
-                q = tuple(content * x for x in primitive(clear_denominators(g.coeffs)[1][0]))
+            q = functools.reduce(igcd, (coeffs for _, _, coeffs in self.terms), ())
             h = tuple((i, j, tuple(iquo(f, q))) for i, j, f in self.terms)
             products = tuple((x, y, evaluator(hs)) for (x, y, _), (_, _, hs) in zip(self._products, h))
             self._split = (q, h, evaluator(q), _bilinear(products))
@@ -1078,13 +1069,16 @@ def cert_from_json(
     for key in ("seqA", "seqB"):
         with json_field(key):
             seqs.append(get_sequence(data[key], sequences))
+    p = data["p"]
+    with json_field("p"):
+        p = Poly.from_json(p)
     return TelescoperCertificate(
         seq_a=seqs[0],
         seq_b=seqs[1],
         window_a=wa,
         window_b=wb,
         target_shifts=target,
-        p=Poly.from_json(data["p"]),
+        p=p,
         g=g,
         symmetric=symmetric,
     )

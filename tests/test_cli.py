@@ -499,6 +499,11 @@ def _with_seq_factor_in_direct():
 
 _N_EQUALS_N = {"id": "x", "lhs": {"var": "n"}, "rhs": {"var": "n"}, "modulus": {"const": "0"}}
 _ONE_AS_Q = {**sequence_to_json(get_sequence("one")), "name": "Q"}
+_T2_WITH_W_DIRECT = {
+    **sequence_to_json(get_sequence("T")),
+    "name": "T2",
+    "direct": sequence_to_json(get_sequence("W"))["direct"],
+}
 
 
 def _claim_with_sum(factors, lo=0):
@@ -820,6 +825,45 @@ _BAD_NODES = [
         ),
         # two reports under one id could not be told apart
         ("verify", {"claims": [_N_EQUALS_N, _N_EQUALS_N]}, "malformed claims file: the claim 'x' is defined twice\n"),
+        # a polynomial has at most MAX_DEGREE + 1 coefficients, as in polynomial text
+        (
+            "verify",
+            {"claims": [{**_N_EQUALS_N, "lhs": {"sum": {"coeff": {"num": ["1"] * 301, "den": ["1"]}, "upper": "n"}}}]},
+            "malformed claims file: a polynomial has more than 101 coefficients (at claims[0].lhs)\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": {"coeffs": [["-1"], ["1"] * 102]}}], "claims": []},
+            "malformed claims file: a polynomial has more than 101 coefficients (at sequences[0].recurrence)\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "p": ["1"] * 102},
+            "malformed certificate: a polynomial has more than 101 coefficients (at p)\n",
+        ),
+        (
+            "certify",
+            {**W_CERT, "g": [{"i": -2, "j": -1, "poly": ["1"] * 102}]},
+            "malformed certificate: a polynomial has more than 101 coefficients (at g[0])\n",
+        ),
+        # a file sequence's direct formula agrees with its recurrence, at the
+        # initial data and the terms stepped just past it
+        (
+            "verify",
+            {"sequences": [_T2_WITH_W_DIRECT], "claims": []},
+            "malformed claims file: the direct formula of the sequence 'T2' disagrees with its recurrence at n = 0\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "recurrence": {"coeffs": [["-2"], ["1"]]}}], "claims": []},
+            "malformed claims file: the direct formula of the sequence 'Q' disagrees with its recurrence at n = 1\n",
+        ),
+        (
+            "verify",
+            {"sequences": [{**_ONE_AS_Q, "direct": {**_ONE_AS_Q["direct"], "coeff": {"num": ["1"], "den": ["0", "1"]}}}],
+             "claims": []},
+            "malformed claims file: the direct formula of the sequence 'Q' fails at n = 0: denominator vanishes at 0\n",
+        ),
     ],
 )
 def test_bad_document_is_usage_error(capsys, tmp_path, command, doc, message):

@@ -4,9 +4,11 @@ import functools
 import hashlib
 import json
 import math
+import random
 import runpy
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,6 +20,7 @@ from rc import congruence, exactmath, sequences, telescoper
 from rc.exactmath import Poly, rat_mod
 from rc.exactmath import legendre as leg_sym
 from rc.congruence import (
+    DIRECT_CHECK_TOP,
     BinomExpr,
     Bound,
     C,
@@ -1511,7 +1514,8 @@ def _t2_document(extra: dict | None = None, kind: str = "integers") -> dict:
 
 def test_a_claims_file_sum_streams_through_the_windows():
     # the sum of T2(k) T2(k+1) and the references T2(n-1), T2(n) share one
-    # window: each term is stepped once and T2's memo is never filled
+    # window: each term is stepped once and T2's memo is never filled, not
+    # even by the check of T2's direct formula (T's) at load
     (claim,) = load_claims_document(_t2_document())
     got = report_to_json(verify_claim_range(claim, 1, 300, SumEvaluator()))
     want = report_to_json(verify_claim_range(get_claim("theorem-1.3i"), 1, 300, SumEvaluator()))
@@ -1522,7 +1526,46 @@ def test_a_claims_file_sum_streams_through_the_windows():
     rep = verify_claim_range(claim, 1, 2000, ev)
     assert rep.ok and rep.points_checked == 2000
     assert ev.window(t2).steps == 2000 - t2.max_initial
-    assert len(t2._memo) == len(t2.initial)
+    assert t2.direct == T.direct and len(t2._memo) == len(t2.initial)
+
+
+def test_a_recurrence_step_that_raises_ends_the_direct_check():
+    # n Q(n + 1) = Q(n) cannot step past Q(0): the check stops there, and a
+    # claim fails at the points that read Q(1) on, as it did before the check
+    q = {**sequence_to_json(get_sequence("one")), "name": "Q", "recurrence": {"coeffs": [["-1"], ["0", "1"]]}}
+    claim = {"id": "q", "lhs": {"seq": "Q", "shift": 0}, "rhs": {"const": "1"}, "modulus": {"const": "0"}}
+    (claim,) = load_claims_document({"sequences": [q], "claims": [claim]})
+    rep = verify_claim_range(claim, 1, 3, SumEvaluator())
+    assert [r.n for r in rep.failures] == [1, 2, 3]
+    assert all(r.reason.startswith("LeadingCoefficientVanishes") for r in rep.failures)
+
+
+def test_the_direct_check_stops_at_its_top():
+    # Q(n + 1) = 2 Q(n) against the direct formula 1 disagrees at its first
+    # stepped term, which is checked only up to DIRECT_CHECK_TOP
+    def doc(start: int) -> dict:
+        q = {**sequence_to_json(get_sequence("one")), "name": "Q", "initial": {str(start): "1"}}
+        return {"sequences": [{**q, "recurrence": {"coeffs": [["-2"], ["1"]]}}], "claims": []}
+
+    with pytest.raises(ValueError, match=f"'Q' disagrees with its recurrence at n = {DIRECT_CHECK_TOP}$"):
+        load_claims_document(doc(DIRECT_CHECK_TOP - 1))
+    assert load_claims_document(doc(DIRECT_CHECK_TOP)) == []
+
+
+def test_a_degree_60_sum_coefficient_decodes_at_once():
+    # a coprime pair of degree 60 with 7-digit coefficients, which Euclid over
+    # the rationals took seconds to bring to lowest terms
+    rng = random.Random(60)
+    num, den = ([rng.randint(-(10**7), 10**7) for _ in range(60)] + [rng.randint(1, 10**7)] for _ in range(2))
+    spec = {"coeff": {"num": list(map(str, num)), "den": list(map(str, den))}, "upper": "n"}
+    doc = {"claims": [{"id": "x", "lhs": {"sum": spec}, "rhs": {"var": "n"}, "modulus": {"const": "0"}}]}
+    start = time.process_time()
+    (claim,) = load_claims_document(doc)
+    assert verify_claim_range(claim, 1, 3, SumEvaluator()).points_checked == 3
+    assert time.process_time() - start < 5
+    # nothing cancels, and the denominator is made monic
+    assert claim.lhs.spec.coeff == Poly([F(x, den[-1]) for x in num])
+    assert claim.lhs.spec.den == Poly([F(x, den[-1]) for x in den])
 
 
 def test_a_running_sum_reads_its_new_terms_before_the_references():

@@ -21,6 +21,7 @@ from rc.exactmath import (
     frac_to_str,
     horner,
     iadd,
+    igcd,
     imul,
     independent_prefix,
     iprod,
@@ -32,7 +33,6 @@ from rc.exactmath import (
     parse_poly,
     poly,
     poly_divmod,
-    poly_gcd,
     prime_factors,
     primitive,
     rat_mod,
@@ -79,26 +79,6 @@ def test_divmod_examples():
     assert q == poly(2, 1) and r == poly(3)
     with pytest.raises(ZeroDivisionError):
         poly_divmod(K, ZERO)
-
-
-@given(polys, polys)
-def test_gcd_divides_both(a, b):
-    if a.is_zero and b.is_zero:
-        with pytest.raises(ValueError):
-            poly_gcd(a, b)
-        return
-    g = poly_gcd(a, b)
-    assert g.lead in (0, 1)  # monic (or everything was zero on one side)
-    for p in (a, b):
-        _, r = poly_divmod(p, g)
-        assert r.is_zero
-
-
-def test_gcd_examples():
-    assert poly_gcd(poly(-1, 0, 1), poly(-1, 1)) == poly(-1, 1)
-    assert poly_gcd(K, poly(1, 1)) == ONE
-    g = poly_gcd(parse_poly("(2*k-1)*(k+3)"), parse_poly("(2*k-1)*k"))
-    assert g == Poly([F(-1, 2), F(1)])
 
 
 def test_poly_examples():
@@ -171,6 +151,52 @@ def test_integer_kernel_matches_poly(a, b, factors, j, rational_lists):
         assert Poly(xs).content() == Poly(cs).content() * den
     for q in prime_factors(den):
         assert any((c * (den // q)).denominator != 1 for cs in rational_lists for c in cs)
+
+
+@given(int_polys, int_polys)
+def test_gcd_divides_both(a, b):
+    if not a and not b:
+        with pytest.raises(ValueError, match="gcd of two zero polynomials"):
+            igcd(a, b)
+        return
+    g = igcd(a, b)
+    assert type(g) is tuple and g[-1] > 0
+    assert math.gcd(*g) == math.gcd(*a, *b)  # the content is kept
+    for p in (a, b):
+        assert iquo(p, g) is not None
+
+
+def test_gcd_examples():
+    assert igcd((-1, 0, 1), (-1, 1)) == (-1, 1)
+    assert igcd((0, 1), (1, 1)) == (1,)
+    assert igcd(imul((-1, 2), (3, 1)), imul((-1, 2), (0, 1))) == (-1, 2)
+    # -6 (k - 1) and 4 k (k - 1): the contents' gcd 2 times k - 1
+    assert igcd((6, -6), (0, -4, 4)) == (-2, 2)
+    # a zero operand: the other one with a positive lead, its content kept
+    assert igcd((0, -3), ()) == (0, 3)
+    assert igcd((), [2, -4]) == (-2, 4)
+    assert igcd((5,), []) == (5,)
+    with pytest.raises(ValueError, match="gcd of two zero polynomials"):
+        igcd((), [])
+
+
+nonzero_int_polys = st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=7).map(_trim).filter(bool)
+
+
+@given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys)
+@settings(deadline=None)  # sympy's first gcd imports its polynomial machinery
+@example([1], [1], [-3, 0, 3])  # a common factor that is a constant times a primitive one
+@example([2, 2], [0, 4], [1, 1])  # contents 2 and 4, the factor squared on one side
+def test_igcd_equals_sympy_gcd(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    a, b = imul(a, c), imul(b, c)
+    k = sympy.Symbol("k")
+    want = sympy.Poly(sympy.gcd(sympy.Poly(a[::-1], k), sympy.Poly(b[::-1], k)), k).all_coeffs()[::-1]
+    want = [int(x) for x in want]
+    if want[-1] < 0:
+        want = [-x for x in want]
+    assert igcd(a, b) == tuple(want)
+    assert iquo(igcd(a, b), c) is not None  # the planted factor divides it
 
 
 @given(int_polys, int_polys.filter(bool), int_polys, st.booleans())
@@ -460,6 +486,15 @@ def test_poly_from_json_takes_only_a_list(data):
         Poly.from_json(data)
 
 
+def test_poly_from_json_caps_the_degree_as_text_does():
+    assert Poly.from_json(["1"] * (MAX_DEGREE + 1)).degree == MAX_DEGREE
+    # refused before a coefficient is read; not a FieldError, so `json_field`
+    # gives it the path of its field
+    with pytest.raises(ValueError, match=f"a polynomial has more than {MAX_DEGREE + 1} coefficients") as e:
+        Poly.from_json([None] * (MAX_DEGREE + 2))
+    assert not isinstance(e.value, rc.exactmath.FieldError)
+
+
 @given(polys)
 def test_poly_str_parse_round_trip(p):
     assert parse_poly(p.to_str()) == p
@@ -522,7 +557,8 @@ def test_lowest_terms_normal_form(a, b, c):
     num, den = lowest_terms(a * c, b * c)
     assert (num, den) == lowest_terms(a, b)
     assert den.lead == 1
-    assert num.is_zero and den == ONE or poly_gcd(num, den) == ONE
+    _, ints = clear_denominators(num.coeffs, den.coeffs)
+    assert num.is_zero and den == ONE or len(igcd(*ints)) == 1
 
 
 def test_frac_to_str():
