@@ -495,15 +495,39 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(rem)
 
 
+def _coprime_modulo(a: Sequence[int], b: Sequence[int], prime: int) -> bool:
+    """Whether two nonzero integer polynomials are shown coprime over Q by
+    their gcd modulo the prime: when the prime divides neither lead, a common
+    factor of positive degree keeps its degree modulo the prime, so a
+    constant gcd there rules it out. False when the screen does not apply
+    or does not settle it."""
+    if not a[-1] % prime or not b[-1] % prime:
+        return False
+    a, b = [x % prime for x in a], [x % prime for x in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):  # a <- a - c k^s b, so deg a falls
+            c = a.pop() * inv % prime
+            for i, y in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] = (a[i] - c * y) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
 def lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num / den in lowest terms: gcd(num, den) = 1 and the denominator monic
     (so its leading coefficient is positive); the zero numerator gives
-    (ZERO, ONE). Both are cleared to integers and divided by their `igcd`."""
+    (ZERO, ONE). Both are cleared to integers; unless a screen modulo
+    `SCREEN_PRIME` shows them coprime (`_coprime_modulo`), they are divided
+    by their `igcd`."""
     if den.is_zero:
         raise ZeroDivisionError("rational function with zero denominator")
-    _, ints = clear_denominators(num.coeffs, den.coeffs)
-    g = igcd(*ints)
-    a, b = (iquo(p, g) for p in ints)
+    _, (a, b) = clear_denominators(num.coeffs, den.coeffs)
+    if not (a and _coprime_modulo(a, b, SCREEN_PRIME)):
+        g = igcd(a, b)
+        a, b = iquo(a, g), iquo(b, g)
     return Poly(Fraction(x, b[-1]) for x in a), Poly(Fraction(x, b[-1]) for x in b)
 
 
@@ -590,8 +614,9 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int | None = None
     return basis
 
 
-# the prime of `independent_prefix`: below 2^30, so a residue is one digit of a
-# Python int and a product of two residues fits in two
+# the prime of `independent_prefix` and of `lowest_terms`'s coprimality
+# screen: below 2^30, so a residue is one digit of a Python int and a product
+# of two residues fits in two
 SCREEN_PRIME = 2**30 - 35
 
 

@@ -30,13 +30,19 @@ any row is built.
 A reduction is a set of integer polynomials (`exactmath`'s kernel) over a
 denominator kept as its known factors: the shifted lead coefficients of the
 recurrence steps it took forward, the trailing ones of those it took
-backward. No gcd runs while reducing. The solver brings each final entry to
-lowest terms once, dividing out the linear factors without a gcd, so each
-equation is cleared to exactly the denominator a normalized rational
-function would give. `certify` checks each balance as one integer polynomial
-over the product of the factors, and `reductions_defined_from` looks for
-poles among the factors' own integer roots. Only the text of a nonzero
-residual is brought to lowest terms by a polynomial gcd.
+backward. No gcd runs while reducing. Entries are put over a common
+denominator by the product of those factors, each as often as the most any
+of them has it (`_over_common`). The solver clears each equation once, by
+dividing that denominator and the entries over it by their gcd in Z[k]
+(`exactmath.igcd`), so each equation is cleared to the denominator a
+normalized rational function would give, up to a constant. `certify` checks
+each balance as one integer polynomial over the common denominator, and
+`reductions_defined_from` looks for poles among the factors' own integer
+roots. Only the text of a nonzero residual is brought to lowest terms.
+
+A certificate's closed form is read as D S(n) = q(n) H(n) (`ClosedForm`):
+q is the gcd over Z[k] of the D g_{i,j}, and H, the bilinear form of the
+cofactors, is the one evaluator of S, exact or modulo m.
 
 Rewriting through a recurrence is only a rational-function identity, so for
 the handful of summation boundary points whose recurrence instances are not
@@ -296,64 +302,26 @@ def _pair_setup(
     return pairs, shifted, target_red, (shifts_a, shifts_b)
 
 
-class _Denominators:
-    """The denominator factors of one setup's pair reductions, split over the
-    distinct linear factors among them, which are pairwise coprime as they
-    stand: each factor is a constant times powers of those, times a rest
-    with all of them divided out."""
+def _over_common(dens: Iterable[tuple[tuple[int, ...], ...]]) -> tuple[list[int], Callable]:
+    """A common denominator of reductions, given their denominators' factors:
+    the product of each factor as often as the most any of them has it, and
+    the cofactor of each denominator in it."""
+    common: Counter = Counter()
+    for den in dens:
+        common |= Counter(den)
+    return iprod(common.elements()), lambda den: iprod((common - Counter(den)).elements())
 
-    def __init__(self, dens: Iterable[tuple[tuple[int, ...], ...]]):
-        factors = {f for den in dens for f in den}
-        self.linear = sorted({primitive(f) for f in factors if len(f) == 2})
-        self._parts = {}
-        for f in factors:
-            rest, exps = f, []
-            for b in self.linear:
-                e = 0
-                while (q := iquo(rest, b)) is not None:
-                    rest, e = q, e + 1
-                exps.append(e)
-            prim = primitive(rest)
-            self._parts[f] = (rest[-1] // prim[-1], exps, prim)
 
-    def _powers(self, exps: Sequence[int]) -> list[tuple[int, ...]]:
-        return [b for b, e in zip(self.linear, exps) for _ in range(e)]
-
-    def clear(self, entries: Mapping) -> tuple[list[int], dict]:
-        """For entries key -> (num, den): den, the lcm of the entries'
-        denominators in lowest terms, and each entry times den, in integers,
-        all up to one common constant factor. A linear factor is divided out
-        of a numerator as often as it goes into both, without a gcd; only
-        rests of degree 2 or more, which no built-in recurrence has, are
-        cancelled by `igcd`."""
-        reduced = {}
-        for key, (num, den) in entries.items():
-            const, exps, rest = 1, [0] * len(self.linear), Counter()
-            for f in den:
-                c, e, r = self._parts[f]
-                const *= c
-                exps = [x + y for x, y in zip(exps, e)]
-                if len(r) > 1:
-                    rest[r] += 1
-            for n, b in enumerate(self.linear):
-                while exps[n] and (q := iquo(num, b)) is not None:
-                    num, exps[n] = q, exps[n] - 1
-            reduced[key] = (num, const, exps, rest)
-        top = [max(col) for col in zip(*(r[2] for r in reduced.values()))]
-        rest_top: Counter = Counter()
-        for r in reduced.values():
-            rest_top |= r[3]
-        scale = math.lcm(*(abs(r[1]) for r in reduced.values()))
-        den = [scale * x for x in iprod([*self._powers(top), *rest_top.elements()])]
-        cleared = {}
-        for key, (num, const, exps, rest) in reduced.items():
-            cofactor = [*self._powers([t - e for t, e in zip(top, exps)]), *(rest_top - rest).elements()]
-            cleared[key] = [(scale // const) * x for x in imul(num, iprod(cofactor))]
-        if rest_top:
-            g = primitive(functools.reduce(igcd, cleared.values(), den))
-            den = iquo(den, g)
-            cleared = {key: iquo(num, g) for key, num in cleared.items()}
-        return den, cleared
+def _cleared(entries: Mapping) -> tuple[list[int], dict]:
+    """For entries key -> (num, factors) of one equation: den, the lcm of the
+    entries' denominators in lowest terms, and each entry times den, in
+    integers, all up to one common constant factor. The entries are taken
+    over their common denominator (`_over_common`), and that and their
+    numerators are divided by their `igcd`."""
+    full, cofactor = _over_common(den for _, den in entries.values())
+    over = {key: imul(num, cofactor(den)) for key, (num, den) in entries.items()}
+    g = functools.reduce(igcd, over.values(), full)
+    return iquo(full, g), {key: iquo(num, g) for key, num in over.items()}
 
 
 # -- certificates ----------------------------------------------------------------
@@ -384,33 +352,32 @@ class TelescoperCertificate:
 
 
 class ClosedForm:
-    """S(n) of a certificate in integers: `scale` is the lcm D of the
-    denominators of the g coefficients, and `terms` holds (i, j, D g_{i,j})
-    with the integer coefficients ascending. `reads` holds the
-    (sequence, shift) pairs S reads at n + shift, each once, in the order
-    the terms first need them. Each D g_{i,j} is built once into an
-    `exactmath.evaluator` for `scaled`.
+    """S(n) of a certificate in integers, split as D S(n) = q(n) H(n).
+    `scale` is the lcm D of the denominators of the g coefficients, and
+    `terms` holds (i, j, D g_{i,j}) with the integer coefficients ascending.
+    q is the gcd over Z[k] of the D g_{i,j}, content included and its lead
+    positive, and H(n) = sum h_{i,j}(n) a(n+i) b(n+j), where each h_{i,j} is
+    D g_{i,j} / q, an integer polynomial. `reads` holds the (sequence, shift)
+    pairs S reads at n + shift, each once, in the order the terms first need
+    them. q and the h_{i,j} are built once into `exactmath.evaluator`s, and H
+    into one `_bilinear` form, which every reader of the closed form goes
+    through: `scaled`, `partial`, `certify`'s numeric half and, given
+    residues, the residue screen. Modulo M, D S(n) needs its terms only
+    modulo M / gcd(q(n), M) (see `congruence._Compiler`)."""
 
-    The split D S(n) = q(n) H(n), H(n) = sum h_{i,j}(n) a(n+i) b(n+j), is
-    built on the first call of `split` and kept: q is the gcd over Z[k] of
-    the D g_{i,j}, content included and its lead positive, and each h_{i,j}
-    is D g_{i,j} / q, an integer polynomial. Modulo M, D S(n) needs its
-    terms only modulo M / gcd(q(n), M) (see `congruence._Compiler`)."""
-
-    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_products", "_combine", "_split")
+    __slots__ = ("seq_a", "seq_b", "scale", "terms", "reads", "_split")
 
     def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, scale: int, terms: tuple):
         self.seq_a, self.seq_b, self.scale, self.terms = seq_a, seq_b, scale, terms
         index: dict[tuple[SequenceDef, int], int] = {}
-        products = []
-        for i, j, coeffs in terms:
+        for i, j, _ in terms:
             for read in ((seq_a, i), (seq_b, j)):
                 index.setdefault(read, len(index))
-            products.append((index[seq_a, i], index[seq_b, j], evaluator(coeffs)))
         self.reads = tuple(index)
-        self._products = tuple(products)
-        self._combine = _bilinear(self._products)
-        self._split = None
+        q = functools.reduce(igcd, (coeffs for _, _, coeffs in terms), ())
+        h = tuple((i, j, tuple(iquo(f, q))) for i, j, f in terms)
+        products = tuple((index[seq_a, i], index[seq_b, j], evaluator(hs)) for i, j, hs in h)
+        self._split = (q, h, evaluator(q), _bilinear(products))
 
     def split(self) -> tuple[tuple[int, ...], tuple, Callable[[int], int], Callable]:
         """(q, h, q(n), H(n, values)): q as ascending integer coefficients (the
@@ -419,53 +386,38 @@ class ClosedForm:
         `values`, whose first entries are the terms S reads at n, one per
         entry of `reads`. Given residues modulo a multiple of M, H is
         congruent to H(n) modulo M."""
-        if self._split is None:
-            q = functools.reduce(igcd, (coeffs for _, _, coeffs in self.terms), ())
-            h = tuple((i, j, tuple(iquo(f, q))) for i, j, f in self.terms)
-            products = tuple((x, y, evaluator(hs)) for (x, y, _), (_, _, hs) in zip(self._products, h))
-            self._split = (q, h, evaluator(q), _bilinear(products))
         return self._split
 
     def scaled(self, n: int, stores: Mapping | None = None) -> int:
-        """D S(n) exactly. `stores` maps each sequence to what its terms are
-        read from, the sequence itself (its memo, the default) or a
+        """D S(n) = q(n) H(n) exactly. `stores` maps each sequence to what its
+        terms are read from, the sequence itself (its memo, the default) or a
         `sequences.TermWindow`."""
-        return self._combine(n, [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads])
+        _, _, q, cofactor = self._split
+        return q(n) * cofactor(n, [(stores[seq] if stores else seq).term(n + s) for seq, s in self.reads])
+
+    def partial(self, n: int) -> Fraction:
+        """S(n) - S(0), as `partial_sum`."""
+        return Fraction(self.scaled(n) - self.scaled(0), self.scale)
 
 
 def _bilinear(products: tuple) -> Callable:
     """(n, values) -> the sum of h(n) values[x] values[y] over the products
-    (x, y, h), for `ClosedForm.scaled` and the split's H: straight-line for
-    3 and 4 products (the reference certificates have 3 or 4), one loop for
-    any other count."""
-    if len(products) == 3:
-        (x0, y0, h0), (x1, y1, h1), (x2, y2, h2) = products
-        return lambda n, v: h0(n) * v[x0] * v[y0] + h1(n) * v[x1] * v[y1] + h2(n) * v[x2] * v[y2]
-    if len(products) == 4:
-        (x0, y0, h0), (x1, y1, h1), (x2, y2, h2), (x3, y3, h3) = products
-        return lambda n, v: (
-            h0(n) * v[x0] * v[y0] + h1(n) * v[x1] * v[y1] + h2(n) * v[x2] * v[y2] + h3(n) * v[x3] * v[y3]
-        )
-
-    def cofactor(n: int, values: Sequence[int]) -> int:
-        total = 0
-        for x, y, hv in products:
-            total += hv(n) * values[x] * values[y]
-        return total
-
-    return cofactor
-
-
-def _by_first(products: tuple) -> Callable:
-    """(n, values) -> the sum of h(n) values[x] values[y] over the products
-    (x, y, h) of a `ClosedForm`, as the sum over each distinct x of
-    values[x] times the sum of h(n) values[y]: one product of two terms per
-    x, where `_bilinear` has one per product. For `certify`'s numeric half,
-    whose terms grow with its range."""
+    (x, y, h) of H, as the sum over each distinct x of values[x] times the
+    sum of h(n) values[y]: one product of two terms per distinct x.
+    Straight-line for the two grouped shapes of the reference certificates,
+    two x with two products each (W) and with two and one (T), one loop for
+    any other."""
     by_x: dict[int, list] = {}
     for x, y, h in products:
         by_x.setdefault(x, []).append((y, h))
     rows = tuple(by_x.items())
+    shape = tuple(len(row) for _, row in rows)
+    if shape == (2, 2):
+        (x0, ((y0, h0), (y1, h1))), (x1, ((y2, h2), (y3, h3))) = rows
+        return lambda n, v: v[x0] * (h0(n) * v[y0] + h1(n) * v[y1]) + v[x1] * (h2(n) * v[y2] + h3(n) * v[y3])
+    if shape == (2, 1):
+        (x0, ((y0, h0), (y1, h1))), (x1, ((y2, h2),)) = rows
+        return lambda n, v: v[x0] * (h0(n) * v[y0] + h1(n) * v[y1]) + v[x1] * (h2(n) * v[y2])
 
     def combine(n: int, values: Sequence[int]) -> int:
         total = 0
@@ -483,8 +435,7 @@ def partial_sum(cert: TelescoperCertificate, n: int) -> Fraction:
     """S(n) - S(0); equals sum_{k=0}^{n-1} p(k) a(k+sa) b(k+sb) for a valid
     certificate. S itself is only pinned up to an additive constant, so all
     reporting goes through this difference."""
-    cf = cert.closed_form()
-    return Fraction(cf.scaled(n) - cf.scaled(0), cf.scale)
+    return cert.closed_form().partial(n)
 
 
 # -- the linear system --------------------------------------------------------------
@@ -540,13 +491,12 @@ class _Equations:
 
     def __init__(self, seq_a: SequenceDef, seq_b: SequenceDef, wa, wb, target, symmetric: bool):
         self.pairs, shifted, target_red, shifts = _pair_setup(seq_a, seq_b, wa, wb, target, symmetric)
-        dens = _Denominators(den for _, den in (*shifted.values(), target_red))
         self.cleared = []
         for st in self.pairs:
             entries = {pi: (red[st], den) for pi, (red, den) in enumerate(shifted.values()) if st in red}
             if st in target_red[0]:
                 entries["t"] = (target_red[0][st], target_red[1])
-            den, cleared = dens.clear(entries)
+            den, cleared = _cleared(entries)
             cleared_t = cleared.pop("t", None)
             self.cleared.append((st, den, cleared, cleared_t))
         self.boundary = _boundary_points(seq_a, seq_b, wa, wb, *shifts)
@@ -554,9 +504,9 @@ class _Equations:
 
     def system(self, p_basis: Sequence[Poly], deg: int) -> ReducedSystem:
         """The system in integers at degree bound deg: for each basis pair st,
-        the defining equation's st-coefficient, cleared to `den`, the monic
-        lcm of its entries' denominators in lowest terms
-        (`_Denominators.clear`), is scaled to its primitive integer multiple
+        the defining equation's st-coefficient, cleared to `den`, a constant
+        times the lcm of its entries' denominators in lowest terms
+        (`_cleared`), is scaled to its primitive integer multiple
         and read off power by power of k. Column ("g", i, j, m) holds
         (k+1)^m cleared_ij - [ij = st] k^m den, each (k+1)^m cleared one
         shift-and-add from the m - 1 one.
@@ -851,16 +801,8 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
         raise ValueError(f"certificate has g entries outside its windows: {echo(sorted(stray))}")
 
     scale, (p_int, *g_ints) = clear_denominators(cert.p.coeffs, *(g.coeffs for g in cert.g.values()))
-    # every balance over one common denominator: scale times each factor of the
-    # reductions' denominators as often as the most any of them has it
-    common: Counter = Counter()
-    for _, den in (*shifted.values(), target_red):
-        common |= Counter(den)
-    full = iprod(common.elements())
-
-    def cofactor(den) -> list[int]:
-        return iprod((common - Counter(den)).elements())
-
+    # every balance over one common denominator, scale times `full`
+    full, cofactor = _over_common(den for _, den in (*shifted.values(), target_red))
     balance: dict[tuple[int, int], list[int]] = {st: [] for st in pairs}
     for (i, j), g_int in zip(cert.g, g_ints):
         if not g_int:
@@ -905,14 +847,14 @@ def certify(cert: TelescoperCertificate, n_max: int = CERTIFY_N_MAX) -> CertifyR
     if reads is None:  # term by term, so a failing certificate reads up to its first mismatch
         reads = [lambda i, seq=seq, lo=lo: seq.term(lo + i) for seq, lo, _ in spans]
     read_a, read_b, *read_s = reads
-    combine = _by_first(closed._products)
-    s0 = combine(0, [read(0) for read in read_s])
+    _, _, q, big_h = closed.split()
+    s0 = q(0) * big_h(0, [read(0) for read in read_s])
     weight = evaluator(p_int)
     running = 0  # scale times the sum of the summands below n
     for n in range(1, n_max + 1):
         k = n - 1
         running += weight(k) * read_a(k) * read_b(k)
-        got = combine(n, [read(n) for read in read_s]) - s0  # D (S(n) - S(0))
+        got = q(n) * big_h(n, [read(n) for read in read_s]) - s0  # D (S(n) - S(0))
         if got * scale != running * closed.scale:
             numeric_ok = False
             mismatch = (n, Fraction(running, scale), Fraction(got, closed.scale))

@@ -1132,6 +1132,31 @@ def test_deterministic_outputs_are_pinned(capsys):
     )
 
 
+# sha256 of `rc certify` stdout for the four golden certificates, at the
+# default range and at 1..2000
+CERTIFY_DIGESTS = [
+    ("cert_W_8k9_win-2..0.json", (), "a4e6e0b8d941ed2ef4399cb3c8151bafe9b77c9fe7464814d8b86c65e3016cd5"),
+    ("cert_W_8k9_win-2..0.json", ("--range", "1..2000"),
+     "6d86f0c00d7e8f2df8564c8cd43e4d6727226872970fc09d47e51680e27d2fd9"),
+    ("cert_T_k_k1_8k9_win-1..0.json", (), "cd18b84bc49a6df96d3fd21043d544550847601cb1af5c18a302033e056e24b9"),
+    ("cert_T_k_k1_8k9_win-1..0.json", ("--range", "1..2000"),
+     "e485724443edeca6f475e64f0ab1b8b2dc42a40ae9777366b26cd6ea85933233"),
+    ("cert_T_k_k1_8k9_win0..1.json", (), "a4a1ff63dad5f1b165183e5e016ecd97cd0e3bca512742100d978b3758febe7d"),
+    ("cert_T_k_k1_8k9_win0..1.json", ("--range", "1..2000"),
+     "d99024a6e5686a430b87ef6d4259f93cd372ae6ca430c08be2328597cfb9c3d3"),
+    ("cert_T_k1_16k21_win-1..0.json", (), "0dfe1fa66e2adee9af479cce0efc225dc517da40cb3efb79007fc359cc5e5897"),
+    ("cert_T_k1_16k21_win-1..0.json", ("--range", "1..2000"),
+     "c10d0ef3887dcedc4f976c8f98974f1980f42e66ea0005ade2bc33e2db011e9b"),
+]
+
+
+@pytest.mark.parametrize("name, args, digest", CERTIFY_DIGESTS)
+def test_certify_outputs_are_pinned(capsys, name, args, digest):
+    code, out, _ = run_cli(capsys, "certify", str(ROOT / "perfbench" / "golden" / name), *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @functools.cache
 def _exported_claims() -> str:
     """The document `scripts/export_claims.py` prints: the built-in sequences

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -559,6 +561,37 @@ def test_lowest_terms_normal_form(a, b, c):
     assert den.lead == 1
     _, ints = clear_denominators(num.coeffs, den.coeffs)
     assert num.is_zero and den == ONE or len(igcd(*ints)) == 1
+
+
+@given(
+    small_polys.filter(bool),
+    small_polys.filter(bool),
+    small_polys.filter(lambda c: c.degree > 0),
+    st.sampled_from([2, 3, 5, SCREEN_PRIME]),
+)
+@settings(max_examples=200)
+@example(poly(1, 1), poly(2, 1), poly(0, 1), 2)  # coprime modulo 2 too
+@example(poly(1, 1), poly(3, 1), poly(0, 1), 2)  # coprime, equal modulo 2
+@example(poly(1, 2), poly(1, 1), poly(0, 1), 2)  # 2 divides a lead: the screen does not apply
+def test_the_coprimality_screen_never_misses_a_common_factor(a, b, c, prime):
+    # the screen's True is a proof: the integer gcd then has degree 0; a
+    # common factor of positive degree is never screened out
+    _, (x, y) = clear_denominators(a.coeffs, b.coeffs)
+    if rc.exactmath._coprime_modulo(x, y, prime):
+        assert len(igcd(x, y)) == 1
+    _, (x, y) = clear_denominators((a * c).coeffs, (b * c).coeffs)
+    assert not rc.exactmath._coprime_modulo(x, y, prime)
+
+
+def test_the_coprimality_screen_settles_a_large_coprime_pair():
+    # two random coprime polynomials of degree 100 with 50-digit coefficients:
+    # the pseudo-remainder sequence alone takes about 11 s of CPU on a 2-vCPU VM
+    rng = random.Random(1)
+    a, b = ([rng.randrange(-(10**50), 10**50) for _ in range(100)] + [10**49 + n] for n in range(2))
+    start = time.process_time()
+    num, den = lowest_terms(Poly(a), Poly(b))
+    assert time.process_time() - start < 1
+    assert den == Poly([F(x, b[-1]) for x in b]) and num == Poly([F(x, b[-1]) for x in a])
 
 
 def test_frac_to_str():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rc.exactmath
 import rc.telescoper
@@ -273,10 +273,9 @@ def test_reductions_agree_with_sympy(data):
 
     # each equation of the solver's system is cleared to the lcm of its
     # entries' denominators in lowest terms, up to a constant
-    dens = rc.telescoper._Denominators(den for _, _, (_, den) in reductions)
     for pair in pairs:
         entries = {name: (red[pair], den) for name, _, (red, den) in reductions if pair in red}
-        den, cleared = dens.clear(entries)
+        den, cleared = rc.telescoper._cleared(entries)
         lcm = k.field.ring.one
         for name in entries:
             lcm = lcm.lcm(values[name][pair].denom)
@@ -600,10 +599,20 @@ def test_systems_past_the_size_cap_are_rejected_before_any_row_is_built(solves, 
     assert solves[0] == 0
 
 
+# the Franel numbers, sum_k binom(n, k)^3: their recurrence's lead
+# coefficients are the squares (k+c)^2, not products of linear factors
+FRANEL = SequenceDef(
+    "F",
+    recurrence([parse_poly("-8*(k+1)^2"), parse_poly("-(7*k^2+21*k+16)"), parse_poly("(k+2)^2")]),
+    {-1: 0, 0: 1, 1: 2},
+)
+
 # sha256 digests of repr(rows) and repr(matrix) of systems built when the
 # reductions were normalized rational functions: the four reference searches
 # at their bounds, the benchmark's W search that finds no certificate (its
-# seed-1 cubic, degree 12) and T at the degree cap, near the size cap
+# seed-1 cubic, degree 12) and T at the degree cap, near the size cap; and a
+# Franel system, built when each equation was cleared of its linear factors
+# without a gcd and of its quadratic ones by a gcd
 PINNED_SYSTEMS = [
     ("W", "8*k+9", (0, 0), (-2, 0), 2, (31, 19),
      "6d1e1703f08ddfb3dc02476983197c4f6b98a4b4b7aa542842376e6d3ab6ba18",
@@ -623,6 +632,9 @@ PINNED_SYSTEMS = [
     ("T", "k^3+1", (0, 1), (-1, 0), MAX_DEGREE, (309, 304),
      "89fa3a1f6ed7bd8feccfbdc94cee7bad8a03c4807e2612f8c5836edd7c9380fc",
      "63632a1702aa4b8f040805cb38e82a36d751e7625279c4e48a8343c20bfbc051"),
+    (FRANEL, "k^2+1", (2, 1), (-1, 0), 5, (36, 19),
+     "6fcb95865af800aa2a89d5d4892f16033206aeaf22aafc57893db570f1efa46e",
+     "4133a82f0c6eed39a9b1788803cb831be7a89e1b3244d4838c4b6cb832d9e023"),
 ]
 
 
@@ -890,7 +902,18 @@ def test_reference_closed_forms_split_off_q(index, q):
     assert [(i, j) for i, j, _ in h] == [(i, j) for i, j, _ in closed.terms]
     for n in range(301):
         values = [seq.term(n + s) for seq, s in closed.reads]
-        assert q_at(n) * cofactor(n, values) == closed.scaled(n)
+        want = _d_s(closed, n)
+        assert q_at(n) * cofactor(n, values) == want
+        assert closed.scaled(n) == want
+
+
+def _d_s(closed, n: int) -> int:
+    """D S(n) as the sum of D g_ij(n) a(n+i) b(n+j) over `closed.terms`, term
+    by term: the closed form as it reads before the split."""
+    return sum(
+        rc.exactmath.horner(coeffs, n) * closed.seq_a.term(n + i) * closed.seq_b.term(n + j)
+        for i, j, coeffs in closed.terms
+    )
 
 
 def _int_polys(max_degree: int):
@@ -907,17 +930,21 @@ _W_PAIRS = [(i, j) for i in range(-2, 1) for j in range(i, 1)]
 @settings(max_examples=60, deadline=None)
 @given(
     planted=_int_polys(3),
-    cofactors=st.lists(_int_polys(3), min_size=1, max_size=len(_W_PAIRS)),
+    pairs=st.sets(st.sampled_from(_W_PAIRS), min_size=1),
+    cofactors=st.lists(_int_polys(3), min_size=len(_W_PAIRS), max_size=len(_W_PAIRS)),
     dens=st.lists(st.integers(1, 12), min_size=len(_W_PAIRS), max_size=len(_W_PAIRS)),
 )
-def test_split_agrees_with_sympy_gcd(planted, cofactors, dens):
+# H grouped by first read as (2, 2), as for W's certificate, and as (2, 1)
+@example(planted=[0, 1], pairs={(-2, -1), (-2, 0), (-1, -1), (-1, 0)}, cofactors=[[1]] * 6, dens=[2] * 6)
+@example(planted=[1, 1], pairs={(-2, -2), (-2, -1), (-1, -1)}, cofactors=[[3, -1]] * 6, dens=[1, 2, 3, 4, 5, 6])
+def test_split_agrees_with_sympy_gcd(planted, pairs, cofactors, dens):
     # random g's with a planted common factor: q is the gcd over Z[k] of the
     # D g, content included, and D g = q h
     sympy = pytest.importorskip("sympy")
     k = sympy.Symbol("k")
     g = {
         pair: Poly(rc.exactmath.imul(planted, c)) * F(1, d)
-        for pair, c, d in zip(_W_PAIRS, cofactors, dens)
+        for pair, c, d in zip(sorted(pairs), cofactors, dens)
     }
     closed = _cert_of(g).closed_form()
     q, h, q_at, cofactor = closed.split()
@@ -930,10 +957,13 @@ def test_split_agrees_with_sympy_gcd(planted, cofactors, dens):
     assert q == tuple(int(c) for c in reversed(want.all_coeffs()))
     for (_, _, dg), (_, _, hs) in zip(closed.terms, h):
         assert rc.exactmath.imul(q, hs) == list(dg)
-    # H from 1 to 6 products, straight-line for 3 and 4
+    # H from 1 to 6 products, in every grouped shape: straight-line for
+    # (2, 2) and (2, 1), the loop for any other
     for n in range(4):
         values = [seq.term(n + s) for seq, s in closed.reads]
-        assert q_at(n) * cofactor(n, values) == closed.scaled(n)
+        want = _d_s(closed, n)
+        assert q_at(n) * cofactor(n, values) == want
+        assert closed.scaled(n) == want
 
 
 def _check_hl_mode_by_g(cert: TelescoperCertificate, q: Poly) -> bool:
